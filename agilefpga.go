@@ -34,7 +34,6 @@ import (
 	"agilefpga/internal/core"
 	"agilefpga/internal/fpga"
 	"agilefpga/internal/metrics"
-	"agilefpga/internal/sim"
 )
 
 // Config selects the card's build options. The zero value is a sensible
@@ -243,18 +242,26 @@ func (cp *CoProcessor) InstallAll() error {
 
 // resultOf converts a core call result to the public form.
 func resultOf(r *core.CallResult) *Result {
-	phases := make(map[string]time.Duration, sim.NumPhases)
-	for p := 0; p < sim.NumPhases; p++ {
-		if t := r.Breakdown.Get(sim.Phase(p)); t != 0 {
-			phases[sim.Phase(p).String()] = t.Duration()
-		}
-	}
 	return &Result{
 		Output:  r.Output,
 		Latency: r.Latency.Duration(),
 		Hit:     r.Hit,
-		Phases:  phases,
+		Phases:  phasesOf(r.Breakdown),
 	}
+}
+
+// batchResultOf converts a core multi-item result to the public form.
+func batchResultOf(r *core.Result, err error) (*BatchResult, error) {
+	if err != nil {
+		return nil, err
+	}
+	return &BatchResult{
+		Outputs:           r.Outputs,
+		Latency:           r.Latency.Duration(),
+		SequentialLatency: r.SequentialLatency.Duration(),
+		OverlapSaved:      r.OverlapSaved.Duration(),
+		Hits:              r.Hits,
+	}, nil
 }
 
 // Call executes the named function on the card, configuring it on demand.
@@ -271,17 +278,7 @@ func (cp *CoProcessor) Call(name string, input []byte) (*Result, error) {
 // the card computes the current one. Outputs and card state match
 // issuing the calls one by one; only the latency model differs.
 func (cp *CoProcessor) CallBatch(name string, inputs [][]byte) (*BatchResult, error) {
-	r, err := cp.inner.CallBatch(name, inputs)
-	if err != nil {
-		return nil, err
-	}
-	return &BatchResult{
-		Outputs:           r.Outputs,
-		Latency:           r.Latency.Duration(),
-		SequentialLatency: r.SequentialLatency.Duration(),
-		OverlapSaved:      r.OverlapSaved.Duration(),
-		Hits:              r.Hits,
-	}, nil
+	return batchResultOf(cp.inner.CallBatch(name, inputs))
 }
 
 // RunHost executes the same function in host software (the offload

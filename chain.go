@@ -1,6 +1,7 @@
 package agilefpga
 
 import (
+	"fmt"
 	"time"
 
 	"agilefpga/internal/algos"
@@ -62,16 +63,18 @@ func functionName(id uint16) string {
 	return "unknown"
 }
 
-// chainResultOf converts a core chain result to the public form.
-func chainResultOf(r *core.ChainResult) *ChainResult {
+// chainResultOf converts a core chained-call result to the public form.
+func chainResultOf(r *core.CallResult) *ChainResult {
 	out := &ChainResult{
 		Output:  r.Output,
 		Latency: r.Latency.Duration(),
-		Hits:    r.Hits,
 		Phases:  phasesOf(r.Breakdown),
 		Stages:  make([]ChainStage, len(r.Stages)),
 	}
 	for i, st := range r.Stages {
+		if st.Hit {
+			out.Hits++
+		}
 		out.Stages[i] = ChainStage{
 			Function: functionName(st.Fn),
 			Hit:      st.Hit,
@@ -99,21 +102,16 @@ func (cp *CoProcessor) CallChain(names []string, input []byte) (*ChainResult, er
 // the sum of all stages. Outputs match CallChain item by item; only the
 // latency model differs.
 func (cp *CoProcessor) CallChainBatch(names []string, inputs [][]byte) (*BatchResult, error) {
-	r, err := cp.inner.CallChainBatch(names, inputs)
-	if err != nil {
-		return nil, err
-	}
-	return &BatchResult{
-		Outputs:           r.Outputs,
-		Latency:           r.Latency.Duration(),
-		SequentialLatency: r.SequentialLatency.Duration(),
-		OverlapSaved:      r.OverlapSaved.Duration(),
-		Hits:              r.Hits,
-	}, nil
+	return batchResultOf(cp.inner.CallChainBatch(names, inputs))
 }
 
-// lookupStages resolves a chain's function names to bank ids.
+// lookupStages resolves a chain's function names to bank ids. The
+// dispatcher would run a one-stage list as a plain call; the chain
+// entry points reject it, like CoProcessor.CallChain.
 func lookupStages(names []string) ([]uint16, error) {
+	if len(names) < 2 {
+		return nil, fmt.Errorf("agilefpga: a chain names at least 2 functions, got %d", len(names))
+	}
 	fns := make([]uint16, len(names))
 	for i, name := range names {
 		f, err := algos.ByName(name)
@@ -150,5 +148,5 @@ func (cl *Cluster) SubmitChain(names []string, input []byte) *Pending {
 	if err != nil {
 		return &Pending{inner: cluster.Failed(err)}
 	}
-	return &Pending{inner: cl.inner.SubmitChain(fns, input)}
+	return &Pending{inner: cl.inner.SubmitJob(cluster.Job{Stages: fns, Inputs: [][]byte{input}, Wait: true})[0]}
 }

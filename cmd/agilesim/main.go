@@ -187,17 +187,13 @@ func main() {
 		// card's virtual phase breakdown underneath. A nil tracer (or
 		// a sampled-out call) makes every span call a no-op.
 		ref := tracer.StartRoot("call", "host", j.Fn)
-		var res *core.CallResult
-		var err error
-		if ref.Valid() {
-			res, err = cp.CallIDTraced(j.Fn, j.Input, ref.TraceID, ref.SpanID)
-		} else {
-			res, err = cp.CallID(j.Fn, j.Input)
-		}
+		run, err := cp.Run(core.Job{Stages: []uint16{j.Fn}, Items: [][]byte{j.Input},
+			TraceID: ref.TraceID, SpanID: ref.SpanID})
 		if err != nil {
 			tracer.End(ref, "error")
 			return err
 		}
+		res := run.Results[0]
 		for p := 0; p < sim.NumPhases; p++ {
 			if d := res.Breakdown.Get(sim.Phase(p)); d > 0 {
 				tracer.Add(ref, trace.Span{

@@ -22,8 +22,12 @@
 // genuinely in parallel. Beyond the synchronous Call, the cluster runs
 // one worker goroutine per card behind a bounded submission queue;
 // Submit/Wait is the async interface and Serve drains a whole job list.
-// Workers coalesce consecutive same-function jobs into the card's
-// double-buffered CallBatch pipeline.
+//
+// There is one job shape (DESIGN §9): a stage list — one function, or a
+// chain that runs as one on-card dataflow — over one or more inputs,
+// routed once, queued as ONE entry and served by one core.Run. Workers
+// coalesce consecutive entries with the same stage list into a single
+// pipelined run.
 package cluster
 
 import (
@@ -59,8 +63,8 @@ type Options struct {
 	// Queue bounds each card's submission queue (default 32). A full
 	// queue applies backpressure: Submit blocks until the card drains.
 	Queue int
-	// Coalesce caps how many consecutive same-function jobs a card
-	// worker folds into one pipelined CallBatch (default 16).
+	// Coalesce caps how many consecutive same-stage-list jobs a card
+	// worker folds into one pipelined run (default 16).
 	Coalesce int
 }
 
@@ -85,12 +89,11 @@ type Cluster struct {
 	mu sync.Mutex
 	// rr is the round-robin cursor (replicate mode).
 	rr int
-	// affinity maps function id → pinned card (affinity mode).
-	affinity map[uint16]int
-	// chainAffinity maps a chain's stage-list key → pinned card
-	// (affinity mode): chains pin as a unit, not per stage, so repeated
-	// chains land on the card already holding every stage resident.
-	chainAffinity map[string]int
+	// affinity maps a stage list → pinned card (affinity mode). A chain
+	// pins as a unit, not per stage, so repeated chains land on the card
+	// already holding every stage resident; a function's key is its
+	// one-stage list.
+	affinity map[stageList]int
 	// load is the pinned frame demand per card (affinity mode).
 	load []int
 
@@ -132,13 +135,12 @@ func NewWithOptions(n int, mode string, cfg core.Config, opts Options) (*Cluster
 		opts.Coalesce = DefaultCoalesce
 	}
 	cl := &Cluster{
-		mode:          mode,
-		home:          make(map[uint16]int),
-		demand:        make(map[uint16]int),
-		affinity:      make(map[uint16]int),
-		chainAffinity: make(map[string]int),
-		load:          make([]int, n),
-		opts:          opts,
+		mode:     mode,
+		home:     make(map[uint16]int),
+		demand:   make(map[uint16]int),
+		affinity: make(map[stageList]int),
+		load:     make([]int, n),
+		opts:     opts,
 	}
 	cl.metrics = cfg.Metrics
 	for i := 0; i < n; i++ {
@@ -249,12 +251,17 @@ func (cl *Cluster) Home(fn uint16) int {
 	return h
 }
 
-// Affinity reports the card the affinity router has pinned fn to, or -1
-// if fn has not been routed yet (or the mode keeps no pins).
-func (cl *Cluster) Affinity(fn uint16) int {
+// Affinity reports the card the affinity router has pinned a stage list
+// (one function, or a whole chain) to, or -1 if it has not been routed
+// yet (or the mode keeps no pins).
+func (cl *Cluster) Affinity(stages ...uint16) int {
+	key, err := newStageList(stages)
+	if err != nil {
+		return -1
+	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
-	if c, ok := cl.affinity[fn]; ok {
+	if c, ok := cl.affinity[key]; ok {
 		return c
 	}
 	return -1
@@ -272,34 +279,77 @@ var (
 	ErrQueueFull = errors.New("cluster: card queue full")
 	// ErrStopped reports a submission issued after Close.
 	ErrStopped = errors.New("cluster: dispatcher stopped")
+	// ErrChainSplit reports a chain whose stages are partitioned across
+	// different home cards: a partition-mode cluster cannot run it as one
+	// on-card dataflow (the stages never co-reside).
+	ErrChainSplit = errors.New("cluster: chain stages partitioned across different cards")
 )
 
-// route picks the card to serve fn, applying the mode's policy.
-func (cl *Cluster) route(fn uint16) (int, error) {
-	home, ok := cl.home[fn]
-	if !ok {
-		return -1, fmt.Errorf("%w: id %d", ErrUnknownFunction, fn)
+// stageList is a job's stage list in comparable form: the affinity map
+// keys on it and the worker's coalescing test is one ==.
+type stageList struct {
+	k   int
+	fns [mcu.MaxChainStages]uint16
+}
+
+func newStageList(stages []uint16) (stageList, error) {
+	var s stageList
+	if len(stages) < 1 || len(stages) > len(s.fns) {
+		return s, fmt.Errorf("cluster: job must name 1..%d stages, got %d", len(s.fns), len(stages))
 	}
-	if home >= 0 { // partition: pinned at construction
+	s.k = copy(s.fns[:], stages)
+	return s, nil
+}
+
+func (s *stageList) slice() []uint16 { return s.fns[:s.k] }
+
+// route picks the card to serve a stage list, applying the mode's
+// policy to the list as a unit: the card must carry every stage.
+func (cl *Cluster) route(stages stageList) (int, error) {
+	home := -1
+	for i, fn := range stages.slice() {
+		h, ok := cl.home[fn]
+		if !ok {
+			return -1, fmt.Errorf("%w: id %d (stage %d)", ErrUnknownFunction, fn, i)
+		}
+		if h >= 0 { // partition: pinned at construction, and all to one card
+			if home >= 0 && h != home {
+				return -1, fmt.Errorf("%w: stage %d on card %d, earlier stages on card %d",
+					ErrChainSplit, i, h, home)
+			}
+			home = h
+		}
+	}
+	if home >= 0 {
 		return home, nil
 	}
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	if cl.mode == ModeAffinity {
-		if card, ok := cl.affinity[fn]; ok {
+		if card, ok := cl.affinity[stages]; ok {
 			return card, nil
 		}
-		// First sight of fn: pin it to the card with the least pinned
-		// frame demand (ties to the lowest index) — the online version
-		// of partition's greedy balance, driven by the live workload.
+		// First sight of this stage list: pin it to the card with the
+		// least pinned frame demand (ties to the lowest index) — the
+		// online version of partition's greedy balance, driven by the
+		// live workload — charging the demand of its distinct stages
+		// (they will all be resident at once).
 		best := 0
 		for c := 1; c < len(cl.load); c++ {
 			if cl.load[c] < cl.load[best] {
 				best = c
 			}
 		}
-		cl.affinity[fn] = best
-		cl.load[best] += cl.demand[fn]
+		cl.affinity[stages] = best
+	charge:
+		for i, fn := range stages.slice() {
+			for _, earlier := range stages.fns[:i] {
+				if earlier == fn {
+					continue charge
+				}
+			}
+			cl.load[best] += cl.demand[fn]
+		}
 		return best, nil
 	}
 	card := cl.rr
@@ -307,37 +357,50 @@ func (cl *Cluster) route(fn uint16) (int, error) {
 	return card, nil
 }
 
+// call routes one job and runs it synchronously on the serving card.
+func (cl *Cluster) call(stages []uint16, input []byte) (*core.CallResult, int, error) {
+	key, err := newStageList(stages)
+	if err != nil {
+		return nil, -1, err
+	}
+	card, err := cl.route(key)
+	if err != nil {
+		return nil, -1, err
+	}
+	res, err := cl.cards[card].Run(core.Job{Stages: stages, Items: [][]byte{input}})
+	if err != nil {
+		return nil, card, err
+	}
+	return &res.Results[0], card, nil
+}
+
 // Call routes one request, returning the result and the card that served
 // it. Safe for concurrent use; calls routed to different cards execute
 // in parallel.
 func (cl *Cluster) Call(fnID uint16, input []byte) (*core.CallResult, int, error) {
-	card, err := cl.route(fnID)
-	if err != nil {
-		return nil, -1, err
-	}
-	res, err := cl.cards[card].CallID(fnID, input)
-	return res, card, err
+	return cl.call([]uint16{fnID}, input)
+}
+
+// CallChain is Call for a chain: fns run as one on-card dataflow on a
+// card that carries every stage.
+func (cl *Cluster) CallChain(fns []uint16, input []byte) (*core.CallResult, int, error) {
+	return cl.call(fns, input)
 }
 
 // Pending is an in-flight submission. Wait blocks until the card served
 // (or failed) the request.
 type Pending struct {
-	fn uint16
-	// stages, when non-nil, marks this Pending as a chained submission:
-	// the stage list runs as one on-card dataflow chain (fn is stage 0,
-	// kept for metrics labels). Plain calls leave it nil.
-	stages []uint16
+	stages stageList
 	input  []byte
 	ctx    context.Context
 	done   chan struct{}
 	res    *core.CallResult
 	card   int
 	err    error
-	// group, when non-nil, marks this Pending as a carrier for a
-	// same-function group submitted together (SubmitGroup): the carrier
-	// occupies one queue slot and the worker expands it into its
-	// children, which settle individually. A carrier itself never
-	// completes.
+	// group, when non-nil, marks this Pending as the carrier of a
+	// multi-input job: the carrier occupies one queue slot and the worker
+	// expands it into its children, which settle individually. A carrier
+	// itself never completes.
 	group []*Pending
 	// ref is the caller's trace span for this job (zero when the
 	// request is not sampled). It rides to the card worker, which tags
@@ -385,15 +448,6 @@ func nowNS() int64 {
 	return time.Now().UnixNano() //lint:wallclock trace stamps measure real queue wait, not simulated cycles
 }
 
-// expired reports the submission's deadline error, if its context ended
-// before a worker reached it.
-func (p *Pending) expired() error {
-	if p.ctx == nil {
-		return nil
-	}
-	return p.ctx.Err()
-}
-
 func (p *Pending) complete(res *core.CallResult, card int, err error) {
 	p.res, p.card, p.err = res, card, err
 	close(p.done)
@@ -418,97 +472,102 @@ func (cl *Cluster) Submit(fnID uint16, input []byte) *Pending {
 }
 
 // SubmitContext is Submit with deadline plumbing and an admission
-// choice. The context travels with the job: a worker that dequeues an
-// already-expired job fails it with the context's error instead of
-// spending fabric time on an answer nobody is waiting for. When wait is
-// true a full queue blocks until space, the context ends, or the
-// cluster stops; when wait is false a full queue fails fast with
-// ErrQueueFull so callers doing admission control can shed load
-// explicitly. All failures surface through Wait.
+// choice: SubmitJob for one untraced input of one function.
 func (cl *Cluster) SubmitContext(ctx context.Context, fnID uint16, input []byte, wait bool) *Pending {
-	return cl.SubmitContextTraced(ctx, fnID, input, wait, trace.SpanRef{})
+	return cl.SubmitJob(Job{
+		Stages: []uint16{fnID}, Inputs: [][]byte{input}, Ctxs: []context.Context{ctx}, Wait: wait,
+	})[0]
 }
 
-// SubmitContextTraced is SubmitContext carrying the caller's trace
-// span: the job is stamped with wall times at enqueue and around its
-// card run (TraceTimes), and the card-log events of the run are tagged
-// with the span's ids. A zero ref degrades to the untraced path.
-func (cl *Cluster) SubmitContextTraced(ctx context.Context, fnID uint16, input []byte, wait bool, ref trace.SpanRef) *Pending {
-	p := &Pending{fn: fnID, input: input, ctx: ctx, done: make(chan struct{}), card: -1, ref: ref}
-	if ref.Valid() {
-		p.tSubmit = nowNS()
+// Job is one submission: a stage list over one or more inputs.
+type Job struct {
+	// Stages names one function, or a chain of up to mcu.MaxChainStages
+	// that runs as one on-card dataflow.
+	Stages []uint16
+	// Inputs are aliased, not copied: they must stay valid until the
+	// matching Pending settles.
+	Inputs [][]byte
+	// Ctxs gives each input its own deadline. It may be shorter than
+	// Inputs; a missing or nil entry means no deadline.
+	Ctxs []context.Context
+	// Refs gives each input its caller's trace span. It may be shorter
+	// than Inputs; a missing or zero entry means an untraced member. A
+	// traced member is stamped with wall times at enqueue and around its
+	// card run (TraceTimes), and the run's card-log events are tagged
+	// with the first traced member's ids.
+	Refs []trace.SpanRef
+	// Wait selects the admission policy on a full card queue: block until
+	// space, the first queued member's context ends or the cluster stops;
+	// or fail the job at once with ErrQueueFull, so callers doing
+	// admission control can shed load explicitly.
+	Wait bool
+}
+
+// SubmitJob is the one submission path. The job is routed once and
+// enqueued as ONE entry on the serving card's bounded queue however
+// many inputs it carries — the cross-client batching entry point: the
+// network batcher hands a whole window to the card in one hop — and the
+// worker serves it as one pipelined run, coalesced with neighbouring
+// entries for the same stage list. It returns one Pending per input and
+// every failure surfaces through Wait. Members stay independent: one
+// whose context has already ended, or whose input the card could never
+// stage (core.CheckInput), fails here, alone, before it can join other
+// members' run; one whose deadline expires while queued is failed by
+// the worker without touching the card.
+func (cl *Cluster) SubmitJob(job Job) []*Pending {
+	all := make([]*Pending, len(job.Inputs))
+	stages, err := newStageList(job.Stages)
+	failed := 0
+	for i, input := range job.Inputs {
+		p := &Pending{stages: stages, input: input, ctx: context.Background(), done: make(chan struct{}), card: -1}
+		all[i] = p
+		if i < len(job.Ctxs) && job.Ctxs[i] != nil {
+			p.ctx = job.Ctxs[i]
+		}
+		if i < len(job.Refs) && job.Refs[i].Valid() {
+			p.ref, p.tSubmit = job.Refs[i], nowNS()
+		}
+		perr := err
+		if perr == nil {
+			perr = p.ctx.Err()
+		}
+		if perr == nil {
+			perr = cl.cards[0].CheckInput(input) // every card has the same window
+		}
+		if perr != nil {
+			p.complete(nil, -1, perr)
+			failed++
+		}
 	}
-	if err := ctx.Err(); err != nil {
-		p.complete(nil, -1, err)
-		return p
+	live := all
+	if failed > 0 {
+		live = make([]*Pending, 0, len(all)-failed)
+		for _, p := range all {
+			if p.err == nil {
+				live = append(live, p)
+			}
+		}
 	}
-	card, err := cl.route(fnID)
+	if len(live) == 0 {
+		return all
+	}
+	card, err := cl.route(stages)
+	if err == nil {
+		entry := live[0]
+		if len(live) > 1 {
+			entry = &Pending{stages: stages, card: card, group: live}
+		}
+		for _, p := range live {
+			p.card = card
+		}
+		err = cl.enqueue(live[0].ctx, card, entry, job.Wait)
+	}
 	if err != nil {
-		p.complete(nil, -1, err)
-		return p
-	}
-	p.card = card
-	if err := cl.enqueue(ctx, card, p, wait); err != nil {
-		p.complete(nil, card, err)
-	}
-	return p
-}
-
-// SubmitGroup enqueues a group of same-function jobs as one queue
-// entry, served by the card worker as a single coalesced run (one
-// pipelined CallBatch when more than one job survives queue-time
-// expiry) — the cross-client batching entry point: the network
-// batcher collects requests from different connections and hands them
-// to the card's batch machinery in one hop, paying one queue slot and
-// one routing decision for the whole window. Each job keeps its own
-// context: a job whose deadline expires while queued is failed
-// individually, exactly as with per-job submissions (a nil ctxs entry
-// means no deadline; ctxs may be shorter than inputs). When wait is
-// false a full queue fails the whole group with ErrQueueFull; when
-// wait is true the first job's context bounds the blocking enqueue.
-// All failures surface through each child's Wait.
-func (cl *Cluster) SubmitGroup(ctxs []context.Context, fnID uint16, inputs [][]byte, wait bool) []*Pending {
-	return cl.SubmitGroupTraced(ctxs, fnID, inputs, wait, nil)
-}
-
-// SubmitGroupTraced is SubmitGroup with per-member trace spans (refs
-// may be shorter than inputs; zero entries mean untraced members). The
-// worker tags the coalesced run's card-log events with the first valid
-// member ref and stamps every traced member's TraceTimes.
-func (cl *Cluster) SubmitGroupTraced(ctxs []context.Context, fnID uint16, inputs [][]byte, wait bool, refs []trace.SpanRef) []*Pending {
-	children := make([]*Pending, len(inputs))
-	for i := range inputs {
-		ctx := context.Background()
-		if i < len(ctxs) && ctxs[i] != nil {
-			ctx = ctxs[i]
-		}
-		children[i] = &Pending{fn: fnID, input: inputs[i], ctx: ctx, done: make(chan struct{}), card: -1}
-		if i < len(refs) && refs[i].Valid() {
-			children[i].ref = refs[i]
-			children[i].tSubmit = nowNS()
+		for _, p := range live {
+			p.complete(nil, card, err)
 		}
 	}
-	if len(children) == 0 {
-		return children
-	}
-	failAll := func(card int, err error) {
-		for _, c := range children {
-			c.complete(nil, card, err)
-		}
-	}
-	card, err := cl.route(fnID)
-	if err != nil {
-		failAll(-1, err)
-		return children
-	}
-	for _, c := range children {
-		c.card = card
-	}
-	carrier := &Pending{fn: fnID, card: card, group: children}
-	if err := cl.enqueue(children[0].ctx, card, carrier, wait); err != nil {
-		failAll(card, err)
-	}
-	return children
+	return all
 }
 
 // enqueue places one queue entry — a single job or a group carrier —
@@ -574,8 +633,8 @@ func (cl *Cluster) startWorkers() {
 }
 
 // worker drains one card's queue. Consecutive entries for the same
-// function coalesce into a single double-buffered CallBatch, so an
-// affinity-mode cluster turns a run of same-function submissions into
+// stage list coalesce into a single pipelined run, so an affinity-mode
+// cluster turns a run of same-function (or same-chain) submissions into
 // one resident configuration and a pipelined burst. Group carriers
 // expand into their children here: a cross-client batch window arrives
 // as one entry and joins the same coalescing machinery, so a group may
@@ -589,6 +648,7 @@ func (cl *Cluster) worker(card int) {
 		depth = cl.metrics.Gauge("agile_cluster_queue_depth", cl.cardLabels[card])
 	}
 	var held *Pending
+	var run []*Pending // reused across iterations: serveRun keeps nothing
 	for {
 		var p *Pending
 		if held != nil {
@@ -601,7 +661,7 @@ func (cl *Cluster) worker(card int) {
 			}
 			depth.Dec()
 		}
-		run := append([]*Pending(nil), p.expand()...)
+		run = append(run[:0], p.expand()...)
 	coalesce:
 		for len(run) < cl.opts.Coalesce {
 			select {
@@ -610,7 +670,7 @@ func (cl *Cluster) worker(card int) {
 					break coalesce
 				}
 				depth.Dec()
-				if next.fn == p.fn && sameStages(next.stages, p.stages) {
+				if next.stages == p.stages {
 					run = append(run, next.expand()...)
 				} else {
 					held = next
@@ -624,15 +684,15 @@ func (cl *Cluster) worker(card int) {
 	}
 }
 
-// serveRun executes a coalesced run of same-function jobs on one card.
-// Jobs whose deadline expired while queued are failed without touching
-// the card: their caller has already given up, so spending fabric time
-// on them only delays the live jobs behind them.
+// serveRun executes a coalesced run of jobs with one stage list on one
+// card, as one core job. Jobs whose deadline expired while queued are
+// failed without touching the card: their caller has already given up,
+// so spending fabric time on them only delays the live jobs behind them.
 func (cl *Cluster) serveRun(card int, run []*Pending) {
 	now := nowNS()
 	live := run[:0]
 	for _, p := range run {
-		if err := p.expired(); err != nil {
+		if err := p.ctx.Err(); err != nil {
 			if cl.metrics != nil {
 				cl.metrics.Counter("agile_cluster_expired_total", cl.cardLabels[card]).Inc()
 			}
@@ -652,27 +712,6 @@ func (cl *Cluster) serveRun(card int, run []*Pending) {
 		return
 	}
 	run = live
-	// stampDone closes every traced member's service window just before
-	// completion, so queue wait (tStart−tSubmit) plus service time
-	// (tDone−tStart) tiles the job's whole dispatcher residency.
-	stampDone := func(run []*Pending) {
-		end := nowNS()
-		for _, p := range run {
-			if p.ref.Valid() {
-				p.tDone = end
-			}
-		}
-	}
-	// runRef is the span the card-log events of this coalesced run are
-	// tagged with: the first traced member's, by convention.
-	var runRef trace.SpanRef
-	for _, p := range run {
-		if p.ref.Valid() {
-			runRef = p.ref
-			break
-		}
-	}
-	cp := cl.cards[card]
 	if cl.metrics != nil {
 		busy := cl.metrics.Gauge("agile_cluster_worker_busy", cl.cardLabels[card])
 		busy.Set(1)
@@ -682,46 +721,32 @@ func (cl *Cluster) serveRun(card int, run []*Pending) {
 			cl.metrics.Counter("agile_cluster_coalesced_jobs_total", cl.cardLabels[card]).Add(uint64(len(run)))
 		}
 	}
-	if run[0].stages != nil {
-		// A chained run: the worker's coalescing already grouped only
-		// identical stage lists, so the whole run is one chain.
-		cl.serveChainRun(card, run, runRef, stampDone)
-		return
-	}
-	if len(run) == 1 {
-		var res *core.CallResult
-		var err error
-		if runRef.Valid() {
-			res, err = cp.CallIDTraced(run[0].fn, run[0].input, runRef.TraceID, runRef.SpanID)
-		} else {
-			res, err = cp.CallID(run[0].fn, run[0].input)
+	// The constant capacity keeps the item list of a usual run on the stack.
+	job := core.Job{Stages: run[0].stages.slice(), Items: make([][]byte, 0, DefaultCoalesce)}
+	for _, p := range run {
+		job.Items = append(job.Items, p.input)
+		// The card-log events of the run are tagged with the first
+		// traced member's span, by convention.
+		if job.TraceID == 0 && p.ref.Valid() {
+			job.TraceID, job.SpanID = p.ref.TraceID, p.ref.SpanID
 		}
-		stampDone(run)
-		run[0].complete(res, card, err)
-		return
 	}
-	inputs := make([][]byte, len(run))
+	res, err := cl.cards[card].Run(job)
+	// Close every traced member's service window just before completion,
+	// so queue wait (tStart−tSubmit) plus service time (tDone−tStart)
+	// tiles the job's whole dispatcher residency.
+	end := nowNS()
 	for i, p := range run {
-		inputs[i] = p.input
-	}
-	var batch *core.BatchResult
-	var err error
-	if runRef.Valid() {
-		batch, err = cp.CallBatchIDTraced(run[0].fn, inputs, runRef.TraceID, runRef.SpanID)
-	} else {
-		batch, err = cp.CallBatchID(run[0].fn, inputs)
-	}
-	stampDone(run)
-	if err != nil {
-		// CallBatch fails the whole pipeline; every job in the run
-		// observes the error.
-		for _, p := range run {
+		if p.ref.Valid() {
+			p.tDone = end
+		}
+		if err != nil {
+			// A card error fails the whole pipeline; every job in the
+			// run observes it.
 			p.complete(nil, card, err)
+		} else {
+			p.complete(&res.Results[i], card, nil)
 		}
-		return
-	}
-	for i, p := range run {
-		p.complete(batch.Results[i], card, nil)
 	}
 }
 

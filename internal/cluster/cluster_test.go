@@ -17,6 +17,34 @@ func smallCfg() core.Config {
 	return core.Config{Geometry: fpga.Geometry{Rows: 32, Cols: 40}}
 }
 
+// stageTable is what the dispatcher tests run over: a plain call and a
+// chain are one job shape, with one stage or several. of builds the
+// stage list under test around a bank function.
+var stageTable = []struct {
+	name string
+	of   func(f *algos.Function) []uint16
+}{
+	{"1-stage", func(f *algos.Function) []uint16 { return []uint16{f.ID()} }},
+	{"2-stage", func(f *algos.Function) []uint16 { return []uint16{f.ID(), algos.IDCRC32} }},
+}
+
+// hostRef runs stages over in on the host reference implementations.
+func hostRef(t *testing.T, stages []uint16, in []byte) []byte {
+	t.Helper()
+	for _, fn := range stages {
+		var err error
+		for _, f := range algos.Bank() {
+			if f.ID() == fn {
+				in, err = f.Exec(in)
+			}
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return in
+}
+
 func TestNewValidation(t *testing.T) {
 	if _, err := New(0, ModeReplicate, smallCfg()); err == nil {
 		t.Error("zero cards accepted")
@@ -277,72 +305,83 @@ func TestAsyncUnknownFunction(t *testing.T) {
 }
 
 func TestAffinityPinsAndCoalesces(t *testing.T) {
-	cl, err := New(4, ModeAffinity, smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	// Every function must route consistently to one card.
-	pins := map[uint16]int{}
-	for round := 0; round < 3; round++ {
-		for _, f := range algos.Bank() {
-			in := make([]byte, f.BlockBytes)
-			in[0] = byte(round + 1)
-			res, card, err := cl.Call(f.ID(), in)
+	for _, tc := range stageTable {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := New(4, ModeAffinity, smallCfg())
 			if err != nil {
-				t.Fatalf("%s: %v", f.Name(), err)
+				t.Fatal(err)
 			}
-			want, _ := f.Exec(in)
-			if !bytes.Equal(res.Output, want) {
-				t.Fatalf("%s wrong output", f.Name())
+			defer cl.Close()
+			// Every stage list must route consistently to one card.
+			pins := map[uint16]int{}
+			for round := 0; round < 3; round++ {
+				for _, f := range algos.Bank() {
+					stages := tc.of(f)
+					in := make([]byte, f.BlockBytes)
+					in[0] = byte(round + 1)
+					res, card, err := cl.CallChain(stages, in)
+					if err != nil {
+						t.Fatalf("%s: %v", f.Name(), err)
+					}
+					if !bytes.Equal(res.Output, hostRef(t, stages, in)) {
+						t.Fatalf("%s wrong output", f.Name())
+					}
+					if prev, ok := pins[f.ID()]; ok && prev != card {
+						t.Fatalf("%s moved from card %d to %d", f.Name(), prev, card)
+					}
+					pins[f.ID()] = card
+					if aff := cl.Affinity(stages...); aff != card {
+						t.Fatalf("Affinity(%s) = %d, served by %d", f.Name(), aff, card)
+					}
+				}
 			}
-			if prev, ok := pins[f.ID()]; ok && prev != card {
-				t.Fatalf("%s moved from card %d to %d", f.Name(), prev, card)
+			// Pins spread across all cards.
+			seen := map[int]bool{}
+			for _, c := range pins {
+				seen[c] = true
 			}
-			pins[f.ID()] = card
-			if aff := cl.Affinity(f.ID()); aff != card {
-				t.Fatalf("Affinity(%s) = %d, served by %d", f.Name(), aff, card)
+			if len(seen) != 4 {
+				t.Errorf("pins landed on %d of 4 cards", len(seen))
 			}
-		}
-	}
-	// Pins spread across all cards.
-	seen := map[int]bool{}
-	for _, c := range pins {
-		seen[c] = true
-	}
-	if len(seen) != 4 {
-		t.Errorf("pins landed on %d of 4 cards", len(seen))
-	}
-	// A burst of same-function jobs coalesces into batches and stays hot.
-	f := algos.SHA256()
-	in := make([]byte, f.BlockBytes)
-	in[0] = 7
-	want, _ := f.Exec(in)
-	jobs := make([]sched.Job, 64)
-	for i := range jobs {
-		jobs[i] = sched.Job{Fn: f.ID(), Input: in, Seq: i}
-	}
-	before := cl.Stats().Total.Misses
-	res, err := cl.Serve(jobs, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, out := range res.Outputs {
-		if !bytes.Equal(out, want) {
-			t.Fatalf("job %d wrong output", i)
-		}
-	}
-	// At most the first job of the burst pays a reconfiguration (the
-	// function may have been evicted by the warmup rounds); every other
-	// job must ride the resident configuration.
-	if got := cl.Stats().Total.Misses; got > before+1 {
-		t.Errorf("same-function burst paid %d reconfigurations", got-before)
-	}
-	if res.Hits < len(jobs)-1 {
-		t.Errorf("burst hits = %d, want >= %d", res.Hits, len(jobs)-1)
-	}
-	if err := cl.CheckInvariants(); err != nil {
-		t.Error(err)
+			// A burst of same-stage-list jobs coalesces into batches and
+			// stays hot.
+			stages := tc.of(algos.SHA256())
+			in := make([]byte, algos.SHA256().BlockBytes)
+			in[0] = 7
+			want := hostRef(t, stages, in)
+			before := cl.Stats().Total.Misses
+			burst := make([]*Pending, 64)
+			for i := range burst {
+				burst[i] = cl.SubmitJob(Job{Stages: stages, Inputs: [][]byte{in}, Wait: true})[0]
+			}
+			hits := 0
+			for i, p := range burst {
+				res, _, err := p.Wait()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(res.Output, want) {
+					t.Fatalf("job %d wrong output", i)
+				}
+				if res.Hit {
+					hits++
+				}
+			}
+			// At most the first job of the burst pays a reconfiguration
+			// per stage (a stage may have been evicted by the warmup
+			// rounds); every other job must ride the resident
+			// configuration.
+			if got := cl.Stats().Total.Misses; got > before+uint64(len(stages)) {
+				t.Errorf("same-stage-list burst paid %d reconfigurations", got-before)
+			}
+			if hits < len(burst)-1 {
+				t.Errorf("burst hits = %d, want >= %d", hits, len(burst)-1)
+			}
+			if err := cl.CheckInvariants(); err != nil {
+				t.Error(err)
+			}
+		})
 	}
 }
 

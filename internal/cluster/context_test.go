@@ -91,28 +91,35 @@ func TestSubmitContextQueueFull(t *testing.T) {
 // context, then starts the workers: the job must fail with the deadline
 // error without executing.
 func TestWorkerSkipsExpiredJobs(t *testing.T) {
-	reg := metrics.NewRegistry()
-	cfg := smallCfg()
-	cfg.Metrics = reg
-	cl, err := NewWithOptions(1, ModeReplicate, cfg, Options{Queue: 4})
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range stageTable {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			cfg := smallCfg()
+			cfg.Metrics = reg
+			cl, err := NewWithOptions(1, ModeReplicate, cfg, Options{Queue: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl.startOnce.Do(func() {})
+			ctx, cancel := context.WithCancel(context.Background())
+			p := cl.SubmitJob(Job{
+				Stages: tc.of(algos.SHA256()), Inputs: [][]byte{{1}}, Ctxs: []context.Context{ctx},
+			})[0]
+			cancel()
+			cl.startWorkers()
+			if _, _, err := p.Wait(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+			if n := reg.Counter("agile_cluster_expired_total", metrics.L("card", "0")).Value(); n != 1 {
+				t.Fatalf("expired counter = %d, want 1", n)
+			}
+			if got := cl.Stats().Total.Requests; got != 0 {
+				t.Fatalf("expired job reached the card: %d requests", got)
+			}
+			cl.Close()
+		})
 	}
-	cl.startOnce.Do(func() {})
-	ctx, cancel := context.WithCancel(context.Background())
-	p := cl.SubmitContext(ctx, algos.CRC32().ID(), []byte{1}, false)
-	cancel()
-	cl.startWorkers()
-	if _, _, err := p.Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := reg.Counter("agile_cluster_expired_total", metrics.L("card", "0")).Value(); n != 1 {
-		t.Fatalf("expired counter = %d, want 1", n)
-	}
-	if got := cl.Stats().Total.Requests; got != 0 {
-		t.Fatalf("expired job reached the card: %d requests", got)
-	}
-	cl.Close()
 }
 
 func TestSubmitAfterCloseReturnsErrStopped(t *testing.T) {

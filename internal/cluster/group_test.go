@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"agilefpga/internal/algos"
+	"agilefpga/internal/core"
 	"agilefpga/internal/metrics"
 )
 
@@ -16,38 +17,42 @@ import (
 // blocking calls — and every child reports the one card the carrier
 // was routed to.
 func TestSubmitGroupMatchesIndividualCalls(t *testing.T) {
-	cl, err := New(2, ModeAffinity, smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	f := algos.CRC32()
-	inputs := make([][]byte, 9)
-	for i := range inputs {
-		inputs[i] = []byte{byte(i), 2, 3, byte(i * 3)}
-	}
-	pendings := cl.SubmitGroup(nil, f.ID(), inputs, false)
-	if len(pendings) != len(inputs) {
-		t.Fatalf("got %d pendings for %d inputs", len(pendings), len(inputs))
-	}
-	firstCard := -1
-	for i, p := range pendings {
-		res, card, err := p.Wait()
-		if err != nil {
-			t.Fatalf("job %d: %v", i, err)
-		}
-		want, _ := f.Exec(inputs[i])
-		if !bytes.Equal(res.Output, want) {
-			t.Fatalf("job %d: output %x, want %x", i, res.Output, want)
-		}
-		if firstCard == -1 {
-			firstCard = card
-		} else if card != firstCard {
-			t.Fatalf("job %d served by card %d, group routed to %d", i, card, firstCard)
-		}
-	}
-	if err := cl.CheckInvariants(); err != nil {
-		t.Fatal(err)
+	for _, tc := range stageTable {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := New(2, ModeAffinity, smallCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			stages := tc.of(algos.SHA256())
+			inputs := make([][]byte, 9)
+			for i := range inputs {
+				inputs[i] = []byte{byte(i), 2, 3, byte(i * 3)}
+			}
+			pendings := cl.SubmitJob(Job{Stages: stages, Inputs: inputs})
+			if len(pendings) != len(inputs) {
+				t.Fatalf("got %d pendings for %d inputs", len(pendings), len(inputs))
+			}
+			firstCard := -1
+			for i, p := range pendings {
+				res, card, err := p.Wait()
+				if err != nil {
+					t.Fatalf("job %d: %v", i, err)
+				}
+				if want := hostRef(t, stages, inputs[i]); !bytes.Equal(res.Output, want) {
+					t.Fatalf("job %d: output %x, want %x", i, res.Output, want)
+				}
+				if firstCard == -1 {
+					firstCard = card
+				} else if card != firstCard {
+					t.Fatalf("job %d served by card %d, group routed to %d", i, card, firstCard)
+				}
+			}
+			if err := cl.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -65,9 +70,9 @@ func TestSubmitGroupServedAsOneBatch(t *testing.T) {
 	}
 	cl.startOnce.Do(func() {}) // park the workers
 	inputs := [][]byte{{1, 1, 1, 1}, {2, 2, 2, 2}, {3, 3, 3, 3}, {4, 4, 4, 4}}
-	pendings := cl.SubmitGroup(nil, algos.CRC32().ID(), inputs, false)
+	pendings := cl.SubmitJob(Job{Stages: []uint16{algos.IDCRC32}, Inputs: inputs})
 	// Four jobs, one slot: a second group still fits the 2-deep queue.
-	more := cl.SubmitGroup(nil, algos.CRC32().ID(), inputs[:2], false)
+	more := cl.SubmitJob(Job{Stages: []uint16{algos.IDCRC32}, Inputs: inputs[:2]})
 	for _, p := range append(pendings, more...) {
 		select {
 		case <-p.Done():
@@ -95,35 +100,80 @@ func TestSubmitGroupServedAsOneBatch(t *testing.T) {
 // the queue; it must fail with the context error while its siblings
 // are served normally.
 func TestSubmitGroupExpiredChildFailsAlone(t *testing.T) {
-	reg := metrics.NewRegistry()
-	cfg := smallCfg()
-	cfg.Metrics = reg
-	cl, err := NewWithOptions(1, ModeReplicate, cfg, Options{Queue: 4})
+	for _, tc := range stageTable {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			reg := metrics.NewRegistry()
+			cfg := smallCfg()
+			cfg.Metrics = reg
+			cl, err := NewWithOptions(1, ModeReplicate, cfg, Options{Queue: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cl.startOnce.Do(func() {})
+			ctx, cancel := context.WithCancel(context.Background())
+			ctxs := []context.Context{nil, ctx, nil}
+			stages := tc.of(algos.SHA256())
+			inputs := [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}}
+			pendings := cl.SubmitJob(Job{Stages: stages, Inputs: inputs, Ctxs: ctxs})
+			cancel()
+			cl.startWorkers()
+			if _, _, err := pendings[1].Wait(); !errors.Is(err, context.Canceled) {
+				t.Fatalf("expired child err = %v, want context.Canceled", err)
+			}
+			for _, i := range []int{0, 2} {
+				res, _, err := pendings[i].Wait()
+				if err != nil {
+					t.Fatalf("live child %d: %v", i, err)
+				}
+				if !bytes.Equal(res.Output, hostRef(t, stages, inputs[i])) {
+					t.Fatalf("live child %d: wrong output", i)
+				}
+			}
+			if n := reg.Counter("agile_cluster_expired_total", metrics.L("card", "0")).Value(); n != 1 {
+				t.Fatalf("expired counter = %d, want 1", n)
+			}
+			cl.Close()
+		})
+	}
+}
+
+// TestSubmitJobBadInputFailsAlone: an input the card could never stage
+// is a property of that one request. It must fail by itself, with
+// core.ErrInputTooLarge, at submission — whether it arrived inside a
+// group or as a neighbour the worker would have coalesced — and must
+// never cost the valid requests around it their run.
+func TestSubmitJobBadInputFailsAlone(t *testing.T) {
+	cl, err := NewWithOptions(1, ModeReplicate, smallCfg(), Options{Queue: 8})
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl.startOnce.Do(func() {})
-	ctx, cancel := context.WithCancel(context.Background())
-	ctxs := []context.Context{nil, ctx, nil}
-	inputs := [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}, {9, 10, 11, 12}}
-	pendings := cl.SubmitGroup(ctxs, algos.CRC32().ID(), inputs, false)
-	cancel()
+	cl.startOnce.Do(func() {}) // park the workers so the singles below coalesce
+	stages := []uint16{algos.IDCRC32}
+	huge := make([]byte, 40*1024) // legal on the wire, over the 32 KiB staging window
+	inputs := [][]byte{{1, 2, 3, 4}, huge, {9, 10, 11, 12}}
+	pendings := cl.SubmitJob(Job{Stages: stages, Inputs: inputs})
+	for _, in := range inputs {
+		pendings = append(pendings, cl.SubmitJob(Job{Stages: stages, Inputs: [][]byte{in}})[0])
+	}
 	cl.startWorkers()
-	if _, _, err := pendings[1].Wait(); !errors.Is(err, context.Canceled) {
-		t.Fatalf("expired child err = %v, want context.Canceled", err)
-	}
-	for _, i := range []int{0, 2} {
-		res, _, err := pendings[i].Wait()
+	for i, p := range pendings {
+		res, _, err := p.Wait()
+		if i%3 == 1 {
+			if !errors.Is(err, core.ErrInputTooLarge) {
+				t.Fatalf("oversized job %d: err = %v, want ErrInputTooLarge", i, err)
+			}
+			continue
+		}
 		if err != nil {
-			t.Fatalf("live child %d: %v", i, err)
+			t.Fatalf("valid job %d failed beside an oversized one: %v", i, err)
 		}
-		want, _ := algos.CRC32().Exec(inputs[i])
-		if !bytes.Equal(res.Output, want) {
-			t.Fatalf("live child %d: wrong output", i)
+		if !bytes.Equal(res.Output, hostRef(t, stages, inputs[i%3])) {
+			t.Fatalf("valid job %d: wrong output", i)
 		}
 	}
-	if n := reg.Counter("agile_cluster_expired_total", metrics.L("card", "0")).Value(); n != 1 {
-		t.Fatalf("expired counter = %d, want 1", n)
+	if got := cl.Stats().Total.Requests; got != 4 {
+		t.Fatalf("card served %d requests, want the 4 valid ones", got)
 	}
 	cl.Close()
 }
@@ -136,16 +186,16 @@ func TestSubmitGroupErrorPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range cl.SubmitGroup(nil, 0xFFFF, [][]byte{{1}, {2}}, false) {
+	for _, p := range cl.SubmitJob(Job{Stages: []uint16{0xFFFF}, Inputs: [][]byte{{1}, {2}}}) {
 		if _, _, err := p.Wait(); !errors.Is(err, ErrUnknownFunction) {
 			t.Fatalf("err = %v, want ErrUnknownFunction", err)
 		}
 	}
-	if got := cl.SubmitGroup(nil, algos.CRC32().ID(), nil, false); len(got) != 0 {
+	if got := cl.SubmitJob(Job{Stages: []uint16{algos.IDCRC32}}); len(got) != 0 {
 		t.Fatalf("empty group returned %d pendings", len(got))
 	}
 	cl.Close()
-	for _, p := range cl.SubmitGroup(nil, algos.CRC32().ID(), [][]byte{{1}}, false) {
+	for _, p := range cl.SubmitJob(Job{Stages: []uint16{algos.IDCRC32}, Inputs: [][]byte{{1}}}) {
 		if _, _, err := p.Wait(); !errors.Is(err, ErrStopped) {
 			t.Fatalf("err after close = %v, want ErrStopped", err)
 		}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"context"
 	"testing"
 
 	"agilefpga/internal/algos"
@@ -13,27 +12,34 @@ import (
 // three wall stamps that tile its dispatcher residency — enqueue ≤
 // service start ≤ service end — all set before Wait returns.
 func TestSubmitTracedStampsTimes(t *testing.T) {
-	cl, err := New(1, ModeReplicate, smallCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	f := algos.CRC32()
-	ref := trace.SpanRef{TraceID: 0xA11CE, SpanID: 0xB0B}
-	p := cl.SubmitContextTraced(context.Background(), f.ID(), []byte{1, 2, 3, 4}, true, ref)
-	if _, _, err := p.Wait(); err != nil {
-		t.Fatal(err)
-	}
-	sub, start, done := p.TraceTimes()
-	if sub == 0 || start == 0 || done == 0 {
-		t.Fatalf("traced stamps missing: submit=%d start=%d done=%d", sub, start, done)
-	}
-	if !(sub <= start && start <= done) {
-		t.Fatalf("stamps out of order: submit=%d start=%d done=%d", sub, start, done)
-	}
-	// Queue wait plus service time must tile the whole residency.
-	if (start-sub)+(done-start) != done-sub {
-		t.Fatal("queue+service does not tile the residency")
+	for _, tc := range stageTable {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := New(1, ModeReplicate, smallCfg())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			ref := trace.SpanRef{TraceID: 0xA11CE, SpanID: 0xB0B}
+			p := cl.SubmitJob(Job{
+				Stages: tc.of(algos.SHA256()), Inputs: [][]byte{{1, 2, 3, 4}},
+				Refs: []trace.SpanRef{ref}, Wait: true,
+			})[0]
+			if _, _, err := p.Wait(); err != nil {
+				t.Fatal(err)
+			}
+			sub, start, done := p.TraceTimes()
+			if sub == 0 || start == 0 || done == 0 {
+				t.Fatalf("traced stamps missing: submit=%d start=%d done=%d", sub, start, done)
+			}
+			if !(sub <= start && start <= done) {
+				t.Fatalf("stamps out of order: submit=%d start=%d done=%d", sub, start, done)
+			}
+			// Queue wait plus service time must tile the whole residency.
+			if (start-sub)+(done-start) != done-sub {
+				t.Fatal("queue+service does not tile the residency")
+			}
+		})
 	}
 }
 
@@ -68,7 +74,9 @@ func TestTracedRunTagsCardLog(t *testing.T) {
 	cl.SetTrace(log)
 	f := algos.CRC32()
 	ref := trace.SpanRef{TraceID: 0xFACE, SpanID: 0xD00D}
-	p := cl.SubmitContextTraced(context.Background(), f.ID(), []byte{1, 2, 3, 4}, true, ref)
+	p := cl.SubmitJob(Job{
+		Stages: []uint16{f.ID()}, Inputs: [][]byte{{1, 2, 3, 4}}, Refs: []trace.SpanRef{ref}, Wait: true,
+	})[0]
 	if _, _, err := p.Wait(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"agilefpga/internal/algos"
@@ -89,6 +90,14 @@ func TestCallBatchValidation(t *testing.T) {
 	huge := make([]byte, cp.Controller().InWindowBytes()+1)
 	if _, err := cp.CallBatch("crc32", [][]byte{huge}); err == nil {
 		t.Error("oversized item accepted")
+	}
+	if _, err := cp.CallBatch("crc32", [][]byte{{1}, {2}, {3}, huge}); !errors.Is(err, ErrInputTooLarge) {
+		t.Errorf("oversized last item: err = %v, want ErrInputTooLarge", err)
+	}
+	// A job is validated whole, before the first bus write: a bad item
+	// anywhere must not have run — and thrown away — the items before it.
+	if st := cp.Stats(); st.Requests != 0 || st.Phases.Total() != 0 {
+		t.Errorf("rejected batches reached the card: %d requests, %v card time", st.Requests, st.Phases.Total())
 	}
 }
 

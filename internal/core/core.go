@@ -62,7 +62,7 @@ type Config struct {
 	DecodeCacheBytes int
 	// SequentialConfig reverts the configuration module to the additive
 	// timing model (ROM, decompression, and port writes charged back to
-	// back) and disables the card-side batch overlap. The zero value is
+	// back) and disables the card-side overlap between a job's items. The zero value is
 	// the pipelined model — see mcu.Config.SequentialConfig and DESIGN
 	// §12. Retained for A/B comparison (experiment E18).
 	SequentialConfig bool
@@ -93,17 +93,6 @@ type CoProcessor struct {
 	installed map[uint16]*algos.Function
 	serial    uint16
 	metrics   *metrics.Registry
-}
-
-// CallResult reports one co-processor invocation.
-type CallResult struct {
-	Output []byte
-	// Breakdown covers the whole round trip, including PhasePCI.
-	Breakdown sim.Breakdown
-	// Latency is Breakdown.Total().
-	Latency sim.Time
-	// Hit reports whether the function was already on the fabric.
-	Hit bool
 }
 
 // New assembles a co-processor with the full algorithm bank registered.
@@ -336,130 +325,6 @@ func (cp *CoProcessor) lookup(name string) (*algos.Function, error) {
 	return f, nil
 }
 
-// Call executes the named function on the card, following the full host
-// protocol: burst input into BAR1, fire the mailbox, read the result.
-func (cp *CoProcessor) Call(name string, input []byte) (*CallResult, error) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	f, err := cp.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return cp.callID(f.ID(), input)
-}
-
-// CallID is Call by function id.
-func (cp *CoProcessor) CallID(fnID uint16, input []byte) (*CallResult, error) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	return cp.callID(fnID, input)
-}
-
-// CallIDTraced is CallID for a request carrying distributed-trace
-// context: card-log events emitted while the call runs are stamped
-// with the request's trace and span ids (the cluster's service span),
-// attaching the per-phase records to the owning span tree. The tag is
-// scoped by the card lock, so concurrent untraced calls never inherit
-// it. Zero ids degrade to plain CallID.
-func (cp *CoProcessor) CallIDTraced(fnID uint16, input []byte, traceID, spanID uint64) (*CallResult, error) {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	cp.ctrl.SetRequestTrace(traceID, spanID)
-	defer cp.ctrl.SetRequestTrace(0, 0)
-	return cp.callID(fnID, input)
-}
-
-// callID runs the host protocol with cp.mu held.
-func (cp *CoProcessor) callID(fnID uint16, input []byte) (*CallResult, error) {
-	if len(input) == 0 {
-		return nil, errors.New("core: empty input")
-	}
-	if len(input) > cp.ctrl.InWindowBytes() {
-		return nil, fmt.Errorf("core: input of %d bytes exceeds the %d-byte staging window",
-			len(input), cp.ctrl.InWindowBytes())
-	}
-	hitsBefore := cp.ctrl.Stats().Hits
-
-	var busCycles uint64
-	// 1. Input into BAR1.
-	cyc, err := cp.bus.Write(cp.slot, 1, 0, input)
-	if err != nil {
-		return nil, err
-	}
-	busCycles += cyc
-	// 2–3. Arguments and command.
-	for _, rw := range []struct {
-		off uint32
-		val uint32
-	}{
-		{mcu.RegARG0, uint32(fnID)},
-		{mcu.RegARG1, uint32(len(input))},
-		{mcu.RegCMD, mcu.CmdExec},
-	} {
-		cyc, err := cp.bus.WriteWord(cp.slot, 0, rw.off, rw.val)
-		if err != nil {
-			return nil, err
-		}
-		busCycles += cyc
-	}
-	// 4. Status and result length.
-	status, cyc, err := cp.bus.ReadWord(cp.slot, 0, mcu.RegSTATUS)
-	if err != nil {
-		return nil, err
-	}
-	busCycles += cyc
-	if status != mcu.StatusOK {
-		code, cyc2, _ := cp.bus.ReadWord(cp.slot, 0, mcu.RegERRCODE)
-		busCycles += cyc2
-		cp.pciDom.Advance(busCycles)
-		return nil, fmt.Errorf("core: card reported error code %d for function %d", code, fnID)
-	}
-	rlen, cyc, err := cp.bus.ReadWord(cp.slot, 0, mcu.RegRESULTLEN)
-	if err != nil {
-		return nil, err
-	}
-	busCycles += cyc
-	// 5. Output from BAR1.
-	out, cyc, err := cp.bus.Read(cp.slot, 1, cp.ctrl.OutWindowOff(), int(rlen))
-	if err != nil {
-		return nil, err
-	}
-	busCycles += cyc
-
-	br := cp.ctrl.LastBreakdown()
-	br.Add(sim.PhasePCI, cp.pciDom.Advance(busCycles))
-	cp.observeRoundTrip(fnID, br)
-	return &CallResult{
-		Output:    out,
-		Breakdown: br,
-		Latency:   br.Total(),
-		Hit:       cp.ctrl.Stats().Hits > hitsBefore,
-	}, nil
-}
-
-// observeRoundTrip records the host-side view of one finished call: the
-// PCI phase (charged here, not on the card) and the whole-round-trip
-// latency histogram. Card-side phases are observed in mcu.
-func (cp *CoProcessor) observeRoundTrip(fnID uint16, br sim.Breakdown) {
-	if cp.metrics == nil {
-		return
-	}
-	name := cp.fnLabel(fnID)
-	if t := br.Get(sim.PhasePCI); t != 0 {
-		cp.metrics.Histogram("agile_phase_seconds",
-			metrics.L("phase", sim.PhasePCI.String()), metrics.L("fn", name)).Observe(t)
-	}
-	cp.metrics.Histogram("agile_request_seconds", metrics.L("fn", name)).Observe(br.Total())
-}
-
-// fnLabel resolves a function id to its bank name for metric labels.
-func (cp *CoProcessor) fnLabel(fnID uint16) string {
-	if f, ok := cp.installed[fnID]; ok {
-		return f.Name()
-	}
-	return fmt.Sprintf("fn%d", fnID)
-}
-
 // RunHost executes the function in host software: the same behaviour,
 // costed with the function's host-cycle model. The offload baseline.
 func (cp *CoProcessor) RunHost(name string, input []byte) ([]byte, sim.Time, error) {
@@ -468,7 +333,7 @@ func (cp *CoProcessor) RunHost(name string, input []byte) ([]byte, sim.Time, err
 		return nil, 0, err
 	}
 	if len(input) == 0 {
-		return nil, 0, errors.New("core: empty input")
+		return nil, 0, errEmptyInput
 	}
 	out, err := f.Exec(input)
 	if err != nil {

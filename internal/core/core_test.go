@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -290,8 +291,8 @@ func TestOversizedInputRejectedHostSide(t *testing.T) {
 		t.Fatal(err)
 	}
 	huge := make([]byte, cp.Controller().InWindowBytes()+1)
-	if _, err := cp.CallID(algos.IDCRC32, huge); err == nil {
-		t.Error("oversized input accepted")
+	if _, err := cp.CallID(algos.IDCRC32, huge); !errors.Is(err, ErrInputTooLarge) {
+		t.Errorf("oversized input: err = %v, want ErrInputTooLarge", err)
 	}
 }
 

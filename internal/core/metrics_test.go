@@ -81,7 +81,7 @@ func metricsWorkload(t *testing.T, cp *CoProcessor) []sim.Time {
 // telemetry layer: the same workload costs exactly the same virtual
 // time with and without a registry attached, and — extending the same
 // proof to the tracing layer — with every call tagged for a
-// 100%-sampled trace via CallIDTraced.
+// 100%-sampled trace via Run's trace tag.
 func TestMetricsChangeNoVirtualTime(t *testing.T) {
 	plain, err := New(Config{Prefetch: true, DecodeCacheBytes: 1 << 20})
 	if err != nil {
@@ -142,12 +142,13 @@ func tracedWorkload(t *testing.T, cp *CoProcessor) []sim.Time {
 		in := make([]byte, 128)
 		in[0] = byte(i)
 		ref := tracer.StartRoot("call", "host", fn.ID())
-		res, err := cp.CallIDTraced(fn.ID(), in, ref.TraceID, ref.SpanID)
+		res, err := cp.Run(Job{Stages: []uint16{fn.ID()}, Items: [][]byte{in},
+			TraceID: ref.TraceID, SpanID: ref.SpanID})
 		tracer.End(ref, "ok")
 		if err != nil {
 			t.Fatalf("call %s: %v", name, err)
 		}
-		lat = append(lat, res.Latency)
+		lat = append(lat, res.Results[0].Latency)
 	}
 	return lat
 }

@@ -75,8 +75,9 @@ func (c *Controller) ExecuteChain(fns []uint16, input []byte) ([]byte, sim.Break
 }
 
 // LastChainStages reports the per-stage attribution of the most recent
-// chained command (the mailbox path cannot return it in registers).
-// Callers hold the owning card's lock, like LastBreakdown.
+// execute command, plain (one stage) or chained — the mailbox path
+// cannot return it in registers. Callers hold the owning card's lock,
+// like LastBreakdown, and must not keep the slice across commands.
 func (c *Controller) LastChainStages() []ChainStage { return c.lastChain }
 
 // executeChain is the two-pass chain executor. Pass 1 resolves every
@@ -125,49 +126,16 @@ func (c *Controller) executeChain(fns []uint16, input []byte, br *sim.Breakdown)
 	// and Misses keep their per-function-activation semantics.
 	recs := make([]memory.Record, len(fns))
 	for i, fn := range fns {
-		sbr := &stages[i].Cost
 		stages[i].Fn = fn
-		c.stats.Requests++
-		k.now++
-		c.emit(trace.KindRequest, fn, 0, len(input), "chain")
-
-		rec, scanned, ferr := c.findRecord(fn)
-		sbr.Add(sim.PhaseROM, c.mcuDom.Advance(memory.ReadCycles(scanned*memory.RecordBytes)))
-		if ferr != nil {
-			return nil, stages, handoff, ferr
+		if recs[i], stages[i].Hit, err = c.makeResident(fn, len(input), "chain", &stages[i].Cost); err != nil {
+			return nil, stages, handoff, err
 		}
-		c.noteFn(rec)
-		recs[i] = rec
-
-		res, resident := k.table[fn]
-		if resident && res.serial == rec.Serial && res.inst.Valid() {
-			c.stats.Hits++
-			stages[i].Hit = true
-			c.emit(trace.KindHit, fn, len(res.frames), 0, "")
-			if k.prefetched[fn] {
-				c.stats.PrefetchHits++
-			}
-		} else {
-			if resident {
-				// Stale residency (reinstalled function): evict and reload.
-				c.evict(fn, sbr)
-			}
-			c.stats.Misses++
-			c.emit(trace.KindMiss, fn, 0, 0, "")
-			if _, lerr := c.load(rec, sbr); lerr != nil {
-				return nil, stages, handoff, lerr
-			}
-		}
-		delete(k.prefetched, fn)
-		k.table[fn].lastAccess = k.now
-		k.policy.OnAccess(fn, k.now)
 	}
 
 	// Pass 2: stream the data through the chain. Stage 0 reads the
 	// host's input from the input window; every later stage streams its
 	// predecessor's output straight out of the output window — the RAM
 	// hand-off that replaces a per-stage PCI round trip.
-	inWin, outWin := c.ram.Capacity()/2, c.ram.Capacity()/2
 	cur := input
 	for i, fn := range fns {
 		sbr := &stages[i].Cost
@@ -181,47 +149,21 @@ func (c *Controller) executeChain(fns []uint16, input []byte, br *sim.Breakdown)
 				c.evict(fn, sbr)
 			}
 			stages[i].Hit = false
-			var lerr error
-			if res, lerr = c.load(rec, sbr); lerr != nil {
-				return nil, stages, handoff, lerr
+			if res, err = c.load(rec, sbr); err != nil {
+				return nil, stages, handoff, err
 			}
 		}
-
-		padded := padTo(cur, int(rec.InBus))
-		if len(padded) > inWin {
-			return nil, stages, handoff, fmt.Errorf("%w: chain stage %d input %d bytes, window %d",
-				ErrRAMWindow, i, len(padded), inWin)
-		}
-		off := 0
+		inOff := 0
 		if i > 0 {
-			off = inWin
-			handoff += uint64(len(padded))
+			inOff = c.ram.Capacity() / 2
 		}
-		if werr := c.ram.Write(off, padded); werr != nil {
-			return nil, stages, handoff, werr
+		var staged int
+		if cur, staged, err = c.runStage(rec, res, cur, inOff, sbr); err != nil {
+			return nil, stages, handoff, err
 		}
-		inBeats := uint64(len(padded)) / uint64(rec.InBus)
-		sbr.Add(sim.PhaseDataIn, c.mcuDom.Advance(inBeats+4))
-
-		stageOut, fabCycles, xerr := res.inst.Exec(padded)
-		if xerr != nil {
-			return nil, stages, handoff, xerr
+		if i > 0 {
+			handoff += uint64(staged)
 		}
-		sbr.Add(sim.PhaseExec, c.fabDom.Advance(fabCycles))
-
-		outPadded := padTo(stageOut, int(rec.OutBus))
-		if len(outPadded) > outWin {
-			return nil, stages, handoff, fmt.Errorf("%w: chain stage %d output %d bytes, window %d",
-				ErrRAMWindow, i, len(outPadded), outWin)
-		}
-		if werr := c.ram.Write(inWin, outPadded); werr != nil {
-			return nil, stages, handoff, werr
-		}
-		outBeats := uint64(len(outPadded)) / uint64(rec.OutBus)
-		sbr.Add(sim.PhaseDataOut, c.mcuDom.Advance(outBeats+4))
-
-		cur = stageOut
 	}
-	c.lastOutputLen = len(cur)
 	return cur, stages, handoff, nil
 }

@@ -186,8 +186,8 @@ func (c *Controller) command(cmd uint32) {
 	c.regs.errCode = ErrCodeNone
 	switch cmd {
 	case CmdNop:
-	case CmdExec:
-		c.cmdExec()
+	case CmdExec, CmdExecChain:
+		c.cmdExec(cmd == CmdExecChain)
 	case CmdEvict:
 		if c.Evict(uint16(c.regs.arg0)) {
 			c.regs.status = StatusOK
@@ -203,72 +203,52 @@ func (c *Controller) command(cmd uint32) {
 	case CmdScrub:
 		rep, err := c.Scrub()
 		if err != nil {
-			c.regs.status = StatusError
-			c.regs.errCode = ErrCodeInternal
+			c.fail(ErrCodeInternal)
 			return
 		}
 		c.regs.status = StatusOK
 		c.regs.resultLen = uint32(rep.FramesRepaired)
-	case CmdExecChain:
-		c.cmdExecChain()
 	case CmdDefrag:
 		moved, _, err := c.Defrag()
 		if err != nil {
-			c.regs.status = StatusError
-			c.regs.errCode = ErrCodeInternal
+			c.fail(ErrCodeInternal)
 			return
 		}
 		c.regs.status = StatusOK
 		c.regs.resultLen = uint32(moved)
 	default:
-		c.regs.status = StatusError
-		c.regs.errCode = ErrCodeInternal
+		c.fail(ErrCodeInternal)
 	}
 }
 
-func (c *Controller) cmdExec() {
-	fn := uint16(c.regs.arg0)
-	n := int(c.regs.arg1)
-	if n <= 0 || n > c.InWindowBytes() {
-		c.regs.status = StatusError
-		c.regs.errCode = ErrCodeBadInput
+// fail posts a command failure in the mailbox.
+func (c *Controller) fail(code uint32) {
+	c.regs.status = StatusError
+	c.regs.errCode = code
+}
+
+// cmdExec is the mailbox face of both execute commands: ARG1 bytes of
+// staged input run through the function in ARG0 (CmdExec) or through
+// the first ARG0 latched stages (CmdExecChain).
+func (c *Controller) cmdExec(chained bool) {
+	nstages, n := int(c.regs.arg0), int(c.regs.arg1)
+	if n <= 0 || n > c.InWindowBytes() || chained && (nstages < 2 || nstages > MaxChainStages) {
+		c.fail(ErrCodeBadInput)
 		return
 	}
 	input, err := c.ram.Read(0, n)
 	if err != nil {
-		c.regs.status = StatusError
-		c.regs.errCode = ErrCodeBadInput
+		c.fail(ErrCodeBadInput)
 		return
 	}
-	out, _, err := c.Execute(fn, input)
+	var out []byte
+	if chained {
+		out, _, _, err = c.ExecuteChain(c.regs.chain[:nstages], input)
+	} else {
+		out, _, err = c.Execute(uint16(c.regs.arg0), input)
+	}
 	if err != nil {
-		c.regs.status = StatusError
-		c.regs.errCode = classify(err)
-		c.regs.resultLen = 0
-		return
-	}
-	c.regs.status = StatusOK
-	c.regs.resultLen = uint32(len(out))
-}
-
-func (c *Controller) cmdExecChain() {
-	nstages := int(c.regs.arg0)
-	n := int(c.regs.arg1)
-	if nstages < 2 || nstages > MaxChainStages || n <= 0 || n > c.InWindowBytes() {
-		c.regs.status = StatusError
-		c.regs.errCode = ErrCodeBadInput
-		return
-	}
-	input, err := c.ram.Read(0, n)
-	if err != nil {
-		c.regs.status = StatusError
-		c.regs.errCode = ErrCodeBadInput
-		return
-	}
-	out, _, _, err := c.ExecuteChain(c.regs.chain[:nstages], input)
-	if err != nil {
-		c.regs.status = StatusError
-		c.regs.errCode = classify(err)
+		c.fail(classify(err))
 		c.regs.resultLen = 0
 		return
 	}

@@ -112,11 +112,12 @@ type Controller struct {
 	regs mailbox
 
 	lastBreakdown sim.Breakdown
-	lastOutputLen int
 	// lastChain holds the per-stage attribution of the most recent
-	// chained command (CmdExecChain), for the host to collect after the
-	// mailbox reports success.
+	// execute command (one stage for CmdExec), for the host to collect
+	// after the mailbox reports success. oneStage backs it for Execute,
+	// so a plain call allocates nothing here.
 	lastChain []ChainStage
+	oneStage  [1]ChainStage
 
 	stats Stats
 
@@ -136,7 +137,7 @@ type Controller struct {
 	fnNames map[uint16]string
 
 	// reqTraceID/reqSpanID, set for the duration of one traced request
-	// (core.CallIDTraced holds the card lock around it), stamp emitted
+	// (core.Run holds the card lock around it), stamp emitted
 	// card-log events so per-phase records attach to the owning
 	// request's distributed span tree. Zero = untraced.
 	reqTraceID uint64
@@ -156,8 +157,8 @@ func (c *Controller) SetMetrics(r *metrics.Registry) { c.metrics = r }
 // SetRequestTrace tags every event emitted until the next call with
 // the serving request's distributed-trace identity (zero ids clear the
 // tag). Callers must hold the card's serialization (core.CoProcessor's
-// per-card lock) across set → execute → clear, which is what the
-// CallIDTraced wrappers do.
+// per-card lock) across set → execute → clear, which is what core.Run
+// does.
 func (c *Controller) SetRequestTrace(traceID, spanID uint64) {
 	c.reqTraceID, c.reqSpanID = traceID, spanID
 }
@@ -487,13 +488,15 @@ func (c *Controller) Evict(fn uint16) bool {
 
 // Execute runs function fnID over input, loading it onto the fabric first
 // if needed. It returns the output and the per-phase latency breakdown of
-// this request (excluding PCI transfer, which the host side owns).
+// this request (excluding PCI transfer, which the host side owns). The
+// request is also recorded as a one-stage list for LastChainStages.
 func (c *Controller) Execute(fnID uint16, input []byte) ([]byte, sim.Breakdown, error) {
 	var br sim.Breakdown
 	spanBase := c.stats.Phases.Total() + c.stats.PrefetchTime
-	hitsBefore := c.stats.Hits
-	out, err := c.execute(fnID, input, &br)
+	out, hit, err := c.execute(fnID, input, &br)
 	c.lastBreakdown = br
+	c.oneStage[0] = ChainStage{Fn: fnID, Hit: hit, Cost: br}
+	c.lastChain = c.oneStage[:]
 	c.stats.Phases.AddAll(br)
 	if err != nil {
 		c.stats.Errors++
@@ -502,7 +505,7 @@ func (c *Controller) Execute(fnID uint16, input []byte) ([]byte, sim.Breakdown, 
 		return nil, br, err
 	}
 	c.emitSpans(fnID, spanBase, br)
-	c.observeRequest(fnID, br, c.stats.Hits > hitsBefore, nil)
+	c.observeRequest(fnID, br, hit, nil)
 	if c.cfg.Prefetch {
 		c.prefetchNext(fnID)
 	}
@@ -552,81 +555,98 @@ func (c *Controller) prefetchNext(cur uint16) {
 	}
 }
 
-func (c *Controller) execute(fnID uint16, input []byte, br *sim.Breakdown) ([]byte, error) {
+func (c *Controller) execute(fnID uint16, input []byte, br *sim.Breakdown) ([]byte, bool, error) {
 	if len(input) == 0 {
-		return nil, fmt.Errorf("mcu: empty input for function %d", fnID)
+		return nil, false, fmt.Errorf("mcu: empty input for function %d", fnID)
 	}
+	rec, hit, err := c.makeResident(fnID, len(input), "", br)
+	if err != nil {
+		return nil, hit, err
+	}
+	out, _, err := c.runStage(rec, c.kernel.table[fnID], input, 0, br)
+	return out, hit, err
+}
+
+// makeResident is the residency half of one stage, shared by plain and
+// chained execution: count the request, scan the ROM record table, then
+// hit or miss against the Frame Replacement Table — a miss (or a stale
+// residency left by a reinstall) loads the function. Every cost lands
+// in br. detail tags the request's trace event.
+func (c *Controller) makeResident(fn uint16, inputLen int, detail string, br *sim.Breakdown) (memory.Record, bool, error) {
+	k := &c.kernel
 	c.stats.Requests++
-	c.kernel.now++
-	c.emit(trace.KindRequest, fnID, 0, len(input), "")
+	k.now++
+	c.emit(trace.KindRequest, fn, 0, inputLen, detail)
 
 	// Record lookup: the mini OS scans the ROM record table.
-	rec, scanned, err := c.findRecord(fnID)
+	rec, scanned, err := c.findRecord(fn)
 	br.Add(sim.PhaseROM, c.mcuDom.Advance(memory.ReadCycles(scanned*memory.RecordBytes)))
 	if err != nil {
-		return nil, err
+		return rec, false, err
 	}
 	c.noteFn(rec)
 
-	// Hit or miss against the Frame Replacement Table.
-	res, hit := c.kernel.table[fnID]
-	if hit && res.serial == rec.Serial && res.inst.Valid() {
+	res, resident := k.table[fn]
+	hit := resident && res.serial == rec.Serial && res.inst.Valid()
+	if hit {
 		c.stats.Hits++
-		c.emit(trace.KindHit, fnID, len(res.frames), 0, "")
-		if c.kernel.prefetched[fnID] {
+		c.emit(trace.KindHit, fn, len(res.frames), 0, "")
+		if k.prefetched[fn] {
 			c.stats.PrefetchHits++
 		}
 	} else {
-		if hit {
+		if resident {
 			// Stale residency (reinstalled function): evict and reload.
-			c.evict(fnID, br)
+			c.evict(fn, br)
 		}
 		c.stats.Misses++
-		c.emit(trace.KindMiss, fnID, 0, 0, "")
-		res, err = c.load(rec, br)
-		if err != nil {
-			return nil, err
+		c.emit(trace.KindMiss, fn, 0, 0, "")
+		if res, err = c.load(rec, br); err != nil {
+			return rec, false, err
 		}
 	}
-	delete(c.kernel.prefetched, fnID)
-	res.lastAccess = c.kernel.now
-	c.kernel.policy.OnAccess(fnID, c.kernel.now)
+	delete(k.prefetched, fn)
+	res.lastAccess = k.now
+	k.policy.OnAccess(fn, k.now)
+	return rec, hit, nil
+}
 
-	// Data input module: stage input into RAM, then stream to the fabric
-	// in multiples of the record's input bus width (§2.3). The module is
-	// a DMA engine against dual-ported staging RAM, so the RAM access
-	// hides behind the bus beats; the charge is beats plus setup.
+// runStage is the dataflow half of one stage: the data-input module
+// stages input at RAM offset inOff and streams it to the fabric in
+// multiples of the record's input bus width (§2.3), the function
+// executes, and the output-collection module streams the result into
+// the output window in OutBus multiples. Both modules are DMA engines
+// against dual-ported staging RAM, so the RAM access hides behind the
+// bus beats; the charge is beats plus setup. staged reports the padded
+// bytes written at inOff.
+func (c *Controller) runStage(rec memory.Record, res *resident, input []byte, inOff int, br *sim.Breakdown) (out []byte, staged int, err error) {
 	inWin, outWin := c.ram.Capacity()/2, c.ram.Capacity()/2
 	padded := padTo(input, int(rec.InBus))
 	if len(padded) > inWin {
-		return nil, fmt.Errorf("%w: input %d bytes, window %d", ErrRAMWindow, len(padded), inWin)
+		return nil, 0, fmt.Errorf("%w: function %d input %d bytes, window %d", ErrRAMWindow, rec.FnID, len(padded), inWin)
 	}
-	if err := c.ram.Write(0, padded); err != nil {
-		return nil, err
+	if err := c.ram.Write(inOff, padded); err != nil {
+		return nil, 0, err
 	}
 	inBeats := uint64(len(padded)) / uint64(rec.InBus)
 	br.Add(sim.PhaseDataIn, c.mcuDom.Advance(inBeats+4))
 
-	// Execute on the fabric.
 	out, fabCycles, err := res.inst.Exec(padded)
 	if err != nil {
-		return nil, err
+		return nil, len(padded), err
 	}
 	br.Add(sim.PhaseExec, c.fabDom.Advance(fabCycles))
 
-	// Output collection module: fabric → RAM in OutBus multiples.
 	outPadded := padTo(out, int(rec.OutBus))
 	if len(outPadded) > outWin {
-		return nil, fmt.Errorf("%w: output %d bytes, window %d", ErrRAMWindow, len(outPadded), outWin)
+		return nil, len(padded), fmt.Errorf("%w: function %d output %d bytes, window %d", ErrRAMWindow, rec.FnID, len(outPadded), outWin)
 	}
 	if err := c.ram.Write(inWin, outPadded); err != nil {
-		return nil, err
+		return nil, len(padded), err
 	}
 	outBeats := uint64(len(outPadded)) / uint64(rec.OutBus)
 	br.Add(sim.PhaseDataOut, c.mcuDom.Advance(outBeats+4))
-
-	c.lastOutputLen = len(out)
-	return out, nil
+	return out, len(padded), nil
 }
 
 // findRecord scans the record table like the mini OS would, reporting how

@@ -18,7 +18,7 @@ import (
 // most one open window: the first request opens it and arms a dwell
 // timer, later requests join it, and the window flushes when it
 // reaches BatchWindow entries or the dwell expires — whichever comes
-// first. A flushed window becomes one cluster.SubmitGroup call, so the
+// first. A flushed window becomes one cluster.SubmitJob call, so the
 // whole cross-client batch rides a single card-queue slot and executes
 // as one coalesced run (one configuration check, one batch id).
 //
@@ -109,7 +109,7 @@ func (b *batcher) flush(w *batchWin) {
 			StartNS: w.started.UnixNano(), DurNS: dwell.Nanoseconds(),
 		})
 	}
-	pendings := b.cl.SubmitGroupTraced(ctxs, w.fn, inputs, false, refs)
+	pendings := b.cl.SubmitJob(cluster.Job{Stages: []uint16{w.fn}, Inputs: inputs, Ctxs: ctxs, Refs: refs})
 	for i, ch := range outs {
 		ch <- pendings[i]
 	}

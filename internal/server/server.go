@@ -320,14 +320,17 @@ func (s *Server) handleRequest(req *wire.AnyRequest, fr wire.Frame, write func(*
 			s.hookAdmitted(&req.Plain)
 		}
 		status, card, payload := s.execute(ctx, req, ref)
-		write(&wire.Response{ID: id, Status: status, Card: card, Payload: payload})
-		// The response is on the wire: the id may be reused and the
-		// request's read buffer (aliased by its payload) recycled.
+		// The request is retired — its id and its /debug/requests row —
+		// before the response is written: a client may reuse the id, or
+		// look at the table, the moment it reads the response.
 		finish()
-		fr.Release()
 		s.reqMu.Lock()
 		delete(s.reqs, entry)
 		s.reqMu.Unlock()
+		write(&wire.Response{ID: id, Status: status, Card: card, Payload: payload})
+		// The response is on the wire: the request's read buffer (aliased
+		// by its payload) may be recycled.
+		fr.Release()
 		s.opts.Tracer.End(ref, statusLabel(status))
 		s.observeTraced(id, fn, status, card, time.Since(start), ref.TraceID) //lint:wallclock served latency is wall time seen by network clients
 	}()
@@ -350,25 +353,28 @@ func (s *Server) refuse(id uint64, fn uint16, write func(*wire.Response), st wir
 
 // execute runs one admitted request on the cluster, mapping dispatcher
 // errors to wire statuses. ctx carries the request's deadline; ref the
-// request's server span (zero when the request is not sampled). A chain
-// request submits its whole stage list as one dispatcher job (the
-// cluster worker coalesces consecutive same-chain submissions into a
-// pipelined chain batch); a plain request goes through the batcher when
-// one is configured.
+// request's server span (zero when the request is not sampled). Plain
+// or chain, the request is one dispatcher job — its stage list over its
+// payload, one card-queue slot — and the cluster worker coalesces
+// consecutive jobs for the same stage list into one pipelined run; a
+// plain request joins the batcher's window first when one is
+// configured.
 func (s *Server) execute(ctx context.Context, req *wire.AnyRequest, ref trace.SpanRef) (wire.Status, int16, []byte) {
+	stages, payload := req.Chain.Stages, req.Chain.Payload
+	if !req.IsChain {
+		stages, payload = []uint16{req.Plain.Fn}, req.Plain.Payload
+	}
 	var p *cluster.Pending
 	switch {
-	case req.IsChain:
-		if len(req.Chain.Payload) == 0 {
-			return wire.StatusInvalidArgument, -1, []byte("empty payload")
-		}
-		p = s.cl.SubmitChainContextTraced(ctx, req.Chain.Stages, req.Chain.Payload, false, ref)
-	case len(req.Plain.Payload) == 0:
+	case len(payload) == 0:
 		return wire.StatusInvalidArgument, -1, []byte("empty payload")
-	case s.batch != nil:
+	case s.batch != nil && !req.IsChain:
 		p = s.batch.submit(ctx, &req.Plain, ref)
 	default:
-		p = s.cl.SubmitContextTraced(ctx, req.Plain.Fn, req.Plain.Payload, false, ref)
+		p = s.cl.SubmitJob(cluster.Job{
+			Stages: stages, Inputs: [][]byte{payload},
+			Ctxs: []context.Context{ctx}, Refs: []trace.SpanRef{ref},
+		})[0]
 	}
 	select {
 	case <-p.Done():
@@ -429,7 +435,7 @@ func statusOf(err error) wire.Status {
 		return wire.StatusResourceExhausted
 	case errors.Is(err, cluster.ErrStopped):
 		return wire.StatusUnavailable
-	case errors.Is(err, cluster.ErrChainSplit):
+	case errors.Is(err, cluster.ErrChainSplit), errors.Is(err, core.ErrInputTooLarge):
 		return wire.StatusInvalidArgument
 	case errors.Is(err, context.DeadlineExceeded):
 		return wire.StatusDeadlineExceeded

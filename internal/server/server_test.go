@@ -32,9 +32,15 @@ type harness struct {
 // ordered by the goroutine launch).
 func newHarness(t *testing.T, cards int, opts Options, hook func(*wire.Request)) *harness {
 	t.Helper()
+	return newHarnessMode(t, cluster.ModeAffinity, cards, opts, hook)
+}
+
+// newHarnessMode is newHarness with the cluster's dispatch mode chosen.
+func newHarnessMode(t *testing.T, mode string, cards int, opts Options, hook func(*wire.Request)) *harness {
+	t.Helper()
 	reg := metrics.NewRegistry()
 	cfg := core.Config{Geometry: fpga.Geometry{Rows: 32, Cols: 40}, Metrics: reg}
-	cl, err := cluster.New(cards, cluster.ModeAffinity, cfg)
+	cl, err := cluster.New(cards, mode, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,9 +89,10 @@ func TestEndToEndMatchesDirectCall(t *testing.T) {
 			t.Fatalf("served by card %d of a 2-card cluster", card)
 		}
 	}
-	if n := h.reg.Counter("agile_server_requests_total", metrics.L("status", "ok")).Value(); n != 2 {
-		t.Fatalf("ok counter = %d, want 2", n)
-	}
+	// The server counts a request after its response is flushed.
+	waitFor(t, func() bool {
+		return h.reg.Counter("agile_server_requests_total", metrics.L("status", "ok")).Value() == 2
+	})
 }
 
 func TestConcurrentClients(t *testing.T) {
@@ -353,6 +360,43 @@ func TestUnknownFunctionAndEmptyPayload(t *testing.T) {
 	_, _, err = c.Call(context.Background(), algos.CRC32().ID(), nil)
 	if !errors.As(err, &se) || se.Status != wire.StatusInvalidArgument {
 		t.Fatalf("empty payload err = %v, want INVALID_ARGUMENT", err)
+	}
+	// Legal on the wire (≤ wire.MaxPayload) but over the card's 32 KiB
+	// staging window: the client's mistake, not a server fault.
+	_, _, err = c.Call(context.Background(), algos.CRC32().ID(), make([]byte, 40*1024))
+	if !errors.As(err, &se) || se.Status != wire.StatusInvalidArgument {
+		t.Fatalf("over-window payload err = %v, want INVALID_ARGUMENT", err)
+	}
+}
+
+// TestChainSplitIsInvalidArgument: in partition mode a chain whose
+// stages live on different cards can never run as one on-card dataflow;
+// the wire.ChainRequest must come back INVALID_ARGUMENT, and a chain
+// whose stages share a home must be served.
+func TestChainSplitIsInvalidArgument(t *testing.T) {
+	h := newHarnessMode(t, cluster.ModePartition, 2, Options{}, nil)
+	c, err := client.Dial(h.addr, client.Options{MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var onCard [2][]*algos.Function
+	for _, f := range algos.Bank() {
+		onCard[h.cl.Home(f.ID())] = append(onCard[h.cl.Home(f.ID())], f)
+	}
+	in := []byte{1, 2, 3, 4, 5, 6, 7, 8}
+	_, _, err = c.CallChain(context.Background(), []uint16{onCard[0][0].ID(), onCard[1][0].ID()}, in)
+	var se *client.StatusError
+	if !errors.As(err, &se) || se.Status != wire.StatusInvalidArgument {
+		t.Fatalf("split chain err = %v, want INVALID_ARGUMENT", err)
+	}
+	a, b := onCard[0][0], onCard[0][1]
+	mid, _ := a.Exec(in)
+	want, _ := b.Exec(mid)
+	got, card, err := c.CallChain(context.Background(), []uint16{a.ID(), b.ID()}, in)
+	if err != nil || card != 0 || !bytes.Equal(got, want) {
+		t.Fatalf("co-homed chain %s->%s: card %d, err %v, output match %v",
+			a.Name(), b.Name(), card, err, bytes.Equal(got, want))
 	}
 }
 

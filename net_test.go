@@ -49,13 +49,22 @@ func TestServeDialRoundTrip(t *testing.T) {
 		t.Fatal("unknown name accepted")
 	}
 
+	// The server records a request after its response is flushed, so
+	// the series may trail the client's return by a moment.
 	var buf bytes.Buffer
-	if err := cl.Metrics().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
 	for _, series := range []string{"agile_server_requests_total", "agile_server_request_seconds"} {
-		if !strings.Contains(buf.String(), series) {
-			t.Errorf("exposition missing %s", series)
+		for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+			buf.Reset()
+			if err := cl.Metrics().WritePrometheus(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if strings.Contains(buf.String(), series) {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Errorf("exposition missing %s", series)
+				break
+			}
 		}
 	}
 
