@@ -373,21 +373,3 @@ func BenchmarkDecompressRLE(b *testing.B)       { benchCodec(b, "rle") }
 func BenchmarkDecompressLZ77(b *testing.B)      { benchCodec(b, "lz77") }
 func BenchmarkDecompressHuffman(b *testing.B)   { benchCodec(b, "huffman") }
 func BenchmarkDecompressFrameDiff(b *testing.B) { benchCodec(b, "framediff") }
-
-func benchCore(b *testing.B, f *algos.Function, n int) {
-	in := benchInput(n)
-	b.SetBytes(int64(len(in)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := f.Exec(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkCoreAES(b *testing.B)     { benchCore(b, algos.AES128(), 4096) }
-func BenchmarkCoreDES(b *testing.B)     { benchCore(b, algos.DES(), 4096) }
-func BenchmarkCoreSHA256(b *testing.B)  { benchCore(b, algos.SHA256(), 4096) }
-func BenchmarkCoreFFT(b *testing.B)     { benchCore(b, algos.FFT(), 4096) }
-func BenchmarkCoreBitonic(b *testing.B) { benchCore(b, algos.Bitonic(), 4096) }
-func BenchmarkCoreModExp(b *testing.B)  { benchCore(b, algos.ModExp(), 24*128) }

@@ -72,10 +72,15 @@ func (f *Function) Blocks(n int) int {
 	return (n + f.BlockBytes - 1) / f.BlockBytes
 }
 
-// pad returns in zero-padded to a whole number of blocks.
+// pad returns in zero-padded to a whole number of blocks: in itself when
+// it already is one (run only reads its input and returns fresh output),
+// a padded copy otherwise.
 func (f *Function) pad(in []byte) []byte {
-	blocks := f.Blocks(len(in))
-	padded := make([]byte, blocks*f.BlockBytes)
+	n := f.Blocks(len(in)) * f.BlockBytes
+	if n == len(in) {
+		return in
+	}
+	padded := make([]byte, n)
 	copy(padded, in)
 	return padded
 }

@@ -6,9 +6,11 @@ import (
 	"bytes"
 	"crypto/md5"
 	"encoding/binary"
+	"fmt"
 	"math/big"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestMD5MatchesStdlib(t *testing.T) {
@@ -72,6 +74,42 @@ func TestModExp128MatchesBig(t *testing.T) {
 	}
 }
 
+// TestModExp128SmallModulusTerminates: a full-width base over a tiny
+// modulus used to be reduced by repeated subtraction (~2¹²⁶ iterations
+// for base 2¹²⁸−1, modulus 3) — one request wedged a card worker for
+// good. Every case must return, and return what math/big does, well
+// inside the watchdog.
+func TestModExp128SmallModulusTerminates(t *testing.T) {
+	const max = ^uint64(0)
+	ones := u128{max, max}
+	moduli := []u128{
+		{lo: 2}, {lo: 3}, {lo: 4}, {lo: 5},
+		{lo: max}, {lo: max - 1}, // 2⁶⁴−1, 2⁶⁴−2
+		{hi: 1}, {lo: 1, hi: 1}, // 2⁶⁴, 2⁶⁴+1
+		{lo: max - 1, hi: max}, ones, // 2¹²⁸−2, 2¹²⁸−1
+	}
+	done := make(chan string, 1)
+	go func() {
+		for _, m := range moduli {
+			got := modExp128(ones, ones, m)
+			want := new(big.Int).Exp(u128ToBig(ones), u128ToBig(ones), u128ToBig(m))
+			if u128ToBig(got).Cmp(want) != 0 {
+				done <- fmt.Sprintf("(2¹²⁸−1)^(2¹²⁸−1) mod %x:%x = %x:%x, math/big gives %x", m.hi, m.lo, got.hi, got.lo, want)
+				return
+			}
+		}
+		done <- ""
+	}()
+	select {
+	case msg := <-done:
+		if msg != "" {
+			t.Error(msg)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("modExp128 still running after 2 s")
+	}
+}
+
 func TestModExp128KnownValues(t *testing.T) {
 	cases := []struct {
 		base, exp, mod, want uint64
@@ -112,33 +150,43 @@ func TestModExp128ExecFraming(t *testing.T) {
 }
 
 func TestU128Arithmetic(t *testing.T) {
-	f := func(al, ah, bl, bh uint64) bool {
-		a, b := u128{al, ah}, u128{bl, bh}
-		ba, bb := u128ToBig(a), u128ToBig(b)
-		// add128 modulo 2^128
-		sum, _ := add128(a, b)
-		wantSum := new(big.Int).Add(ba, bb)
-		wantSum.Mod(wantSum, new(big.Int).Lsh(big.NewInt(1), 128))
-		if u128ToBig(sum).Cmp(wantSum) != 0 {
-			return false
+	limbsToBig := func(limbs ...uint64) *big.Int { // most significant first
+		b := new(big.Int)
+		for _, l := range limbs {
+			b.Lsh(b, 64).Or(b, new(big.Int).SetUint64(l))
 		}
-		// cmp matches big.Int
-		if cmp128(a, b) != ba.Cmp(bb) {
-			return false
-		}
-		// sub when a >= b
-		if ba.Cmp(bb) >= 0 {
-			if u128ToBig(sub128(a, b)).Cmp(new(big.Int).Sub(ba, bb)) != 0 {
-				return false
-			}
-		}
-		// shl1 modulo 2^128
-		sh, _ := shl1(a)
-		wantSh := new(big.Int).Lsh(ba, 1)
-		wantSh.Mod(wantSh, new(big.Int).Lsh(big.NewInt(1), 128))
-		return u128ToBig(sh).Cmp(wantSh) == 0
+		return b
 	}
-	if err := quick.Check(f, nil); err != nil {
+	f := func(al, ah, bl, bh, ml, mh uint64, narrow uint8) bool {
+		// Squeeze the modulus through every width: random 64-bit limbs
+		// alone would never produce a one-limb or unnormalised one.
+		m := u128{ml, mh}
+		if s := uint(narrow) % 128; s >= 64 {
+			m = u128{lo: mh >> (s - 64)}
+		} else {
+			m = u128{lo: ml>>s | mh<<(64-s), hi: mh >> s}
+		}
+		a, b := u128{al, ah}, u128{bl, bh}
+		ba, bb, bm := u128ToBig(a), u128ToBig(b), u128ToBig(m)
+		// mul128 is the exact 256-bit product.
+		if limbsToBig(mul128(a, b)).Cmp(new(big.Int).Mul(ba, bb)) != 0 {
+			return false
+		}
+		if m.isZero() {
+			return true
+		}
+		// rem of a widened 128-bit value is the plain remainder ...
+		pm := newModulus128(m)
+		ra := pm.rem(0, 0, a.hi, a.lo)
+		if u128ToBig(ra).Cmp(new(big.Int).Mod(ba, bm)) != 0 {
+			return false
+		}
+		// ... and of a product of two reduced values, the modular product.
+		rb := pm.rem(0, 0, b.hi, b.lo)
+		want := new(big.Int).Mul(u128ToBig(ra), u128ToBig(rb))
+		return u128ToBig(pm.mulMod(ra, rb)).Cmp(want.Mod(want, bm)) == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 5000}); err != nil {
 		t.Error(err)
 	}
 }

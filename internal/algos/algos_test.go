@@ -85,19 +85,67 @@ func TestOutputLenMatchesExec(t *testing.T) {
 	}
 }
 
+// execSizes are the input sizes the Exec contract tests sweep: whole
+// blocks (which Exec hands to the kernel without a copy), 1 KiB rounded
+// up to whole blocks, and a ragged size that forces the padded copy.
+func execSizes(f *Function) []int {
+	return []int{f.BlockBytes, 2 * f.BlockBytes, f.Blocks(1024) * f.BlockBytes, f.BlockBytes + 1}
+}
+
+// TestExecDoesNotMutateInput: fpga.Core promises read-only input. The
+// buffer carries spare capacity behind the input so that a kernel that
+// appends to its argument is caught as well.
 func TestExecDoesNotMutateInput(t *testing.T) {
 	rng := sim.NewRNG(6)
 	for _, f := range Bank() {
-		in := make([]byte, 2*f.BlockBytes)
-		for i := range in {
-			in[i] = byte(rng.Uint64())
+		for _, n := range execSizes(f) {
+			buf := make([]byte, n+64)
+			for i := range buf {
+				buf[i] = byte(rng.Uint64())
+			}
+			want := append([]byte(nil), buf...)
+			if _, err := f.Exec(buf[:n]); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(buf, want) {
+				t.Errorf("%s(%d): Exec mutated its input buffer", f.Name(), n)
+			}
 		}
-		want := append([]byte(nil), in...)
-		if _, err := f.Exec(in); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(in, want) {
-			t.Errorf("%s: Exec mutated its input", f.Name())
+	}
+}
+
+// TestExecOutputDoesNotAliasInput: fpga.Core promises fresh output, so
+// scribbling over either buffer after the call must not show in the
+// other.
+func TestExecOutputDoesNotAliasInput(t *testing.T) {
+	rng := sim.NewRNG(12)
+	for _, f := range Bank() {
+		for _, n := range execSizes(f) {
+			in := make([]byte, n)
+			for i := range in {
+				in[i] = byte(rng.Uint64())
+			}
+			wantIn := append([]byte(nil), in...)
+			out, err := f.Exec(in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wantOut := append([]byte(nil), out...)
+			for i := range out {
+				out[i] ^= 0xFF
+			}
+			if !bytes.Equal(in, wantIn) {
+				t.Errorf("%s(%d): writing the output changed the input", f.Name(), n)
+			}
+			for i := range out {
+				out[i] ^= 0xFF
+			}
+			for i := range in {
+				in[i] ^= 0xFF
+			}
+			if !bytes.Equal(out, wantOut) {
+				t.Errorf("%s(%d): writing the input changed the output", f.Name(), n)
+			}
 		}
 	}
 }

@@ -1,36 +1,15 @@
 package algos
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // DES ECB encryption from the FIPS-46 tables, with a fixed key baked into
 // the core's bitstream (see the aes128 comment). DES remains the classic
 // FPGA crypto demonstrator — its permutations are free in routing.
 
 var desKey = [8]byte{'D', 'E', 'S', '-', 'K', 'E', 'Y', '!'}
-
-// Initial permutation.
-var desIP = [64]byte{
-	58, 50, 42, 34, 26, 18, 10, 2, 60, 52, 44, 36, 28, 20, 12, 4,
-	62, 54, 46, 38, 30, 22, 14, 6, 64, 56, 48, 40, 32, 24, 16, 8,
-	57, 49, 41, 33, 25, 17, 9, 1, 59, 51, 43, 35, 27, 19, 11, 3,
-	61, 53, 45, 37, 29, 21, 13, 5, 63, 55, 47, 39, 31, 23, 15, 7,
-}
-
-// Final permutation (inverse of IP).
-var desFP = [64]byte{
-	40, 8, 48, 16, 56, 24, 64, 32, 39, 7, 47, 15, 55, 23, 63, 31,
-	38, 6, 46, 14, 54, 22, 62, 30, 37, 5, 45, 13, 53, 21, 61, 29,
-	36, 4, 44, 12, 52, 20, 60, 28, 35, 3, 43, 11, 51, 19, 59, 27,
-	34, 2, 42, 10, 50, 18, 58, 26, 33, 1, 41, 9, 49, 17, 57, 25,
-}
-
-// Expansion of the 32-bit half to 48 bits.
-var desE = [48]byte{
-	32, 1, 2, 3, 4, 5, 4, 5, 6, 7, 8, 9,
-	8, 9, 10, 11, 12, 13, 12, 13, 14, 15, 16, 17,
-	16, 17, 18, 19, 20, 21, 20, 21, 22, 23, 24, 25,
-	24, 25, 26, 27, 28, 29, 28, 29, 30, 31, 32, 1,
-}
 
 // P permutation after the S-boxes.
 var desP = [32]byte{
@@ -92,7 +71,8 @@ var desPC2 = [48]byte{
 var desShifts = [16]byte{1, 1, 2, 2, 2, 2, 2, 2, 1, 2, 2, 2, 2, 2, 2, 1}
 
 // permute applies a 1-based bit-selection table to a big-endian bit
-// vector of width srcBits, producing len(table) output bits.
+// vector of width srcBits, producing len(table) output bits. It runs
+// only at init: the key schedule and the SP-table derivation.
 func permute(src uint64, srcBits uint, table []byte) uint64 {
 	var out uint64
 	for _, pos := range table {
@@ -102,24 +82,117 @@ func permute(src uint64, srcBits uint, table []byte) uint64 {
 	return out
 }
 
-var desSubkeys = desKeySchedule(binary.BigEndian.Uint64(desKey[:]))
+// desSchedule is a 16-round key schedule in the form the SP lookup
+// consumes: each 48-bit subkey split into its eight 6-bit S-box chunks,
+// one per byte, chunks 0,2,4,6 in [0] and 1,3,5,7 in [1] (first chunk in
+// the top byte).
+type desSchedule [16][2]uint32
 
-// desFeistel is the round function f(R, K).
-func desFeistel(r uint32, k uint64) uint32 {
-	x := permute(uint64(r), 32, desE[:]) ^ k // 48 bits
-	var s uint32
-	for i := 0; i < 8; i++ {
-		six := byte(x>>(42-6*uint(i))) & 0x3F
-		row := (six&0x20)>>4 | six&1
-		col := (six >> 1) & 0x0F
-		s = s<<4 | uint32(desS[i][row*16+col])
+// desKeySchedule derives the 16 round subkeys of a 64-bit key; decrypt
+// stores them in reverse order, which is all DES decryption is.
+func desKeySchedule(key uint64, decrypt bool) desSchedule {
+	var ks desSchedule
+	cd := permute(key, 64, desPC1[:])
+	c := uint32(cd>>28) & 0x0FFFFFFF
+	d := uint32(cd) & 0x0FFFFFFF
+	rot28 := func(v uint32, n byte) uint32 { return (v<<n | v>>(28-n)) & 0x0FFFFFFF }
+	for i := 0; i < 16; i++ {
+		c = rot28(c, desShifts[i])
+		d = rot28(d, desShifts[i])
+		k := desSplitKey(permute(uint64(c)<<28|uint64(d), 56, desPC2[:]))
+		if decrypt {
+			ks[15-i] = k
+		} else {
+			ks[i] = k
+		}
 	}
-	return uint32(permute(uint64(s), 32, desP[:]))
+	return ks
 }
 
+// desSplitKey spreads a 48-bit subkey into desSchedule form.
+func desSplitKey(k uint64) (split [2]uint32) {
+	for chunk := uint(0); chunk < 8; chunk++ {
+		six := uint32(k>>(42-6*chunk)) & 0x3F
+		split[chunk&1] |= six << (24 - 8*(chunk>>1))
+	}
+	return split
+}
+
+// desSP[i][x] is S-box i applied to the 6-bit chunk x (still in E order:
+// outer bits select the row), moved to its nibble of the 32-bit S output,
+// sent through P, and rotated left one bit to match the rotated halves
+// desRounds keeps. One lookup per chunk is the whole round function
+// after the key XOR.
+var desSP = func() (sp [8][64]uint32) {
+	for i := range sp {
+		for x := range sp[i] {
+			row := (x&0x20)>>4 | x&1
+			col := (x >> 1) & 0x0F
+			s := uint64(desS[i][row*16+col]) << (28 - 4*uint(i))
+			sp[i][x] = bits.RotateLeft32(uint32(permute(s, 32, desP[:])), 1)
+		}
+	}
+	return sp
+}()
+
+// deltaSwap exchanges the bits of v selected by mask with the bits n
+// positions above them.
+func deltaSwap(v, mask uint64, n uint) uint64 {
+	t := (v>>n ^ v) & mask
+	return v ^ t ^ t<<n
+}
+
+// desIP is the FIPS-46 initial permutation as its five-step delta-swap
+// network (a bit-matrix transpose); desFP, its inverse, is the same
+// swaps in reverse order.
+func desIP(v uint64) uint64 {
+	v = deltaSwap(v, 0x0F0F0F0F, 36)
+	v = deltaSwap(v, 0x0000FFFF, 48)
+	v = deltaSwap(v, 0xCCCCCCCC, 30)
+	v = deltaSwap(v, 0xFF00FF00, 24)
+	return deltaSwap(v, 0x55555555, 33)
+}
+
+func desFP(v uint64) uint64 {
+	v = deltaSwap(v, 0x55555555, 33)
+	v = deltaSwap(v, 0xFF00FF00, 24)
+	v = deltaSwap(v, 0xCCCCCCCC, 30)
+	v = deltaSwap(v, 0x0000FFFF, 48)
+	return deltaSwap(v, 0x0F0F0F0F, 36)
+}
+
+// desF is the round function f(R, K) on a half rotated left one bit.
+// In that form the eight overlapping 6-bit windows of the E expansion
+// are the low six bits of each byte of r (odd chunks) and of r rotated
+// right four (even chunks), so E costs one rotate.
+func desF(r uint32, k *[2]uint32) uint32 {
+	even := bits.RotateLeft32(r, -4) ^ k[0]
+	odd := r ^ k[1]
+	return desSP[0][even>>24&0x3F] ^ desSP[1][odd>>24&0x3F] ^
+		desSP[2][even>>16&0x3F] ^ desSP[3][odd>>16&0x3F] ^
+		desSP[4][even>>8&0x3F] ^ desSP[5][odd>>8&0x3F] ^
+		desSP[6][even&0x3F] ^ desSP[7][odd&0x3F]
+}
+
+// desRounds runs the 16 Feistel rounds between IP and FP: it takes
+// IP's output and returns FP's input (the halves swapped after round
+// 16). Feeding one call's result to the next is exactly FP followed by
+// IP, which cancel — 3DES chains its three passes that way.
+func desRounds(v uint64, ks *desSchedule) uint64 {
+	l := bits.RotateLeft32(uint32(v>>32), 1)
+	r := bits.RotateLeft32(uint32(v), 1)
+	for i := 0; i < 16; i += 2 {
+		l ^= desF(r, &ks[i])
+		r ^= desF(l, &ks[i+1])
+	}
+	return uint64(bits.RotateLeft32(r, -1))<<32 | uint64(bits.RotateLeft32(l, -1))
+}
+
+var desSubkeys = desKeySchedule(binary.BigEndian.Uint64(desKey[:]), false)
+
 func desEncryptBlock(dst, src []byte) {
-	out := desRounds(binary.BigEndian.Uint64(src), &desSubkeys, false)
-	binary.BigEndian.PutUint64(dst, out)
+	v := desIP(binary.BigEndian.Uint64(src))
+	binary.BigEndian.PutUint64(dst, desFP(desRounds(v, &desSubkeys)))
 }
 
 var desFn = &Function{

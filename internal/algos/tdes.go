@@ -13,52 +13,20 @@ var tdesKeys = [3][8]byte{
 	{'T', 'D', 'E', 'S', '-', 'K', '3', '!'},
 }
 
-// tdesSubkeys[i] is the 16-subkey schedule of key i.
-var tdesSubkeys [3][16]uint64
-
-var tdesInitDone = func() bool {
+// tdesSubkeys[i] is the schedule of key i; the middle pass decrypts.
+var tdesSubkeys = func() (ks [3]desSchedule) {
 	for i, key := range tdesKeys {
-		tdesSubkeys[i] = desKeySchedule(binary.BigEndian.Uint64(key[:]))
+		ks[i] = desKeySchedule(binary.BigEndian.Uint64(key[:]), i == 1)
 	}
-	return true
+	return ks
 }()
 
-// desKeySchedule derives the 16 round subkeys of a 64-bit key.
-func desKeySchedule(key uint64) [16]uint64 {
-	var sub [16]uint64
-	cd := permute(key, 64, desPC1[:])
-	c := uint32(cd>>28) & 0x0FFFFFFF
-	d := uint32(cd) & 0x0FFFFFFF
-	rot28 := func(v uint32, n byte) uint32 { return (v<<n | v>>(28-byte(n))) & 0x0FFFFFFF }
-	for i := 0; i < 16; i++ {
-		c = rot28(c, desShifts[i])
-		d = rot28(d, desShifts[i])
-		sub[i] = permute(uint64(c)<<28|uint64(d), 56, desPC2[:])
-	}
-	return sub
-}
-
-// desRounds runs the 16 Feistel rounds with the given schedule; decrypt
-// reverses the subkey order.
-func desRounds(block uint64, sub *[16]uint64, decrypt bool) uint64 {
-	v := permute(block, 64, desIP[:])
-	l, r := uint32(v>>32), uint32(v)
-	for i := 0; i < 16; i++ {
-		k := sub[i]
-		if decrypt {
-			k = sub[15-i]
-		}
-		l, r = r, l^desFeistel(r, k)
-	}
-	return permute(uint64(r)<<32|uint64(l), 64, desFP[:])
-}
-
 func tdesEncryptBlock(dst, src []byte) {
-	v := binary.BigEndian.Uint64(src)
-	v = desRounds(v, &tdesSubkeys[0], false) // E with K1
-	v = desRounds(v, &tdesSubkeys[1], true)  // D with K2
-	v = desRounds(v, &tdesSubkeys[2], false) // E with K3
-	binary.BigEndian.PutUint64(dst, v)
+	v := desIP(binary.BigEndian.Uint64(src))
+	v = desRounds(v, &tdesSubkeys[0]) // E with K1
+	v = desRounds(v, &tdesSubkeys[1]) // D with K2
+	v = desRounds(v, &tdesSubkeys[2]) // E with K3
+	binary.BigEndian.PutUint64(dst, desFP(v))
 }
 
 var tdesFn = &Function{

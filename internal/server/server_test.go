@@ -95,6 +95,33 @@ func TestEndToEndMatchesDirectCall(t *testing.T) {
 	})
 }
 
+// TestModExp128TinyModulusReturnsOK: one 48-byte record — base 2¹²⁸−1,
+// modulus 3 — used to spin inside Exec under the card lock and wedge the
+// worker for good. It must come back OK, with the right residue.
+func TestModExp128TinyModulusReturnsOK(t *testing.T) {
+	h := newHarness(t, 1, Options{}, nil)
+	c, err := client.Dial(h.addr, client.Options{MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	rec := make([]byte, 48)
+	for i := 0; i < 16; i++ {
+		rec[i] = 0xFF // base 2¹²⁸−1, a multiple of 3
+	}
+	rec[16] = 5 // exponent
+	rec[32] = 3 // modulus
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	got, _, err := c.Call(ctx, algos.ModExp128().ID(), rec)
+	if err != nil {
+		t.Fatalf("modexp128 over the wire: %v", err)
+	}
+	if !bytes.Equal(got, make([]byte, 16)) {
+		t.Fatalf("(2¹²⁸−1)⁵ mod 3 = %x, want 0", got)
+	}
+}
+
 func TestConcurrentClients(t *testing.T) {
 	h := newHarness(t, 2, Options{MaxInflight: 128}, nil)
 	const clients, calls = 8, 25
@@ -214,10 +241,12 @@ func TestSaturationRefusesThenRetrySucceeds(t *testing.T) {
 	if err := <-parkedDone; err != nil {
 		t.Fatalf("parked call failed: %v", err)
 	}
-	if n := h.reg.Counter("agile_server_requests_total",
-		metrics.L("status", "resource_exhausted")).Value(); n < 2 {
-		t.Fatalf("resource_exhausted counter = %d, want >= 2", n)
-	}
+	// The server counts a refusal after its response is flushed, so the
+	// second one may still be a moment behind the client that read it.
+	waitFor(t, func() bool {
+		return h.reg.Counter("agile_server_requests_total",
+			metrics.L("status", "resource_exhausted")).Value() >= 2
+	})
 }
 
 // TestGracefulDrain proves Shutdown completes in-flight requests and
