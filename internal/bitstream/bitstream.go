@@ -13,39 +13,60 @@ package bitstream
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"agilefpga/internal/fpga"
 	"agilefpga/internal/sim"
 )
 
-// Builder assembles a bitstream word by word, tracking the running CRC
-// exactly as the configuration port will compute it.
+// Builder assembles a bitstream in the big-endian byte order the byte-wide
+// port consumes, tracking the running CRC exactly as the configuration
+// port will compute it.
 type Builder struct {
-	words []uint32
-	crc   uint32
+	buf []byte
+	crc uint32
 }
 
 // NewBuilder returns a builder primed with a dummy pad word and the sync
 // word, ready for packets.
 func NewBuilder() *Builder {
 	b := &Builder{}
-	b.Raw(fpga.DummyWord)
-	b.Raw(fpga.SyncWord)
+	b.prime()
 	return b
 }
 
+func (b *Builder) prime() {
+	b.Raw(fpga.DummyWord)
+	b.Raw(fpga.SyncWord)
+}
+
 // Raw appends a word without packet framing or CRC accounting.
-func (b *Builder) Raw(w uint32) { b.words = append(b.words, w) }
+func (b *Builder) Raw(w uint32) { b.buf = binary.BigEndian.AppendUint32(b.buf, w) }
 
 // WriteReg appends a type-1 write of vals to reg.
 func (b *Builder) WriteReg(reg int, vals ...uint32) {
 	b.Raw(fpga.MakeType1(fpga.OpWrite, reg, len(vals)))
+	start := len(b.buf)
 	for _, v := range vals {
-		if reg != fpga.RegCRC {
-			b.crc = fpga.CRCUpdate(b.crc, reg, v)
-		}
 		b.Raw(v)
 	}
+	if reg != fpga.RegCRC {
+		b.crc = fpga.CRCUpdateBurst(b.crc, reg, b.buf[start:])
+	}
+}
+
+// WriteFrame appends one FDRI packet carrying a frame image, zero-padding
+// the final word if the frame size is not word-aligned.
+func (b *Builder) WriteFrame(g fpga.Geometry, image []byte) error {
+	if len(image) != g.FrameBytes() {
+		return fmt.Errorf("bitstream: frame image is %d bytes, geometry wants %d", len(image), g.FrameBytes())
+	}
+	b.Raw(fpga.MakeType1(fpga.OpWrite, fpga.RegFDRI, g.FrameWords()))
+	start := len(b.buf)
+	b.buf = append(b.buf, image...)
+	b.buf = append(b.buf, make([]byte, 4*g.FrameWords()-len(image))...)
+	b.crc = fpga.CRCUpdateBurst(b.crc, fpga.RegFDRI, b.buf[start:])
+	return nil
 }
 
 // Command writes cmd to the command register, mirroring the port's CRC
@@ -65,32 +86,11 @@ func (b *Builder) WriteCRC() {
 }
 
 // Words reports the number of words assembled so far.
-func (b *Builder) Words() int { return len(b.words) }
+func (b *Builder) Words() int { return len(b.buf) / 4 }
 
-// Bytes serialises the bitstream big-endian, as the byte-wide port
-// consumes it.
-func (b *Builder) Bytes() []byte {
-	out := make([]byte, 4*len(b.words))
-	for i, w := range b.words {
-		binary.BigEndian.PutUint32(out[4*i:], w)
-	}
-	return out
-}
-
-// FrameWords converts a frame image to big-endian FDRI payload words,
-// zero-padding the final word if the frame size is not word-aligned.
-func FrameWords(g fpga.Geometry, image []byte) ([]uint32, error) {
-	if len(image) != g.FrameBytes() {
-		return nil, fmt.Errorf("bitstream: frame image is %d bytes, geometry wants %d", len(image), g.FrameBytes())
-	}
-	words := make([]uint32, g.FrameWords())
-	for i := range words {
-		var buf [4]byte
-		copy(buf[:], image[4*i:])
-		words[i] = binary.BigEndian.Uint32(buf[:])
-	}
-	return words, nil
-}
+// Bytes returns the bitstream assembled so far. The slice aliases the
+// builder's storage until the next append.
+func (b *Builder) Bytes() []byte { return b.buf }
 
 // maxFDRIWords is the largest payload a single type-1 packet can carry
 // (11-bit word count).
@@ -101,6 +101,12 @@ const maxFDRIWords = 0x7FF
 // demands: CRC reset, IDCODE check, frame-length check, WCFG, one
 // FAR+FDRI pair per frame, LFRM, a CRC check, and DESYNC.
 func Assemble(g fpga.Geometry, idcode uint32, frames []int, images [][]byte) ([]byte, error) {
+	return AppendAssemble(nil, g, idcode, frames, images)
+}
+
+// AppendAssemble is Assemble appending to dst, for callers that keep a
+// stream buffer across loads.
+func AppendAssemble(dst []byte, g fpga.Geometry, idcode uint32, frames []int, images [][]byte) ([]byte, error) {
 	if len(frames) != len(images) {
 		return nil, fmt.Errorf("bitstream: %d frames but %d images", len(frames), len(images))
 	}
@@ -110,7 +116,9 @@ func Assemble(g fpga.Geometry, idcode uint32, frames []int, images [][]byte) ([]
 	if g.FrameWords() > maxFDRIWords {
 		return nil, fmt.Errorf("bitstream: frame of %d words exceeds the %d-word FDRI packet limit", g.FrameWords(), maxFDRIWords)
 	}
-	b := NewBuilder()
+	// 16 words of handshake around 3 words of headers and FAR per frame.
+	b := Builder{buf: slices.Grow(dst, 4*(16+len(frames)*(3+g.FrameWords())))}
+	b.prime()
 	b.Command(fpga.CmdRCRC)
 	b.WriteReg(fpga.RegIDCODE, idcode)
 	b.WriteReg(fpga.RegFLR, uint32(g.FrameWords()))
@@ -119,17 +127,15 @@ func Assemble(g fpga.Geometry, idcode uint32, frames []int, images [][]byte) ([]
 		if fi < 0 || fi >= g.NumFrames() {
 			return nil, fmt.Errorf("bitstream: frame %d out of range (device has %d)", fi, g.NumFrames())
 		}
-		words, err := FrameWords(g, images[i])
-		if err != nil {
+		b.WriteReg(fpga.RegFAR, uint32(fi))
+		if err := b.WriteFrame(g, images[i]); err != nil {
 			return nil, err
 		}
-		b.WriteReg(fpga.RegFAR, uint32(fi))
-		b.WriteReg(fpga.RegFDRI, words...)
 	}
 	b.Command(fpga.CmdLFRM)
 	b.WriteCRC()
 	b.Command(fpga.CmdDESYNC)
-	return b.Bytes(), nil
+	return b.buf, nil
 }
 
 // AssembleDiff builds a difference-based partial bitstream: frames whose
@@ -300,11 +306,4 @@ func synthFrame(g fpga.Geometry, n Netlist, idx, total, use int, baseLUT []uint1
 		Serial: n.Serial,
 	})
 	return img
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

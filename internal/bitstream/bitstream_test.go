@@ -252,14 +252,18 @@ func TestFrameWordsPadding(t *testing.T) {
 	g := fpga.Geometry{Rows: 3, Cols: 2} // 63 bytes per frame: padded final word
 	img := make([]byte, g.FrameBytes())
 	img[len(img)-1] = 0xEE
-	words, err := FrameWords(g, img)
-	if err != nil {
+	b := NewBuilder()
+	before := b.Words()
+	if err := b.WriteFrame(g, img); err != nil {
 		t.Fatal(err)
 	}
-	if len(words) != g.FrameWords() {
-		t.Fatalf("words = %d", len(words))
+	if got := b.Words() - before; got != 1+g.FrameWords() {
+		t.Fatalf("FDRI packet is %d words, want header + %d", got, g.FrameWords())
 	}
-	if _, err := FrameWords(g, make([]byte, 10)); err == nil {
+	if tail := b.Bytes()[len(b.Bytes())-2:]; tail[0] != 0xEE || tail[1] != 0 {
+		t.Errorf("final word ends % x, want the image's last byte then a zero pad", tail)
+	}
+	if err := b.WriteFrame(g, make([]byte, 10)); err == nil {
 		t.Error("short image accepted")
 	}
 }

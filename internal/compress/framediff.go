@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"io"
 )
@@ -55,16 +56,16 @@ func (c frameDiffCodec) NewReader(comp []byte) (io.Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &frameDiffReader{inner: inner, frameBytes: fb, hist: make([]byte, 0, fb)}, nil
+	return &frameDiffReader{inner: inner, hist: make([]byte, fb)}, nil
 }
 
 // frameDiffReader integrates the XOR prediction incrementally, keeping one
 // frame of history.
 type frameDiffReader struct {
-	inner      io.Reader
-	frameBytes int
-	hist       []byte // last frameBytes of produced output (ring as slice)
-	produced   int
+	inner io.Reader
+	hist  []byte // ring: the last frame of produced output
+	pos   int    // ring offset of the next output byte
+	full  bool   // the first frame has passed: hist predicts from here on
 }
 
 // InputConsumed reports the frame-size header plus whatever the inner
@@ -78,18 +79,18 @@ func (r *frameDiffReader) InputConsumed() int {
 
 func (r *frameDiffReader) Read(p []byte) (int, error) {
 	n, err := r.inner.Read(p)
-	for i := 0; i < n; i++ {
-		b := p[i]
-		if r.produced >= r.frameBytes {
-			b ^= r.hist[r.produced%r.frameBytes]
+	for out := p[:n]; len(out) > 0; {
+		// One contiguous stretch of the ring at a time.
+		seg := out[:min(len(out), len(r.hist)-r.pos)]
+		h := r.hist[r.pos : r.pos+len(seg)]
+		if r.full {
+			subtle.XORBytes(seg, seg, h)
 		}
-		p[i] = b
-		if len(r.hist) < r.frameBytes {
-			r.hist = append(r.hist, b)
-		} else {
-			r.hist[r.produced%r.frameBytes] = b
+		copy(h, seg)
+		out = out[len(seg):]
+		if r.pos += len(seg); r.pos == len(r.hist) {
+			r.pos, r.full = 0, true
 		}
-		r.produced++
 	}
 	return n, err
 }

@@ -92,11 +92,12 @@ func (r *rleReader) Read(p []byte) (int, error) {
 			continue
 		}
 		if r.repN > 0 {
-			for n < len(p) && r.repN > 0 {
-				p[n] = r.repB
-				n++
-				r.repN--
+			run := p[n : n+min(r.repN, len(p)-n)]
+			for i := range run {
+				run[i] = r.repB
 			}
+			n += len(run)
+			r.repN -= len(run)
 			continue
 		}
 		if r.off >= len(r.comp) {

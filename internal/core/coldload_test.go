@@ -1,0 +1,76 @@
+package core
+
+import (
+	"testing"
+
+	"agilefpga/internal/algos"
+	"agilefpga/internal/fpga"
+)
+
+// coldCard is the benchmark stack's card (32×40 fabric, the whole bank in
+// ROM) with every function called once, so the ROM, the tables and, when
+// configured, the decode cache are warm and only the load itself is cold.
+func coldCard(tb testing.TB, decodeCacheBytes int) (*CoProcessor, []uint16, []byte) {
+	tb.Helper()
+	cp, err := New(Config{Geometry: fpga.Geometry{Rows: 32, Cols: 40}, DecodeCacheBytes: decodeCacheBytes})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if _, err := cp.InstallBank(); err != nil {
+		tb.Fatal(err)
+	}
+	in := make([]byte, 256)
+	var ids []uint16
+	for _, f := range algos.Bank() {
+		ids = append(ids, f.ID())
+		if _, err := cp.CallID(f.ID(), in); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return cp, ids, in
+}
+
+// coldCall evicts fn and calls it: one full load through ROM, window
+// decompressor, assembler and configuration port, then a 256-byte exec.
+func coldCall(tb testing.TB, cp *CoProcessor, fn uint16, in []byte) {
+	cp.Evict(fn)
+	if _, err := cp.CallID(fn, in); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// BenchmarkColdLoad is the host cost of the paper's on-demand path: evict
+// and call, round-robin over the 16 bank functions, with the decode cache
+// off (every load decompresses) and on (reloads assemble and port-write
+// cached images).
+func BenchmarkColdLoad(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		cache int
+	}{{"dcache=off", 0}, {"dcache=on", 1 << 20}} {
+		b.Run(bc.name, func(b *testing.B) {
+			cp, ids, in := coldCard(b, bc.cache)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				coldCall(b, cp, ids[i%len(ids)], in)
+			}
+		})
+	}
+}
+
+// TestColdLoadAllocs pins a cold CallID beside TestHotCallAllocs: a load
+// moves its frames as bursts through buffers the card keeps, so what is
+// left to allocate is the residency bookkeeping, not a 5-byte CRC scratch
+// per configuration word (3 345 allocations before the burst path).
+func TestColdLoadAllocs(t *testing.T) {
+	cp, ids, in := coldCard(t, 0)
+	i := 0
+	allocs := testing.AllocsPerRun(len(ids), func() {
+		coldCall(t, cp, ids[i%len(ids)], in)
+		i++
+	})
+	if allocs > 130 {
+		t.Errorf("cold CallID allocates %.0f times, want at most 130", allocs)
+	}
+}

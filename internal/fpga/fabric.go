@@ -41,6 +41,7 @@ func NewFabric(geom Geometry, reg *Registry) *Fabric {
 		f.cfg[i] = make([]byte, geom.FrameBytes())
 	}
 	f.port.fab = f
+	f.port.frame = make([]byte, geom.FrameBytes())
 	return f
 }
 

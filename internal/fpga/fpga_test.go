@@ -184,7 +184,7 @@ func (s *wordStream) reg(reg int, vals ...uint32) {
 	s.raw(MakeType1(OpWrite, reg, len(vals)))
 	for _, v := range vals {
 		if reg != RegCRC {
-			s.crc = CRCUpdate(s.crc, reg, v)
+			s.crc = CRCUpdateBurst(s.crc, reg, binary.BigEndian.AppendUint32(nil, v))
 		}
 		s.raw(v)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"sync"
 )
 
 // Bitstream wire format. Words travel big-endian through the byte-wide
@@ -102,7 +103,7 @@ type ConfigPort struct {
 	idChecked bool
 	far       int    // current frame address
 	frameOff  int    // byte offset within the frame being filled
-	frame     []byte // staging for the frame at far
+	frame     []byte // staging for a frame that arrives in pieces
 
 	crc     uint32
 	touched []int // frames written since last RCRC, for corruption marking
@@ -129,8 +130,10 @@ func (p *ConfigPort) TakeCycles() uint64 {
 	return c
 }
 
-// Reset clears the port FSM and any sticky fault. Configuration memory is
-// left as-is (matching a PROG_B-less resync rather than a full reset).
+// Reset clears the port FSM, any sticky fault and the unharvested cycle
+// count, so a session that failed is never billed to the next one.
+// Configuration memory is left as-is (matching a PROG_B-less resync rather
+// than a full reset).
 func (p *ConfigPort) Reset() {
 	p.state = stUnsynced
 	p.wordLen = 0
@@ -138,34 +141,47 @@ func (p *ConfigPort) Reset() {
 	p.wcfg = false
 	p.idChecked = false
 	p.frameOff = 0
-	p.frame = nil
 	p.crc = 0
-	p.touched = nil
+	p.touched = p.touched[:0]
 	p.fault = nil
+	p.cycles = 0
 }
 
 // Write streams bitstream bytes into the port. It always consumes all of
 // data (charging one configuration cycle per byte, as a real byte-wide
 // port would clock them in) and reports the first fault encountered, which
 // is also kept sticky: a faulted port ignores further data until Reset.
+//
+// Headers and register writes are parsed a word at a time. FDRI payload
+// that arrives word-aligned moves as a burst — one CRC fold and
+// frame-sized copies for however much of the packet data holds — and a
+// word that straddles two Writes goes through the same routine alone.
 func (p *ConfigPort) Write(data []byte) (int, error) {
-	p.cycles += uint64(len(data))
+	n := len(data)
+	p.cycles += uint64(n)
 	if p.fault != nil {
-		return len(data), p.fault
+		return n, p.fault
 	}
-	for _, b := range data {
-		p.wordBuf[p.wordLen] = b
-		p.wordLen++
-		if p.wordLen < 4 {
-			continue
+	for len(data) > 0 {
+		var err error
+		if words := min(p.dataLeft, len(data)/4); p.state == stData && p.dataReg == RegFDRI && p.wordLen == 0 && words > 0 {
+			err = p.frameData(data[:4*words])
+			data = data[4*words:]
+		} else {
+			c := copy(p.wordBuf[p.wordLen:], data)
+			data = data[c:]
+			if p.wordLen += c; p.wordLen < 4 {
+				break
+			}
+			p.wordLen = 0
+			err = p.word(binary.BigEndian.Uint32(p.wordBuf[:]))
 		}
-		p.wordLen = 0
-		if err := p.word(binary.BigEndian.Uint32(p.wordBuf[:])); err != nil {
+		if err != nil {
 			p.fail(err)
-			return len(data), err
+			return n, err
 		}
 	}
-	return len(data), nil
+	return n, nil
 }
 
 // WriteWord feeds one 32-bit word directly (used by tests).
@@ -187,7 +203,7 @@ func (p *ConfigPort) fail(err error) {
 			f[sigOffCRC] ^= 0xFF // invalidate the signature CRC
 		}
 	}
-	p.touched = nil
+	p.touched = p.touched[:0]
 }
 
 func (p *ConfigPort) word(w uint32) error {
@@ -236,13 +252,17 @@ func (p *ConfigPort) word(w uint32) error {
 	return fmt.Errorf("%w: bad port state %d", ErrBadPacket, p.state)
 }
 
+// dataWord consumes one payload word; w is wordBuf decoded.
 func (p *ConfigPort) dataWord(w uint32) error {
+	if p.dataReg == RegFDRI {
+		return p.frameData(p.wordBuf[:])
+	}
 	p.dataLeft--
 	if p.dataLeft == 0 {
 		p.state = stHeader
 	}
 	if p.dataReg != RegCRC {
-		p.crcAccum(p.dataReg, w)
+		p.crc = CRCUpdateBurst(p.crc, p.dataReg, p.wordBuf[:])
 	}
 	switch p.dataReg {
 	case RegCRC:
@@ -250,7 +270,7 @@ func (p *ConfigPort) dataWord(w uint32) error {
 			return fmt.Errorf("%w: got %08x, want %08x", ErrCRC, w, p.crc)
 		}
 		p.crc = 0
-		p.touched = nil
+		p.touched = p.touched[:0]
 		return nil
 	case RegFAR:
 		if int(w) >= p.fab.geom.NumFrames() {
@@ -259,8 +279,6 @@ func (p *ConfigPort) dataWord(w uint32) error {
 		p.far = int(w)
 		p.frameOff = 0
 		return nil
-	case RegFDRI:
-		return p.frameDataWord(w)
 	case RegCMD:
 		return p.command(w)
 	case RegIDCODE:
@@ -295,7 +313,7 @@ func (p *ConfigPort) command(w uint32) error {
 		return nil
 	case CmdRCRC:
 		p.crc = 0
-		p.touched = nil
+		p.touched = p.touched[:0]
 		return nil
 	case CmdDESYNC:
 		if p.frameOff != 0 {
@@ -309,31 +327,43 @@ func (p *ConfigPort) command(w uint32) error {
 	}
 }
 
-func (p *ConfigPort) frameDataWord(w uint32) error {
+// frameData consumes whole words of FDRI payload: it folds them into the
+// running CRC in one pass and fills frames at the auto-incrementing FAR. A
+// frame that payload holds completely is copied straight into
+// configuration memory; one that arrives in pieces is staged and committed
+// when its last byte lands, so a partial frame never reaches the fabric.
+func (p *ConfigPort) frameData(payload []byte) error {
+	p.dataLeft -= len(payload) / 4
+	if p.dataLeft == 0 {
+		p.state = stHeader
+	}
+	p.crc = CRCUpdateBurst(p.crc, RegFDRI, payload)
 	if !p.wcfg {
 		return ErrNoWCFG
 	}
 	if !p.idChecked {
 		return ErrNoIDCheck
 	}
-	if p.frame == nil {
-		p.frame = make([]byte, p.fab.geom.FrameBytes())
-	}
-	var buf [4]byte
-	binary.BigEndian.PutUint32(buf[:], w)
 	fb := p.fab.geom.FrameBytes()
-	for _, b := range buf {
-		if p.frameOff < fb {
-			p.frame[p.frameOff] = b
-			p.frameOff++
+	pad := 4*p.fab.geom.FrameWords() - fb // bytes of the final padded word that are dropped
+	for len(payload) > 0 {
+		take := min(fb-p.frameOff, len(payload))
+		src := payload[:take]
+		payload = payload[take:]
+		if take < fb {
+			copy(p.frame[p.frameOff:], src)
+			if p.frameOff += take; p.frameOff < fb {
+				break
+			}
+			src = p.frame
 		}
-		// Bytes beyond FrameBytes within the final padded word are dropped.
-	}
-	if p.frameOff == fb {
+		// Frames fill from a word boundary, so whole-word payload that
+		// completes one always carries that frame's pad bytes too.
+		payload = payload[pad:]
 		if p.far >= p.fab.geom.NumFrames() {
 			return fmt.Errorf("%w: auto-incremented past device end", ErrFrameAddress)
 		}
-		copy(p.fab.cfg[p.far], p.frame)
+		copy(p.fab.cfg[p.far], src)
 		p.touched = append(p.touched, p.far)
 		p.fab.generation[p.far]++
 		p.FramesWritten++
@@ -343,20 +373,29 @@ func (p *ConfigPort) frameDataWord(w uint32) error {
 	return nil
 }
 
-// crcAccum folds a register write into the running CRC. The exact
-// polynomial matters less than that port and assembler agree; both use
-// IEEE CRC-32 over the register id byte followed by the big-endian word.
-func (p *ConfigPort) crcAccum(reg int, w uint32) {
-	var b [5]byte
-	b[0] = byte(reg)
-	binary.BigEndian.PutUint32(b[1:], w)
-	p.crc = crc32.Update(p.crc, crc32.IEEETable, b[:])
-}
+// crcScratch pools the reg‖word buffers of CRCUpdateBurst: hash/crc32
+// dispatches through a function value, so a buffer on the caller's stack
+// would escape to the heap on every call.
+var crcScratch = sync.Pool{New: func() any { return new([]byte) }}
 
-// CRCUpdate mirrors the port's CRC accumulation for bitstream assemblers.
-func CRCUpdate(crc uint32, reg int, w uint32) uint32 {
-	var b [5]byte
-	b[0] = byte(reg)
-	binary.BigEndian.PutUint32(b[1:], w)
-	return crc32.Update(crc, crc32.IEEETable, b[:])
+// CRCUpdateBurst folds a register write into the running CRC, for the port
+// and for bitstream assemblers alike. payload is the write's big-endian
+// words (a trailing partial word is ignored). The exact polynomial matters
+// less than that port and assembler agree; both use IEEE CRC-32 over, for
+// each word, the register id byte followed by the word's four bytes — here
+// interleaved into one scratch buffer and summed in a single pass.
+func CRCUpdateBurst(crc uint32, reg int, payload []byte) uint32 {
+	words := len(payload) / 4
+	sp := crcScratch.Get().(*[]byte)
+	if cap(*sp) < 5*words {
+		*sp = make([]byte, 5*words)
+	}
+	buf := (*sp)[:5*words]
+	for dst := buf; len(dst) >= 5 && len(payload) >= 4; dst, payload = dst[5:], payload[4:] {
+		dst[0] = byte(reg)
+		copy(dst[1:5], payload[:4])
+	}
+	crc = crc32.Update(crc, crc32.IEEETable, buf)
+	crcScratch.Put(sp)
+	return crc
 }

@@ -124,6 +124,15 @@ type Controller struct {
 	// dcache, when non-nil, caches decoded frame images by record serial.
 	dcache *decodeCache
 
+	// Configuration-module buffers, kept across loads: the decompression
+	// window, the decoded bytes and their per-frame views, the per-window
+	// marks of the pipeline model, and the assembled port stream.
+	window []byte
+	raw    []byte
+	images [][]byte
+	wins   []winMark
+	stream []byte
+
 	// traceLog, when set, receives structured events (nil = disabled).
 	traceLog *trace.Log
 	// card is the identity stamped onto trace events — 0 for a
@@ -285,6 +294,10 @@ type kernel struct {
 	hidden []uint16
 }
 
+// winMark is one decompression window of a load: the cumulative output
+// and the cumulative ROM bytes the decoder had pulled when it closed.
+type winMark struct{ out, consumed int }
+
 // staleEntry records a lazily evicted function's frames so a returning
 // load can prove them untouched and skip reconfiguration.
 type staleEntry struct {
@@ -397,6 +410,7 @@ func New(cfg Config, reg *fpga.Registry) (*Controller, error) {
 		fabDom:  sim.NewDomain("fabric", FabricHz),
 		metrics: cfg.Metrics,
 		fnNames: make(map[uint16]string),
+		window:  make([]byte, cfg.WindowBytes),
 	}
 	if cfg.DecodeCacheBytes > 0 {
 		c.dcache = newDecodeCache(cfg.DecodeCacheBytes)

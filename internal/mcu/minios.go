@@ -350,38 +350,25 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 
 	// Window-by-window decompression into per-frame images, recording per
 	// window the cumulative output and the cumulative ROM bytes the
-	// decoder pulled to produce it (the pipeline's ROM-stage costing).
+	// decoder pulled to produce it (the pipeline's ROM-stage costing). The
+	// images land in the controller's own buffers unless the decode cache
+	// is about to retain them.
 	frameBytes := c.cfg.Geometry.FrameBytes()
-	images := make([][]byte, 0, len(frames))
-	frameBuf := make([]byte, 0, frameBytes)
-	window := make([]byte, c.cfg.WindowBytes)
-	type winMark struct{ out, consumed int } // both cumulative
-	var wins []winMark
-	rawTotal := 0
+	raw, images, wins := c.raw[:0], c.images[:0], c.wins[:0]
+	if c.dcache != nil {
+		raw, images = make([]byte, 0, len(frames)*frameBytes), make([][]byte, 0, len(frames))
+	}
 	for {
-		n, rerr := reader.Read(window)
+		n, rerr := reader.Read(c.window)
 		if n > 0 {
-			rawTotal += n
+			raw = append(raw, c.window[:n]...)
 			consumed := len(blob)
 			if consumer != nil {
 				if consumed = consumer.InputConsumed(); consumed > len(blob) {
 					consumed = len(blob)
 				}
 			}
-			wins = append(wins, winMark{out: rawTotal, consumed: consumed})
-			chunk := window[:n]
-			for len(chunk) > 0 {
-				take := frameBytes - len(frameBuf)
-				if take > len(chunk) {
-					take = len(chunk)
-				}
-				frameBuf = append(frameBuf, chunk[:take]...)
-				chunk = chunk[take:]
-				if len(frameBuf) == frameBytes {
-					images = append(images, append([]byte(nil), frameBuf...))
-					frameBuf = frameBuf[:0]
-				}
-			}
+			wins = append(wins, winMark{out: len(raw), consumed: consumed})
 		}
 		if rerr != nil {
 			if errors.Is(rerr, io.EOF) {
@@ -390,15 +377,21 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 			return fmt.Errorf("mcu: decompressing %q: %w", rec.Name, rerr)
 		}
 	}
-	if len(frameBuf) != 0 {
-		return fmt.Errorf("mcu: bitstream of %q is not frame-aligned (%d trailing bytes)", rec.Name, len(frameBuf))
+	rawTotal := len(raw)
+	if rawTotal%frameBytes != 0 {
+		return fmt.Errorf("mcu: bitstream of %q is not frame-aligned (%d trailing bytes)", rec.Name, rawTotal%frameBytes)
 	}
-	if len(images) != len(frames) {
-		return fmt.Errorf("mcu: bitstream of %q holds %d frames, record says %d", rec.Name, len(images), len(frames))
+	if rawTotal/frameBytes != len(frames) {
+		return fmt.Errorf("mcu: bitstream of %q holds %d frames, record says %d", rec.Name, rawTotal/frameBytes, len(frames))
 	}
-
+	for off := 0; off < rawTotal; off += frameBytes {
+		images = append(images, raw[off:off+frameBytes])
+	}
+	c.wins = wins
 	if c.dcache != nil {
 		c.dcache.put(makeDCKey(rec.FnID, rec.Serial), images)
+	} else {
+		c.raw, c.images = raw, images
 	}
 
 	portCycles, err := c.pushFrames(frames, images)
@@ -477,12 +470,14 @@ func (c *Controller) notePipeline(fn uint16, pipe *sim.Pipeline, stall sim.Time)
 }
 
 // pushFrames wraps frame images in configuration packets and streams
-// them through the port, returning the port cycles consumed.
+// them through the port, returning the port cycles consumed. A write that
+// faults leaves its cycles in the port; the next push's Reset drops them.
 func (c *Controller) pushFrames(frames []int, images [][]byte) (uint64, error) {
-	stream, err := bitstream.Assemble(c.cfg.Geometry, c.fab.IDCode(), frames, images)
+	stream, err := bitstream.AppendAssemble(c.stream[:0], c.cfg.Geometry, c.fab.IDCode(), frames, images)
 	if err != nil {
 		return 0, err
 	}
+	c.stream = stream
 	port := c.fab.Port()
 	port.Reset()
 	if _, err := port.Write(stream); err != nil {

@@ -12,7 +12,6 @@ package mcu
 import (
 	"fmt"
 
-	"agilefpga/internal/bitstream"
 	"agilefpga/internal/compress"
 	"agilefpga/internal/memory"
 	"agilefpga/internal/metrics"
@@ -67,16 +66,11 @@ func (c *Controller) Scrub() (ScrubReport, error) {
 		if len(dirtyFrames) == 0 {
 			continue
 		}
-		stream, err := bitstream.Assemble(c.cfg.Geometry, c.fab.IDCode(), dirtyFrames, dirtyImages)
+		portCycles, err := c.pushFrames(dirtyFrames, dirtyImages)
 		if err != nil {
-			return rep, err
-		}
-		port := c.fab.Port()
-		port.Reset()
-		if _, err := port.Write(stream); err != nil {
 			return rep, fmt.Errorf("mcu: scrub repair: %w", err)
 		}
-		br.Add(sim.PhaseConfigure, c.cfgDom.Advance(port.TakeCycles()))
+		br.Add(sim.PhaseConfigure, c.cfgDom.Advance(portCycles))
 		rep.FramesRepaired += len(dirtyFrames)
 		c.stats.SEURepairs += uint64(len(dirtyFrames))
 		c.emit(trace.KindConfigure, fn, len(dirtyFrames), 0, "scrub-repair")
