@@ -161,11 +161,7 @@ func inspectROM(path string) {
 		path, rom.Capacity(), rom.NumRecords(), rom.FreeBytes())
 	fmt.Printf("%-12s %5s %7s %8s %8s %7s %6s %6s\n",
 		"name", "fn", "codec", "start", "comp B", "raw B", "frames", "serial")
-	recs, err := rom.Records()
-	if err != nil {
-		log.Fatal(err)
-	}
-	for _, rec := range recs {
+	for _, rec := range rom.Records() {
 		codecName, cerr := compress.NameOf(rec.CodecID)
 		if cerr != nil {
 			codecName = "?"

@@ -60,17 +60,25 @@ func BenchmarkColdLoad(b *testing.B) {
 }
 
 // TestColdLoadAllocs pins a cold CallID beside TestHotCallAllocs: a load
-// moves its frames as bursts through buffers the card keeps, so what is
-// left to allocate is the residency bookkeeping, not a 5-byte CRC scratch
-// per configuration word (3 345 allocations before the burst path).
+// moves its frames as bursts through buffers the card keeps, and the
+// record lookup reads a table decoded once, so what is left to allocate
+// is the residency bookkeeping — not a 5-byte CRC scratch per
+// configuration word (3 345 allocations before the burst path) nor a
+// name string per record scanned. Under -race the pooled frame CRC
+// scratch loses a random share of its Puts, so the gate there stays at
+// the looser bound it had before the record table was decoded once.
 func TestColdLoadAllocs(t *testing.T) {
+	limit := 40.0
+	if raceEnabled {
+		limit = 130
+	}
 	cp, ids, in := coldCard(t, 0)
 	i := 0
 	allocs := testing.AllocsPerRun(len(ids), func() {
 		coldCall(t, cp, ids[i%len(ids)], in)
 		i++
 	})
-	if allocs > 130 {
-		t.Errorf("cold CallID allocates %.0f times, want at most 130", allocs)
+	if allocs > limit {
+		t.Errorf("cold CallID allocates %.0f times, want at most %.0f", allocs, limit)
 	}
 }

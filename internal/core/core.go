@@ -164,11 +164,7 @@ func New(cfg Config) (*CoProcessor, error) {
 	// serial counter resumes above the highest burned serial so later
 	// installs stay distinguishable.
 	if cfg.ROMImage != nil {
-		recs, err := ctrl.ROM().Records()
-		if err != nil {
-			return nil, err
-		}
-		for _, rec := range recs {
+		for _, rec := range ctrl.ROM().Records() {
 			for _, f := range algos.Bank() {
 				if f.ID() == rec.FnID {
 					cp.installed[rec.FnID] = f

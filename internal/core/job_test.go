@@ -4,29 +4,60 @@ import (
 	"testing"
 
 	"agilefpga/internal/algos"
+	"agilefpga/internal/mcu"
+	"agilefpga/internal/memory"
+	"agilefpga/internal/sim"
 )
 
 // TestHotCallAllocs pins the degenerate job — one stage, one item, the
 // function resident — at the allocation count the dedicated single-call
 // body had before the lanes merged (what BenchmarkHotCall reports): the
 // general runner must not pay for a pipeline, a heap stage list or
-// per-batch result slices it has no use for.
+// per-batch result slices it has no use for. Nor may the count depend on
+// the function's ROM slot: the record lookup is charged as a scan of the
+// table, but the host reads the record from an index.
 func TestHotCallAllocs(t *testing.T) {
-	cp := newCP(t, Config{})
-	if _, err := cp.Install(algos.AES128()); err != nil {
-		t.Fatal(err)
-	}
-	in := make([]byte, 4096)
-	if _, err := cp.CallID(algos.IDAES128, in); err != nil { // warm
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := cp.CallID(algos.IDAES128, in); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 12 {
-		t.Errorf("warm CallID allocates %.0f times, want at most 12", allocs)
+	for _, tc := range []struct {
+		name string
+		only *algos.Function // installed alone; nil installs the whole bank
+		fn   uint16          // called warm
+		slot int             // fn's ROM slot
+	}{
+		{"aes128 alone", algos.AES128(), algos.IDAES128, 0},
+		{"modexp128 in the bank", nil, algos.IDModExp128, 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cp := newCP(t, Config{})
+			var err error
+			if tc.only != nil {
+				_, err = cp.Install(tc.only)
+			} else {
+				_, err = cp.InstallBank()
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := make([]byte, 4096)
+			if _, err := cp.CallID(tc.fn, in); err != nil { // warm
+				t.Fatal(err)
+			}
+			res, err := cp.CallID(tc.fn, in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			scan := sim.NewDomain("mcu", mcu.MCUHz).Span(memory.ReadCycles((tc.slot + 1) * memory.RecordBytes))
+			if got := res.Breakdown.Get(sim.PhaseROM); got != scan {
+				t.Errorf("warm call's ROM phase = %v, want the %d-record scan's %v", got, tc.slot+1, scan)
+			}
+			allocs := testing.AllocsPerRun(20, func() {
+				if _, err := cp.CallID(tc.fn, in); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 12 {
+				t.Errorf("warm CallID allocates %.0f times, want at most 12", allocs)
+			}
+		})
 	}
 }
 

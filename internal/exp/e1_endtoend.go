@@ -36,7 +36,7 @@ func RunE1() (*E1Result, error) {
 		},
 	}
 	for _, f := range algos.Bank() {
-		rec, err := cp.Controller().ROM().FindByID(f.ID())
+		rec, _, err := cp.Controller().ROM().FindByID(f.ID())
 		if err != nil {
 			return nil, err
 		}

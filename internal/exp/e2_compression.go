@@ -44,7 +44,7 @@ func RunE2() (*E2Result, error) {
 		}
 		var rawB, compB int
 		for _, f := range algos.Bank() {
-			rec, err := cp.Controller().ROM().FindByID(f.ID())
+			rec, _, err := cp.Controller().ROM().FindByID(f.ID())
 			if err != nil {
 				return nil, err
 			}

@@ -46,7 +46,7 @@ func RunE9() (*E9Result, error) {
 		if _, err := cp.Call(f.Name(), in); err != nil {
 			return 0, 0, err
 		}
-		rec, err := cp.Controller().ROM().FindByID(f.ID())
+		rec, _, err := cp.Controller().ROM().FindByID(f.ID())
 		if err != nil {
 			return 0, 0, err
 		}

@@ -1,6 +1,10 @@
 package fpga
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"agilefpga/internal/crc16"
+)
 
 // LUT is one 4-input look-up table: a 16-bit truth table.
 type LUT struct {
@@ -94,22 +98,6 @@ type Signature struct {
 	Serial uint16 // bitstream build serial, for staleness checks
 }
 
-// crc16 is CRC-16/CCITT-FALSE, used for the in-fabric frame signature.
-func crc16(p []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range p {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
-			if crc&0x8000 != 0 {
-				crc = crc<<1 ^ 0x1021
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	return crc
-}
-
 // EncodeSignature writes sig into the first SigBytes of a frame image.
 func EncodeSignature(frame []byte, sig Signature) {
 	_ = frame[SigBytes-1]
@@ -118,7 +106,7 @@ func EncodeSignature(frame []byte, sig Signature) {
 	binary.LittleEndian.PutUint16(frame[sigOffIndex:], sig.Index)
 	binary.LittleEndian.PutUint16(frame[sigOffTotal:], sig.Total)
 	binary.LittleEndian.PutUint16(frame[sigOffSerial:], sig.Serial)
-	binary.LittleEndian.PutUint16(frame[sigOffCRC:], crc16(frame[:sigOffCRC]))
+	binary.LittleEndian.PutUint16(frame[sigOffCRC:], crc16.Checksum(frame[:sigOffCRC]))
 }
 
 // DecodeSignature reads the frame signature. ok is false for an empty or
@@ -130,7 +118,7 @@ func DecodeSignature(frame []byte) (sig Signature, ok bool) {
 	if binary.LittleEndian.Uint16(frame[sigOffMagic:]) != sigMagic {
 		return Signature{}, false
 	}
-	if binary.LittleEndian.Uint16(frame[sigOffCRC:]) != crc16(frame[:sigOffCRC]) {
+	if binary.LittleEndian.Uint16(frame[sigOffCRC:]) != crc16.Checksum(frame[:sigOffCRC]) {
 		return Signature{}, false
 	}
 	sig.FnID = binary.LittleEndian.Uint16(frame[sigOffFnID:])

@@ -663,19 +663,16 @@ func (c *Controller) runStage(rec memory.Record, res *resident, input []byte, in
 	return out, len(padded), nil
 }
 
-// findRecord scans the record table like the mini OS would, reporting how
-// many records were touched.
+// findRecord is the mini OS's record lookup, reporting how many records
+// its scan of the table touches: every slot up to the target's, or the
+// whole table for an unknown id. The scan is charged, not executed: the
+// host answers from the ROM's id index.
 func (c *Controller) findRecord(fnID uint16) (memory.Record, int, error) {
-	for i := 0; i < c.rom.NumRecords(); i++ {
-		rec, err := c.rom.Record(i)
-		if err != nil {
-			return memory.Record{}, i + 1, err
-		}
-		if rec.FnID == fnID {
-			return rec, i + 1, nil
-		}
+	rec, slot, err := c.rom.FindByID(fnID)
+	if err != nil {
+		return rec, c.rom.NumRecords(), fmt.Errorf("%w (function %d)", memory.ErrNoRecord, fnID)
 	}
-	return memory.Record{}, c.rom.NumRecords(), fmt.Errorf("%w (function %d)", memory.ErrNoRecord, fnID)
+	return rec, slot + 1, nil
 }
 
 // padTo zero-pads p to a multiple of unit (§2.3: every transfer is a

@@ -225,6 +225,34 @@ func TestUnknownFunction(t *testing.T) {
 	}
 }
 
+// TestFindRecordMatchesScan: the mini OS lookup answers from the ROM's id
+// index, but reports — and so charges — what its modelled scan of the
+// table touches: every slot up to the target's, the whole table for an
+// unknown id. The oracle is that scan, the loop findRecord used to run
+// over Record(i). Record(i) reads the same decoded table the index does;
+// that it equals the decode of slot i's bytes is checked in
+// internal/memory (TestRecordIndexMatchesScan).
+func TestFindRecordMatchesScan(t *testing.T) {
+	c := newController(t, defaultCfg())
+	bank := algos.Bank()
+	for i := len(bank) - 1; i >= 0; i -= 2 { // ids out of slot order, with gaps
+		install(t, c, bank[i], "rle")
+	}
+	for id := uint16(0); id <= uint16(len(bank))+2; id++ {
+		want, scanned, found := memory.Record{}, c.rom.NumRecords(), false
+		for i := 0; i < c.rom.NumRecords(); i++ {
+			if rec, _ := c.rom.Record(i); rec.FnID == id {
+				want, scanned, found = rec, i+1, true
+				break
+			}
+		}
+		rec, n, err := c.findRecord(id)
+		if (err == nil) != found || rec != want || n != scanned {
+			t.Errorf("findRecord(%d) = %+v, %d, %v; scan found %+v after %d records", id, rec, n, err, want, scanned)
+		}
+	}
+}
+
 func TestFunctionTooLarge(t *testing.T) {
 	// A 4-frame device cannot host AES (9 frames at 32 rows).
 	c := newController(t, Config{Geometry: fpga.Geometry{Rows: 32, Cols: 4}, AllowScatter: true})

@@ -258,7 +258,7 @@ func (c *Controller) Defrag() (moved int, cost sim.Time, err error) {
 		delete(c.kernel.stale, fn)
 	}
 	for _, e := range order {
-		rec, ferr := c.rom.FindByID(e.fn)
+		rec, _, ferr := c.rom.FindByID(e.fn)
 		if ferr != nil {
 			return moved, br.Total(), ferr
 		}

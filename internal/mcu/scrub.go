@@ -36,7 +36,7 @@ func (c *Controller) Scrub() (ScrubReport, error) {
 	var rep ScrubReport
 	var br sim.Breakdown
 	for fn, res := range c.kernel.table {
-		rec, err := c.rom.FindByID(fn)
+		rec, _, err := c.rom.FindByID(fn)
 		if err != nil {
 			return rep, fmt.Errorf("mcu: scrub: resident fn %d has no ROM record: %w", fn, err)
 		}

@@ -32,7 +32,7 @@ func (r *ROM) Image() []byte {
 	binary.LittleEndian.PutUint32(out[8:], uint32(len(r.data)))
 	binary.LittleEndian.PutUint32(out[12:], uint32(r.blobTop))
 	binary.LittleEndian.PutUint32(out[16:], uint32(r.recBot))
-	binary.LittleEndian.PutUint32(out[20:], uint32(r.count))
+	binary.LittleEndian.PutUint32(out[20:], uint32(len(r.recs)))
 	copy(out[romHeaderBytes:], r.data)
 	return out
 }
@@ -66,12 +66,13 @@ func LoadROM(image []byte) (*ROM, error) {
 		data:    append([]byte(nil), image[romHeaderBytes:]...),
 		blobTop: blobTop,
 		recBot:  recBot,
-		count:   count,
+		recs:    make([]Record, 0, count),
+		slot:    make(map[uint16]int, count),
 	}
-	// Validate every record: CRC, blob bounds, unique ids.
-	seen := make(map[uint16]bool, count)
+	// Validate every record — CRC, blob bounds, unique ids — as it joins
+	// the decoded table.
 	for i := 0; i < count; i++ {
-		rec, err := rom.Record(i)
+		rec, err := decodeRecord(rom.data[capacity-(i+1)*RecordBytes:])
 		if err != nil {
 			return nil, fmt.Errorf("%w: record %d: %v", ErrBadImage, i, err)
 		}
@@ -79,10 +80,10 @@ func LoadROM(image []byte) (*ROM, error) {
 			return nil, fmt.Errorf("%w: record %d blob [%d, %d) beyond blob region %d",
 				ErrBadImage, i, rec.Start, rec.Start+rec.CompSize, blobTop)
 		}
-		if seen[rec.FnID] {
+		if _, dup := rom.slot[rec.FnID]; dup {
 			return nil, fmt.Errorf("%w: duplicate function id %d", ErrBadImage, rec.FnID)
 		}
-		seen[rec.FnID] = true
+		rom.add(rec)
 	}
 	return rom, nil
 }

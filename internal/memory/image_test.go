@@ -57,7 +57,7 @@ func TestROMImageRoundTrip(t *testing.T) {
 
 func mustRec(t *testing.T, r *ROM, fn uint16) Record {
 	t.Helper()
-	rec, err := r.FindByID(fn)
+	rec, _, err := r.FindByID(fn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,11 +71,11 @@ func TestROMTwoEndedLayout(t *testing.T) {
 	if err := rom.Install(Record{Name: "b", FnID: 2}, blobB); err != nil {
 		t.Fatal(err)
 	}
-	recA, err := rom.FindByID(1)
+	recA, _, err := rom.FindByID(1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	recB, err := rom.FindByID(2)
+	recB, _, err := rom.FindByID(2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestROMDuplicateID(t *testing.T) {
 
 func TestROMLookupFailures(t *testing.T) {
 	rom, _ := NewROM(4096)
-	if _, err := rom.FindByID(9); !errors.Is(err, ErrNoRecord) {
+	if _, _, err := rom.FindByID(9); !errors.Is(err, ErrNoRecord) {
 		t.Errorf("FindByID on empty: %v", err)
 	}
 	if _, err := rom.FindByName("nope"); !errors.Is(err, ErrNoRecord) {
@@ -159,9 +159,8 @@ func TestROMFindByName(t *testing.T) {
 	if err != nil || rec.FnID != 2 {
 		t.Errorf("FindByName(des) = %+v, %v", rec, err)
 	}
-	recs, err := rom.Records()
-	if err != nil || len(recs) != 2 || recs[0].Name != "sha256" {
-		t.Errorf("Records() = %+v, %v", recs, err)
+	if recs := rom.Records(); len(recs) != 2 || recs[0].Name != "sha256" {
+		t.Errorf("Records() = %+v", recs)
 	}
 }
 
@@ -278,7 +277,7 @@ func TestROMManyRecordsProperty(t *testing.T) {
 			}
 		}
 		for i := 0; i < k; i++ {
-			rec, err := rom.FindByID(uint16(i))
+			rec, _, err := rom.FindByID(uint16(i))
 			if err != nil {
 				return false
 			}

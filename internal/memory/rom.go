@@ -15,6 +15,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+
+	"agilefpga/internal/crc16"
 )
 
 // Record is one function entry in the ROM record table: where the
@@ -58,7 +60,7 @@ func (r *Record) encode(dst []byte) error {
 	binary.LittleEndian.PutUint16(dst[34:], r.OutBus)
 	binary.LittleEndian.PutUint16(dst[36:], r.FrameCount)
 	binary.LittleEndian.PutUint16(dst[38:], r.Serial)
-	binary.LittleEndian.PutUint16(dst[46:], recCRC(dst[:46]))
+	binary.LittleEndian.PutUint16(dst[46:], crc16.Checksum(dst[:46]))
 	return nil
 }
 
@@ -67,7 +69,7 @@ func decodeRecord(src []byte) (Record, error) {
 	if len(src) < RecordBytes {
 		return Record{}, errors.New("memory: short record")
 	}
-	if binary.LittleEndian.Uint16(src[46:]) != recCRC(src[:46]) {
+	if binary.LittleEndian.Uint16(src[46:]) != crc16.Checksum(src[:46]) {
 		return Record{}, errors.New("memory: record CRC mismatch")
 	}
 	name := src[:recNameBytes]
@@ -89,22 +91,6 @@ func decodeRecord(src []byte) (Record, error) {
 	}, nil
 }
 
-// recCRC is CRC-16/CCITT over the record body.
-func recCRC(p []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range p {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
-			if crc&0x8000 != 0 {
-				crc = crc<<1 ^ 0x1021
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	return crc
-}
-
 // ROM errors.
 var (
 	ErrROMFull   = errors.New("memory: ROM full (bitstream and record regions collided)")
@@ -122,7 +108,14 @@ type ROM struct {
 	data    []byte
 	blobTop int // first free byte above the bitstream region (grows up)
 	recBot  int // lowest byte of the record table (grows down)
-	count   int // number of records
+
+	// recs is the record table decoded, in slot order (installation
+	// order), and slot indexes it by function id. The record bytes are
+	// written only by Install and LoadROM, and both decode — so
+	// CRC-check — what they hold, so lookups read these and never the
+	// bytes.
+	recs []Record
+	slot map[uint16]int
 }
 
 // NewROM returns a ROM of the given capacity.
@@ -130,7 +123,7 @@ func NewROM(capacity int) (*ROM, error) {
 	if capacity < RecordBytes {
 		return nil, fmt.Errorf("memory: ROM capacity %d below one record", capacity)
 	}
-	return &ROM{data: make([]byte, capacity), recBot: capacity}, nil
+	return &ROM{data: make([]byte, capacity), recBot: capacity, slot: make(map[uint16]int)}, nil
 }
 
 // Capacity reports the ROM size in bytes.
@@ -140,7 +133,7 @@ func (r *ROM) Capacity() int { return len(r.data) }
 func (r *ROM) FreeBytes() int { return r.recBot - r.blobTop }
 
 // NumRecords reports how many function records the table holds.
-func (r *ROM) NumRecords() int { return r.count }
+func (r *ROM) NumRecords() int { return len(r.recs) }
 
 // Install appends a compressed bitstream to the blob region and its
 // record to the table. The Start field of rec is filled in by the ROM.
@@ -150,7 +143,7 @@ func (r *ROM) Install(rec Record, blob []byte) error {
 	if rec.CompSize != 0 && int(rec.CompSize) != len(blob) {
 		return fmt.Errorf("memory: record CompSize %d != blob %d", rec.CompSize, len(blob))
 	}
-	if _, err := r.FindByID(rec.FnID); err == nil {
+	if _, dup := r.slot[rec.FnID]; dup {
 		return fmt.Errorf("%w: %d (%s)", ErrDupFnID, rec.FnID, rec.Name)
 	}
 	need := len(blob) + RecordBytes
@@ -159,60 +152,56 @@ func (r *ROM) Install(rec Record, blob []byte) error {
 	}
 	rec.Start = uint32(r.blobTop)
 	rec.CompSize = uint32(len(blob))
-	slot := r.recBot - RecordBytes
-	if err := rec.encode(r.data[slot:]); err != nil {
+	off := r.recBot - RecordBytes
+	if err := rec.encode(r.data[off:]); err != nil {
+		return err
+	}
+	// The table holds what the bytes say, not what was asked for: a name
+	// with a NUL in it reads back cut short there.
+	stored, err := decodeRecord(r.data[off:])
+	if err != nil {
 		return err
 	}
 	copy(r.data[r.blobTop:], blob)
 	r.blobTop += len(blob)
-	r.recBot = slot
-	r.count++
+	r.recBot = off
+	r.add(stored)
 	return nil
+}
+
+// add appends a decoded record to the table and the id index.
+func (r *ROM) add(rec Record) {
+	r.slot[rec.FnID] = len(r.recs)
+	r.recs = append(r.recs, rec)
 }
 
 // Record returns the i-th record (installation order).
 func (r *ROM) Record(i int) (Record, error) {
-	if i < 0 || i >= r.count {
-		return Record{}, fmt.Errorf("%w: index %d of %d", ErrNoRecord, i, r.count)
+	if i < 0 || i >= len(r.recs) {
+		return Record{}, fmt.Errorf("%w: index %d of %d", ErrNoRecord, i, len(r.recs))
 	}
-	slot := len(r.data) - (i+1)*RecordBytes
-	return decodeRecord(r.data[slot:])
+	return r.recs[i], nil
 }
 
 // Records returns all records in installation order.
-func (r *ROM) Records() ([]Record, error) {
-	out := make([]Record, 0, r.count)
-	for i := 0; i < r.count; i++ {
-		rec, err := r.Record(i)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, rec)
-	}
-	return out, nil
+func (r *ROM) Records() []Record {
+	return append([]Record(nil), r.recs...)
 }
 
-// FindByID locates the record of function fnID.
-func (r *ROM) FindByID(fnID uint16) (Record, error) {
-	for i := 0; i < r.count; i++ {
-		rec, err := r.Record(i)
-		if err != nil {
-			return Record{}, err
-		}
-		if rec.FnID == fnID {
-			return rec, nil
-		}
+// FindByID locates the record of function fnID and its slot, the number
+// of records installed before it: a scan of the table from the first
+// record touches slot+1 records to find it.
+func (r *ROM) FindByID(fnID uint16) (Record, int, error) {
+	slot, ok := r.slot[fnID]
+	if !ok {
+		return Record{}, 0, fmt.Errorf("%w: id %d", ErrNoRecord, fnID)
 	}
-	return Record{}, fmt.Errorf("%w: id %d", ErrNoRecord, fnID)
+	return r.recs[slot], slot, nil
 }
 
 // FindByName locates the record of the named function.
 func (r *ROM) FindByName(name string) (Record, error) {
-	for i := 0; i < r.count; i++ {
-		rec, err := r.Record(i)
-		if err != nil {
-			return Record{}, err
-		}
+	for _, rec := range r.recs {
 		if rec.Name == name {
 			return rec, nil
 		}

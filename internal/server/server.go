@@ -466,13 +466,15 @@ func (s *Server) observeTraced(id uint64, fn uint16, st wire.Status, card int16,
 				ObserveExemplar(sim.Time(elapsed.Nanoseconds())*sim.Nanosecond, traceID)
 		}
 	}
-	s.opts.Trace.Record(trace.Event{
-		Kind:   trace.KindSpan,
-		Fn:     fn,
-		Card:   int(card),
-		Detail: fmt.Sprintf("rpc req=%d status=%s", id, st),
-		DurPS:  uint64(elapsed.Nanoseconds()) * 1000,
-	})
+	if s.opts.Trace != nil {
+		s.opts.Trace.Record(trace.Event{
+			Kind:   trace.KindSpan,
+			Fn:     fn,
+			Card:   int(card),
+			Detail: fmt.Sprintf("rpc req=%d status=%s", id, st),
+			DurPS:  uint64(elapsed.Nanoseconds()) * 1000,
+		})
+	}
 }
 
 // Shutdown gracefully drains the server: the listener closes, new

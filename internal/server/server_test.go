@@ -451,6 +451,19 @@ func TestBadFrameClosesConnection(t *testing.T) {
 	})
 }
 
+// TestObserveWithoutSinksAllocatesNothing: with no metrics registry and
+// no trace log attached, recording a finished request builds nothing —
+// in particular not the trace event's formatted detail string.
+func TestObserveWithoutSinksAllocatesNothing(t *testing.T) {
+	s := New(nil, Options{})
+	allocs := testing.AllocsPerRun(100, func() {
+		s.observe(42, algos.IDSHA256, wire.StatusOK, 1, time.Millisecond)
+	})
+	if allocs != 0 {
+		t.Errorf("observe without sinks allocates %.0f times, want 0", allocs)
+	}
+}
+
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
