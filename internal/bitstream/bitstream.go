@@ -23,8 +23,10 @@ import (
 // port consumes, tracking the running CRC exactly as the configuration
 // port will compute it.
 type Builder struct {
-	buf []byte
-	crc uint32
+	buf     []byte
+	crc     uint32
+	scratch []byte         // CRCUpdateBurst scratch, kept across writes
+	shift   *fpga.CRCShift // folds one frame's FDRI key, built on first use
 }
 
 // NewBuilder returns a builder primed with a dummy pad word and the sync
@@ -40,6 +42,12 @@ func (b *Builder) prime() {
 	b.Raw(fpga.SyncWord)
 }
 
+// Reset empties the builder, keeping its buffers.
+func (b *Builder) Reset() {
+	b.buf = b.buf[:0]
+	b.crc = 0
+}
+
 // Raw appends a word without packet framing or CRC accounting.
 func (b *Builder) Raw(w uint32) { b.buf = binary.BigEndian.AppendUint32(b.buf, w) }
 
@@ -51,21 +59,30 @@ func (b *Builder) WriteReg(reg int, vals ...uint32) {
 		b.Raw(v)
 	}
 	if reg != fpga.RegCRC {
-		b.crc = fpga.CRCUpdateBurst(b.crc, reg, b.buf[start:])
+		b.crc = fpga.CRCUpdateBurst(b.crc, reg, b.buf[start:], &b.scratch)
 	}
 }
 
 // WriteFrame appends one FDRI packet carrying a frame image, zero-padding
 // the final word if the frame size is not word-aligned.
 func (b *Builder) WriteFrame(g fpga.Geometry, image []byte) error {
+	start := len(b.buf) + 4
+	if err := b.frame(g, image); err != nil {
+		return err
+	}
+	b.crc = fpga.CRCUpdateBurst(b.crc, fpga.RegFDRI, b.buf[start:], &b.scratch)
+	return nil
+}
+
+// frame appends an FDRI packet without CRC accounting: the header word,
+// the image, and the zero pad of the final word.
+func (b *Builder) frame(g fpga.Geometry, image []byte) error {
 	if len(image) != g.FrameBytes() {
 		return fmt.Errorf("bitstream: frame image is %d bytes, geometry wants %d", len(image), g.FrameBytes())
 	}
 	b.Raw(fpga.MakeType1(fpga.OpWrite, fpga.RegFDRI, g.FrameWords()))
-	start := len(b.buf)
 	b.buf = append(b.buf, image...)
 	b.buf = append(b.buf, make([]byte, 4*g.FrameWords()-len(image))...)
-	b.crc = fpga.CRCUpdateBurst(b.crc, fpga.RegFDRI, b.buf[start:])
 	return nil
 }
 
@@ -101,12 +118,15 @@ const maxFDRIWords = 0x7FF
 // demands: CRC reset, IDCODE check, frame-length check, WCFG, one
 // FAR+FDRI pair per frame, LFRM, a CRC check, and DESYNC.
 func Assemble(g fpga.Geometry, idcode uint32, frames []int, images [][]byte) ([]byte, error) {
-	return AppendAssemble(nil, g, idcode, frames, images)
+	return new(Builder).AppendAssemble(g, idcode, frames, images, nil)
 }
 
-// AppendAssemble is Assemble appending to dst, for callers that keep a
-// stream buffer across loads.
-func AppendAssemble(dst []byte, g fpga.Geometry, idcode uint32, frames []int, images [][]byte) ([]byte, error) {
+// AppendAssemble appends the session Assemble builds to the builder and
+// returns the builder's bytes; callers that keep a Builder across loads
+// Reset it first. keys, when non-nil, holds each image's FrameKey, and
+// each frame is folded into the running CRC in O(1) instead of summed
+// over its bytes. The stream is byte-identical either way.
+func (b *Builder) AppendAssemble(g fpga.Geometry, idcode uint32, frames []int, images [][]byte, keys []uint32) ([]byte, error) {
 	if len(frames) != len(images) {
 		return nil, fmt.Errorf("bitstream: %d frames but %d images", len(frames), len(images))
 	}
@@ -116,8 +136,16 @@ func AppendAssemble(dst []byte, g fpga.Geometry, idcode uint32, frames []int, im
 	if g.FrameWords() > maxFDRIWords {
 		return nil, fmt.Errorf("bitstream: frame of %d words exceeds the %d-word FDRI packet limit", g.FrameWords(), maxFDRIWords)
 	}
+	if keys != nil {
+		if len(keys) != len(frames) {
+			return nil, fmt.Errorf("bitstream: %d frame keys for %d frames", len(keys), len(frames))
+		}
+		if b.shift == nil || b.shift.Words() != g.FrameWords() {
+			b.shift = fpga.NewCRCShift(g.FrameWords())
+		}
+	}
 	// 16 words of handshake around 3 words of headers and FAR per frame.
-	b := Builder{buf: slices.Grow(dst, 4*(16+len(frames)*(3+g.FrameWords())))}
+	b.buf = slices.Grow(b.buf, 4*(16+len(frames)*(3+g.FrameWords())))
 	b.prime()
 	b.Command(fpga.CmdRCRC)
 	b.WriteReg(fpga.RegIDCODE, idcode)
@@ -128,14 +156,31 @@ func AppendAssemble(dst []byte, g fpga.Geometry, idcode uint32, frames []int, im
 			return nil, fmt.Errorf("bitstream: frame %d out of range (device has %d)", fi, g.NumFrames())
 		}
 		b.WriteReg(fpga.RegFAR, uint32(fi))
-		if err := b.WriteFrame(g, images[i]); err != nil {
+		if keys == nil {
+			if err := b.WriteFrame(g, images[i]); err != nil {
+				return nil, err
+			}
+			continue
+		}
+		if err := b.frame(g, images[i]); err != nil {
 			return nil, err
 		}
+		b.crc = b.shift.Fold(b.crc, keys[i])
 	}
 	b.Command(fpga.CmdLFRM)
 	b.WriteCRC()
 	b.Command(fpga.CmdDESYNC)
 	return b.buf, nil
+}
+
+// FrameKey returns the key AppendAssemble folds for a frame image:
+// fpga.CRCBurstKey of its FDRI payload, the image zero-padded to whole
+// words. scratch is the caller's CRC scratch.
+func FrameKey(image []byte, scratch *[]byte) uint32 {
+	if len(image)%4 != 0 {
+		image = append(image[:len(image):len(image)], make([]byte, 4-len(image)%4)...)
+	}
+	return fpga.CRCBurstKey(fpga.RegFDRI, image, scratch)
 }
 
 // AssembleDiff builds a difference-based partial bitstream: frames whose

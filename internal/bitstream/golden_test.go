@@ -1,6 +1,7 @@
 package bitstream
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -38,4 +39,42 @@ func TestAssembleGolden(t *testing.T) {
 		}
 	}
 	testutil.GoldenJSON(t, "testdata/assemble_golden.json", got)
+}
+
+// TestKeyedAssembleMatchesSummed: folding each frame's precomputed key
+// gives the stream summing its bytes gives, on both golden geometries,
+// through one Builder reused across loads and geometries.
+func TestKeyedAssembleMatchesSummed(t *testing.T) {
+	for _, g := range []fpga.Geometry{{Rows: 32, Cols: 40}, {Rows: 30, Cols: 48}} {
+		var b Builder
+		var scratch []byte
+		for _, f := range algos.Bank() {
+			images, err := Synthesize(g, Netlist{FnID: f.ID(), Serial: 1, LUTs: f.LUTs, Seed: f.Seed()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			frames := make([]int, len(images))
+			keys := make([]uint32, len(images))
+			for i := range frames {
+				frames[i] = (7*i + 3) % g.NumFrames()
+				keys[i] = FrameKey(images[i], &scratch)
+			}
+			want, err := Assemble(g, fpga.DefaultIDCode, frames, images)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Reset()
+			got, err := b.AppendAssemble(g, fpga.DefaultIDCode, frames, images, keys)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want) {
+				t.Errorf("%dx%d/%s: keyed stream differs from the summed one", g.Rows, g.Cols, f.Name())
+			}
+		}
+		images := [][]byte{make([]byte, g.FrameBytes())}
+		if _, err := b.AppendAssemble(g, fpga.DefaultIDCode, []int{0}, images, []uint32{1, 2}); err == nil {
+			t.Errorf("%dx%d: two keys for one frame accepted", g.Rows, g.Cols)
+		}
+	}
 }

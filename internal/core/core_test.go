@@ -8,7 +8,9 @@ import (
 	"testing"
 
 	"agilefpga/internal/algos"
+	"agilefpga/internal/compress"
 	"agilefpga/internal/fpga"
+	"agilefpga/internal/memory"
 	"agilefpga/internal/pci"
 	"agilefpga/internal/sim"
 	"agilefpga/internal/workload"
@@ -282,6 +284,21 @@ func TestBootFromROMImage(t *testing.T) {
 	}
 	if _, err := New(Config{ROMImage: []byte("garbage")}); err == nil {
 		t.Error("garbage ROM image accepted")
+	}
+	// A well-formed image whose blob does not decode to its record's
+	// frames is refused at boot, as Download refuses the blob itself.
+	rom, err := memory.NewROM(4096)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := algos.CRC32()
+	rec := memory.Record{Name: f.Name(), FnID: f.ID(), CodecID: compress.IDNone,
+		InBus: f.InBus, OutBus: f.OutBus, FrameCount: 1, Serial: 1}
+	if err := rom.Install(rec, []byte("not a frame")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{ROMImage: rom.Image()}); err == nil {
+		t.Error("ROM image with an undecodable blob accepted")
 	}
 }
 

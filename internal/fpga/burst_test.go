@@ -28,14 +28,39 @@ func TestCRCUpdateBurstMatchesWordByWord(t *testing.T) {
 			b := append([]byte{byte(reg)}, payload[4*i:4*i+4]...)
 			want = crc32.Update(want, crc32.IEEETable, b)
 		}
-		if got := CRCUpdateBurst(seed, reg, payload); got != want {
+		var scratch []byte
+		if got := CRCUpdateBurst(seed, reg, payload, &scratch); got != want {
 			t.Errorf("%d words: burst CRC %08x, word by word %08x", words, got, want)
 		}
 		// A trailing partial word is not the burst's to fold.
-		if got := CRCUpdateBurst(seed, reg, append(payload, 1, 2, 3)); got != want {
+		if got := CRCUpdateBurst(seed, reg, append(payload, 1, 2, 3), &scratch); got != want {
 			t.Errorf("%d words + 3 bytes: burst CRC %08x, want %08x", words, got, want)
 		}
 	}
+}
+
+// FuzzCRCCombine: a write's key folded by the shift operator for its
+// length gives what summing the write's bytes gives, for any running CRC,
+// register and length — the identity the keyed assembler rests on.
+func FuzzCRCCombine(f *testing.F) {
+	f.Add(uint64(1), uint32(0), 2, uint16(210)) // one 840-byte frame
+	f.Add(uint64(2), uint32(0xFFFFFFFF), 1, uint16(1))
+	f.Add(uint64(3), uint32(0xDEADBEEF), 9, uint16(0))
+	f.Add(uint64(4), uint32(7), 0, uint16(0x7FF))
+	f.Fuzz(func(t *testing.T, seed uint64, crc uint32, reg int, words uint16) {
+		words %= 0x800 // the 11-bit packet word count
+		rng := sim.NewRNG(seed)
+		payload := make([]byte, 4*int(words))
+		for i := range payload {
+			payload[i] = byte(rng.Uint64())
+		}
+		var scratch []byte
+		want := CRCUpdateBurst(crc, reg, payload, &scratch)
+		s := NewCRCShift(int(words))
+		if got := s.Fold(crc, CRCBurstKey(reg, payload, &scratch)); got != want {
+			t.Fatalf("%d words, reg %d, crc %08x: folded key %08x, summed %08x", words, reg, crc, got, want)
+		}
+	})
 }
 
 // sessionStream is a complete partial-reconfiguration session loading

@@ -174,8 +174,9 @@ func testFabric(t *testing.T) *Fabric {
 
 // wordStream assembles bitstream words and tracks the port CRC.
 type wordStream struct {
-	words []uint32
-	crc   uint32
+	words   []uint32
+	crc     uint32
+	scratch []byte
 }
 
 func (s *wordStream) raw(w uint32) { s.words = append(s.words, w) }
@@ -184,7 +185,7 @@ func (s *wordStream) reg(reg int, vals ...uint32) {
 	s.raw(MakeType1(OpWrite, reg, len(vals)))
 	for _, v := range vals {
 		if reg != RegCRC {
-			s.crc = CRCUpdateBurst(s.crc, reg, binary.BigEndian.AppendUint32(nil, v))
+			s.crc = CRCUpdateBurst(s.crc, reg, binary.BigEndian.AppendUint32(nil, v), &s.scratch)
 		}
 		s.raw(v)
 	}

@@ -4,8 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"sync"
 )
 
 // Bitstream wire format. Words travel big-endian through the byte-wide
@@ -106,7 +104,8 @@ type ConfigPort struct {
 	frame     []byte // staging for a frame that arrives in pieces
 
 	crc     uint32
-	touched []int // frames written since last RCRC, for corruption marking
+	crcBuf  []byte // CRCUpdateBurst scratch, kept across writes
+	touched []int  // frames written since last RCRC, for corruption marking
 
 	fault  error
 	cycles uint64
@@ -262,7 +261,7 @@ func (p *ConfigPort) dataWord(w uint32) error {
 		p.state = stHeader
 	}
 	if p.dataReg != RegCRC {
-		p.crc = CRCUpdateBurst(p.crc, p.dataReg, p.wordBuf[:])
+		p.crc = CRCUpdateBurst(p.crc, p.dataReg, p.wordBuf[:], &p.crcBuf)
 	}
 	switch p.dataReg {
 	case RegCRC:
@@ -337,7 +336,7 @@ func (p *ConfigPort) frameData(payload []byte) error {
 	if p.dataLeft == 0 {
 		p.state = stHeader
 	}
-	p.crc = CRCUpdateBurst(p.crc, RegFDRI, payload)
+	p.crc = CRCUpdateBurst(p.crc, RegFDRI, payload, &p.crcBuf)
 	if !p.wcfg {
 		return ErrNoWCFG
 	}
@@ -371,31 +370,4 @@ func (p *ConfigPort) frameData(payload []byte) error {
 		p.frameOff = 0
 	}
 	return nil
-}
-
-// crcScratch pools the reg‖word buffers of CRCUpdateBurst: hash/crc32
-// dispatches through a function value, so a buffer on the caller's stack
-// would escape to the heap on every call.
-var crcScratch = sync.Pool{New: func() any { return new([]byte) }}
-
-// CRCUpdateBurst folds a register write into the running CRC, for the port
-// and for bitstream assemblers alike. payload is the write's big-endian
-// words (a trailing partial word is ignored). The exact polynomial matters
-// less than that port and assembler agree; both use IEEE CRC-32 over, for
-// each word, the register id byte followed by the word's four bytes — here
-// interleaved into one scratch buffer and summed in a single pass.
-func CRCUpdateBurst(crc uint32, reg int, payload []byte) uint32 {
-	words := len(payload) / 4
-	sp := crcScratch.Get().(*[]byte)
-	if cap(*sp) < 5*words {
-		*sp = make([]byte, 5*words)
-	}
-	buf := (*sp)[:5*words]
-	for dst := buf; len(dst) >= 5 && len(payload) >= 4; dst, payload = dst[5:], payload[4:] {
-		dst[0] = byte(reg)
-		copy(dst[1:5], payload[:4])
-	}
-	crc = crc32.Update(crc, crc32.IEEETable, buf)
-	crcScratch.Put(sp)
-	return crc
 }

@@ -12,6 +12,12 @@ package mcu
 // Entries are keyed by (function id, record serial). The host driver
 // bumps the serial on every install, so a re-installed (re-synthesised)
 // function can never revive a stale image.
+//
+// The cache is modelled, not stored: the images a hit reads back are the
+// record's load plan, so the cache keeps only what decides hits and
+// costs — keys, byte accounting and LRU order.
+
+import "container/list"
 
 // dcKey identifies a cached configuration: function id in the high
 // half, record serial in the low half.
@@ -19,62 +25,50 @@ type dcKey uint32
 
 func makeDCKey(fnID, serial uint16) dcKey { return dcKey(fnID)<<16 | dcKey(serial) }
 
-// dcEntry is one cached configuration: the decoded frame images of one
-// (function, serial) pair, on an intrusive LRU list.
+// dcEntry is one cached configuration: the decoded bytes of one
+// (function, serial) pair.
 type dcEntry struct {
-	key        dcKey
-	frames     [][]byte
-	bytes      int
-	prev, next *dcEntry
+	key   dcKey
+	bytes int
 }
 
-// decodeCache is a byte-bounded LRU of decoded frame images. Not safe
+// decodeCache is a byte-bounded LRU of decoded configurations. Not safe
 // for concurrent use; the owning Controller serialises access.
 type decodeCache struct {
 	capBytes int
 	bytes    int
-	entries  map[dcKey]*dcEntry
-	// head is most recently used, tail least.
-	head, tail *dcEntry
+	lru      *list.List // of dcEntry, most recently used first
+	entries  map[dcKey]*list.Element
 }
 
 // newDecodeCache returns a cache bounded to capBytes of decoded frames.
 func newDecodeCache(capBytes int) *decodeCache {
-	return &decodeCache{capBytes: capBytes, entries: make(map[dcKey]*dcEntry)}
+	return &decodeCache{capBytes: capBytes, lru: list.New(), entries: make(map[dcKey]*list.Element)}
 }
 
-// get returns the cached frame images for key, refreshing recency.
-// Callers must treat the returned slices as read-only.
-func (d *decodeCache) get(key dcKey) ([][]byte, bool) {
+// get reports whether key is cached, refreshing its recency.
+func (d *decodeCache) get(key dcKey) bool {
 	e, ok := d.entries[key]
-	if !ok {
-		return nil, false
+	if ok {
+		d.lru.MoveToFront(e)
 	}
-	d.unlink(e)
-	d.pushFront(e)
-	return e.frames, true
+	return ok
 }
 
-// put caches the frame images for key, evicting least-recently-used
-// entries until the byte bound holds. An image set larger than the whole
-// cache is not stored.
-func (d *decodeCache) put(key dcKey, frames [][]byte) {
+// put caches n decoded bytes under key, evicting least-recently-used
+// entries until the byte bound holds. A configuration larger than the
+// whole cache is not stored.
+func (d *decodeCache) put(key dcKey, n int) {
 	if old, ok := d.entries[key]; ok {
 		d.remove(old)
-	}
-	n := 0
-	for _, f := range frames {
-		n += len(f)
 	}
 	if n > d.capBytes {
 		return
 	}
-	for d.bytes+n > d.capBytes && d.tail != nil {
-		d.remove(d.tail)
+	for d.bytes+n > d.capBytes {
+		d.remove(d.lru.Back())
 	}
-	e := &dcEntry{key: key, frames: frames, bytes: n}
-	d.entries[key] = e
-	d.pushFront(e)
+	d.entries[key] = d.lru.PushFront(dcEntry{key: key, bytes: n})
 	d.bytes += n
 }
 
@@ -84,33 +78,8 @@ func (d *decodeCache) Len() int { return len(d.entries) }
 // Bytes reports the decoded bytes currently held.
 func (d *decodeCache) Bytes() int { return d.bytes }
 
-func (d *decodeCache) remove(e *dcEntry) {
-	d.unlink(e)
-	delete(d.entries, e.key)
-	d.bytes -= e.bytes
-}
-
-func (d *decodeCache) unlink(e *dcEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if d.head == e {
-		d.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if d.tail == e {
-		d.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (d *decodeCache) pushFront(e *dcEntry) {
-	e.next = d.head
-	if d.head != nil {
-		d.head.prev = e
-	}
-	d.head = e
-	if d.tail == nil {
-		d.tail = e
-	}
+func (d *decodeCache) remove(e *list.Element) {
+	ent := d.lru.Remove(e).(dcEntry)
+	delete(d.entries, ent.key)
+	d.bytes -= ent.bytes
 }

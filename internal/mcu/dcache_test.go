@@ -182,47 +182,40 @@ func TestDecodeCacheEvictsAtByteBound(t *testing.T) {
 // TestDecodeCacheLRUOrder exercises the raw LRU structure: recency
 // refresh on get, eviction order, byte accounting, over-bound rejects.
 func TestDecodeCacheLRUOrder(t *testing.T) {
-	mk := func(n int) [][]byte { return [][]byte{make([]byte, n)} }
 	d := newDecodeCache(100)
-	d.put(makeDCKey(1, 1), mk(40))
-	d.put(makeDCKey(2, 1), mk(40))
+	d.put(makeDCKey(1, 1), 40)
+	d.put(makeDCKey(2, 1), 40)
 	if d.Len() != 2 || d.Bytes() != 80 {
 		t.Fatalf("len=%d bytes=%d", d.Len(), d.Bytes())
 	}
 	// Refresh key 1; inserting 40 more must evict key 2, not key 1.
-	if _, ok := d.get(makeDCKey(1, 1)); !ok {
+	if !d.get(makeDCKey(1, 1)) {
 		t.Fatal("key 1 missing")
 	}
-	d.put(makeDCKey(3, 1), mk(40))
-	if _, ok := d.get(makeDCKey(2, 1)); ok {
+	d.put(makeDCKey(3, 1), 40)
+	if d.get(makeDCKey(2, 1)) {
 		t.Error("LRU kept the stale entry")
 	}
-	if _, ok := d.get(makeDCKey(1, 1)); !ok {
+	if !d.get(makeDCKey(1, 1)) {
 		t.Error("LRU evicted the freshly used entry")
 	}
 	if d.Bytes() > 100 {
 		t.Errorf("bytes=%d over bound", d.Bytes())
 	}
 	// An entry larger than the whole cache is rejected outright.
-	d.put(makeDCKey(4, 1), mk(101))
-	if _, ok := d.get(makeDCKey(4, 1)); ok {
+	d.put(makeDCKey(4, 1), 101)
+	if d.get(makeDCKey(4, 1)) {
 		t.Error("over-bound entry cached")
 	}
 	// Replacing a key frees its old bytes.
-	d.put(makeDCKey(1, 1), mk(10))
-	want := 0
-	for _, k := range []dcKey{makeDCKey(1, 1), makeDCKey(3, 1)} {
-		if fr, ok := d.get(k); ok {
-			want += len(fr[0])
-		}
-	}
-	if d.Bytes() != want {
-		t.Errorf("bytes=%d, want %d", d.Bytes(), want)
+	d.put(makeDCKey(1, 1), 10)
+	if d.Len() != 2 || d.Bytes() != 10+40 {
+		t.Errorf("len=%d bytes=%d after replacing key 1, want 2/50", d.Len(), d.Bytes())
 	}
 	// Distinct serials of one function are distinct entries.
-	d.put(makeDCKey(5, 1), mk(10))
-	d.put(makeDCKey(5, 2), mk(10))
-	if _, ok := d.get(makeDCKey(5, 1)); !ok {
+	d.put(makeDCKey(5, 1), 10)
+	d.put(makeDCKey(5, 2), 10)
+	if !d.get(makeDCKey(5, 1)) {
 		t.Error("serial 1 clobbered by serial 2")
 	}
 }
@@ -232,7 +225,7 @@ func TestDecodeCacheLRUOrder(t *testing.T) {
 func TestDecodeCacheManySerials(t *testing.T) {
 	d := newDecodeCache(256)
 	for i := 0; i < 1000; i++ {
-		d.put(makeDCKey(uint16(i%7), uint16(i)), [][]byte{make([]byte, 64)})
+		d.put(makeDCKey(uint16(i%7), uint16(i)), 64)
 		if d.Bytes() > 256 {
 			t.Fatalf("iteration %d: bytes=%d over bound", i, d.Bytes())
 		}
@@ -246,7 +239,7 @@ func TestDecodeCacheManySerials(t *testing.T) {
 	// Everything still reachable must be the most recent four.
 	found := 0
 	for i := 996; i < 1000; i++ {
-		if _, ok := d.get(makeDCKey(uint16(i%7), uint16(i))); ok {
+		if d.get(makeDCKey(uint16(i%7), uint16(i))) {
 			found++
 		}
 	}

@@ -15,6 +15,7 @@ import (
 	"errors"
 	"fmt"
 
+	"agilefpga/internal/bitstream"
 	"agilefpga/internal/fpga"
 	"agilefpga/internal/memory"
 	"agilefpga/internal/metrics"
@@ -39,7 +40,9 @@ type Config struct {
 	ROMBytes int
 	RAMBytes int
 	// ROMImage, when non-nil, boots the card from a pre-burned ROM image
-	// (see memory.LoadROM); ROMBytes is then ignored.
+	// (see memory.LoadROM); ROMBytes is then ignored. Every record is
+	// decoded once at boot, and a blob that does not decode to its
+	// record's frames fails New.
 	ROMImage []byte
 	// WindowBytes is the configuration module's decompression window
 	// (paper §2.3: "window by window").
@@ -121,17 +124,14 @@ type Controller struct {
 
 	stats Stats
 
-	// dcache, when non-nil, caches decoded frame images by record serial.
+	// dcache, when non-nil, models the decoded-frame cache in card RAM.
 	dcache *decodeCache
 
-	// Configuration-module buffers, kept across loads: the decompression
-	// window, the decoded bytes and their per-frame views, the per-window
-	// marks of the pipeline model, and the assembled port stream.
-	window []byte
-	raw    []byte
-	images [][]byte
-	wins   []winMark
-	stream []byte
+	// plans holds every ROM record decoded once, by function id (the ROM
+	// refuses a second record for an id).
+	plans map[uint16]*loadPlan
+	// asm assembles the port stream, keeping its buffers across loads.
+	asm bitstream.Builder
 
 	// traceLog, when set, receives structured events (nil = disabled).
 	traceLog *trace.Log
@@ -294,10 +294,6 @@ type kernel struct {
 	hidden []uint16
 }
 
-// winMark is one decompression window of a load: the cumulative output
-// and the cumulative ROM bytes the decoder had pulled when it closed.
-type winMark struct{ out, consumed int }
-
 // staleEntry records a lazily evicted function's frames so a returning
 // load can prove them untouched and skip reconfiguration.
 type staleEntry struct {
@@ -410,7 +406,17 @@ func New(cfg Config, reg *fpga.Registry) (*Controller, error) {
 		fabDom:  sim.NewDomain("fabric", FabricHz),
 		metrics: cfg.Metrics,
 		fnNames: make(map[uint16]string),
-		window:  make([]byte, cfg.WindowBytes),
+		plans:   make(map[uint16]*loadPlan),
+	}
+	// A booted ROM's records enter the card here: decode each once.
+	for _, rec := range rom.Records() {
+		blob, err := rom.Blob(rec)
+		if err != nil {
+			return nil, err
+		}
+		if c.plans[rec.FnID], err = c.newPlan(rec, blob); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.DecodeCacheBytes > 0 {
 		c.dcache = newDecodeCache(cfg.DecodeCacheBytes)
@@ -480,11 +486,17 @@ func (c *Controller) DecodeCacheSize() (entries, bytes int) {
 
 // Download stores a compressed function bitstream and its record into ROM
 // (the host pushes these over PCI at provisioning time, paper §2.2). It
-// returns the on-card time consumed.
+// returns the on-card time consumed. A blob that does not decode to the
+// record's frames is rejected here, leaving the ROM unchanged.
 func (c *Controller) Download(rec memory.Record, blob []byte) (sim.Time, error) {
+	plan, err := c.newPlan(rec, blob)
+	if err != nil {
+		return 0, err
+	}
 	if err := c.rom.Install(rec, blob); err != nil {
 		return 0, err
 	}
+	c.plans[rec.FnID] = plan
 	// ROM programming: model write cost like read cost plus a flat
 	// programming overhead per install.
 	cycles := memory.ReadCycles(len(blob)+memory.RecordBytes) + 64

@@ -256,16 +256,74 @@ func TestFindRecordMatchesScan(t *testing.T) {
 func TestFunctionTooLarge(t *testing.T) {
 	// A 4-frame device cannot host AES (9 frames at 32 rows).
 	c := newController(t, Config{Geometry: fpga.Geometry{Rows: 32, Cols: 4}, AllowScatter: true})
-	// Bypass install's synthesize (it would fail) and write the record by
-	// hand with an impossible frame count.
+	// Bypass install's synthesize (it would fail) and download a
+	// well-formed, uncompressed 9-frame bitstream by hand.
+	g := c.Fabric().Geometry()
 	rec := memory.Record{Name: "huge", FnID: algos.IDAES128, CodecID: compress.IDNone,
 		InBus: 16, OutBus: 16, FrameCount: 9, Serial: 1}
-	if _, err := c.Download(rec, []byte{0}); err != nil {
+	if _, err := c.Download(rec, make([]byte, 9*g.FrameBytes())); err != nil {
 		t.Fatal(err)
 	}
 	_, _, err := c.Execute(algos.IDAES128, []byte{1})
 	if !errors.Is(err, ErrTooLarge) {
 		t.Errorf("err = %v, want ErrTooLarge", err)
+	}
+}
+
+// TestCorruptBlobRecovers: a blob that does not decode to its record's
+// frames is rejected at Download, before it reaches the ROM — a card
+// holding one good function keeps its ROM, free list and invariants, and
+// the good function keeps running.
+func TestCorruptBlobRecovers(t *testing.T) {
+	c := newController(t, defaultCfg())
+	good, f := algos.CRC32(), algos.GFMul()
+	install(t, c, good, "rle")
+	in := []byte{1, 2, 3, 4}
+	if _, _, err := c.Execute(good.ID(), in); err != nil {
+		t.Fatal(err)
+	}
+	rle, _ := compress.New("rle", 0)
+	rleID, _ := compress.IDOf("rle")
+	oneFrame, _ := rle.Compress(make([]byte, c.Fabric().Geometry().FrameBytes()))
+	twoFrames, _ := rle.Compress(make([]byte, 2*c.Fabric().Geometry().FrameBytes()))
+	garbage, _ := rle.Compress([]byte("this is not a bitstream"))
+	for _, bc := range []struct {
+		name   string
+		codec  byte
+		frames uint16
+		blob   []byte
+	}{
+		{"does not decode", rleID, 1, []byte{0x05, 'x'}}, // a 6-byte literal cut short
+		{"not frame-aligned", rleID, 1, garbage},
+		{"fewer frames than the record", rleID, 2, oneFrame},
+		{"more frames than the record", rleID, 1, twoFrames},
+		{"unknown codec", 0xEE, 1, oneFrame},
+	} {
+		image, free := c.ROM().Image(), c.FreeFrames()
+		rec := memory.Record{Name: f.Name(), FnID: f.ID(), CodecID: bc.codec,
+			InBus: f.InBus, OutBus: f.OutBus, FrameCount: bc.frames, Serial: 1}
+		if _, err := c.Download(rec, bc.blob); err == nil {
+			t.Fatalf("%s: corrupt blob downloaded", bc.name)
+		}
+		if !bytes.Equal(c.ROM().Image(), image) {
+			t.Errorf("%s: rejected download changed the ROM", bc.name)
+		}
+		if c.FreeFrames() != free {
+			t.Errorf("%s: rejected download moved the free list", bc.name)
+		}
+		if err := c.CheckInvariants(); err != nil {
+			t.Errorf("%s: %v", bc.name, err)
+		}
+		if _, _, err := c.Execute(f.ID(), in); !errors.Is(err, memory.ErrNoRecord) {
+			t.Errorf("%s: calling the rejected function: err = %v, want ErrNoRecord", bc.name, err)
+		}
+	}
+	out, _, err := c.Execute(good.ID(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := good.Exec(in); !bytes.Equal(out, want) {
+		t.Error("the good function's output changed")
 	}
 }
 
@@ -276,32 +334,6 @@ func TestInputExceedsRAMWindow(t *testing.T) {
 	_, _, err := c.Execute(f.ID(), make([]byte, 3000)) // window is 2048
 	if !errors.Is(err, ErrRAMWindow) {
 		t.Errorf("err = %v, want ErrRAMWindow", err)
-	}
-	if err := c.CheckInvariants(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCorruptBlobRecovers(t *testing.T) {
-	c := newController(t, defaultCfg())
-	f := algos.GFMul()
-	// Install a blob that is valid RLE but decompresses to garbage that
-	// is not frame-aligned.
-	codecID, _ := compress.IDOf("rle")
-	codec, _ := compress.New("rle", 0)
-	blob, _ := codec.Compress([]byte("this is not a bitstream"))
-	rec := memory.Record{Name: f.Name(), FnID: f.ID(), CodecID: codecID,
-		InBus: f.InBus, OutBus: f.OutBus, FrameCount: 1, Serial: 1}
-	if _, err := c.Download(rec, blob); err != nil {
-		t.Fatal(err)
-	}
-	free := c.FreeFrames()
-	_, _, err := c.Execute(f.ID(), []byte{1, 2})
-	if err == nil {
-		t.Fatal("corrupt blob executed")
-	}
-	if c.FreeFrames() != free {
-		t.Error("failed load leaked frames")
 	}
 	if err := c.CheckInvariants(); err != nil {
 		t.Error(err)

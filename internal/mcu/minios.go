@@ -1,13 +1,9 @@
 package mcu
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"sort"
 
-	"agilefpga/internal/bitstream"
-	"agilefpga/internal/compress"
 	"agilefpga/internal/memory"
 	"agilefpga/internal/metrics"
 	"agilefpga/internal/sim"
@@ -280,139 +276,80 @@ func (c *Controller) Defrag() (moved int, cost sim.Time, err error) {
 // The ROM stores position-independent frame images (compressed), so the
 // same blob can be relocated to whatever frames the placer found — the
 // relocation trick that makes run-time placement possible at all.
+//
+// The ROM read and the decompression are charged from the record's load
+// plan, which holds what they produce: the images and the window marks.
+// The port write is executed — its cycles depend on the placement.
 func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdown) error {
-	// Decoded-frame cache fast path: the images for this exact record
-	// serial were decoded before and still sit in the cache, so the ROM
-	// read and the window-by-window decompression vanish. The frames are
-	// read back from RAM (PhaseCache) and pushed through the port as
-	// usual — the fabric contents are byte-identical to a full decode.
-	if c.dcache != nil {
-		if images, ok := c.dcache.get(makeDCKey(rec.FnID, rec.Serial)); ok && len(images) == len(frames) {
-			raw := len(images) * c.cfg.Geometry.FrameBytes()
-			portCycles, err := c.pushFrames(frames, images)
-			if err != nil {
-				return err
-			}
-			if c.cfg.SequentialConfig {
-				br.Add(sim.PhaseCache, c.mcuDom.Advance(memory.ReadCycles(raw)))
-				br.Add(sim.PhaseConfigure, c.cfgDom.Advance(portCycles))
-			} else {
-				// Two-stage pipeline: while the port clocks in frame N, the
-				// next image is read back from RAM. Cumulative-delta costing
-				// keeps the per-frame cycles summing exactly to the totals.
-				pipe := sim.NewPipeline(sim.PhaseCache, sim.PhaseConfigure)
-				fb := c.cfg.Geometry.FrameBytes()
-				var prevRAM, prevPort uint64
-				for i := 1; i <= len(images); i++ {
-					ramCum := memory.ReadCycles(i * fb)
-					portCum := portCycles * uint64(i) / uint64(len(images))
-					if i == len(images) {
-						ramCum = memory.ReadCycles(raw)
-						portCum = portCycles
-					}
-					pipe.Feed(c.mcuDom.Span(ramCum-prevRAM), c.cfgDom.Span(portCum-prevPort))
-					prevRAM, prevPort = ramCum, portCum
-				}
-				c.mcuDom.Advance(memory.ReadCycles(raw))
-				c.cfgDom.Advance(portCycles)
-				stall := pipe.Attribute(br)
-				c.notePipeline(rec.FnID, pipe, stall)
-			}
-			br.Add(sim.PhaseOverhead, c.mcuDom.Advance(uint64(4+2*len(frames))))
-			c.stats.DecompCacheHits++
-			c.stats.DecompCacheBytes += uint64(raw)
-			c.stats.FramesLoaded += uint64(len(frames))
-			c.stats.RawConfigBytes += uint64(raw)
-			c.emit(trace.KindConfigure, rec.FnID, len(frames), raw, "decode-cache")
-			if c.metrics != nil {
-				c.metrics.Counter("agile_decode_cache_hits_total",
-					metrics.L("fn", c.fnLabel(rec.FnID))).Inc()
-			}
-			return nil
+	p := c.plans[rec.FnID]
+	if p == nil {
+		return fmt.Errorf("mcu: %q has no load plan", rec.Name)
+	}
+	// Decoded-frame cache: the images for this exact record serial were
+	// decoded before and still sit in card RAM, so the ROM read and the
+	// window-by-window decompression vanish. The frames are read back from
+	// RAM (PhaseCache) and pushed through the port as usual — the fabric
+	// contents are byte-identical to a full decode.
+	key := makeDCKey(rec.FnID, rec.Serial)
+	cached := c.dcache != nil && c.dcache.get(key)
+	if !cached {
+		c.stats.CompConfigBytes += uint64(rec.CompSize)
+		if c.dcache != nil {
+			c.dcache.put(key, p.rawBytes)
 		}
 	}
-
-	blob, err := c.rom.Blob(rec)
+	portCycles, err := c.pushFrames(frames, p.images, p.keys)
 	if err != nil {
 		return err
 	}
-	c.stats.CompConfigBytes += uint64(len(blob))
+	raw := p.rawBytes
 
-	codec, err := compress.ByID(rec.CodecID, c.cfg.Geometry.FrameBytes())
-	if err != nil {
-		return err
-	}
-	reader, err := codec.NewReader(blob)
-	if err != nil {
-		return err
-	}
-	consumer, _ := reader.(compress.InputReporter)
-
-	// Window-by-window decompression into per-frame images, recording per
-	// window the cumulative output and the cumulative ROM bytes the
-	// decoder pulled to produce it (the pipeline's ROM-stage costing). The
-	// images land in the controller's own buffers unless the decode cache
-	// is about to retain them.
-	frameBytes := c.cfg.Geometry.FrameBytes()
-	raw, images, wins := c.raw[:0], c.images[:0], c.wins[:0]
-	if c.dcache != nil {
-		raw, images = make([]byte, 0, len(frames)*frameBytes), make([][]byte, 0, len(frames))
-	}
-	for {
-		n, rerr := reader.Read(c.window)
-		if n > 0 {
-			raw = append(raw, c.window[:n]...)
-			consumed := len(blob)
-			if consumer != nil {
-				if consumed = consumer.InputConsumed(); consumed > len(blob) {
-					consumed = len(blob)
-				}
-			}
-			wins = append(wins, winMark{out: len(raw), consumed: consumed})
-		}
-		if rerr != nil {
-			if errors.Is(rerr, io.EOF) {
-				break
-			}
-			return fmt.Errorf("mcu: decompressing %q: %w", rec.Name, rerr)
+	overhead, detail := uint64(len(p.wins))*8, p.codec
+	if cached {
+		overhead, detail = uint64(4+2*len(frames)), "decode-cache"
+		c.stats.DecompCacheHits++
+		c.stats.DecompCacheBytes += uint64(raw)
+		if c.metrics != nil {
+			c.metrics.Counter("agile_decode_cache_hits_total",
+				metrics.L("fn", c.fnLabel(rec.FnID))).Inc()
 		}
 	}
-	rawTotal := len(raw)
-	if rawTotal%frameBytes != 0 {
-		return fmt.Errorf("mcu: bitstream of %q is not frame-aligned (%d trailing bytes)", rec.Name, rawTotal%frameBytes)
-	}
-	if rawTotal/frameBytes != len(frames) {
-		return fmt.Errorf("mcu: bitstream of %q holds %d frames, record says %d", rec.Name, rawTotal/frameBytes, len(frames))
-	}
-	for off := 0; off < rawTotal; off += frameBytes {
-		images = append(images, raw[off:off+frameBytes])
-	}
-	c.wins = wins
-	if c.dcache != nil {
-		c.dcache.put(makeDCKey(rec.FnID, rec.Serial), images)
-	} else {
-		c.raw, c.images = raw, images
-	}
-
-	portCycles, err := c.pushFrames(frames, images)
-	if err != nil {
-		return err
-	}
-
 	// Timing of the configuration module. Stage totals first: the ROM
-	// delivers the whole blob, the decompressor expands every output
-	// byte, the port clocks in every frame packet.
-	windows := len(wins)
-	romCycles := memory.ReadCycles(len(blob))
-	decompCycles := uint64(float64(rawTotal)*codec.CyclesPerByte()) + 1
-
-	if c.cfg.SequentialConfig {
+	// delivers the whole blob (or RAM every cached image), the
+	// decompressor expands every output byte, the port clocks in every
+	// frame packet.
+	switch {
+	case cached && c.cfg.SequentialConfig:
+		br.Add(sim.PhaseCache, c.mcuDom.Advance(memory.ReadCycles(raw)))
+		br.Add(sim.PhaseConfigure, c.cfgDom.Advance(portCycles))
+	case cached:
+		// Two-stage pipeline: while the port clocks in frame N, the next
+		// image is read back from RAM. Cumulative-delta costing keeps the
+		// per-frame cycles summing exactly to the totals.
+		pipe := sim.NewPipeline(sim.PhaseCache, sim.PhaseConfigure)
+		fb := c.cfg.Geometry.FrameBytes()
+		var prevRAM, prevPort uint64
+		for i := 1; i <= len(frames); i++ {
+			ramCum := memory.ReadCycles(i * fb)
+			portCum := portCycles * uint64(i) / uint64(len(frames))
+			if i == len(frames) {
+				ramCum = memory.ReadCycles(raw)
+				portCum = portCycles
+			}
+			pipe.Feed(c.mcuDom.Span(ramCum-prevRAM), c.cfgDom.Span(portCum-prevPort))
+			prevRAM, prevPort = ramCum, portCum
+		}
+		c.mcuDom.Advance(memory.ReadCycles(raw))
+		c.cfgDom.Advance(portCycles)
+		stall := pipe.Attribute(br)
+		c.notePipeline(rec.FnID, pipe, stall)
+	case c.cfg.SequentialConfig:
 		// Additive model: the three stages run back to back, window
 		// overlap disabled — the E18 baseline.
-		br.Add(sim.PhaseROM, c.mcuDom.Advance(romCycles))
-		br.Add(sim.PhaseDecompress, c.cfgDom.Advance(decompCycles))
+		br.Add(sim.PhaseROM, c.mcuDom.Advance(p.romCycles))
+		br.Add(sim.PhaseDecompress, c.cfgDom.Advance(p.decompCycles))
 		br.Add(sim.PhaseConfigure, c.cfgDom.Advance(portCycles))
-	} else {
+	default:
 		// Pipelined model (DESIGN §12): while the port clocks in window
 		// N, the decompressor produces N+1 and the ROM streams N+2. Each
 		// window's stage costs come from cumulative-delta splits of the
@@ -424,28 +361,28 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 		// PhasePipeStall.
 		pipe := sim.NewPipeline(sim.PhaseROM, sim.PhaseDecompress, sim.PhaseConfigure)
 		var prevRom, prevDec, prevPort uint64
-		for i, w := range wins {
+		for i, w := range p.wins {
 			romCum := memory.ReadCycles(w.consumed)
-			decCum := uint64(float64(w.out) * codec.CyclesPerByte())
-			portCum := portCycles * uint64(w.out) / uint64(rawTotal)
-			if i == len(wins)-1 {
+			decCum := uint64(float64(w.out) * p.cyclesPerByte)
+			portCum := portCycles * uint64(w.out) / uint64(raw)
+			if i == len(p.wins)-1 {
 				// The last window closes the books: whatever the decoder
 				// under-reported (bit reservoirs, buffered runs) lands here.
-				romCum, decCum, portCum = romCycles, decompCycles, portCycles
+				romCum, decCum, portCum = p.romCycles, p.decompCycles, portCycles
 			}
 			pipe.Feed(c.mcuDom.Span(romCum-prevRom), c.cfgDom.Span(decCum-prevDec), c.cfgDom.Span(portCum-prevPort))
 			prevRom, prevDec, prevPort = romCum, decCum, portCum
 		}
-		c.mcuDom.Advance(romCycles)
-		c.cfgDom.Advance(decompCycles + portCycles)
+		c.mcuDom.Advance(p.romCycles)
+		c.cfgDom.Advance(p.decompCycles + portCycles)
 		stall := pipe.Attribute(br)
 		c.notePipeline(rec.FnID, pipe, stall)
 	}
-	br.Add(sim.PhaseOverhead, c.mcuDom.Advance(uint64(windows)*8))
+	br.Add(sim.PhaseOverhead, c.mcuDom.Advance(overhead))
 
 	c.stats.FramesLoaded += uint64(len(frames))
-	c.stats.RawConfigBytes += uint64(rawTotal)
-	c.emit(trace.KindConfigure, rec.FnID, len(frames), rawTotal, codec.Name())
+	c.stats.RawConfigBytes += uint64(raw)
+	c.emit(trace.KindConfigure, rec.FnID, len(frames), raw, detail)
 	return nil
 }
 
@@ -470,14 +407,15 @@ func (c *Controller) notePipeline(fn uint16, pipe *sim.Pipeline, stall sim.Time)
 }
 
 // pushFrames wraps frame images in configuration packets and streams
-// them through the port, returning the port cycles consumed. A write that
-// faults leaves its cycles in the port; the next push's Reset drops them.
-func (c *Controller) pushFrames(frames []int, images [][]byte) (uint64, error) {
-	stream, err := bitstream.AppendAssemble(c.stream[:0], c.cfg.Geometry, c.fab.IDCode(), frames, images)
+// them through the port, returning the port cycles consumed. keys are the
+// images' CRC keys from their load plan. A write that faults leaves its
+// cycles in the port; the next push's Reset drops them.
+func (c *Controller) pushFrames(frames []int, images [][]byte, keys []uint32) (uint64, error) {
+	c.asm.Reset()
+	stream, err := c.asm.AppendAssemble(c.cfg.Geometry, c.fab.IDCode(), frames, images, keys)
 	if err != nil {
 		return 0, err
 	}
-	c.stream = stream
 	port := c.fab.Port()
 	port.Reset()
 	if _, err := port.Write(stream); err != nil {

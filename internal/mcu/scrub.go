@@ -10,10 +10,9 @@ package mcu
 // resident footprint and why E14 sweeps the scrub interval.
 
 import (
+	"bytes"
 	"fmt"
 
-	"agilefpga/internal/compress"
-	"agilefpga/internal/memory"
 	"agilefpga/internal/metrics"
 	"agilefpga/internal/sim"
 	"agilefpga/internal/trace"
@@ -36,20 +35,10 @@ func (c *Controller) Scrub() (ScrubReport, error) {
 	var rep ScrubReport
 	var br sim.Breakdown
 	for fn, res := range c.kernel.table {
-		rec, _, err := c.rom.FindByID(fn)
-		if err != nil {
-			return rep, fmt.Errorf("mcu: scrub: resident fn %d has no ROM record: %w", fn, err)
-		}
-		golden, err := c.goldenImages(rec, &br)
-		if err != nil {
-			return rep, err
-		}
-		if len(golden) != len(res.frames) {
-			return rep, fmt.Errorf("mcu: scrub: fn %d golden image holds %d frames, resident set %d",
-				fn, len(golden), len(res.frames))
-		}
+		golden := c.goldenImages(fn, &br)
 		var dirtyFrames []int
 		var dirtyImages [][]byte
+		var dirtyKeys []uint32
 		for i, fi := range res.frames {
 			cur, err := c.fab.ReadFrame(fi)
 			if err != nil {
@@ -58,15 +47,16 @@ func (c *Controller) Scrub() (ScrubReport, error) {
 			// Readback: one byte per configuration-clock cycle.
 			br.Add(sim.PhaseConfigure, c.cfgDom.Advance(uint64(len(cur))))
 			rep.FramesChecked++
-			if !framesEqual(cur, golden[i]) {
+			if !bytes.Equal(cur, golden.images[i]) {
 				dirtyFrames = append(dirtyFrames, fi)
-				dirtyImages = append(dirtyImages, golden[i])
+				dirtyImages = append(dirtyImages, golden.images[i])
+				dirtyKeys = append(dirtyKeys, golden.keys[i])
 			}
 		}
 		if len(dirtyFrames) == 0 {
 			continue
 		}
-		portCycles, err := c.pushFrames(dirtyFrames, dirtyImages)
+		portCycles, err := c.pushFrames(dirtyFrames, dirtyImages, dirtyKeys)
 		if err != nil {
 			return rep, fmt.Errorf("mcu: scrub repair: %w", err)
 		}
@@ -95,44 +85,14 @@ func (c *Controller) Scrub() (ScrubReport, error) {
 	return rep, nil
 }
 
-// goldenImages reconstructs a function's frame images from its ROM blob
-// (the scrubber's reference copy), charging ROM and decompression cost.
-func (c *Controller) goldenImages(rec memory.Record, br *sim.Breakdown) ([][]byte, error) {
-	blob, err := c.rom.Blob(rec)
-	if err != nil {
-		return nil, err
-	}
-	br.Add(sim.PhaseROM, c.mcuDom.Advance(uint64((len(blob)+1)/2)))
-	codec, err := compress.ByID(rec.CodecID, c.cfg.Geometry.FrameBytes())
-	if err != nil {
-		return nil, err
-	}
-	raw, err := codec.Decompress(blob)
-	if err != nil {
-		return nil, err
-	}
-	br.Add(sim.PhaseDecompress, c.cfgDom.Advance(uint64(float64(len(raw))*codec.CyclesPerByte())))
-	fb := c.cfg.Geometry.FrameBytes()
-	if len(raw)%fb != 0 {
-		return nil, fmt.Errorf("mcu: scrub: golden image of %q not frame-aligned", rec.Name)
-	}
-	images := make([][]byte, 0, len(raw)/fb)
-	for off := 0; off < len(raw); off += fb {
-		images = append(images, raw[off:off+fb])
-	}
-	return images, nil
-}
-
-func framesEqual(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+// goldenImages returns a function's load plan, whose images are the
+// scrubber's reference copy, charging the ROM read and the decompression
+// the card spends reconstructing them.
+func (c *Controller) goldenImages(fn uint16, br *sim.Breakdown) *loadPlan {
+	p := c.plans[fn]
+	br.Add(sim.PhaseROM, c.mcuDom.Advance(p.romCycles))
+	br.Add(sim.PhaseDecompress, c.cfgDom.Advance(uint64(float64(p.rawBytes)*p.cyclesPerByte)))
+	return p
 }
 
 // FramesOf reports the frames a resident function occupies (nil if not

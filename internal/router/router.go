@@ -626,9 +626,11 @@ func (r *Router) handleConn(c net.Conn) {
 // so Shutdown's drain wait cannot race a late admission.
 func (r *Router) handleRequest(req *wire.AnyRequest, fr wire.Frame, write func(*wire.Response), finish func()) {
 	id, fn := req.ID(), req.Fn()
+	// A request's id is retired before its response is written: a client
+	// may reuse the id the moment it reads the response.
 	refuse := func(st wire.Status, msg string) {
-		write(&wire.Response{ID: id, Status: st, Card: -1, Payload: []byte(msg)})
 		finish()
+		write(&wire.Response{ID: id, Status: st, Card: -1, Payload: []byte(msg)})
 		fr.Release()
 	}
 	r.mu.Lock()
@@ -682,8 +684,8 @@ func (r *Router) handleRequest(req *wire.AnyRequest, fr wire.Frame, write func(*
 		start := time.Now() //lint:wallclock hop accounting is wall time; the router is outside the simulation
 		out, card, backendNS, err := r.route(ctx, fn, stages, payloadIn, ref)
 		st, payload := responseFor(out, err)
-		write(&wire.Response{ID: id, Status: st, Card: int16(card), Payload: payload})
 		finish()
+		write(&wire.Response{ID: id, Status: st, Card: int16(card), Payload: payload})
 		fr.Release()
 		r.observeRoute(start, backendNS, err, ref.TraceID)
 		r.opts.Tracer.End(ref, routeStatus(err))

@@ -456,3 +456,65 @@ func TestRouterDeadlineShortCircuit(t *testing.T) {
 		t.Fatalf("cancelled call reached a backend %d times", n)
 	}
 }
+
+// lingerConn holds every Write open for a while after its bytes are on
+// the wire, stretching the moment between a response reaching the client
+// and the writer moving on.
+type lingerConn struct{ net.Conn }
+
+func (c lingerConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	time.Sleep(20 * time.Millisecond) //lint:wallclock test widens a write-then-retire window in real time
+	return n, err
+}
+
+type lingerListener struct{ net.Listener }
+
+func (l lingerListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return lingerConn{c}, nil
+}
+
+// TestRouterSequentialIDReuseIsLegal is the router twin of the server's
+// TestSequentialIDReuseIsLegal: a client may reuse an id as soon as it
+// has read the first use's response, so the router retires the id
+// before it writes the response. Writing first would let the reused id
+// land while the first is still registered — a spurious duplicate-id
+// protocol error that closes the connection.
+func TestRouterSequentialIDReuseIsLegal(t *testing.T) {
+	f := newFleet(t, 1, 1)
+	r, _ := newTestRouter(t, f, router.Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serr := make(chan error, 1)
+	go func() { serr <- r.Serve(lingerListener{ln}) }()
+	t.Cleanup(func() {
+		r.Close()
+		<-serr
+	})
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	in := []byte{4, 3, 2, 1}
+	want, _ := algos.CRC32().Exec(in)
+	for round := 0; round < 3; round++ {
+		if err := wire.WriteRequest(conn, &wire.Request{ID: 42, Fn: algos.CRC32().ID(), Payload: in}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //lint:wallclock socket deadline
+		resp, err := wire.ReadResponse(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.ID != 42 || resp.Status != wire.StatusOK || !bytes.Equal(resp.Payload, want) {
+			t.Fatalf("round %d: %+v", round, resp)
+		}
+	}
+}

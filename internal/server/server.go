@@ -264,8 +264,8 @@ func (s *Server) handleRequest(req *wire.AnyRequest, fr wire.Frame, write func(*
 	s.mu.Lock()
 	if s.draining {
 		s.mu.Unlock()
-		s.refuse(id, fn, write, wire.StatusUnavailable, DrainMessage)
 		finish()
+		s.refuse(id, fn, write, wire.StatusUnavailable, DrainMessage)
 		fr.Release()
 		return
 	}
@@ -273,9 +273,9 @@ func (s *Server) handleRequest(req *wire.AnyRequest, fr wire.Frame, write func(*
 	case s.sem <- struct{}{}:
 	default:
 		s.mu.Unlock()
+		finish()
 		s.refuse(id, fn, write, wire.StatusResourceExhausted,
 			fmt.Sprintf("server at capacity (%d in flight)", cap(s.sem)))
-		finish()
 		fr.Release()
 		return
 	}
@@ -345,7 +345,8 @@ func statusLabel(st wire.Status) string {
 	return st.String()
 }
 
-// refuse answers a request that was never admitted.
+// refuse answers a request that was never admitted. Callers retire the
+// request's id first, as for an admitted one.
 func (s *Server) refuse(id uint64, fn uint16, write func(*wire.Response), st wire.Status, msg string) {
 	write(&wire.Response{ID: id, Status: st, Card: -1, Payload: []byte(msg)})
 	s.observe(id, fn, st, -1, 0)
