@@ -287,9 +287,8 @@ func TestFIRImpulseResponse(t *testing.T) {
 	}
 	for i := 0; i < 16; i++ {
 		got := int32(int16(binary.LittleEndian.Uint16(out[2*i:])))
-		want := firCoeff[i] / 4 // (1<<14 * c) >> 15 = c/2... see below
 		// (1<<14 * c) >> 15 == c >> 1, truncated toward -inf for negatives.
-		want = int32(int64(1<<14) * int64(firCoeff[i]) >> 15)
+		want := int32(int64(1<<14) * int64(firCoeff[i]) >> 15)
 		if got != want {
 			t.Errorf("tap %d: got %d, want %d", i, got, want)
 		}

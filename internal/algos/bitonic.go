@@ -16,25 +16,31 @@ func bitonicRun(in []byte) []byte {
 	copy(out, in)
 	var v [bitonicN]uint32
 	for b := 0; b+blockBytes <= len(out); b += blockBytes {
-		for i := 0; i < bitonicN; i++ {
+		for i := range v {
 			v[i] = binary.LittleEndian.Uint32(out[b+4*i:])
 		}
 		// Standard bitonic network: k = subsequence size, j = stride.
+		// Column (k, j) compare-exchanges i with i+j for every i whose j
+		// bit is clear: the first and second halves of each 2j chunk.
+		// The direction is bit k of i, constant over a chunk (2j ≤ k).
 		for k := 2; k <= bitonicN; k <<= 1 {
 			for j := k >> 1; j > 0; j >>= 1 {
-				for i := 0; i < bitonicN; i++ {
-					l := i ^ j
-					if l > i {
-						asc := i&k == 0
-						if (asc && v[i] > v[l]) || (!asc && v[i] < v[l]) {
-							v[i], v[l] = v[l], v[i]
+				for base := 0; base < bitonicN; base += 2 * j {
+					lo, hi := v[base:base+j], v[base+j:][:j]
+					if base&k == 0 {
+						for i, x := range lo {
+							lo[i], hi[i] = min(x, hi[i]), max(x, hi[i])
+						}
+					} else {
+						for i, x := range lo {
+							lo[i], hi[i] = max(x, hi[i]), min(x, hi[i])
 						}
 					}
 				}
 			}
 		}
-		for i := 0; i < bitonicN; i++ {
-			binary.LittleEndian.PutUint32(out[b+4*i:], v[i])
+		for i, x := range v {
+			binary.LittleEndian.PutUint32(out[b+4*i:], x)
 		}
 	}
 	return out

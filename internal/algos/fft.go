@@ -3,7 +3,7 @@ package algos
 import (
 	"encoding/binary"
 	"math"
-	"sync"
+	"math/bits"
 )
 
 // 64-point radix-2 decimation-in-time FFT over interleaved complex Q15
@@ -13,35 +13,31 @@ import (
 
 const fftPoints = 64
 
+// Q14 twiddle factors, and the bit-reversed slot of each input sample.
 var (
-	fftOnce sync.Once
-	fftTwRe [fftPoints / 2]int32 // Q14 twiddle factors
-	fftTwIm [fftPoints / 2]int32
+	fftTwRe, fftTwIm = fftTwiddles()
+	fftRev           = fftBitReversal()
 )
 
-func fftInit() {
-	for k := 0; k < fftPoints/2; k++ {
+func fftTwiddles() (re, im [fftPoints / 2]int32) {
+	for k := range re {
 		ang := -2 * math.Pi * float64(k) / fftPoints
-		fftTwRe[k] = int32(math.Round(math.Cos(ang) * 16384))
-		fftTwIm[k] = int32(math.Round(math.Sin(ang) * 16384))
+		re[k] = int32(math.Round(math.Cos(ang) * 16384))
+		im[k] = int32(math.Round(math.Sin(ang) * 16384))
 	}
+	return re, im
 }
 
-// fftBlock transforms one 64-point block in place (Q15, scaled by 1/64).
-func fftBlock(re, im []int32) {
-	// Bit reversal.
-	for i, j := 0, 0; i < fftPoints; i++ {
-		if i < j {
-			re[i], re[j] = re[j], re[i]
-			im[i], im[j] = im[j], im[i]
-		}
-		m := fftPoints >> 1
-		for m >= 1 && j&m != 0 {
-			j ^= m
-			m >>= 1
-		}
-		j |= m
+func fftBitReversal() (rev [fftPoints]uint8) {
+	for i := range rev {
+		rev[i] = bits.Reverse8(uint8(i)) >> 2 // 6-bit reversal
 	}
+	return rev
+}
+
+// fftBlock transforms one 64-point block, already in bit-reversed order,
+// in place (Q15, scaled by 1/64).
+func fftBlock(re, im *[fftPoints]int32) {
 	for size := 2; size <= fftPoints; size <<= 1 {
 		half := size >> 1
 		step := fftPoints / size
@@ -63,19 +59,18 @@ func fftBlock(re, im []int32) {
 }
 
 func fftRun(in []byte) []byte {
-	fftOnce.Do(fftInit)
 	const blockBytes = fftPoints * 4
 	out := make([]byte, len(in))
 	var re, im [fftPoints]int32
 	for b := 0; b+blockBytes <= len(in); b += blockBytes {
-		for i := 0; i < fftPoints; i++ {
-			re[i] = int32(int16(binary.LittleEndian.Uint16(in[b+4*i:])))
-			im[i] = int32(int16(binary.LittleEndian.Uint16(in[b+4*i+2:])))
+		for i, r := range fftRev {
+			s := binary.LittleEndian.Uint32(in[b+4*i:])
+			re[r] = int32(int16(s))
+			im[r] = int32(int16(s >> 16))
 		}
-		fftBlock(re[:], im[:])
-		for i := 0; i < fftPoints; i++ {
-			binary.LittleEndian.PutUint16(out[b+4*i:], uint16(int16(re[i])))
-			binary.LittleEndian.PutUint16(out[b+4*i+2:], uint16(int16(im[i])))
+		fftBlock(&re, &im)
+		for i := range re {
+			binary.LittleEndian.PutUint32(out[b+4*i:], uint32(uint16(re[i]))|uint32(uint16(im[i]))<<16)
 		}
 	}
 	return out

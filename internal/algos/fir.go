@@ -15,29 +15,38 @@ var firCoeff = [16]int32{
 
 func firFilter(in []byte) []byte {
 	n := len(in) / 2
-	samples := make([]int32, n)
-	for i := 0; i < n; i++ {
-		samples[i] = int32(int16(binary.LittleEndian.Uint16(in[2*i:])))
-	}
 	out := make([]byte, len(in))
-	for i := 0; i < n; i++ {
-		var acc int64
-		for t := 0; t < 16; t++ {
-			idx := i - t
-			if idx < 0 {
-				continue // zero initial state
-			}
-			acc += int64(samples[idx]) * int64(firCoeff[t])
-		}
-		y := acc >> 15 // Q15 renormalisation
-		if y > 32767 {
-			y = 32767
-		} else if y < -32768 {
-			y = -32768
-		}
-		binary.LittleEndian.PutUint16(out[2*i:], uint16(int16(y)))
+	// The first 15 outputs see the zero initial state: their windows
+	// start in a 30-byte zero head ahead of the first 15 samples.
+	var head [60]byte
+	copy(head[30:], in)
+	for i := 0; i < min(n, 15); i++ {
+		binary.LittleEndian.PutUint16(out[2*i:], firTap((*[32]byte)(head[2*i:])))
+	}
+	for i := 15; i < n; i++ {
+		binary.LittleEndian.PutUint16(out[2*i:], firTap((*[32]byte)(in[2*i-30:])))
 	}
 	return out
+}
+
+// firTap is one output sample: the Q15 dot product of the taps with the
+// 16-sample window w (oldest first), renormalised and saturated. The
+// taps are symmetric, so the two samples that share a tap are added
+// first — 8 multiplies. |acc| stays below 2^31: the taps' absolute sum
+// is 41220 and a sample is at most 2^15.
+func firTap(w *[32]byte) uint16 {
+	s := func(k int) int32 { return int32(int16(binary.LittleEndian.Uint16(w[2*k:]))) }
+	acc := (s(0)+s(15))*firCoeff[0] + (s(1)+s(14))*firCoeff[1] +
+		(s(2)+s(13))*firCoeff[2] + (s(3)+s(12))*firCoeff[3] +
+		(s(4)+s(11))*firCoeff[4] + (s(5)+s(10))*firCoeff[5] +
+		(s(6)+s(9))*firCoeff[6] + (s(7)+s(8))*firCoeff[7]
+	y := acc >> 15 // Q15 renormalisation
+	if y > 32767 {
+		y = 32767
+	} else if y < -32768 {
+		y = -32768
+	}
+	return uint16(int16(y))
 }
 
 var firFn = &Function{

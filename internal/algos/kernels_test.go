@@ -2,16 +2,23 @@ package algos
 
 // Tests for the word-level kernels: every derived lookup table is
 // recomputed entry by entry from the bit-level definition it replaced,
-// and the block ciphers and modexp128 are fuzzed against the standard
-// library.
+// the block ciphers, hashes and modexp128 are checked against the
+// standard library, and the DSP and sorting kernels are fuzzed against
+// the straightforward versions they replaced.
 
 import (
 	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/des"
+	"crypto/md5"
+	"crypto/sha1"
+	"crypto/sha256"
+	"encoding/binary"
+	"math"
 	"math/big"
 	"math/bits"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -218,4 +225,216 @@ func FuzzModExp128(f *testing.F) {
 				bh, bl, eh, el, mh, ml, got.hi, got.lo, want)
 		}
 	})
+}
+
+func TestHashesMatchStdlibAtEveryLength(t *testing.T) {
+	// Every length from 0 to 200 crosses each padding edge: a tail of
+	// 55 bytes still fits the length field in its block, 56 does not.
+	msg := make([]byte, 200)
+	for i := range msg {
+		msg[i] = byte(i*131 + 7)
+	}
+	for n := 0; n <= len(msg); n++ {
+		m := msg[:n]
+		if got, want := sha256Digest(m), sha256.Sum256(m); got != want {
+			t.Errorf("sha256 at %d bytes: %x, stdlib gives %x", n, got, want)
+		}
+		if got, want := sha1Digest(m), sha1.Sum(m); got != want {
+			t.Errorf("sha1 at %d bytes: %x, stdlib gives %x", n, got, want)
+		}
+		if got, want := md5Digest(m), md5.Sum(m); got != want {
+			t.Errorf("md5 at %d bytes: %x, stdlib gives %x", n, got, want)
+		}
+	}
+}
+
+func TestExecAllocs(t *testing.T) {
+	// A whole-block call allocates its output buffer and nothing else.
+	for _, f := range Bank() {
+		in := make([]byte, f.Blocks(1024)*f.BlockBytes)
+		for i := range in {
+			in[i] = byte(i * 37)
+		}
+		got := testing.AllocsPerRun(20, func() {
+			if _, err := f.Exec(in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got > 1 {
+			t.Errorf("%s(%d bytes): %.0f allocs per call, want ≤ 1", f.Name(), len(in), got)
+		}
+	}
+}
+
+// FuzzDSPKernels compares fir16, fft64 and bitonic256 byte for byte with
+// the reference versions below, on raw (unpadded) input of any length.
+func FuzzDSPKernels(f *testing.F) {
+	fullScale := make([]byte, 2*fftPoints*4)
+	for i := 0; i < len(fullScale); i += 2 {
+		binary.LittleEndian.PutUint16(fullScale[i:], uint16(0x8000-i/2%2)) // −32768, +32767, …
+	}
+	dups := make([]byte, 2*bitonicN*4+6)
+	for i := range dups {
+		dups[i] = byte(i/4%3) * 0x55 // three distinct words
+	}
+	ramp := make([]byte, 4096+3)
+	for i := range ramp {
+		ramp[i] = byte(i * 31)
+	}
+	for _, seed := range [][]byte{
+		nil, {1}, {0, 0x80}, ramp[:14], ramp[:29], ramp[:30], ramp[:31], ramp[:33],
+		ramp[:255], ramp[:257], ramp[:1023], ramp, fullScale, fullScale[:28],
+		bytes.Repeat([]byte{0xff, 0x7f}, 300), dups,
+	} {
+		f.Add(seed)
+	}
+	kernels := []struct {
+		name     string
+		got, ref func([]byte) []byte
+	}{
+		{"fir16", firFilter, firFilterRef},
+		{"fft64", fftRun, fftRunRef},
+		{"bitonic256", bitonicRun, bitonicRunRef},
+	}
+	f.Fuzz(func(t *testing.T, in []byte) {
+		for _, k := range kernels {
+			got, want := k.got(in), k.ref(in)
+			if len(got) != len(want) {
+				t.Fatalf("%s(%d bytes): %d bytes out, reference gives %d", k.name, len(in), len(got), len(want))
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("%s(%d bytes): byte %d is %#02x, reference gives %#02x", k.name, len(in), i, got[i], want[i])
+				}
+			}
+		}
+	})
+}
+
+// The reference kernels: fir16, fft64 and bitonic256 as they were before
+// the word-level rewrite, verbatim apart from the Ref names.
+
+func firFilterRef(in []byte) []byte {
+	n := len(in) / 2
+	samples := make([]int32, n)
+	for i := 0; i < n; i++ {
+		samples[i] = int32(int16(binary.LittleEndian.Uint16(in[2*i:])))
+	}
+	out := make([]byte, len(in))
+	for i := 0; i < n; i++ {
+		var acc int64
+		for t := 0; t < 16; t++ {
+			idx := i - t
+			if idx < 0 {
+				continue // zero initial state
+			}
+			acc += int64(samples[idx]) * int64(firCoeff[t])
+		}
+		y := acc >> 15 // Q15 renormalisation
+		if y > 32767 {
+			y = 32767
+		} else if y < -32768 {
+			y = -32768
+		}
+		binary.LittleEndian.PutUint16(out[2*i:], uint16(int16(y)))
+	}
+	return out
+}
+
+var (
+	fftOnceRef sync.Once
+	fftTwReRef [fftPoints / 2]int32 // Q14 twiddle factors
+	fftTwImRef [fftPoints / 2]int32
+)
+
+func fftInitRef() {
+	for k := 0; k < fftPoints/2; k++ {
+		ang := -2 * math.Pi * float64(k) / fftPoints
+		fftTwReRef[k] = int32(math.Round(math.Cos(ang) * 16384))
+		fftTwImRef[k] = int32(math.Round(math.Sin(ang) * 16384))
+	}
+}
+
+// fftBlockRef transforms one 64-point block in place (Q15, scaled by 1/64).
+func fftBlockRef(re, im []int32) {
+	// Bit reversal.
+	for i, j := 0, 0; i < fftPoints; i++ {
+		if i < j {
+			re[i], re[j] = re[j], re[i]
+			im[i], im[j] = im[j], im[i]
+		}
+		m := fftPoints >> 1
+		for m >= 1 && j&m != 0 {
+			j ^= m
+			m >>= 1
+		}
+		j |= m
+	}
+	for size := 2; size <= fftPoints; size <<= 1 {
+		half := size >> 1
+		step := fftPoints / size
+		for start := 0; start < fftPoints; start += size {
+			for k := 0; k < half; k++ {
+				tw := k * step
+				i0, i1 := start+k, start+k+half
+				// Complex multiply by the Q14 twiddle.
+				tr := (re[i1]*fftTwReRef[tw] - im[i1]*fftTwImRef[tw]) >> 14
+				ti := (re[i1]*fftTwImRef[tw] + im[i1]*fftTwReRef[tw]) >> 14
+				// Butterfly with per-stage scaling (>>1) against overflow.
+				re[i1] = (re[i0] - tr) >> 1
+				im[i1] = (im[i0] - ti) >> 1
+				re[i0] = (re[i0] + tr) >> 1
+				im[i0] = (im[i0] + ti) >> 1
+			}
+		}
+	}
+}
+
+func fftRunRef(in []byte) []byte {
+	fftOnceRef.Do(fftInitRef)
+	const blockBytes = fftPoints * 4
+	out := make([]byte, len(in))
+	var re, im [fftPoints]int32
+	for b := 0; b+blockBytes <= len(in); b += blockBytes {
+		for i := 0; i < fftPoints; i++ {
+			re[i] = int32(int16(binary.LittleEndian.Uint16(in[b+4*i:])))
+			im[i] = int32(int16(binary.LittleEndian.Uint16(in[b+4*i+2:])))
+		}
+		fftBlockRef(re[:], im[:])
+		for i := 0; i < fftPoints; i++ {
+			binary.LittleEndian.PutUint16(out[b+4*i:], uint16(int16(re[i])))
+			binary.LittleEndian.PutUint16(out[b+4*i+2:], uint16(int16(im[i])))
+		}
+	}
+	return out
+}
+
+func bitonicRunRef(in []byte) []byte {
+	const blockBytes = bitonicN * 4
+	out := make([]byte, len(in))
+	copy(out, in)
+	var v [bitonicN]uint32
+	for b := 0; b+blockBytes <= len(out); b += blockBytes {
+		for i := 0; i < bitonicN; i++ {
+			v[i] = binary.LittleEndian.Uint32(out[b+4*i:])
+		}
+		// Standard bitonic network: k = subsequence size, j = stride.
+		for k := 2; k <= bitonicN; k <<= 1 {
+			for j := k >> 1; j > 0; j >>= 1 {
+				for i := 0; i < bitonicN; i++ {
+					l := i ^ j
+					if l > i {
+						asc := i&k == 0
+						if (asc && v[i] > v[l]) || (!asc && v[i] < v[l]) {
+							v[i], v[l] = v[l], v[i]
+						}
+					}
+				}
+			}
+		}
+		for i := 0; i < bitonicN; i++ {
+			binary.LittleEndian.PutUint32(out[b+4*i:], v[i])
+		}
+	}
+	return out
 }

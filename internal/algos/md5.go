@@ -2,6 +2,7 @@ package algos
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sync"
 )
 
@@ -62,23 +63,25 @@ func sinTaylor(x float64) float64 {
 
 func md5Digest(msg []byte) [16]byte {
 	md5Once.Do(md5Init)
-	a0, b0, c0, d0 := uint32(0x67452301), uint32(0xefcdab89), uint32(0x98badcfe), uint32(0x10325476)
-	bitLen := uint64(len(msg)) * 8
-	padded := append(append([]byte(nil), msg...), 0x80)
-	for len(padded)%64 != 56 {
-		padded = append(padded, 0)
+	h := [4]uint32{0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476}
+	var tail [128]byte
+	md5Blocks(&h, msg[:len(msg)&^63])
+	md5Blocks(&h, mdPad(&tail, msg, false))
+	var out [16]byte
+	for i, v := range h {
+		binary.LittleEndian.PutUint32(out[4*i:], v)
 	}
-	var lenB [8]byte
-	binary.LittleEndian.PutUint64(lenB[:], bitLen)
-	padded = append(padded, lenB[:]...)
+	return out
+}
 
-	rotl := func(x uint32, n uint) uint32 { return x<<n | x>>(32-n) }
-	for blk := 0; blk < len(padded); blk += 64 {
+// md5Blocks runs the compression function over each 64-byte block of p.
+func md5Blocks(h *[4]uint32, p []byte) {
+	for ; len(p) >= 64; p = p[64:] {
 		var m [16]uint32
 		for i := 0; i < 16; i++ {
-			m[i] = binary.LittleEndian.Uint32(padded[blk+4*i:])
+			m[i] = binary.LittleEndian.Uint32(p[4*i:])
 		}
-		a, b, c, d := a0, b0, c0, d0
+		a, b, c, d := h[0], h[1], h[2], h[3]
 		for i := 0; i < 64; i++ {
 			var f uint32
 			var g int
@@ -93,19 +96,13 @@ func md5Digest(msg []byte) [16]byte {
 				f, g = c^(b|^d), (7*i)%16
 			}
 			f += a + md5K[i] + m[g]
-			a, d, c, b = d, c, b, b+rotl(f, md5Shift[i])
+			a, d, c, b = d, c, b, b+bits.RotateLeft32(f, int(md5Shift[i]))
 		}
-		a0 += a
-		b0 += b
-		c0 += c
-		d0 += d
+		h[0] += a
+		h[1] += b
+		h[2] += c
+		h[3] += d
 	}
-	var out [16]byte
-	binary.LittleEndian.PutUint32(out[0:], a0)
-	binary.LittleEndian.PutUint32(out[4:], b0)
-	binary.LittleEndian.PutUint32(out[8:], c0)
-	binary.LittleEndian.PutUint32(out[12:], d0)
-	return out
 }
 
 var md5Fn = &Function{

@@ -1,6 +1,9 @@
 package algos
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // SHA-1 from FIPS-180. Kept in the bank alongside SHA-256 because 2005
 // IPSec deployments authenticated with HMAC-SHA1; the hardware core
@@ -8,23 +11,25 @@ import "encoding/binary"
 
 func sha1Digest(msg []byte) [20]byte {
 	h := [5]uint32{0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0}
-	bitLen := uint64(len(msg)) * 8
-	padded := append(append([]byte(nil), msg...), 0x80)
-	for len(padded)%64 != 56 {
-		padded = append(padded, 0)
+	var tail [128]byte
+	sha1Blocks(&h, msg[:len(msg)&^63])
+	sha1Blocks(&h, mdPad(&tail, msg, true))
+	var out [20]byte
+	for i, v := range h {
+		binary.BigEndian.PutUint32(out[4*i:], v)
 	}
-	var lenB [8]byte
-	binary.BigEndian.PutUint64(lenB[:], bitLen)
-	padded = append(padded, lenB[:]...)
+	return out
+}
 
-	rotl := func(x uint32, n uint) uint32 { return x<<n | x>>(32-n) }
-	for blk := 0; blk < len(padded); blk += 64 {
+// sha1Blocks runs the compression function over each 64-byte block of p.
+func sha1Blocks(h *[5]uint32, p []byte) {
+	for ; len(p) >= 64; p = p[64:] {
 		var w [80]uint32
 		for i := 0; i < 16; i++ {
-			w[i] = binary.BigEndian.Uint32(padded[blk+4*i:])
+			w[i] = binary.BigEndian.Uint32(p[4*i:])
 		}
 		for i := 16; i < 80; i++ {
-			w[i] = rotl(w[i-3]^w[i-8]^w[i-14]^w[i-16], 1)
+			w[i] = bits.RotateLeft32(w[i-3]^w[i-8]^w[i-14]^w[i-16], 1)
 		}
 		a, b, c, d, e := h[0], h[1], h[2], h[3], h[4]
 		for i := 0; i < 80; i++ {
@@ -39,8 +44,8 @@ func sha1Digest(msg []byte) [20]byte {
 			default:
 				f, k = b^c^d, 0xCA62C1D6
 			}
-			t := rotl(a, 5) + f + e + k + w[i]
-			e, d, c, b, a = d, c, rotl(b, 30), a, t
+			t := bits.RotateLeft32(a, 5) + f + e + k + w[i]
+			e, d, c, b, a = d, c, bits.RotateLeft32(b, 30), a, t
 		}
 		h[0] += a
 		h[1] += b
@@ -48,11 +53,6 @@ func sha1Digest(msg []byte) [20]byte {
 		h[3] += d
 		h[4] += e
 	}
-	var out [20]byte
-	for i, v := range h {
-		binary.BigEndian.PutUint32(out[4*i:], v)
-	}
-	return out
 }
 
 var sha1Fn = &Function{

@@ -1,6 +1,9 @@
 package algos
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // SHA-256 from FIPS-180. One digest per input (the whole padded input is
 // one message); the hardware core iterates the 64-round compression at
@@ -22,33 +25,34 @@ func sha256Digest(msg []byte) [32]byte {
 		0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
 		0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 	}
-	// Padding: 0x80, zeros, 64-bit big-endian bit length.
-	bitLen := uint64(len(msg)) * 8
-	padded := append(append([]byte(nil), msg...), 0x80)
-	for len(padded)%64 != 56 {
-		padded = append(padded, 0)
+	var tail [128]byte
+	sha256Blocks(&h, msg[:len(msg)&^63])
+	sha256Blocks(&h, mdPad(&tail, msg, true))
+	var out [32]byte
+	for i, v := range h {
+		binary.BigEndian.PutUint32(out[4*i:], v)
 	}
-	var lenB [8]byte
-	binary.BigEndian.PutUint64(lenB[:], bitLen)
-	padded = append(padded, lenB[:]...)
+	return out
+}
 
-	rotr := func(x uint32, n uint) uint32 { return x>>n | x<<(32-n) }
-	for blk := 0; blk < len(padded); blk += 64 {
+// sha256Blocks runs the compression function over each 64-byte block of p.
+func sha256Blocks(h *[8]uint32, p []byte) {
+	for ; len(p) >= 64; p = p[64:] {
 		var w [64]uint32
 		for i := 0; i < 16; i++ {
-			w[i] = binary.BigEndian.Uint32(padded[blk+4*i:])
+			w[i] = binary.BigEndian.Uint32(p[4*i:])
 		}
 		for i := 16; i < 64; i++ {
-			s0 := rotr(w[i-15], 7) ^ rotr(w[i-15], 18) ^ w[i-15]>>3
-			s1 := rotr(w[i-2], 17) ^ rotr(w[i-2], 19) ^ w[i-2]>>10
+			s0 := bits.RotateLeft32(w[i-15], -7) ^ bits.RotateLeft32(w[i-15], -18) ^ w[i-15]>>3
+			s1 := bits.RotateLeft32(w[i-2], -17) ^ bits.RotateLeft32(w[i-2], -19) ^ w[i-2]>>10
 			w[i] = w[i-16] + s0 + w[i-7] + s1
 		}
 		a, b, c, d, e, f, g, hh := h[0], h[1], h[2], h[3], h[4], h[5], h[6], h[7]
 		for i := 0; i < 64; i++ {
-			S1 := rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25)
+			S1 := bits.RotateLeft32(e, -6) ^ bits.RotateLeft32(e, -11) ^ bits.RotateLeft32(e, -25)
 			ch := e&f ^ ^e&g
 			t1 := hh + S1 + ch + sha256K[i] + w[i]
-			S0 := rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22)
+			S0 := bits.RotateLeft32(a, -2) ^ bits.RotateLeft32(a, -13) ^ bits.RotateLeft32(a, -22)
 			maj := a&b ^ a&c ^ b&c
 			t2 := S0 + maj
 			hh, g, f, e, d, c, b, a = g, f, e, d+t1, c, b, a, t1+t2
@@ -62,11 +66,26 @@ func sha256Digest(msg []byte) [32]byte {
 		h[6] += g
 		h[7] += hh
 	}
-	var out [32]byte
-	for i, v := range h {
-		binary.BigEndian.PutUint32(out[4*i:], v)
+}
+
+// mdPad writes the Merkle–Damgård padding of msg into tail: the bytes
+// after msg's last whole 64-byte block, 0x80, zeros, and the 64-bit bit
+// length, big-endian or (MD5) little-endian. It returns the one or two
+// final blocks; the whole blocks before them are compressed straight
+// from msg.
+func mdPad(tail *[128]byte, msg []byte, bigEndian bool) []byte {
+	r := copy(tail[:], msg[len(msg)&^63:])
+	tail[r] = 0x80
+	n := 64
+	if r >= 56 {
+		n = 128
 	}
-	return out
+	if bitLen := uint64(len(msg)) * 8; bigEndian {
+		binary.BigEndian.PutUint64(tail[n-8:], bitLen)
+	} else {
+		binary.LittleEndian.PutUint64(tail[n-8:], bitLen)
+	}
+	return tail[:n]
 }
 
 var sha256Fn = &Function{
