@@ -109,6 +109,32 @@ func readOne(r io.Reader, req *wire.Request) (wire.Frame, error) {
 	return fr, nil
 }
 
+// call is the front end's per-request record: storing the frame in it
+// hands release duty to whoever answers the request.
+type call struct {
+	req wire.Request
+	fr  wire.Frame
+}
+
+// connLoop is the front end's read loop. The duplicate-id early return
+// drops the frame: the request is refused and the connection closes,
+// but the pooled buffer must still go back.
+func connLoop(r io.Reader, inflight map[uint64]bool, admit func(*call)) error {
+	for {
+		rq := new(call)
+		fr, err := wire.ReadRequestFrame(r, &rq.req) // want `frame fr from wire\.ReadRequestFrame is not released before the return at line \d+`
+		if err != nil {
+			return err
+		}
+		if inflight[rq.req.ID] {
+			return nil
+		}
+		inflight[rq.req.ID] = true
+		rq.fr = fr
+		admit(rq)
+	}
+}
+
 // releasesParam discharges the duty that arrived with the parameter.
 func releasesParam(fr wire.Frame, req *wire.Request) {
 	sink(req)

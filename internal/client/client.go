@@ -340,23 +340,33 @@ func (c *Client) dropConn(m *muxConn) {
 // request's remaining budget. Non-OK statuses surface as *StatusError;
 // connection failures as *TransportError (after retries are spent).
 func (c *Client) Call(ctx context.Context, fn uint16, payload []byte) ([]byte, int, error) {
-	// One root span per Call, one child per attempt. A nil tracer (or a
-	// sampled-out decision) yields zero refs and every span call below
-	// is a no-op — the untraced path allocates nothing.
-	ref := c.opts.Tracer.StartRoot("call", "client", fn)
-	out, card, err := c.call(ctx, fn, nil, payload, ref)
-	c.opts.Tracer.End(ref, spanStatus(err))
-	return out, card, err
+	return c.callRoot(ctx, "call", []uint16{fn}, payload)
 }
 
-// CallRef is Call under a caller-owned parent span: attempts become
-// children of parent and no root span is opened or ended here — the
-// shape a proxy hop needs to keep one trace across client → router →
-// backend. A tracer-less client forwards parent as the wire trace
-// context unchanged, so context still propagates through a hop that
-// records nothing itself.
-func (c *Client) CallRef(ctx context.Context, fn uint16, payload []byte, parent trace.SpanRef) ([]byte, int, error) {
-	return c.call(ctx, fn, nil, payload, parent)
+// CallChain runs the stage list over payload as one on-card dataflow
+// chain on the server, returning the final stage's output and the
+// serving card. The request ships as a single chain frame — the input
+// crosses the network and the card's PCI link once, every intermediate
+// result stays in card RAM — and the answer is an ordinary response
+// frame. Deadlines, retries and backoff behave exactly as in Call (a
+// chain is a pure function of its payload, so retrying is safe).
+func (c *Client) CallChain(ctx context.Context, stages []uint16, payload []byte) ([]byte, int, error) {
+	return c.callRoot(ctx, "chain", stages, payload)
+}
+
+// callRoot roots one span per call (named for the verb), one child per
+// attempt. A nil tracer (or a sampled-out decision) yields zero refs and
+// every span call below is a no-op — the untraced path allocates
+// nothing.
+func (c *Client) callRoot(ctx context.Context, verb string, stages []uint16, payload []byte) ([]byte, int, error) {
+	var fn uint16
+	if len(stages) > 0 {
+		fn = stages[0]
+	}
+	ref := c.opts.Tracer.StartRoot(verb, "client", fn)
+	out, card, err := c.CallRef(ctx, stages, payload, ref)
+	c.opts.Tracer.End(ref, spanStatus(err))
+	return out, card, err
 }
 
 // Inflight reports the calls currently in flight across the pool —
@@ -373,22 +383,28 @@ func (c *Client) Inflight() int {
 	return int(n)
 }
 
-// call is the retry loop behind Call and CallChain. A non-nil stages
-// list ships the attempt as a chain frame instead of a plain request;
-// fn is then stage 0, kept for span labels.
-func (c *Client) call(ctx context.Context, fn uint16, stages []uint16, payload []byte, ref trace.SpanRef) ([]byte, int, error) {
+// CallRef runs the stage list (one function for a plain call) under a
+// caller-owned parent span: attempts become children of parent and no
+// root span is opened or ended here — the shape a proxy hop needs to
+// keep one trace across client → router → backend. A tracer-less
+// client forwards parent as the wire trace context unchanged, so
+// context still propagates through a hop that records nothing itself.
+func (c *Client) CallRef(ctx context.Context, stages []uint16, payload []byte, parent trace.SpanRef) ([]byte, int, error) {
+	if len(stages) == 0 || len(stages) > wire.MaxChainStages {
+		return nil, -1, fmt.Errorf("%w: %d stages", wire.ErrBadChain, len(stages))
+	}
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, -1, err
 		}
-		aref := c.opts.Tracer.StartChild(ref, "attempt", "client", fn)
+		aref := c.opts.Tracer.StartChild(parent, "attempt", "client", stages[0])
 		wref := aref
 		if !wref.Valid() {
 			// Tracer-less (or sampled-out) hop: ship the caller's own
 			// context so an upstream trace survives the forward.
-			wref = ref
+			wref = parent
 		}
-		out, card, err := c.once(ctx, fn, stages, payload, wref)
+		out, card, err := c.once(ctx, stages, payload, wref)
 		c.opts.Tracer.End(aref, spanStatus(err))
 		if err == nil {
 			return out, card, nil
@@ -427,10 +443,8 @@ func spanStatus(err error) string {
 
 // once is a single attempt, pipelined onto one multiplexed connection.
 // A valid aref ships as the request's wire trace context, so the
-// server's spans join this attempt's trace. A non-nil stages list sends
-// a chain frame; plain and chain attempts share the pool, the id space
-// and the demultiplexer (responses are ordinary response frames).
-func (c *Client) once(ctx context.Context, fn uint16, stages []uint16, payload []byte, aref trace.SpanRef) ([]byte, int, error) {
+// server's spans join this attempt's trace.
+func (c *Client) once(ctx context.Context, stages []uint16, payload []byte, aref trace.SpanRef) ([]byte, int, error) {
 	m, err := c.pick()
 	if err != nil {
 		return nil, -1, err
@@ -464,12 +478,8 @@ func (c *Client) once(ctx context.Context, fn uint16, stages []uint16, payload [
 	} else {
 		m.c.SetWriteDeadline(time.Time{})
 	}
-	var werr error
-	if stages != nil {
-		werr = wire.WriteChainRequest(m.c, &wire.ChainRequest{ID: id, Stages: stages, Deadline: budget, Payload: payload, Trace: tc})
-	} else {
-		werr = wire.WriteRequest(m.c, &wire.Request{ID: id, Fn: fn, Deadline: budget, Payload: payload, Trace: tc})
-	}
+	werr := wire.WriteRequest(m.c, &wire.Request{ID: id, Fn: stages[0], Next: stages[1:],
+		Deadline: budget, Payload: payload, Trace: tc})
 	m.wmu.Unlock()
 	if werr != nil {
 		m.unregister(id)

@@ -373,3 +373,27 @@ func TestMuxExpiredContextFailsFast(t *testing.T) {
 		t.Fatalf("err = %v, want DeadlineExceeded", err)
 	}
 }
+
+// TestCallChainStageCounts: a one-stage list is a plain call, and an
+// empty or over-long list is the caller's mistake — refused before a
+// byte is written, never retried, the connection left intact.
+func TestCallChainStageCounts(t *testing.T) {
+	fs := newFakeServer(t, echo)
+	c, err := Dial(fs.addr(), Options{OnRetry: func(int, error) { t.Error("retried a bad stage list") }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, stages := range [][]uint16{nil, make([]uint16, wire.MaxChainStages+1)} {
+		if _, _, err := c.CallChain(context.Background(), stages, []byte("x")); !errors.Is(err, wire.ErrBadChain) {
+			t.Errorf("%d stages: err %v, want ErrBadChain", len(stages), err)
+		}
+	}
+	out, _, err := c.CallChain(context.Background(), []uint16{7}, []byte("one"))
+	if err != nil || string(out) != "one" {
+		t.Fatalf("one-stage chain: %q, %v", out, err)
+	}
+	if n := fs.accepted.Load(); n != 1 {
+		t.Fatalf("%d connections dialled, want 1", n)
+	}
+}

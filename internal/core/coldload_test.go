@@ -66,17 +66,25 @@ func BenchmarkColdLoad(b *testing.B) {
 // what is left to allocate is the residency bookkeeping — not a 5-byte
 // CRC scratch per configuration word (3 345 allocations before the burst
 // path), a decoder per load, nor a name string per record scanned. Every
-// CRC scratch is owned by its caller, so the bound holds under -race too.
+// CRC scratch is owned by its caller, so the bound holds under -race too,
+// with the decode cache off and on (BenchmarkColdLoad's two arms).
 func TestColdLoadAllocs(t *testing.T) {
 	const limit = 30
-	cp, ids, in := coldCard(t, 0)
-	i := 0
-	allocs := testing.AllocsPerRun(len(ids), func() {
-		coldCall(t, cp, ids[i%len(ids)], in)
-		i++
-	})
-	t.Logf("cold CallID: %.0f allocations", allocs)
-	if allocs > limit {
-		t.Errorf("cold CallID allocates %.0f times, want at most %d", allocs, limit)
+	for _, bc := range []struct {
+		name  string
+		cache int
+	}{{"dcache=off", 0}, {"dcache=on", 1 << 20}} {
+		t.Run(bc.name, func(t *testing.T) {
+			cp, ids, in := coldCard(t, bc.cache)
+			i := 0
+			allocs := testing.AllocsPerRun(len(ids), func() {
+				coldCall(t, cp, ids[i%len(ids)], in)
+				i++
+			})
+			t.Logf("cold CallID: %.0f allocations", allocs)
+			if allocs > limit {
+				t.Errorf("cold CallID allocates %.0f times, want at most %d", allocs, limit)
+			}
+		})
 	}
 }

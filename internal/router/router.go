@@ -1,11 +1,9 @@
 package router
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net"
 	"net/http"
 	"sync"
@@ -30,9 +28,6 @@ const (
 	DefaultProbeMax       = 2 * time.Second
 	DefaultProbeTimeout   = time.Second
 )
-
-// ErrRouterClosed is returned by Serve after Shutdown or Close.
-var ErrRouterClosed = errors.New("router: closed")
 
 // ErrNoBackends is returned when every candidate backend refused the
 // request across every retry round.
@@ -99,19 +94,12 @@ type Router struct {
 	order       []string // sorted backend addrs: deterministic fallback order
 	bo          *client.Backoff
 	probeBo     *client.Backoff
-	sem         chan struct{}
+	front       *server.FrontEnd // the wire front end: the server's loop, routing as its handler
 
 	pctx    context.Context // cancelled on Close/Shutdown: stops probes
 	pcancel context.CancelFunc
 	probes  sync.WaitGroup
 	stop    sync.Once
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	draining bool
-	inflight sync.WaitGroup
-	connWG   sync.WaitGroup
 }
 
 // New builds a router over the given backend addresses (fixed for the
@@ -158,11 +146,12 @@ func New(backends []string, opts Options) (*Router, error) {
 		backends:    make(map[string]*backend, len(backends)),
 		bo:          client.NewBackoff(bopts.BaseBackoff, bopts.MaxBackoff, opts.Seed),
 		probeBo:     client.NewBackoff(opts.ProbeBase, opts.ProbeMax, opts.Seed),
-		sem:         make(chan struct{}, opts.MaxInflight),
 		pctx:        pctx,
 		pcancel:     pcancel,
-		conns:       make(map[net.Conn]struct{}),
 	}
+	// The router exports no front-end series of its own: its request
+	// metrics are the route series.
+	r.front = server.NewFrontEnd("router", opts.MaxInflight, nil, server.Handler{Serve: r.serve})
 	for _, addr := range backends {
 		if _, dup := r.backends[addr]; dup {
 			continue
@@ -182,14 +171,14 @@ func New(backends []string, opts Options) (*Router, error) {
 	return r, nil
 }
 
-// candidates orders the backends to try for fn: healthy ring replicas
-// first (primary, then clockwise), with the least-loaded replica
+// candidates orders the backends to try for a ring key: healthy ring
+// replicas first (primary, then clockwise), with the least-loaded replica
 // promoted over an overloaded primary (load-aware spill); then the
 // remaining healthy nodes; then ejected ones as a last resort (a probe
 // may lag a node's recovery). The bool reports whether a spill
 // promotion happened.
-func (r *Router) candidates(fn uint16) ([]*backend, bool) {
-	reps := r.ring.LookupN(fn, r.opts.Replication)
+func (r *Router) candidates(key uint16) ([]*backend, bool) {
+	reps := r.ring.LookupN(key, r.opts.Replication)
 	inReps := make(map[string]struct{}, len(reps))
 	cands := make([]*backend, 0, len(r.order))
 	for _, name := range reps {
@@ -277,7 +266,7 @@ func classify(err error) disposition {
 func (r *Router) Call(ctx context.Context, fn uint16, payload []byte) ([]byte, int, error) {
 	ref := r.opts.Tracer.StartRoot("route", "router", fn)
 	start := time.Now() //lint:wallclock hop accounting is wall time; the router is outside the simulation
-	out, card, backendNS, err := r.route(ctx, fn, nil, payload, ref)
+	out, card, backendNS, err := r.route(ctx, []uint16{fn}, payload, ref)
 	r.observeRoute(start, backendNS, err, ref.TraceID)
 	r.opts.Tracer.End(ref, routeStatus(err))
 	return out, card, err
@@ -310,7 +299,7 @@ func (r *Router) CallMulti(ctx context.Context, calls []MultiCall) []MultiResult
 			defer wg.Done()
 			cref := r.opts.Tracer.StartChild(ref, "route", "router", calls[i].Fn)
 			start := time.Now() //lint:wallclock hop accounting is wall time; the router is outside the simulation
-			out, card, backendNS, err := r.route(ctx, calls[i].Fn, nil, calls[i].Payload, cref)
+			out, card, backendNS, err := r.route(ctx, []uint16{calls[i].Fn}, calls[i].Payload, cref)
 			r.observeRoute(start, backendNS, err, cref.TraceID)
 			r.opts.Tracer.End(cref, routeStatus(err))
 			results[i] = MultiResult{Output: out, Card: card, Err: err}
@@ -328,17 +317,32 @@ func (r *Router) CallMulti(ctx context.Context, calls []MultiCall) []MultiResult
 	return results
 }
 
-// route is the candidate/retry loop behind Call, CallChain and the
-// wire front end. A non-nil stages list forwards the attempt as a
-// chain; ring affinity then keys on the whole chain (chainKey), not on
-// any single stage, so a chain's stages warm together on one backend.
-// backendNS accumulates wall time spent inside backend forwards, so
-// callers can separate hop overhead from backend service time.
-func (r *Router) route(ctx context.Context, fn uint16, stages []uint16, payload []byte, ref trace.SpanRef) (out []byte, card int, backendNS int64, err error) {
-	key := fn
-	if stages != nil {
-		key = chainKey(stages)
+// ringKey places a stage list on the ring. A plain call keys on its
+// function id. A chain folds its whole ordered stage list into one
+// synthetic key (FNV-1a over the big-endian stage bytes, upper half
+// folded in), so a chain's affinity is keyed on the chain, not on any
+// single stage: two chains sharing a stage still route independently,
+// and the same chain always lands on the same replica set, keeping all
+// of its stages warm together on one backend.
+func ringKey(stages []uint16) uint16 {
+	if len(stages) == 1 {
+		return stages[0]
 	}
+	h := uint32(2166136261)
+	for _, fn := range stages {
+		h = (h ^ uint32(fn>>8)) * 16777619
+		h = (h ^ uint32(fn&0xFF)) * 16777619
+	}
+	return uint16(h ^ h>>16)
+}
+
+// route is the candidate/retry loop behind Call, CallMulti and the
+// wire front end: it forwards the stage list (one function for a plain
+// call) to the backends ringKey's affinity selects. backendNS
+// accumulates wall time spent inside backend forwards, so callers can
+// separate hop overhead from backend service time.
+func (r *Router) route(ctx context.Context, stages []uint16, payload []byte, ref trace.SpanRef) (out []byte, card int, backendNS int64, err error) {
+	key := ringKey(stages)
 	var lastErr error
 	for round := 0; ; round++ {
 		cands, spilled := r.candidates(key)
@@ -353,7 +357,7 @@ func (r *Router) route(ctx context.Context, fn uint16, stages []uint16, payload 
 				}
 				return nil, -1, backendNS, lastErr
 			}
-			out, card, dns, ferr := r.forward(ctx, b, fn, stages, payload, ref)
+			out, card, dns, ferr := r.forward(ctx, b, stages, payload, ref)
 			backendNS += dns
 			if ferr == nil {
 				return out, card, backendNS, nil
@@ -394,7 +398,7 @@ func (r *Router) route(ctx context.Context, fn uint16, stages []uint16, payload 
 // forward sends one attempt to one backend through its mux client,
 // tracking per-backend in-flight (the spill signal) and the forward
 // outcome series.
-func (r *Router) forward(ctx context.Context, b *backend, fn uint16, stages []uint16, payload []byte, ref trace.SpanRef) ([]byte, int, int64, error) {
+func (r *Router) forward(ctx context.Context, b *backend, stages []uint16, payload []byte, ref trace.SpanRef) ([]byte, int, int64, error) {
 	c, err := b.getClient(r.backendOpts)
 	if err != nil {
 		r.countForward(b, err)
@@ -403,14 +407,7 @@ func (r *Router) forward(ctx context.Context, b *backend, fn uint16, stages []ui
 	b.inflight.Add(1)
 	b.gInflight.Inc()
 	start := time.Now() //lint:wallclock hop accounting is wall time; the router is outside the simulation
-	var out []byte
-	var card int
-	var cerr error
-	if stages != nil {
-		out, card, cerr = c.CallChainRef(ctx, stages, payload, ref)
-	} else {
-		out, card, cerr = c.CallRef(ctx, fn, payload, ref)
-	}
+	out, card, cerr := c.CallRef(ctx, stages, payload, ref)
 	elapsed := time.Since(start) //lint:wallclock hop accounting is wall time; the router is outside the simulation
 	b.inflight.Add(-1)
 	b.gInflight.Dec()
@@ -532,164 +529,35 @@ func (r *Router) DebugHandler() http.Handler {
 
 // Serve accepts wire-protocol connections on ln, routing every
 // request through the fleet, until Shutdown or Close; then it returns
-// ErrRouterClosed. The front end mirrors internal/server: pipelined
-// requests are handled concurrently, responses may interleave, and a
-// duplicate in-flight request id is a fatal protocol error.
-func (r *Router) Serve(ln net.Listener) error {
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		ln.Close()
-		return ErrRouterClosed
-	}
-	if r.ln != nil {
-		r.mu.Unlock()
-		return errors.New("router: Serve called twice")
-	}
-	r.ln = ln
-	r.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			r.mu.Lock()
-			draining := r.draining
-			r.mu.Unlock()
-			if draining {
-				return ErrRouterClosed
-			}
-			return err
-		}
-		r.mu.Lock()
-		if r.draining {
-			r.mu.Unlock()
-			conn.Close()
-			return ErrRouterClosed
-		}
-		r.conns[conn] = struct{}{}
-		r.connWG.Add(1)
-		r.mu.Unlock()
-		go r.handleConn(conn)
-	}
-}
+// server.ErrServerClosed. The front end is internal/server's
+// connection loop: pipelined requests are handled concurrently,
+// responses may interleave, and a duplicate in-flight request id is a
+// fatal protocol error.
+func (r *Router) Serve(ln net.Listener) error { return r.front.Serve(ln) }
 
-func (r *Router) handleConn(c net.Conn) {
-	defer r.connWG.Done()
-	defer func() {
-		r.mu.Lock()
-		delete(r.conns, c)
-		r.mu.Unlock()
-		c.Close()
-	}()
-	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
-	var wmu sync.Mutex
-	write := func(resp *wire.Response) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		if err := wire.WriteResponse(bw, resp); err != nil {
-			return
+// serve is the router's request handler: a route span and one trip
+// through the candidate/retry loop.
+func (r *Router) serve(ctx context.Context, rq *server.Call) {
+	// The route span sits between the client's call span and the
+	// backend server's rpc span. A tracer-less router still forwards an
+	// incoming context verbatim (passthrough ref), so the trace survives
+	// the hop even when this process records nothing.
+	var ref trace.SpanRef
+	if tc := rq.Trace; tc.Valid() {
+		ref = r.opts.Tracer.StartRemote(tc.TraceID, tc.SpanID,
+			tc.Sampled(), "route", "router", rq.Fn)
+		if !ref.Valid() && tc.Sampled() {
+			ref = trace.SpanRef{TraceID: tc.TraceID, SpanID: tc.SpanID}
 		}
-		bw.Flush()
+	} else {
+		ref = r.opts.Tracer.StartRoot("route", "router", rq.Fn)
 	}
-	var idMu sync.Mutex
-	ids := make(map[uint64]struct{})
-	for {
-		req := new(wire.AnyRequest)
-		fr, err := wire.ReadAnyRequestFrame(br, req)
-		if err != nil {
-			return
-		}
-		id := req.ID()
-		idMu.Lock()
-		_, dup := ids[id]
-		if !dup {
-			ids[id] = struct{}{}
-		}
-		idMu.Unlock()
-		if dup {
-			fr.Release()
-			write(&wire.Response{ID: id, Status: wire.StatusInvalidArgument, Card: -1,
-				Payload: []byte(fmt.Sprintf("request id %d already in flight on this connection", id))})
-			return
-		}
-		finish := func() {
-			idMu.Lock()
-			delete(ids, id)
-			idMu.Unlock()
-		}
-		r.handleRequest(req, fr, write, finish)
-	}
-}
-
-// handleRequest admits one front-end request and dispatches it in its
-// own goroutine. Admission and in-flight registration happen under mu
-// so Shutdown's drain wait cannot race a late admission.
-func (r *Router) handleRequest(req *wire.AnyRequest, fr wire.Frame, write func(*wire.Response), finish func()) {
-	id, fn := req.ID(), req.Fn()
-	// A request's id is retired before its response is written: a client
-	// may reuse the id the moment it reads the response.
-	refuse := func(st wire.Status, msg string) {
-		finish()
-		write(&wire.Response{ID: id, Status: st, Card: -1, Payload: []byte(msg)})
-		fr.Release()
-	}
-	r.mu.Lock()
-	if r.draining {
-		r.mu.Unlock()
-		refuse(wire.StatusUnavailable, server.DrainMessage)
-		return
-	}
-	select {
-	case r.sem <- struct{}{}:
-	default:
-		r.mu.Unlock()
-		refuse(wire.StatusResourceExhausted,
-			fmt.Sprintf("router at capacity (%d in flight)", cap(r.sem)))
-		return
-	}
-	r.inflight.Add(1)
-	r.mu.Unlock()
-	go func() {
-		defer func() {
-			<-r.sem
-			r.inflight.Done()
-		}()
-		ctx := context.Background()
-		if dl := req.Deadline(); dl > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, dl)
-			defer cancel()
-		}
-		// The route span sits between the client's call span and the
-		// backend server's rpc span. A tracer-less router still forwards
-		// an incoming context verbatim (passthrough ref), so the trace
-		// survives the hop even when this process records nothing.
-		var ref trace.SpanRef
-		if tc := req.TraceContext(); tc.Valid() {
-			ref = r.opts.Tracer.StartRemote(tc.TraceID, tc.SpanID,
-				tc.Sampled(), "route", "router", fn)
-			if !ref.Valid() && tc.Sampled() {
-				ref = trace.SpanRef{TraceID: tc.TraceID, SpanID: tc.SpanID}
-			}
-		} else {
-			ref = r.opts.Tracer.StartRoot("route", "router", fn)
-		}
-		var stages []uint16
-		var payloadIn []byte
-		if req.IsChain {
-			stages, payloadIn = req.Chain.Stages, req.Chain.Payload
-		} else {
-			payloadIn = req.Plain.Payload
-		}
-		start := time.Now() //lint:wallclock hop accounting is wall time; the router is outside the simulation
-		out, card, backendNS, err := r.route(ctx, fn, stages, payloadIn, ref)
-		st, payload := responseFor(out, err)
-		finish()
-		write(&wire.Response{ID: id, Status: st, Card: int16(card), Payload: payload})
-		fr.Release()
-		r.observeRoute(start, backendNS, err, ref.TraceID)
-		r.opts.Tracer.End(ref, routeStatus(err))
-	}()
+	start := time.Now() //lint:wallclock hop accounting is wall time; the router is outside the simulation
+	out, card, backendNS, err := r.route(ctx, rq.Stages(), rq.Payload, ref)
+	st, payload := responseFor(out, err)
+	rq.Reply(st, int16(card), payload)
+	r.observeRoute(start, backendNS, err, ref.TraceID)
+	r.opts.Tracer.End(ref, routeStatus(err))
 }
 
 // responseFor maps a route outcome onto the wire response the router
@@ -706,19 +574,6 @@ func responseFor(out []byte, err error) (wire.Status, []byte) {
 		return wire.StatusDeadlineExceeded, []byte("deadline exceeded in router")
 	}
 	return wire.StatusUnavailable, []byte(err.Error())
-}
-
-// closeConns abruptly closes every front-end connection.
-func (r *Router) closeConns() {
-	r.mu.Lock()
-	conns := make([]net.Conn, 0, len(r.conns))
-	for c := range r.conns {
-		conns = append(conns, c)
-	}
-	r.mu.Unlock()
-	for _, c := range conns {
-		c.Close()
-	}
 }
 
 // stopBackends cancels probes, waits them out, and closes every
@@ -739,41 +594,14 @@ func (r *Router) stopBackends() {
 // connections, probes, and backend clients close. Returns ctx.Err()
 // if the drain outlives ctx.
 func (r *Router) Shutdown(ctx context.Context) error {
-	r.mu.Lock()
-	r.draining = true
-	ln := r.ln
-	r.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		r.inflight.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	r.closeConns()
-	r.connWG.Wait()
+	err := r.front.Shutdown(ctx)
 	r.stopBackends()
 	return err
 }
 
 // Close shuts the router down without waiting for in-flight requests.
 func (r *Router) Close() error {
-	r.mu.Lock()
-	r.draining = true
-	ln := r.ln
-	r.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	r.closeConns()
-	r.connWG.Wait()
+	r.front.Close()
 	r.stopBackends()
 	return nil
 }

@@ -136,7 +136,8 @@ func TestRouterEndToEndMatchesDirectCall(t *testing.T) {
 
 // TestRouterAffinity pins the tentpole routing property: absent
 // overload, every call for one function lands on exactly one backend
-// (the ring primary), so that node's cards stay resident for it.
+// — the ring primary of the function id itself, so that node's cards
+// stay resident for it and a caller can predict it with Ring.Lookup.
 func TestRouterAffinity(t *testing.T) {
 	f := newFleet(t, 3, 1)
 	r, reg := newTestRouter(t, f, router.Options{})
@@ -147,14 +148,18 @@ func TestRouterAffinity(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	ring := router.NewRing(0, 1) // newTestRouter's seed
+	for _, addr := range f.addrs {
+		ring.Add(addr)
+	}
 	served := 0
 	for _, addr := range f.addrs {
 		n := reg.Counter("agile_router_forwards_total",
 			metrics.L("backend", addr), metrics.L("status", "ok")).Value()
 		if n > 0 {
 			served++
-			if n != 20 {
-				t.Fatalf("backend %s served %d of 20", addr, n)
+			if n != 20 || addr != ring.Lookup(fn) {
+				t.Fatalf("backend %s served %d of 20; ring primary is %s", addr, n, ring.Lookup(fn))
 			}
 		}
 	}
@@ -434,6 +439,31 @@ func TestRouterWireFrontEnd(t *testing.T) {
 	var se *client.StatusError
 	if !errors.As(err, &se) || se.Status != wire.StatusNotFound {
 		t.Fatalf("unknown function through two hops: got %v, want NOT_FOUND", err)
+	}
+	// A chain frame crosses the router as one request: its output equals
+	// the direct on-card chain, and the chain's affinity keeps every
+	// repeat on one backend.
+	stages := []uint16{algos.SHA256().ID(), algos.AES128().ID()}
+	direct, _, err := f.nodes[0].cl.CallChain(stages, in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	forwards := func(addr string) uint64 {
+		return reg.Counter("agile_router_forwards_total",
+			metrics.L("backend", addr), metrics.L("status", "ok")).Value()
+	}
+	before := []uint64{forwards(f.addrs[0]), forwards(f.addrs[1])}
+	for i := 0; i < 5; i++ {
+		got, _, err := c.CallChain(context.Background(), stages, in)
+		if err != nil {
+			t.Fatalf("chain through the router: %v", err)
+		}
+		if !bytes.Equal(got, direct.Output) {
+			t.Fatalf("chain wire output %x != direct %x", got, direct.Output)
+		}
+	}
+	if d0, d1 := forwards(f.addrs[0])-before[0], forwards(f.addrs[1])-before[1]; d0*d1 != 0 || d0+d1 != 5 {
+		t.Fatalf("5 repeats of one chain split %d/%d over two backends", d0, d1)
 	}
 	if n := reg.Histogram("agile_router_hop_overhead_seconds").Count(); n == 0 {
 		t.Fatal("hop-overhead histogram is empty after wire calls")

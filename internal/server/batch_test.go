@@ -188,49 +188,6 @@ func TestBatchDwellFlushesPartialWindow(t *testing.T) {
 	}
 }
 
-// TestDuplicateInflightIDRejected: reusing a request id while the
-// first request is still in flight on the same connection is a
-// protocol error — answered explicitly with INVALID_ARGUMENT (never a
-// hang), and fatal to the connection.
-func TestDuplicateInflightIDRejected(t *testing.T) {
-	gate := make(chan struct{})
-	h := newHarness(t, 1, Options{MaxInflight: 8}, func(req *wire.Request) {
-		if req.Fn == algos.MD5().ID() {
-			<-gate
-		}
-	})
-	defer close(gate)
-	conn, err := net.Dial("tcp", h.addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
-	in := []byte{1, 2, 3, 4}
-	// Request 9 parks in the admission hook; its duplicate arrives while
-	// it is provably in flight.
-	if err := wire.WriteRequest(conn, &wire.Request{ID: 9, Fn: algos.MD5().ID(), Payload: in}); err != nil {
-		t.Fatal(err)
-	}
-	if err := wire.WriteRequest(conn, &wire.Request{ID: 9, Fn: algos.CRC32().ID(), Payload: in}); err != nil {
-		t.Fatal(err)
-	}
-	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
-	resp, err := wire.ReadResponse(conn)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.ID != 9 || resp.Status != wire.StatusInvalidArgument {
-		t.Fatalf("duplicate answered %+v, want id 9 INVALID_ARGUMENT", resp)
-	}
-	// The stream is poisoned: the server closes it.
-	if _, err := wire.ReadResponse(conn); err == nil {
-		t.Fatal("connection stayed open after a protocol error")
-	}
-	waitFor(t, func() bool {
-		return h.reg.Counter("agile_server_protocol_errors_total").Value() == 1
-	})
-}
-
 // TestSequentialIDReuseIsLegal: the in-flight id set is per request
 // lifetime, not per connection lifetime — a client may reuse an id
 // once the first use was answered (retries do exactly this).

@@ -24,12 +24,10 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net"
 	"net/http"
 	"sort"
 	"strconv"
@@ -52,7 +50,8 @@ const DefaultMaxInflight = 64
 // Options.BatchWindow enables batching but BatchDwell is zero.
 const DefaultBatchDwell = 200 * time.Microsecond
 
-// ErrServerClosed is returned by Serve after Shutdown or Close.
+// ErrServerClosed is returned by Serve (a Server's or a Router's) after
+// Shutdown or Close.
 var ErrServerClosed = errors.New("server: closed")
 
 // DrainMessage is the diagnostic a draining server attaches to its
@@ -93,25 +92,18 @@ type Options struct {
 	Tracer *trace.Tracer
 }
 
-// Server serves wire-protocol requests by dispatching onto a cluster.
+// Server serves wire-protocol requests by dispatching onto a cluster:
+// the FrontEnd's connection loop, with the cluster as its handler.
 type Server struct {
+	*FrontEnd
 	cl    *cluster.Cluster
 	opts  Options
-	sem   chan struct{}
 	batch *batcher // nil unless Options.BatchWindow > 1
-
-	mu       sync.Mutex
-	ln       net.Listener
-	conns    map[net.Conn]struct{}
-	draining bool
-
-	inflight sync.WaitGroup // admitted requests
-	connWG   sync.WaitGroup // connection handlers
 
 	// reqMu guards reqs, the live table behind /debug/requests: every
 	// admitted request registers here for its whole service time.
 	reqMu sync.Mutex
-	reqs  map[*inflightReq]struct{}
+	reqs  map[*Call]admitted
 
 	// hookAdmitted, when set by tests, runs in the request goroutine
 	// after admission and before dispatch — the deterministic way to
@@ -130,210 +122,52 @@ func New(cl *cluster.Cluster, opts Options) *Server {
 		opts.BatchDwell = DefaultBatchDwell
 	}
 	s := &Server{
-		cl:    cl,
-		opts:  opts,
-		sem:   make(chan struct{}, opts.MaxInflight),
-		conns: make(map[net.Conn]struct{}),
-		reqs:  make(map[*inflightReq]struct{}),
+		cl:   cl,
+		opts: opts,
+		reqs: make(map[*Call]admitted),
 	}
+	s.FrontEnd = NewFrontEnd("server", opts.MaxInflight, opts.Metrics, Handler{
+		Serve: s.serve,
+		Refused: func(req *wire.Request, st wire.Status) {
+			s.observe(req.ID, req.Fn, st, -1, 0)
+		},
+	})
 	if opts.BatchWindow > 1 {
 		s.batch = newBatcher(cl, opts.BatchWindow, opts.BatchDwell, opts.Metrics, opts.Tracer)
 	}
 	return s
 }
 
-// Serve accepts connections on ln until Shutdown or Close, then
-// returns ErrServerClosed. One server serves at most one listener.
-func (s *Server) Serve(ln net.Listener) error {
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		ln.Close()
-		return ErrServerClosed
+// serve is the server's request handler: an rpc span, a /debug/requests
+// row, and one cluster dispatch.
+func (s *Server) serve(ctx context.Context, rq *Call) {
+	// The admission span: join the client's trace when the wire frame
+	// carried a context, root a server-side trace otherwise. A nil
+	// Tracer (or a sampled-out decision) yields a zero ref and every
+	// downstream span call is a no-op.
+	var ref trace.SpanRef
+	if tc := rq.Trace; tc.Valid() {
+		ref = s.opts.Tracer.StartRemote(tc.TraceID, tc.SpanID,
+			tc.Sampled(), "rpc", "server", rq.Fn)
+	} else {
+		ref = s.opts.Tracer.StartRoot("rpc", "server", rq.Fn)
 	}
-	if s.ln != nil {
-		s.mu.Unlock()
-		return errors.New("server: Serve called twice")
+	start := time.Now() //lint:wallclock served latency is wall time seen by network clients
+	s.reqMu.Lock()
+	s.reqs[rq] = admitted{start: start, traceID: ref.TraceID}
+	s.reqMu.Unlock()
+	if s.hookAdmitted != nil {
+		s.hookAdmitted(&rq.Request)
 	}
-	s.ln = ln
-	s.mu.Unlock()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			s.mu.Lock()
-			draining := s.draining
-			s.mu.Unlock()
-			if draining {
-				return ErrServerClosed
-			}
-			return err
-		}
-		s.mu.Lock()
-		if s.draining {
-			s.mu.Unlock()
-			conn.Close()
-			return ErrServerClosed
-		}
-		s.conns[conn] = struct{}{}
-		s.connWG.Add(1)
-		s.mu.Unlock()
-		if s.opts.Metrics != nil {
-			s.opts.Metrics.Counter("agile_server_accepted_total").Inc()
-			s.opts.Metrics.Gauge("agile_server_connections").Inc()
-		}
-		go s.handleConn(conn)
-	}
-}
-
-// handleConn reads frames off one connection. Requests are handled
-// concurrently (a connection may pipeline requests and receive the
-// responses out of order); responses serialise through one write lock.
-// Request payloads are zero-copy: each frame's payload aliases a
-// pooled read buffer that is held until that request's response is
-// written, so pipelined bytes flow from the socket into the cluster
-// without an intermediate copy. A protocol error — broken framing, or
-// a request id already in flight on this connection — poisons the
-// stream, so the connection closes.
-func (s *Server) handleConn(c net.Conn) {
-	defer s.connWG.Done()
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, c)
-		s.mu.Unlock()
-		c.Close()
-		if s.opts.Metrics != nil {
-			s.opts.Metrics.Gauge("agile_server_connections").Dec()
-		}
-	}()
-	br := bufio.NewReader(c)
-	bw := bufio.NewWriter(c)
-	var wmu sync.Mutex
-	write := func(resp *wire.Response) {
-		wmu.Lock()
-		defer wmu.Unlock()
-		if err := wire.WriteResponse(bw, resp); err != nil {
-			return
-		}
-		bw.Flush()
-	}
-	var idMu sync.Mutex
-	ids := make(map[uint64]struct{}) // request ids currently in flight on this conn
-	for {
-		req := new(wire.AnyRequest)
-		fr, err := wire.ReadAnyRequestFrame(br, req)
-		if err != nil {
-			if s.opts.Metrics != nil && !errors.Is(err, net.ErrClosed) {
-				s.opts.Metrics.Counter("agile_server_decode_errors_total").Inc()
-			}
-			return
-		}
-		id := req.ID()
-		idMu.Lock()
-		_, dup := ids[id]
-		if !dup {
-			ids[id] = struct{}{}
-		}
-		idMu.Unlock()
-		if dup {
-			// Two in-flight requests with one id would make the response
-			// stream ambiguous — a protocol error, answered explicitly
-			// (never a hang) and fatal to the connection.
-			fr.Release()
-			if s.opts.Metrics != nil {
-				s.opts.Metrics.Counter("agile_server_protocol_errors_total").Inc()
-			}
-			s.refuse(id, req.Fn(), write, wire.StatusInvalidArgument,
-				fmt.Sprintf("request id %d already in flight on this connection", id))
-			return
-		}
-		finish := func() {
-			idMu.Lock()
-			delete(ids, id)
-			idMu.Unlock()
-		}
-		s.handleRequest(req, fr, write, finish, c.RemoteAddr().String())
-	}
-}
-
-// handleRequest admits one request and, if admitted, dispatches it in
-// its own goroutine. The draining check, semaphore acquisition and
-// in-flight registration happen atomically under mu so Shutdown's
-// drain wait cannot race a late admission.
-func (s *Server) handleRequest(req *wire.AnyRequest, fr wire.Frame, write func(*wire.Response), finish func(), remote string) {
-	id, fn := req.ID(), req.Fn()
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		finish()
-		s.refuse(id, fn, write, wire.StatusUnavailable, DrainMessage)
-		fr.Release()
-		return
-	}
-	select {
-	case s.sem <- struct{}{}:
-	default:
-		s.mu.Unlock()
-		finish()
-		s.refuse(id, fn, write, wire.StatusResourceExhausted,
-			fmt.Sprintf("server at capacity (%d in flight)", cap(s.sem)))
-		fr.Release()
-		return
-	}
-	s.inflight.Add(1)
-	s.mu.Unlock()
-	if s.opts.Metrics != nil {
-		s.opts.Metrics.Gauge("agile_server_inflight").Inc()
-	}
-	go func() {
-		defer func() {
-			<-s.sem
-			s.inflight.Done()
-			if s.opts.Metrics != nil {
-				s.opts.Metrics.Gauge("agile_server_inflight").Dec()
-			}
-		}()
-		// The request's budget starts at admission, so time spent in
-		// dispatch counts against the deadline the client asked for.
-		ctx := context.Background()
-		if dl := req.Deadline(); dl > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, dl)
-			defer cancel()
-		}
-		// The admission span: join the client's trace when the wire
-		// frame carried a context, root a server-side trace otherwise.
-		// A nil Tracer (or a sampled-out decision) yields a zero ref and
-		// every downstream span call is a no-op.
-		var ref trace.SpanRef
-		if tc := req.TraceContext(); tc.Valid() {
-			ref = s.opts.Tracer.StartRemote(tc.TraceID, tc.SpanID,
-				tc.Sampled(), "rpc", "server", fn)
-		} else {
-			ref = s.opts.Tracer.StartRoot("rpc", "server", fn)
-		}
-		start := time.Now() //lint:wallclock served latency is wall time seen by network clients
-		entry := &inflightReq{id: id, fn: fn, conn: remote, start: start, traceID: ref.TraceID}
-		s.reqMu.Lock()
-		s.reqs[entry] = struct{}{}
-		s.reqMu.Unlock()
-		if s.hookAdmitted != nil && !req.IsChain {
-			s.hookAdmitted(&req.Plain)
-		}
-		status, card, payload := s.execute(ctx, req, ref)
-		// The request is retired — its id and its /debug/requests row —
-		// before the response is written: a client may reuse the id, or
-		// look at the table, the moment it reads the response.
-		finish()
-		s.reqMu.Lock()
-		delete(s.reqs, entry)
-		s.reqMu.Unlock()
-		write(&wire.Response{ID: id, Status: status, Card: card, Payload: payload})
-		// The response is on the wire: the request's read buffer (aliased
-		// by its payload) may be recycled.
-		fr.Release()
-		s.opts.Tracer.End(ref, statusLabel(status))
-		s.observeTraced(id, fn, status, card, time.Since(start), ref.TraceID) //lint:wallclock served latency is wall time seen by network clients
-	}()
+	status, card, payload := s.execute(ctx, rq, ref)
+	// The request leaves /debug/requests before its response is written:
+	// a client may look at the table the moment it reads the response.
+	s.reqMu.Lock()
+	delete(s.reqs, rq)
+	s.reqMu.Unlock()
+	rq.Reply(status, card, payload)
+	s.opts.Tracer.End(ref, statusLabel(status))
+	s.observeTraced(rq.ID, rq.Fn, status, card, time.Since(start), ref.TraceID) //lint:wallclock served latency is wall time seen by network clients
 }
 
 // statusLabel renders a wire status as a span status string ("ok"
@@ -345,13 +179,6 @@ func statusLabel(st wire.Status) string {
 	return st.String()
 }
 
-// refuse answers a request that was never admitted. Callers retire the
-// request's id first, as for an admitted one.
-func (s *Server) refuse(id uint64, fn uint16, write func(*wire.Response), st wire.Status, msg string) {
-	write(&wire.Response{ID: id, Status: st, Card: -1, Payload: []byte(msg)})
-	s.observe(id, fn, st, -1, 0)
-}
-
 // execute runs one admitted request on the cluster, mapping dispatcher
 // errors to wire statuses. ctx carries the request's deadline; ref the
 // request's server span (zero when the request is not sampled). Plain
@@ -360,20 +187,16 @@ func (s *Server) refuse(id uint64, fn uint16, write func(*wire.Response), st wir
 // consecutive jobs for the same stage list into one pipelined run; a
 // plain request joins the batcher's window first when one is
 // configured.
-func (s *Server) execute(ctx context.Context, req *wire.AnyRequest, ref trace.SpanRef) (wire.Status, int16, []byte) {
-	stages, payload := req.Chain.Stages, req.Chain.Payload
-	if !req.IsChain {
-		stages, payload = []uint16{req.Plain.Fn}, req.Plain.Payload
-	}
+func (s *Server) execute(ctx context.Context, rq *Call, ref trace.SpanRef) (wire.Status, int16, []byte) {
 	var p *cluster.Pending
 	switch {
-	case len(payload) == 0:
+	case len(rq.Payload) == 0:
 		return wire.StatusInvalidArgument, -1, []byte("empty payload")
-	case s.batch != nil && !req.IsChain:
-		p = s.batch.submit(ctx, &req.Plain, ref)
+	case s.batch != nil && len(rq.Next) == 0:
+		p = s.batch.submit(ctx, &rq.Request, ref)
 	default:
 		p = s.cl.SubmitJob(cluster.Job{
-			Stages: stages, Inputs: [][]byte{payload},
+			Stages: rq.Stages(), Inputs: [][]byte{rq.Payload},
 			Ctxs: []context.Context{ctx}, Refs: []trace.SpanRef{ref},
 		})[0]
 	}
@@ -386,7 +209,7 @@ func (s *Server) execute(ctx context.Context, req *wire.AnyRequest, ref trace.Sp
 		return wire.StatusDeadlineExceeded, -1, []byte(ctx.Err().Error())
 	}
 	res, card, err := p.Wait()
-	s.addDispatchSpans(req.Fn(), ref, p, res, card)
+	s.addDispatchSpans(rq.Fn, ref, p, res, card)
 	if err != nil {
 		return statusOf(err), int16(card), []byte(err.Error())
 	}
@@ -478,71 +301,9 @@ func (s *Server) observeTraced(id uint64, fn uint16, st wire.Status, card int16,
 	}
 }
 
-// Shutdown gracefully drains the server: the listener closes, new
-// requests are refused with UNAVAILABLE, admitted requests finish and
-// flush their responses, then connections close. It returns ctx.Err()
-// if the drain outlives ctx (connections are then closed abruptly).
-func (s *Server) Shutdown(ctx context.Context) error {
-	s.mu.Lock()
-	s.draining = true
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	done := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(done)
-	}()
-	var err error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		err = ctx.Err()
-	}
-	s.closeConns()
-	if err == nil {
-		s.connWG.Wait()
-	}
-	return err
-}
-
-// Draining reports whether Shutdown or Close has begun — once true,
-// every new request is refused with UNAVAILABLE + DrainMessage.
-func (s *Server) Draining() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.draining
-}
-
-// Close shuts the server down without waiting for in-flight requests.
-func (s *Server) Close() error {
-	s.mu.Lock()
-	s.draining = true
-	ln := s.ln
-	s.mu.Unlock()
-	if ln != nil {
-		ln.Close()
-	}
-	s.closeConns()
-	return nil
-}
-
-func (s *Server) closeConns() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for c := range s.conns {
-		c.Close()
-	}
-}
-
-// inflightReq is one row of the live request table: what the server is
-// working on right now, for /debug/requests.
-type inflightReq struct {
-	id      uint64
-	fn      uint16
-	conn    string
+// admitted is what the live request table keeps beside a request's
+// Call: when it was admitted, and its trace id (0 when not sampled).
+type admitted struct {
 	start   time.Time
 	traceID uint64
 }
@@ -561,15 +322,15 @@ func (s *Server) InflightRequests() []InflightRequest {
 	now := time.Now() //lint:wallclock request age is operator-facing wall time
 	s.reqMu.Lock()
 	rows := make([]InflightRequest, 0, len(s.reqs))
-	for e := range s.reqs {
+	for rq, a := range s.reqs {
 		row := InflightRequest{
-			ID:    e.id,
-			Fn:    e.fn,
-			Conn:  e.conn,
-			AgeMS: now.Sub(e.start).Milliseconds(),
+			ID:    rq.ID,
+			Fn:    rq.Fn,
+			Conn:  rq.Conn,
+			AgeMS: now.Sub(a.start).Milliseconds(),
 		}
-		if e.traceID != 0 {
-			row.TraceID = "0x" + strconv.FormatUint(e.traceID, 16)
+		if a.traceID != 0 {
+			row.TraceID = "0x" + strconv.FormatUint(a.traceID, 16)
 		}
 		rows = append(rows, row)
 	}
@@ -594,6 +355,6 @@ func (s *Server) DebugRequestsHandler() http.Handler {
 		enc.Encode(struct {
 			Inflight int               `json:"inflight"`
 			Requests []InflightRequest `json:"requests"`
-		}{Inflight: len(s.sem), Requests: s.InflightRequests()})
+		}{Inflight: s.Inflight(), Requests: s.InflightRequests()})
 	})
 }

@@ -160,95 +160,6 @@ func TestConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestSaturationRefusesThenRetrySucceeds injects deterministic
-// saturation: the admission hook parks the only in-flight slot on a
-// gate, a no-retry client observes RESOURCE_EXHAUSTED, and a retrying
-// client's backoff bridges the gate's release.
-func TestSaturationRefusesThenRetrySucceeds(t *testing.T) {
-	gate := make(chan struct{})
-	h := newHarness(t, 1, Options{MaxInflight: 1}, func(req *wire.Request) {
-		if req.Fn == algos.MD5().ID() { // only the parked request blocks
-			<-gate
-		}
-	})
-	in := []byte{1, 2, 3, 4}
-
-	parked, err := client.Dial(h.addr, client.Options{MaxRetries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer parked.Close()
-	parkedDone := make(chan error, 1)
-	go func() {
-		_, _, err := parked.Call(context.Background(), algos.MD5().ID(), in)
-		parkedDone <- err
-	}()
-
-	// Wait until the parked request holds the slot.
-	waitFor(t, func() bool {
-		return h.reg.Gauge("agile_server_inflight").Value() == 1
-	})
-
-	// A client without retries sees the explicit refusal, not a hang.
-	noRetry, err := client.Dial(h.addr, client.Options{MaxRetries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer noRetry.Close()
-	_, _, err = noRetry.Call(context.Background(), algos.CRC32().ID(), in)
-	var se *client.StatusError
-	if !errors.As(err, &se) || se.Status != wire.StatusResourceExhausted {
-		t.Fatalf("saturated call err = %v, want RESOURCE_EXHAUSTED", err)
-	}
-
-	// A retrying client keeps backing off; release the gate after its
-	// first observed retry and the call must succeed.
-	retries := make(chan int, 16)
-	retrier, err := client.Dial(h.addr, client.Options{
-		MaxRetries:  8,
-		BaseBackoff: 2 * time.Millisecond,
-		OnRetry: func(attempt int, err error) {
-			select {
-			case retries <- attempt:
-			default:
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer retrier.Close()
-	callDone := make(chan error, 1)
-	var out []byte
-	go func() {
-		var err error
-		out, _, err = retrier.Call(context.Background(), algos.CRC32().ID(), in)
-		callDone <- err
-	}()
-	select {
-	case <-retries:
-	case <-time.After(5 * time.Second):
-		t.Fatal("no retry observed while saturated")
-	}
-	close(gate)
-	if err := <-callDone; err != nil {
-		t.Fatalf("retrying call failed after release: %v", err)
-	}
-	want, _ := algos.CRC32().Exec(in)
-	if !bytes.Equal(out, want) {
-		t.Fatal("retried call returned wrong bytes")
-	}
-	if err := <-parkedDone; err != nil {
-		t.Fatalf("parked call failed: %v", err)
-	}
-	// The server counts a refusal after its response is flushed, so the
-	// second one may still be a moment behind the client that read it.
-	waitFor(t, func() bool {
-		return h.reg.Counter("agile_server_requests_total",
-			metrics.L("status", "resource_exhausted")).Value() >= 2
-	})
-}
-
 // TestGracefulDrain proves Shutdown completes in-flight requests and
 // refuses new ones.
 func TestGracefulDrain(t *testing.T) {
@@ -400,7 +311,7 @@ func TestUnknownFunctionAndEmptyPayload(t *testing.T) {
 
 // TestChainSplitIsInvalidArgument: in partition mode a chain whose
 // stages live on different cards can never run as one on-card dataflow;
-// the wire.ChainRequest must come back INVALID_ARGUMENT, and a chain
+// the chain request must come back INVALID_ARGUMENT, and a chain
 // whose stages share a home must be served.
 func TestChainSplitIsInvalidArgument(t *testing.T) {
 	h := newHarnessMode(t, cluster.ModePartition, 2, Options{}, nil)
@@ -449,6 +360,35 @@ func TestBadFrameClosesConnection(t *testing.T) {
 	waitFor(t, func() bool {
 		return h.reg.Counter("agile_server_decode_errors_total").Value() >= 1
 	})
+}
+
+// TestCleanCloseIsNotADecodeError: a client that closes its connection
+// at a frame boundary broke nothing, so the decode-error counter stays
+// at zero — it counts streams that broke framing, nothing else.
+func TestCleanCloseIsNotADecodeError(t *testing.T) {
+	h := newHarness(t, 1, Options{}, nil)
+	in := []byte{1, 2, 3, 4}
+	for i := 0; i < 5; i++ {
+		conn, err := net.Dial("tcp", h.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := wire.WriteRequest(conn, &wire.Request{ID: 1, Fn: algos.CRC32().ID(), Payload: in}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		if resp, err := wire.ReadResponse(conn); err != nil || resp.Status != wire.StatusOK {
+			t.Fatalf("call %d: %+v, %v", i, resp, err)
+		}
+		conn.Close()
+	}
+	// A connection leaves the gauge after its loop has seen the close.
+	waitFor(t, func() bool {
+		return h.reg.Gauge("agile_server_connections").Value() == 0
+	})
+	if n := h.reg.Counter("agile_server_decode_errors_total").Value(); n != 0 {
+		t.Fatalf("%d decode errors after 5 clean closes, want 0", n)
+	}
 }
 
 // TestObserveWithoutSinksAllocatesNothing: with no metrics registry and

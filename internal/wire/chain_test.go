@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 	"time"
 )
@@ -12,7 +13,7 @@ import (
 // byte — shapes the encoder refuses to emit (empty or oversized stage
 // lists) that the decoder must reject.
 func chainFrame(nstages int, stages []uint16, payload []byte) []byte {
-	headerLen := chainHeaderBase + 2*len(stages)
+	headerLen := chainHeaderLen + 2*len(stages)
 	b := make([]byte, 0, lenPrefix+headerLen+len(payload))
 	b = binary.BigEndian.AppendUint32(b, uint32(headerLen+len(payload)))
 	b = binary.BigEndian.AppendUint16(b, Magic)
@@ -27,68 +28,18 @@ func chainFrame(nstages int, stages []uint16, payload []byte) []byte {
 	return append(b, payload...)
 }
 
-// FuzzDecodeChain drives the chain decoder with arbitrary bytes: it
-// must never panic, never accept a stage list the card could not run,
-// and every accepted frame must re-encode to exactly the bytes it
-// consumed.
-func FuzzDecodeChain(f *testing.F) {
-	// Valid chains, untraced and traced.
-	f.Add(AppendChainRequest(nil, &ChainRequest{ID: 1, Stages: []uint16{3, 4},
-		Deadline: time.Second, Payload: []byte("seed")}))
-	f.Add(AppendChainRequest(nil, &ChainRequest{ID: 2, Stages: []uint16{1, 2, 3, 4, 5, 6, 7, 8},
-		Payload: bytes.Repeat([]byte{0x5A}, 300)}))
-	f.Add(AppendChainRequest(nil, &ChainRequest{ID: 3, Stages: []uint16{9, 10},
-		Deadline: time.Minute, Payload: []byte("ctx"),
-		Trace: TraceContext{TraceID: 0xDEAD, SpanID: 0xBEEF, Flags: FlagSampled}}))
-	// Empty chain: a zero stage count is non-canonical and must be
-	// rejected, not decoded as a request with no work.
-	f.Add(chainFrame(0, nil, []byte("p")))
-	// Oversized stage list: more stages than the card's latch.
-	f.Add(chainFrame(MaxChainStages+1, make([]uint16, MaxChainStages+1), []byte("p")))
-	// One stage: chaining starts at two.
-	f.Add(chainFrame(1, []uint16{5}, []byte("p")))
-	// A plain request frame fed to the chain decoder (type mismatch).
-	f.Add(AppendRequest(nil, &Request{ID: 9, Fn: 2, Payload: []byte("abc")}))
-	// Truncation inside the stage list.
-	valid := AppendChainRequest(nil, &ChainRequest{ID: 4, Stages: []uint16{1, 2, 3}, Payload: []byte("abc")})
-	f.Add(valid[:lenPrefix+chainHeaderBase+3])
-	f.Add(valid[:len(valid)-1])
-	// Malformed trace context inside an otherwise valid traced chain.
-	mft := AppendChainRequest(nil, &ChainRequest{ID: 5, Stages: []uint16{1, 2}, Payload: []byte("p"),
-		Trace: TraceContext{TraceID: 7, SpanID: 8, Flags: FlagSampled}})
-	mft[lenPrefix+25+7] = 0 // zero the trace id's low byte... (still nonzero id; keep as mutation seed)
-	f.Add(mft)
-
-	f.Fuzz(func(t *testing.T, data []byte) {
-		req, n, err := DecodeChainRequest(data)
-		if err != nil {
-			if req != nil || n != 0 {
-				t.Fatalf("failed decode leaked state: req=%v n=%d", req, n)
-			}
-			return
-		}
-		if len(req.Stages) < 2 || len(req.Stages) > MaxChainStages {
-			t.Fatalf("accepted %d stages", len(req.Stages))
-		}
-		if n > len(data) || len(req.Payload) > MaxPayload || req.Deadline < 0 {
-			t.Fatalf("bad accept: n=%d payload=%d deadline=%v", n, len(req.Payload), req.Deadline)
-		}
-		reenc := AppendChainRequest(nil, req)
-		if !bytes.Equal(reenc, data[:n]) {
-			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data[:n], reenc)
-		}
-	})
-}
-
 func TestChainRoundTrip(t *testing.T) {
-	for _, req := range []*ChainRequest{
-		{ID: 1, Stages: []uint16{3, 4}, Deadline: time.Second, Payload: []byte("hello")},
-		{ID: 1<<64 - 1, Stages: []uint16{1, 2, 3, 4, 5, 6, 7, 8}, Payload: []byte{}},
-		{ID: 7, Stages: []uint16{9, 10}, Payload: []byte("traced"),
+	for _, req := range []*Request{
+		{ID: 1, Fn: 3, Next: []uint16{4}, Deadline: time.Second, Payload: []byte("hello")},
+		{ID: 1<<64 - 1, Fn: 1, Next: []uint16{2, 3, 4, 5, 6, 7, 8}, Payload: []byte{}},
+		{ID: 7, Fn: 9, Next: []uint16{10}, Payload: []byte("traced"),
 			Trace: TraceContext{TraceID: 0xFEED, SpanID: 0x1001, Flags: FlagSampled}},
 	} {
-		b := AppendChainRequest(nil, req)
-		got, n, err := DecodeChainRequest(b)
+		b := AppendRequest(nil, req)
+		if b[lenPrefix+3] != TypeChain {
+			t.Fatalf("%d-stage request encoded as frame type %d", 1+len(req.Next), b[lenPrefix+3])
+		}
+		got, n, err := DecodeRequest(b)
 		if err != nil {
 			t.Fatalf("decode: %v", err)
 		}
@@ -98,13 +49,8 @@ func TestChainRoundTrip(t *testing.T) {
 		if got.ID != req.ID || got.Deadline != req.Deadline || got.Trace != req.Trace {
 			t.Fatalf("fields differ: %+v vs %+v", got, req)
 		}
-		if len(got.Stages) != len(req.Stages) {
-			t.Fatalf("stage count differs")
-		}
-		for i := range got.Stages {
-			if got.Stages[i] != req.Stages[i] {
-				t.Fatalf("stage %d differs", i)
-			}
+		if got.Fn != req.Fn || !slices.Equal(got.Next, req.Next) {
+			t.Fatalf("stage list differs: %d %v vs %d %v", got.Fn, got.Next, req.Fn, req.Next)
 		}
 		if !bytes.Equal(got.Payload, req.Payload) {
 			t.Fatalf("payload differs")
@@ -123,36 +69,28 @@ func TestChainRejections(t *testing.T) {
 		{"empty chain", chainFrame(0, nil, []byte("p")), ErrBadChain},
 		{"one stage", chainFrame(1, []uint16{5}, []byte("p")), ErrBadChain},
 		{"oversized stage list", chainFrame(MaxChainStages+1, make([]uint16, MaxChainStages+1), []byte("p")), ErrBadChain},
-		{"plain request frame", AppendRequest(nil, &Request{ID: 9, Fn: 2, Payload: []byte("abc")}), ErrBadType},
 		// Long enough that the body passes the minimum-length check and
 		// the type byte is what rejects it.
 		{"response frame", AppendResponse(nil, &Response{ID: 9, Payload: bytes.Repeat([]byte{'x'}, 32)}), ErrBadType},
-		{"truncated stage list", AppendChainRequest(nil, &ChainRequest{ID: 4, Stages: []uint16{1, 2, 3},
-			Payload: []byte("abc")})[:lenPrefix+chainHeaderBase+2], ErrTruncated},
+		{"truncated stage list", AppendRequest(nil, &Request{ID: 4, Fn: 1, Next: []uint16{2, 3},
+			Payload: []byte("abc")})[:lenPrefix+chainHeaderLen+2], ErrTruncated},
 	}
 	for _, tc := range cases {
-		if _, _, err := DecodeChainRequest(tc.b); !errors.Is(err, tc.want) {
+		if _, _, err := DecodeRequest(tc.b); !errors.Is(err, tc.want) {
 			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
-	}
-	// A chain frame sent to a v1 peer: the plain request decoder must
-	// reject it on frame type, never misread the stage list as header
-	// fields.
-	chain := AppendChainRequest(nil, &ChainRequest{ID: 6, Stages: []uint16{3, 4}, Payload: []byte("x")})
-	if _, _, err := DecodeRequest(chain); !errors.Is(err, ErrBadType) {
-		t.Errorf("chain frame to v1 peer: got %v, want ErrBadType", err)
 	}
 	// Length-mismatch inside the chain header.
 	bad := chainFrame(2, []uint16{1, 2}, []byte("abc"))
 	binary.BigEndian.PutUint32(bad[lenPrefix+21:], 99)
-	if _, _, err := DecodeChainRequest(bad); !errors.Is(err, ErrLengthMismatch) {
+	if _, _, err := DecodeRequest(bad); !errors.Is(err, ErrLengthMismatch) {
 		t.Errorf("length mismatch: got %v", err)
 	}
 	// Non-canonical trace context: zero trace id under VersionTraced.
 	tr := chainFrame(2, []uint16{1, 2}, []byte("p"))
 	// Rebuild as traced with a zero trace id.
 	traced := make([]byte, 0, len(tr)+TraceContextLen)
-	headerLen := chainHeaderBase + TraceContextLen + 4
+	headerLen := chainHeaderLen + TraceContextLen + 4
 	traced = binary.BigEndian.AppendUint32(traced, uint32(headerLen+1))
 	traced = binary.BigEndian.AppendUint16(traced, Magic)
 	traced = append(traced, VersionTraced, TypeChain)
@@ -166,43 +104,14 @@ func TestChainRejections(t *testing.T) {
 	traced = binary.BigEndian.AppendUint16(traced, 1)
 	traced = binary.BigEndian.AppendUint16(traced, 2)
 	traced = append(traced, 'p')
-	if _, _, err := DecodeChainRequest(traced); !errors.Is(err, ErrBadTraceContext) {
+	if _, _, err := DecodeRequest(traced); !errors.Is(err, ErrBadTraceContext) {
 		t.Errorf("zero trace id: got %v", err)
 	}
-}
-
-// TestReadAnyRequestFrame exercises the server's combined read path:
-// a plain frame and a chain frame on one stream, each dispatched by
-// type, payloads aliasing the pooled buffer until Release.
-func TestReadAnyRequestFrame(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteRequest(&buf, &Request{ID: 1, Fn: 7, Payload: []byte("plain")}); err != nil {
-		t.Fatal(err)
+	// The writer refuses a stage list the card could not latch, before a
+	// byte reaches the stream.
+	var w bytes.Buffer
+	long := &Request{ID: 1, Fn: 1, Next: make([]uint16, MaxChainStages), Payload: []byte("p")}
+	if err := WriteRequest(&w, long); !errors.Is(err, ErrBadChain) || w.Len() != 0 {
+		t.Errorf("%d-stage write: err %v, %d bytes written", 1+len(long.Next), err, w.Len())
 	}
-	if err := WriteChainRequest(&buf, &ChainRequest{ID: 2, Stages: []uint16{3, 4}, Payload: []byte("chain")}); err != nil {
-		t.Fatal(err)
-	}
-	var any AnyRequest
-	fr, err := ReadAnyRequestFrame(&buf, &any)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if any.IsChain || any.Plain.ID != 1 || string(any.Plain.Payload) != "plain" {
-		t.Fatalf("first frame decoded wrong: %+v", any)
-	}
-	if any.ID() != 1 {
-		t.Fatalf("ID() = %d", any.ID())
-	}
-	fr.Release()
-	fr, err = ReadAnyRequestFrame(&buf, &any)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !any.IsChain || any.Chain.ID != 2 || string(any.Chain.Payload) != "chain" {
-		t.Fatalf("second frame decoded wrong: %+v", any)
-	}
-	if any.ID() != 2 || len(any.Chain.Stages) != 2 {
-		t.Fatalf("chain accessors wrong: id=%d stages=%v", any.ID(), any.Chain.Stages)
-	}
-	fr.Release()
 }

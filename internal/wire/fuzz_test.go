@@ -7,11 +7,12 @@ import (
 	"time"
 )
 
-// FuzzDecodeRequest drives the request decoder with arbitrary bytes.
-// Two invariants must hold for every input: the decoder never panics,
-// and any frame it accepts re-encodes to exactly the bytes it consumed
-// (the encoding is canonical, so decode ∘ encode is the identity on
-// valid frames).
+// FuzzDecodeRequest drives the request decoder — plain and chain
+// frames — with arbitrary bytes. Three invariants must hold for every
+// input: the decoder never panics, it never accepts a stage list the
+// card could not run, and any frame it accepts re-encodes to exactly
+// the bytes it consumed (the encoding is canonical, so decode ∘ encode
+// is the identity on valid frames).
 func FuzzDecodeRequest(f *testing.F) {
 	f.Add(AppendRequest(nil, &Request{ID: 1, Fn: 7, Deadline: time.Second, Payload: []byte("seed")}))
 	f.Add(AppendRequest(nil, &Request{ID: 0, Fn: 0, Payload: []byte{}}))
@@ -67,29 +68,82 @@ func FuzzDecodeRequest(f *testing.F) {
 	f.Add(AppendRequest(
 		AppendRequest(nil, &Request{ID: 22, Fn: 6, Deadline: time.Second, Payload: []byte("hop")}),
 		&Request{ID: 2, Fn: 6, Deadline: 900 * time.Millisecond, Payload: []byte("hop")}))
+	// The chain seeds follow, so this one target covers both frame types.
+	for _, s := range chainSeeds() {
+		f.Add(s)
+	}
 
-	f.Fuzz(func(t *testing.T, data []byte) {
-		req, n, err := DecodeRequest(data)
-		if err != nil {
-			if req != nil || n != 0 {
-				t.Fatalf("failed decode leaked state: req=%v n=%d", req, n)
-			}
-			return
+	f.Fuzz(checkRequestDecode)
+}
+
+// FuzzDecodeChain drives the same decoder and invariants from the chain
+// seeds alone, so a chain-frame regression is reported under its own
+// name.
+func FuzzDecodeChain(f *testing.F) {
+	for _, s := range chainSeeds() {
+		f.Add(s)
+	}
+	f.Fuzz(checkRequestDecode)
+}
+
+// chainSeeds returns the chain-frame seeds shared by the request fuzz
+// targets.
+func chainSeeds() [][]byte {
+	var seeds [][]byte
+	// Chain frames: valid chains, untraced and traced.
+	seeds = append(seeds,
+		AppendRequest(nil, &Request{ID: 1, Fn: 3, Next: []uint16{4},
+			Deadline: time.Second, Payload: []byte("seed")}),
+		AppendRequest(nil, &Request{ID: 2, Fn: 1, Next: []uint16{2, 3, 4, 5, 6, 7, 8},
+			Payload: bytes.Repeat([]byte{0x5A}, 300)}),
+		AppendRequest(nil, &Request{ID: 3, Fn: 9, Next: []uint16{10},
+			Deadline: time.Minute, Payload: []byte("ctx"),
+			Trace: TraceContext{TraceID: 0xDEAD, SpanID: 0xBEEF, Flags: FlagSampled}}))
+	// Empty chain: a zero stage count is non-canonical and must be
+	// rejected, not decoded as a request with no work.
+	seeds = append(seeds, chainFrame(0, nil, []byte("p")))
+	// Oversized stage list: more stages than the card's latch.
+	seeds = append(seeds, chainFrame(MaxChainStages+1, make([]uint16, MaxChainStages+1), []byte("p")))
+	// One stage: a chain frame starts at two (one stage is a plain call).
+	seeds = append(seeds, chainFrame(1, []uint16{5}, []byte("p")))
+	// A plain request frame next to the chain seeds: both types decode.
+	seeds = append(seeds, AppendRequest(nil, &Request{ID: 9, Fn: 2, Payload: []byte("abc")}))
+	// Truncation inside the stage list.
+	chain := AppendRequest(nil, &Request{ID: 4, Fn: 1, Next: []uint16{2, 3}, Payload: []byte("abc")})
+	seeds = append(seeds, chain[:lenPrefix+chainHeaderLen+3], chain[:len(chain)-1])
+	// A traced chain whose trace id (7, all in its low byte) is zeroed in
+	// place: non-canonical context, rejected.
+	mft := AppendRequest(nil, &Request{ID: 5, Fn: 1, Next: []uint16{2}, Payload: []byte("p"),
+		Trace: TraceContext{TraceID: 7, SpanID: 8, Flags: FlagSampled}})
+	mft[lenPrefix+25+7] = 0
+	return append(seeds, mft)
+}
+
+// checkRequestDecode is the body shared by the request fuzz targets.
+func checkRequestDecode(t *testing.T, data []byte) {
+	req, n, err := DecodeRequest(data)
+	if err != nil {
+		if req != nil || n != 0 {
+			t.Fatalf("failed decode leaked state: req=%v n=%d", req, n)
 		}
-		if n < lenPrefix+requestHeaderLen || n > len(data) {
-			t.Fatalf("consumed %d of %d", n, len(data))
-		}
-		if len(req.Payload) > MaxPayload {
-			t.Fatalf("accepted payload of %d bytes", len(req.Payload))
-		}
-		if req.Deadline < 0 {
-			t.Fatalf("accepted negative deadline %v", req.Deadline)
-		}
-		reenc := AppendRequest(nil, req)
-		if !bytes.Equal(reenc, data[:n]) {
-			t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data[:n], reenc)
-		}
-	})
+		return
+	}
+	if n < lenPrefix+requestHeaderLen || n > len(data) {
+		t.Fatalf("consumed %d of %d", n, len(data))
+	}
+	if len(req.Next) >= MaxChainStages {
+		t.Fatalf("accepted %d stages", 1+len(req.Next))
+	}
+	if len(req.Payload) > MaxPayload {
+		t.Fatalf("accepted payload of %d bytes", len(req.Payload))
+	}
+	if req.Deadline < 0 {
+		t.Fatalf("accepted negative deadline %v", req.Deadline)
+	}
+	reenc := AppendRequest(nil, req)
+	if !bytes.Equal(reenc, data[:n]) {
+		t.Fatalf("decode/encode not canonical:\n in  %x\n out %x", data[:n], reenc)
+	}
 }
 
 // FuzzDecodeResponse is the response-side twin: the decoder never
@@ -168,8 +222,9 @@ func pipelinedResponses(id1, id2 uint64) []byte {
 // keep decode ∘ encode the identity.
 func malformedTrace(traceID, spanID uint64, flags uint8) []byte {
 	payload := []byte("p")
-	b := make([]byte, 0, lenPrefix+requestHeaderLenTraced+len(payload))
-	b = binary.BigEndian.AppendUint32(b, uint32(requestHeaderLenTraced+len(payload)))
+	headerLen := requestHeaderLen + TraceContextLen
+	b := make([]byte, 0, lenPrefix+headerLen+len(payload))
+	b = binary.BigEndian.AppendUint32(b, uint32(headerLen+len(payload)))
 	b = binary.BigEndian.AppendUint16(b, Magic)
 	b = append(b, VersionTraced, TypeRequest)
 	b = binary.BigEndian.AppendUint64(b, 1) // id

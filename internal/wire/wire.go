@@ -7,7 +7,7 @@
 //	uint32  frame length (bytes that follow, big-endian)
 //	uint16  magic 0xA61E
 //	uint8   protocol version (1)
-//	uint8   frame type (1 = request, 2 = response)
+//	uint8   frame type (1 = request, 2 = response, 3 = chain)
 //	...     type-specific header
 //	[]byte  payload
 //
@@ -21,21 +21,38 @@
 // payload is the function output on StatusOK and a human-readable
 // diagnostic otherwise.
 //
+// A request whose stage list has more than one stage (DESIGN §15) asks
+// the server to run the whole list as one on-card dataflow chain,
+// shipping the input once and collecting only the final output. It
+// travels as a chain frame, whose type-specific header is
+//
+//	uint64   request id
+//	uint8    stage count (2..MaxChainStages)
+//	uint64   relative deadline (ns, 0 = none)
+//	uint32   payload length
+//	[17]byte trace context (VersionTraced only)
+//	[]uint16 stage function ids (big-endian, stage-count entries)
+//
+// A peer that only understands TypeRequest rejects a chain frame with
+// ErrBadType and answers nothing it would misinterpret. The answer to
+// either request frame is an ordinary response frame.
+//
 // Trace context is version-gated: a request carrying distributed-trace
 // context (trace id, parent span id, flag bits) is encoded as a
 // VersionTraced frame whose header grows by TraceContextLen bytes
-// between the payload-length field and the payload; a request without
-// context encodes as the original Version frame, byte-identical to
-// pre-trace builds, so old peers interoperate as long as tracing is
-// off or sampled out. Decoders accept both versions but are strict
-// about canonical form: a VersionTraced frame whose context would
-// never have been emitted (zero trace id, unknown flag bits) is
-// rejected with ErrBadTraceContext.
+// between the payload-length field and the payload (or the stage
+// list); a request without context encodes as the original Version
+// frame, byte-identical to pre-trace builds, so old peers interoperate
+// as long as tracing is off or sampled out. Decoders accept both
+// versions but are strict about canonical form: a VersionTraced frame
+// whose context would never have been emitted (zero trace id, unknown
+// flag bits) is rejected with ErrBadTraceContext.
 //
 // Decoding is strict: bad magic, unknown version, wrong frame type,
-// oversized frames and length mismatches are each rejected with a
-// distinct sentinel error, and a successful decode re-encodes to the
-// identical bytes (the canonical-form property the fuzz target checks).
+// oversized frames, length mismatches and stage counts outside
+// [2, MaxChainStages] are each rejected with a distinct sentinel error,
+// and a successful decode re-encodes to the identical bytes (the
+// canonical-form property the fuzz target checks).
 package wire
 
 import (
@@ -60,11 +77,17 @@ const (
 
 	TypeRequest  = 1
 	TypeResponse = 2
+	TypeChain    = 3
 
 	// MaxPayload bounds a frame's payload; anything larger is rejected
 	// before allocation, so a hostile length prefix cannot balloon
 	// memory.
 	MaxPayload = 16 << 20
+
+	// MaxChainStages bounds a request's stage list. It mirrors
+	// mcu.MaxChainStages (wire cannot import mcu), so any frame that
+	// decodes names a chain the card could execute.
+	MaxChainStages = 8
 
 	// TraceContextLen is the size of the trace-context header
 	// extension a VersionTraced request carries: trace id (8), parent
@@ -81,10 +104,11 @@ const (
 
 	// lenPrefix is the length-prefix size; the header sizes count the
 	// bytes between the prefix and the payload.
-	lenPrefix              = 4
-	requestHeaderLen       = 2 + 1 + 1 + 8 + 2 + 8 + 4 // magic ver type id fn deadline paylen
-	requestHeaderLenTraced = requestHeaderLen + TraceContextLen
-	responseHeaderLen      = 2 + 1 + 1 + 8 + 1 + 2 + 4 // magic ver type id status card paylen
+	lenPrefix           = 4
+	requestHeaderLen    = 2 + 1 + 1 + 8 + 2 + 8 + 4 // magic ver type id fn deadline paylen
+	chainHeaderLen      = 2 + 1 + 1 + 8 + 1 + 8 + 4 // magic ver type id nstages deadline paylen
+	maxRequestHeaderLen = chainHeaderLen + TraceContextLen + 2*MaxChainStages
+	responseHeaderLen   = 2 + 1 + 1 + 8 + 1 + 2 + 4 // magic ver type id status card paylen
 )
 
 // Decode errors.
@@ -100,6 +124,11 @@ var (
 	// not canonical: a zero trace id (the encoder would have emitted a
 	// Version frame) or undefined flag bits.
 	ErrBadTraceContext = errors.New("wire: malformed trace context")
+	// ErrBadChain rejects a chain frame whose stage count is outside
+	// [2, MaxChainStages] — an empty, one-stage or oversized stage list,
+	// none of which a canonical encoder emits — and a Request with more
+	// than MaxChainStages stages at WriteRequest.
+	ErrBadChain = errors.New("wire: chain stage count out of range")
 )
 
 // Status codes a response can carry.
@@ -162,14 +191,18 @@ func (tc TraceContext) Valid() bool { return tc.TraceID != 0 }
 // Sampled reports whether the originator decided to record this trace.
 func (tc TraceContext) Sampled() bool { return tc.Flags&FlagSampled != 0 }
 
-// Request is one call: run function Fn over Payload, answering under
-// Deadline (a relative budget; 0 = no deadline). ID is chosen by the
-// client and echoed in the response so a connection can pipeline.
-// Trace, when Valid, propagates the caller's trace context
-// (version-gating the frame to VersionTraced).
+// Request is one call: run the stage list — function Fn, then each of
+// Next in order — over Payload, answering under Deadline (a relative
+// budget; 0 = no deadline). Next is empty for a plain call; a longer
+// stage list runs as one on-card dataflow chain and travels as a
+// TypeChain frame. ID is chosen by the client and echoed in the
+// response so a connection can pipeline. Trace, when Valid, propagates
+// the caller's trace context (version-gating the frame to
+// VersionTraced).
 type Request struct {
 	ID       uint64
 	Fn       uint16
+	Next     []uint16
 	Deadline time.Duration
 	Payload  []byte
 	Trace    TraceContext
@@ -217,29 +250,40 @@ func putBuf(bp *[]byte) {
 	}
 }
 
-// AppendRequest appends req's canonical encoding to dst: a Version
-// frame when req.Trace is absent, a VersionTraced frame carrying the
-// context otherwise.
+// AppendRequest appends req's canonical encoding to dst: a TypeRequest
+// frame for a plain call, a TypeChain frame when req.Next is non-empty;
+// a Version frame when req.Trace is absent, a VersionTraced frame
+// carrying the context otherwise.
 func AppendRequest(dst []byte, req *Request) []byte {
-	headerLen, version := requestHeaderLen, byte(Version)
+	chain := len(req.Next) > 0
+	headerLen, version, typ := requestHeaderLen, byte(Version), byte(TypeRequest)
+	if chain {
+		headerLen, typ = chainHeaderLen+2*(1+len(req.Next)), TypeChain
+	}
 	if req.Trace.Valid() {
-		headerLen, version = requestHeaderLenTraced, VersionTraced
+		headerLen, version = headerLen+TraceContextLen, VersionTraced
 	}
 	dst = binary.BigEndian.AppendUint32(dst, uint32(headerLen+len(req.Payload)))
 	dst = binary.BigEndian.AppendUint16(dst, Magic)
-	dst = append(dst, version, TypeRequest)
+	dst = append(dst, version, typ)
 	dst = binary.BigEndian.AppendUint64(dst, req.ID)
-	dst = binary.BigEndian.AppendUint16(dst, req.Fn)
-	dl := req.Deadline
-	if dl < 0 {
-		dl = 0
+	if chain {
+		dst = append(dst, byte(1+len(req.Next)))
+	} else {
+		dst = binary.BigEndian.AppendUint16(dst, req.Fn)
 	}
-	dst = binary.BigEndian.AppendUint64(dst, uint64(dl.Nanoseconds()))
+	dst = binary.BigEndian.AppendUint64(dst, uint64(max(req.Deadline, 0).Nanoseconds()))
 	dst = binary.BigEndian.AppendUint32(dst, uint32(len(req.Payload)))
 	if req.Trace.Valid() {
 		dst = binary.BigEndian.AppendUint64(dst, req.Trace.TraceID)
 		dst = binary.BigEndian.AppendUint64(dst, req.Trace.SpanID)
 		dst = append(dst, req.Trace.Flags&traceFlagsMask)
+	}
+	if chain {
+		dst = binary.BigEndian.AppendUint16(dst, req.Fn)
+		for _, fn := range req.Next {
+			dst = binary.BigEndian.AppendUint16(dst, fn)
+		}
 	}
 	return append(dst, req.Payload...)
 }
@@ -256,74 +300,105 @@ func AppendResponse(dst []byte, resp *Response) []byte {
 	return append(dst, resp.Payload...)
 }
 
-// checkFrame validates the length prefix and the common header shared
-// by both frame types, returning the frame body (everything after the
-// prefix) and the header length for the frame's version. tracedLen is
-// the header length of a VersionTraced frame, or headerLen itself for
-// frame types that have no traced form (responses), in which case
-// VersionTraced is rejected like any other unknown version.
-func checkFrame(b []byte, wantType byte, headerLen, tracedLen int) ([]byte, int, error) {
+// checkFrame validates the length prefix, magic and version every
+// frame starts with, returning the frame body (everything after the
+// prefix) and whether the frame is VersionTraced. minLen is the
+// shortest body and maxHeader the longest header the caller's frame
+// types carry. Only a traceable frame type (a request) may be
+// VersionTraced; for responses it is an unknown version like any other.
+// The caller checks the type byte.
+func checkFrame(b []byte, minLen, maxHeader int, traceable bool) ([]byte, bool, error) {
 	if len(b) < lenPrefix {
-		return nil, 0, ErrTruncated
+		return nil, false, ErrTruncated
 	}
 	frameLen := int(binary.BigEndian.Uint32(b))
-	if frameLen > tracedLen+MaxPayload {
-		return nil, 0, ErrOversized
+	if frameLen > maxHeader+MaxPayload {
+		return nil, false, ErrOversized
 	}
-	if frameLen < headerLen || len(b)-lenPrefix < frameLen {
-		return nil, 0, ErrTruncated
+	if frameLen < minLen || len(b)-lenPrefix < frameLen {
+		return nil, false, ErrTruncated
 	}
 	body := b[lenPrefix : lenPrefix+frameLen]
 	if binary.BigEndian.Uint16(body) != Magic {
-		return nil, 0, ErrBadMagic
+		return nil, false, ErrBadMagic
 	}
 	switch {
 	case body[2] == Version:
-	case body[2] == VersionTraced && tracedLen > headerLen:
-		headerLen = tracedLen
-		if frameLen < headerLen {
-			return nil, 0, ErrTruncated
-		}
-	default:
-		return nil, 0, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, body[2], Version)
+		return body, false, nil
+	case body[2] == VersionTraced && traceable:
+		return body, true, nil
 	}
-	if body[3] != wantType {
-		return nil, 0, fmt.Errorf("%w: got %d, want %d", ErrBadType, body[3], wantType)
-	}
-	return body, headerLen, nil
+	return nil, false, fmt.Errorf("%w: got %d, want %d", ErrBadVersion, body[2], Version)
 }
 
-// DecodeRequestInto decodes one request frame from the front of b into
-// *req without copying: req.Payload aliases b, so the frame buffer must
-// outlive every use of the payload. It returns the bytes consumed. An
-// incomplete buffer yields ErrTruncated, so stream decoders can read
-// more and retry.
+// DecodeRequestInto decodes one request frame — TypeRequest or
+// TypeChain — from the front of b into *req without copying:
+// req.Payload aliases b, so the frame buffer must outlive every use of
+// the payload (req.Next is decoded into req's own slice, reusing its
+// capacity). It returns the bytes consumed. An incomplete buffer yields
+// ErrTruncated, so stream decoders can read more and retry.
 func DecodeRequestInto(req *Request, b []byte) (int, error) {
-	body, headerLen, err := checkFrame(b, TypeRequest, requestHeaderLen, requestHeaderLenTraced)
+	body, traced, err := checkFrame(b, chainHeaderLen, maxRequestHeaderLen, true)
 	if err != nil {
 		return 0, err
 	}
-	payLen := int(binary.BigEndian.Uint32(body[22:26]))
+	// dl is where the deadline field starts: after a plain call's
+	// function id, or after a chain's stage count. The payload length
+	// follows it, then the trace context (if traced), then a chain's
+	// stage list.
+	chain, nstages, dl := body[3] == TypeChain, 1, 14
+	switch {
+	case chain:
+		nstages, dl = int(body[12]), 13
+		if nstages < 2 || nstages > MaxChainStages {
+			return 0, fmt.Errorf("%w: %d stages", ErrBadChain, nstages)
+		}
+	case body[3] != TypeRequest:
+		return 0, fmt.Errorf("%w: got %d, want %d or %d", ErrBadType, body[3], TypeRequest, TypeChain)
+	}
+	ctxAt := dl + 8 + 4
+	stagesAt := ctxAt
+	if traced {
+		stagesAt += TraceContextLen
+	}
+	headerLen := stagesAt
+	if chain {
+		headerLen += 2 * nstages
+	}
+	if len(body) < headerLen {
+		return 0, ErrTruncated
+	}
+	payLen := int(binary.BigEndian.Uint32(body[dl+8 : ctxAt]))
 	if payLen != len(body)-headerLen {
 		return 0, fmt.Errorf("%w: header says %d, frame carries %d",
 			ErrLengthMismatch, payLen, len(body)-headerLen)
 	}
-	dlNs := binary.BigEndian.Uint64(body[14:22])
+	if payLen > MaxPayload {
+		return 0, ErrOversized
+	}
+	dlNs := binary.BigEndian.Uint64(body[dl : dl+8])
 	if dlNs > math.MaxInt64 {
 		return 0, ErrBadDeadline
 	}
-	if headerLen == requestHeaderLenTraced {
-		req.Trace.TraceID = binary.BigEndian.Uint64(body[26:34])
-		req.Trace.SpanID = binary.BigEndian.Uint64(body[34:42])
-		req.Trace.Flags = body[42]
+	req.Trace = TraceContext{}
+	if traced {
+		req.Trace.TraceID = binary.BigEndian.Uint64(body[ctxAt:])
+		req.Trace.SpanID = binary.BigEndian.Uint64(body[ctxAt+8:])
+		req.Trace.Flags = body[ctxAt+16]
 		if !req.Trace.Valid() || req.Trace.Flags&^uint8(traceFlagsMask) != 0 {
 			return 0, ErrBadTraceContext
 		}
-	} else {
-		req.Trace = TraceContext{}
 	}
 	req.ID = binary.BigEndian.Uint64(body[4:12])
-	req.Fn = binary.BigEndian.Uint16(body[12:14])
+	req.Next = req.Next[:0]
+	if chain {
+		req.Fn = binary.BigEndian.Uint16(body[stagesAt:])
+		for i := 1; i < nstages; i++ {
+			req.Next = append(req.Next, binary.BigEndian.Uint16(body[stagesAt+2*i:]))
+		}
+	} else {
+		req.Fn = binary.BigEndian.Uint16(body[12:14])
+	}
 	req.Deadline = time.Duration(dlNs)
 	req.Payload = body[headerLen:]
 	return lenPrefix + len(body), nil
@@ -346,9 +421,12 @@ func DecodeRequest(b []byte) (*Request, int, error) {
 // into *resp without copying: resp.Payload aliases b. It returns the
 // bytes consumed.
 func DecodeResponseInto(resp *Response, b []byte) (int, error) {
-	body, _, err := checkFrame(b, TypeResponse, responseHeaderLen, responseHeaderLen)
+	body, _, err := checkFrame(b, responseHeaderLen, responseHeaderLen, false)
 	if err != nil {
 		return 0, err
+	}
+	if body[3] != TypeResponse {
+		return 0, fmt.Errorf("%w: got %d, want %d", ErrBadType, body[3], TypeResponse)
 	}
 	payLen := int(binary.BigEndian.Uint32(body[15:19]))
 	if payLen != len(body)-responseHeaderLen {
@@ -376,12 +454,17 @@ func DecodeResponse(b []byte) (*Response, int, error) {
 }
 
 // WriteRequest writes req to w as a single Write call, so a net.Conn
-// needs no extra buffering to avoid torn frames.
+// needs no extra buffering to avoid torn frames. A stage list longer
+// than MaxChainStages is refused with ErrBadChain before anything is
+// written.
 func WriteRequest(w io.Writer, req *Request) error {
 	if len(req.Payload) > MaxPayload {
 		return ErrOversized
 	}
-	bp := getBuf(lenPrefix + requestHeaderLenTraced + len(req.Payload))
+	if len(req.Next) >= MaxChainStages {
+		return fmt.Errorf("%w: %d stages", ErrBadChain, 1+len(req.Next))
+	}
+	bp := getBuf(lenPrefix + maxRequestHeaderLen + len(req.Payload))
 	*bp = AppendRequest(*bp, req)
 	_, err := w.Write(*bp)
 	putBuf(bp)
@@ -457,14 +540,14 @@ func (f Frame) Release() {
 	}
 }
 
-// ReadRequestFrame reads and decodes one request frame from r into
-// *req without copying the payload: req.Payload aliases the returned
-// Frame's pooled buffer, which the caller must Release once the payload
-// is no longer referenced (for a served request, after the response is
-// written). This is the zero-allocation read path the server runs per
-// request.
+// ReadRequestFrame reads and decodes one request frame — plain or
+// chain — from r into *req without copying the payload: req.Payload
+// aliases the returned Frame's pooled buffer, which the caller must
+// Release once the payload is no longer referenced (for a served
+// request, after the response is written). This is the zero-allocation
+// read path the serving front end (server and router) runs per request.
 func ReadRequestFrame(r io.Reader, req *Request) (Frame, error) {
-	bp, err := readFrame(r, requestHeaderLen, requestHeaderLenTraced)
+	bp, err := readFrame(r, chainHeaderLen, maxRequestHeaderLen)
 	if err != nil {
 		return Frame{}, err
 	}
@@ -494,7 +577,7 @@ func ReadResponseFrame(r io.Reader, resp *Response) (Frame, error) {
 // ErrTruncated. The payload is copied, so the request owns its memory
 // (the zero-copy variant is ReadRequestFrame).
 func ReadRequest(r io.Reader) (*Request, error) {
-	bp, err := readFrame(r, requestHeaderLen, requestHeaderLenTraced)
+	bp, err := readFrame(r, chainHeaderLen, maxRequestHeaderLen)
 	if err != nil {
 		return nil, err
 	}

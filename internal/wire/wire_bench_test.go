@@ -72,30 +72,38 @@ func BenchmarkReadResponse(b *testing.B) {
 // BenchmarkServerRequestPath is the server's per-request wire work,
 // end to end: read a request zero-copy, hand the aliased payload
 // onward (the cluster submit boundary), answer with a response whose
-// payload needs no staging copy, and release the frame. The whole path
-// must stay at 0 allocs/op — the acceptance bar the CI
+// payload needs no staging copy, and release the frame. One decoder
+// reads plain calls and chains, so both frame types run here. The whole
+// path must stay at 0 allocs/op — the acceptance bar the CI
 // alloc-regression step greps for.
 func BenchmarkServerRequestPath(b *testing.B) {
-	frame := AppendRequest(nil, &Request{ID: 42, Fn: 7, Payload: benchPayload(4096)})
-	rd := bytes.NewReader(frame)
-	var req Request
-	var resp Response
-	b.ReportAllocs()
-	b.SetBytes(int64(len(frame)))
-	for i := 0; i < b.N; i++ {
-		rd.Reset(frame)
-		fr, err := ReadRequestFrame(rd, &req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// The response payload aliases the request's — standing in for a
-		// function output handed straight to the encoder, no staging
-		// copy in between.
-		resp.ID, resp.Status, resp.Card, resp.Payload = req.ID, StatusOK, 0, req.Payload
-		if err := WriteResponse(io.Discard, &resp); err != nil {
-			b.Fatal(err)
-		}
-		fr.Release()
+	for _, bc := range []struct {
+		name string
+		next []uint16
+	}{{"call", nil}, {"chain", []uint16{3, 4}}} {
+		b.Run(bc.name, func(b *testing.B) {
+			frame := AppendRequest(nil, &Request{ID: 42, Fn: 7, Next: bc.next, Payload: benchPayload(4096)})
+			rd := bytes.NewReader(frame)
+			var req Request
+			var resp Response
+			b.ReportAllocs()
+			b.SetBytes(int64(len(frame)))
+			for i := 0; i < b.N; i++ {
+				rd.Reset(frame)
+				fr, err := ReadRequestFrame(rd, &req)
+				if err != nil {
+					b.Fatal(err)
+				}
+				// The response payload aliases the request's — standing in for
+				// a function output handed straight to the encoder, no staging
+				// copy in between.
+				resp.ID, resp.Status, resp.Card, resp.Payload = req.ID, StatusOK, 0, req.Payload
+				if err := WriteResponse(io.Discard, &resp); err != nil {
+					b.Fatal(err)
+				}
+				fr.Release()
+			}
+		})
 	}
 }
 

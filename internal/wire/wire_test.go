@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 	"time"
 )
@@ -124,9 +125,10 @@ func TestDecodeWrongType(t *testing.T) {
 
 func TestDecodeOversized(t *testing.T) {
 	b := AppendRequest(nil, &Request{ID: 5, Fn: 1, Payload: []byte("x")})
-	// The oversize bound allows for the largest accepted header (the
-	// traced form); one byte past it must reject before allocating.
-	binary.BigEndian.PutUint32(b, uint32(requestHeaderLenTraced+MaxPayload+1))
+	// The oversize bound allows for the largest accepted header (a
+	// traced chain of MaxChainStages stages); one byte past it must
+	// reject before allocating.
+	binary.BigEndian.PutUint32(b, uint32(maxRequestHeaderLen+MaxPayload+1))
 	if _, _, err := DecodeRequest(b); !errors.Is(err, ErrOversized) {
 		t.Fatalf("err = %v, want ErrOversized", err)
 	}
@@ -233,6 +235,46 @@ func TestReadRequestFrameStream(t *testing.T) {
 	full := AppendRequest(nil, &Request{ID: 4, Fn: 1, Payload: []byte("cut")})
 	if _, err := ReadRequestFrame(bytes.NewReader(full[:len(full)-1]), &req); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("truncated err = %v, want ErrTruncated", err)
+	}
+}
+
+// TestReadAnyRequestFrame checks that the one request reader takes any
+// request frame type: plain and chain frames interleaved on one stream,
+// and a plain frame read into a Request that last held a chain clears
+// its stage tail.
+func TestReadAnyRequestFrame(t *testing.T) {
+	var buf bytes.Buffer
+	want := []*Request{
+		{ID: 5, Fn: 3, Next: []uint16{4, 6}, Payload: []byte("chain")},
+		{ID: 6, Fn: 7, Payload: []byte("plain")},
+		{ID: 7, Fn: 1, Next: []uint16{2, 3, 4, 5, 6, 7, 8}, Deadline: time.Second, Payload: []byte("eight"),
+			Trace: TraceContext{TraceID: 0xFEED, SpanID: 0x1001, Flags: FlagSampled}},
+		{ID: 8, Fn: 9, Payload: []byte("plain again")},
+	}
+	for _, w := range want {
+		if err := WriteRequest(&buf, w); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var req Request
+	for _, w := range want {
+		fr, err := ReadRequestFrame(&buf, &req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if req.ID != w.ID || req.Fn != w.Fn || !slices.Equal(req.Next, w.Next) ||
+			req.Deadline != w.Deadline || req.Trace != w.Trace || !bytes.Equal(req.Payload, w.Payload) {
+			t.Fatalf("frame mismatch: %+v vs %+v", req, w)
+		}
+		fr.Release()
+	}
+	if _, err := ReadRequestFrame(&buf, &req); err != io.EOF {
+		t.Fatalf("empty stream err = %v, want io.EOF", err)
+	}
+	// A chain frame cut short is refused like any other truncation.
+	chain := AppendRequest(nil, want[0])
+	if _, err := ReadRequestFrame(bytes.NewReader(chain[:len(chain)-1]), &req); !errors.Is(err, ErrTruncated) {
+		t.Fatalf("truncated chain err = %v, want ErrTruncated", err)
 	}
 }
 
