@@ -187,8 +187,9 @@ func main() {
 		// card's virtual phase breakdown underneath. A nil tracer (or
 		// a sampled-out call) makes every span call a no-op.
 		ref := tracer.StartRoot("call", "host", j.Fn)
-		run, err := cp.Run(core.Job{Stages: []uint16{j.Fn}, Items: [][]byte{j.Input},
-			TraceID: ref.TraceID, SpanID: ref.SpanID})
+		var run core.Result
+		err := cp.Run(core.Job{Stages: []uint16{j.Fn}, Items: [][]byte{j.Input},
+			TraceID: ref.TraceID, SpanID: ref.SpanID}, &run)
 		if err != nil {
 			tracer.End(ref, "error")
 			return err

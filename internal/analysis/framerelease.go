@@ -17,12 +17,14 @@ var frameAcquireFuncs = map[string]bool{
 }
 
 // frameHardPackages are the packages where a frame-lifecycle mistake
-// corrupts live traffic (the zero-copy read path itself), so no
-// directive may excuse one. Membership keys on the last "/internal/"
+// corrupts live traffic (the zero-copy read paths themselves: the wire
+// codec, the server's request loop and the client's response loop), so
+// no directive may excuse one. Membership keys on the last "/internal/"
 // path element, like the virtualtime hard zone.
 var frameHardPackages = map[string]bool{
 	"wire":   true,
 	"server": true,
+	"client": true,
 }
 
 // FrameRelease enforces the zero-copy payload lifecycle: every pooled
@@ -45,9 +47,11 @@ double-releases and uses after release. Ownership transfers — passing
 the frame to a callee, capturing it in a closure, returning or storing
 it — end tracking at the transfer point. Error-path returns guarded by
 the acquisition's own error result are exempt: a failed read returns
-the zero Frame, whose Release is a no-op. Inside internal/wire and
-internal/server the findings are hard — no //lint:allow can excuse
-them; elsewhere a justified //lint:allow framerelease is accepted.`,
+the zero Frame, whose Release is a no-op. A continue, or a break out of
+a loop, leaks a frame acquired in the loop's body that is still live.
+Inside internal/wire, internal/server and internal/client the findings
+are hard — no //lint:allow can excuse them; elsewhere a justified
+//lint:allow framerelease is accepted.`,
 	Run: runFrameRelease,
 }
 
@@ -68,7 +72,7 @@ func runFrameRelease(pass *Pass) error {
 		escapeOnArgPass: true,
 		report: func(p *Pass, pos token.Pos, format string, args ...any) {
 			if hard {
-				p.ReportHardf(pos, format+" (hard in internal/wire and internal/server: no directive can excuse a frame lifecycle bug on the zero-copy path)", args...)
+				p.ReportHardf(pos, format+" (hard in internal/wire, internal/server and internal/client: no directive can excuse a frame lifecycle bug on the zero-copy path)", args...)
 			} else {
 				p.Reportf(pos, format, args...)
 			}

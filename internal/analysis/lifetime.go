@@ -77,6 +77,7 @@ type ltRes struct {
 	state   ltState
 	guard   *types.Var     // companion error var from the acquire, or nil
 	owner   *ast.BlockStmt // block whose end bounds the binding (nil: function body)
+	loops   int            // loops enclosing the binding, within its function
 	warned  bool           // one use-after-release report per binding
 }
 
@@ -95,6 +96,12 @@ type ltWalker struct {
 	pass     *Pass
 	spec     *lifetimeSpec
 	curBlock *ast.BlockStmt
+	// loops counts the loops enclosing the statement being walked, and
+	// breakable stacks the statements an unlabeled break can leave
+	// (true for a loop, false for a switch or select), both within the
+	// current function.
+	loops     int
+	breakable []bool
 }
 
 // runLifetime walks every function in the pass under the spec.
@@ -131,10 +138,10 @@ func (w *ltWalker) funcBody(ft *ast.FuncType, body *ast.BlockStmt) {
 			}
 		}
 	}
-	prev := w.curBlock
-	w.curBlock = nil
+	prev, prevLoops, prevBreakable := w.curBlock, w.loops, w.breakable
+	w.curBlock, w.loops, w.breakable = nil, 0, nil
 	w.block(body, sc)
-	w.curBlock = prev
+	w.curBlock, w.loops, w.breakable = prev, prevLoops, prevBreakable
 	for v, r := range sc {
 		if r.state == ltLive {
 			w.spec.report(w.pass, r.pos, w.spec.leakEndFmt, r.origin)
@@ -254,19 +261,27 @@ func (w *ltWalker) stmt(s ast.Stmt, sc ltScope) {
 		w.expr(s.Cond, sc)
 		skip := cloneLtScope(sc)
 		body := cloneLtScope(sc)
+		w.enter(true)
 		w.stmt(s.Body, body)
 		w.stmt(s.Post, body)
+		w.leave()
 		w.merge(sc, []ltScope{body, skip})
 	case *ast.RangeStmt:
 		w.expr(s.X, sc)
 		skip := cloneLtScope(sc)
 		body := cloneLtScope(sc)
+		w.enter(true)
 		w.stmt(s.Body, body)
+		w.leave()
 		w.merge(sc, []ltScope{body, skip})
+	case *ast.BranchStmt:
+		w.branch(s, sc)
 	case *ast.SwitchStmt:
 		w.stmt(s.Init, sc)
 		w.expr(s.Tag, sc)
+		w.enter(false)
 		w.caseClauses(s.Body, sc, false)
+		w.leave()
 	case *ast.TypeSwitchStmt:
 		w.stmt(s.Init, sc)
 		if assign, ok := s.Assign.(*ast.AssignStmt); ok {
@@ -276,11 +291,55 @@ func (w *ltWalker) stmt(s ast.Stmt, sc ltScope) {
 		} else if es, ok := s.Assign.(*ast.ExprStmt); ok {
 			w.expr(es.X, sc)
 		}
+		w.enter(false)
 		w.caseClauses(s.Body, sc, false)
+		w.leave()
 	case *ast.SelectStmt:
+		w.enter(false)
 		w.caseClauses(s.Body, sc, true)
+		w.leave()
 	default:
-		// BranchStmt, EmptyStmt: nothing to track.
+		// EmptyStmt: nothing to track.
+	}
+}
+
+// enter and leave bracket a statement an unlabeled break can leave.
+func (w *ltWalker) enter(loop bool) {
+	w.breakable = append(w.breakable, loop)
+	if loop {
+		w.loops++
+	}
+}
+
+func (w *ltWalker) leave() {
+	if w.breakable[len(w.breakable)-1] {
+		w.loops--
+	}
+	w.breakable = w.breakable[:len(w.breakable)-1]
+}
+
+// branch reports the resources an unlabeled continue, or a break out
+// of a loop, abandons: those bound in the innermost loop's body, which
+// the next iteration (or the code after the loop) can no longer reach.
+// Labeled branches and goto are not followed.
+func (w *ltWalker) branch(s *ast.BranchStmt, sc ltScope) {
+	if s.Label != nil || w.loops == 0 {
+		return
+	}
+	switch s.Tok {
+	case token.CONTINUE:
+	case token.BREAK:
+		if !w.breakable[len(w.breakable)-1] {
+			return // leaves a switch or select, not the loop
+		}
+	default:
+		return
+	}
+	for _, r := range sc {
+		if r.loops == w.loops && r.state == ltLive {
+			w.spec.report(w.pass, r.pos, w.spec.leakEndFmt, r.origin)
+			r.state = ltMaybe // one report per binding per branch
+		}
 	}
 }
 
@@ -521,6 +580,7 @@ func (w *ltWalker) bindIdent(id *ast.Ident, call *ast.CallExpr, name string, gua
 		state:   ltLive,
 		guard:   guard,
 		owner:   owner,
+		loops:   w.loops,
 	}
 }
 

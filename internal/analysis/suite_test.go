@@ -37,6 +37,7 @@ func TestFrameRelease(t *testing.T) {
 	analysistest.Run(t, analysis.FrameRelease,
 		"framerelease/internal/server",
 		"framerelease/internal/router",
+		"framerelease/internal/client",
 	)
 }
 

@@ -13,6 +13,7 @@
 package client
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -109,10 +110,25 @@ func retryable(err error) bool {
 	return false
 }
 
-// result is what the reader goroutine hands a waiting call.
-type result struct {
-	resp *wire.Response
-	err  error
+// waiter is one call's slot in its connection's demultiplexer: the
+// reader fills resp (or err) and then signals ready. Waiters are
+// pooled. The call that receives the signal ends the waiter's last use
+// and recycles it; a call that abandons its wait (context expiry, write
+// failure) drops it instead, because the reader may still be filling
+// it.
+type waiter struct {
+	ready chan struct{} // capacity one: the reader's send never blocks
+	resp  wire.Response // Payload is a fresh copy the caller keeps
+	err   error
+}
+
+var waiterPool = sync.Pool{New: func() any { return &waiter{ready: make(chan struct{}, 1)} }}
+
+// recycle returns a settled waiter to the pool; its signal has been
+// received, so ready is empty again.
+func (w *waiter) recycle() {
+	w.resp, w.err = wire.Response{}, nil
+	waiterPool.Put(w)
 }
 
 // muxConn is one multiplexed connection: many calls in flight, one
@@ -126,21 +142,20 @@ type muxConn struct {
 	wmu sync.Mutex // serialises writes; a frame is never interleaved
 
 	mu      sync.Mutex
-	waiters map[uint64]chan result // in-flight request id → its call
-	err     error                  // set once the connection breaks
+	waiters map[uint64]*waiter // in-flight request id → its call
+	err     error              // set once the connection breaks
 }
 
-// register installs a waiter for id. The returned channel has capacity
-// one, so the reader's send never blocks even if the call abandons.
-func (m *muxConn) register(id uint64) (chan result, error) {
+// register installs a waiter for id.
+func (m *muxConn) register(id uint64) (*waiter, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil {
 		return nil, m.err
 	}
-	ch := make(chan result, 1)
-	m.waiters[id] = ch
-	return ch, nil
+	w := waiterPool.Get().(*waiter)
+	m.waiters[id] = w
+	return w, nil
 }
 
 // unregister abandons a waiter (context expiry, write failure). A late
@@ -152,28 +167,33 @@ func (m *muxConn) unregister(id uint64) {
 }
 
 // fail marks the connection broken and settles every outstanding
-// waiter with err. Sends happen outside the lock; each channel is
-// buffered and owned by exactly one waiter, so they cannot block.
+// waiter with err. Signals go out after the lock is released; each
+// waiter is owned by exactly one call and its channel is buffered, so
+// they cannot block.
 func (m *muxConn) fail(err error) {
 	m.mu.Lock()
 	m.err = err
 	ws := m.waiters
 	m.waiters = nil
 	m.mu.Unlock()
-	for _, ch := range ws {
-		ch <- result{err: err}
+	for _, w := range ws {
+		w.err = err
+		w.ready <- struct{}{}
 	}
 }
 
 // readLoop is the demultiplexer: it owns the read side of the
 // connection, routing each response to the waiter that registered its
 // id. Responses may arrive in any order — a slow request never blocks
-// a fast one behind it. On read error the connection is dead: it
-// leaves the pool and every outstanding call fails (retryably).
+// a fast one behind it. Reads go through a buffer, so a response that
+// arrived whole costs one read. On read error the connection is dead:
+// it leaves the pool and every outstanding call fails (retryably).
 func (m *muxConn) readLoop(drop func(*muxConn)) {
 	defer close(m.done)
+	br := bufio.NewReader(m.c)
+	var resp wire.Response
 	for {
-		resp, err := wire.ReadResponse(m.c)
+		fr, err := wire.ReadResponseFrame(br, &resp)
 		if err != nil {
 			drop(m)
 			m.c.Close()
@@ -181,14 +201,19 @@ func (m *muxConn) readLoop(drop func(*muxConn)) {
 			return
 		}
 		m.mu.Lock()
-		ch := m.waiters[resp.ID]
+		w := m.waiters[resp.ID]
 		delete(m.waiters, resp.ID)
 		m.mu.Unlock()
-		if ch != nil {
-			ch <- result{resp: resp}
+		if w == nil {
+			// Unknown id: the call abandoned its wait (context expiry)
+			// and a late answer arrived. Dropping it is the contract.
+			fr.Release()
+			continue
 		}
-		// Unknown id: the call abandoned its wait (context expiry) and a
-		// late answer arrived. Dropping it is the contract.
+		w.resp = resp
+		w.resp.Payload = append([]byte(nil), resp.Payload...)
+		fr.Release()
+		w.ready <- struct{}{}
 	}
 }
 
@@ -311,7 +336,7 @@ func (c *Client) grow() (*muxConn, error) {
 	if err != nil {
 		return nil, &TransportError{err}
 	}
-	m := &muxConn{c: nc, slot: slot, done: make(chan struct{}), waiters: make(map[uint64]chan result)}
+	m := &muxConn{c: nc, slot: slot, done: make(chan struct{}), waiters: make(map[uint64]*waiter)}
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
@@ -458,7 +483,7 @@ func (c *Client) once(ctx context.Context, stages []uint16, payload []byte, aref
 		}
 	}
 	id := c.nextID.Add(1)
-	ch, err := m.register(id)
+	w, err := m.register(id)
 	if err != nil {
 		return nil, -1, err // already a *TransportError from the reader
 	}
@@ -492,15 +517,17 @@ func (c *Client) once(ctx context.Context, stages []uint16, payload []byte, aref
 	case <-ctx.Done():
 		m.unregister(id)
 		return nil, -1, ctx.Err()
-	case r := <-ch:
-		if r.err != nil {
-			return nil, -1, r.err
-		}
-		if r.resp.Status != wire.StatusOK {
-			return nil, int(r.resp.Card), &StatusError{Status: r.resp.Status, Msg: string(r.resp.Payload)}
-		}
-		return r.resp.Payload, int(r.resp.Card), nil
+	case <-w.ready:
 	}
+	resp, err := w.resp, w.err
+	w.recycle()
+	if err != nil {
+		return nil, -1, err
+	}
+	if resp.Status != wire.StatusOK {
+		return nil, int(resp.Card), &StatusError{Status: resp.Status, Msg: string(resp.Payload)}
+	}
+	return resp.Payload, int(resp.Card), nil
 }
 
 // backoff computes the jittered delay before retry number attempt.

@@ -367,8 +367,8 @@ func (cl *Cluster) call(stages []uint16, input []byte) (*core.CallResult, int, e
 	if err != nil {
 		return nil, -1, err
 	}
-	res, err := cl.cards[card].Run(core.Job{Stages: stages, Items: [][]byte{input}})
-	if err != nil {
+	res := new(core.Result)
+	if err := cl.cards[card].Run(core.Job{Stages: stages, Items: [][]byte{input}}, res); err != nil {
 		return nil, card, err
 	}
 	return &res.Results[0], card, nil
@@ -389,14 +389,30 @@ func (cl *Cluster) CallChain(fns []uint16, input []byte) (*core.CallResult, int,
 
 // Pending is an in-flight submission. Wait blocks until the card served
 // (or failed) the request.
+//
+// Pendings are pooled: whoever ends a Pending's last use may Release it
+// for reuse, after which neither it nor the *core.CallResult its Wait
+// returned may be touched (the result's Output stays the caller's). A
+// caller that gives up on a Pending before it settles — Await returned
+// false — must not Release it: the job may still be queued or on a
+// card, so it is left to the garbage collector. Releasing is optional;
+// a Pending that is never released is collected like any value.
 type Pending struct {
 	stages stageList
 	input  []byte
 	ctx    context.Context
+	// done holds one token once the submission settles. complete sends
+	// it; every receiver hands it straight back, so Wait and Await may
+	// be called any number of times, and the channel is reused when the
+	// Pending is.
 	done   chan struct{}
 	res    *core.CallResult
 	card   int
 	err    error
+	result core.CallResult // what res points at for a served job
+	// self backs the one-element slices a single-input submission
+	// returns and its queue entry expands to, so neither allocates.
+	self [1]*Pending
 	// group, when non-nil, marks this Pending as the carrier of a
 	// multi-input job: the carrier occupies one queue slot and the worker
 	// expands it into its children, which settle individually. A carrier
@@ -410,9 +426,28 @@ type Pending struct {
 	// tSubmit/tStart/tDone are wall-clock stamps (ns): enqueue time,
 	// the moment the worker began the job's coalesced run, and run
 	// completion. Stamped only for traced jobs, always before
-	// complete() closes done, so Wait gives the happens-before edge
+	// complete() settles the job, so Wait gives the happens-before edge
 	// that makes TraceTimes race-free.
 	tSubmit, tStart, tDone int64
+}
+
+var pendingPool = sync.Pool{New: func() any { return &Pending{done: make(chan struct{}, 1)} }}
+
+// newPending takes a Pending from the pool, ready for one input.
+func newPending(stages stageList, input []byte) *Pending {
+	p := pendingPool.Get().(*Pending)
+	p.stages, p.input, p.ctx, p.card = stages, input, context.Background(), -1
+	p.self[0] = p
+	return p
+}
+
+// Release recycles a settled Pending. See the type's comment for when
+// a caller may; Release waits for settlement rather than recycle a job
+// still in flight.
+func (p *Pending) Release() {
+	<-p.done
+	*p = Pending{done: p.done}
+	pendingPool.Put(p)
 }
 
 // expand returns the jobs this queue entry stands for: the group's
@@ -421,23 +456,35 @@ func (p *Pending) expand() []*Pending {
 	if p.group != nil {
 		return p.group
 	}
-	return []*Pending{p}
+	return p.self[:]
 }
 
 // Wait blocks until completion, returning the result and serving card.
 func (p *Pending) Wait() (*core.CallResult, int, error) {
 	<-p.done
+	p.done <- struct{}{}
 	return p.res, p.card, p.err
 }
 
-// Done is closed when the submission settles. It lets callers multiplex
-// completion against their own deadline without consuming the result.
-func (p *Pending) Done() <-chan struct{} { return p.done }
+// Await blocks until the submission settles or ctx ends, and reports
+// whether it settled; Wait then returns at once. When ctx ends first,
+// the job may still be queued or running on a card and reading its
+// input: the caller must keep the input intact and must not Release
+// the Pending.
+func (p *Pending) Await(ctx context.Context) bool {
+	select {
+	case <-p.done:
+		p.done <- struct{}{}
+		return true
+	case <-ctx.Done():
+		return false
+	}
+}
 
 // TraceTimes reports the wall-clock stamps of a traced submission:
 // enqueue, service start, and service end (ns). Zero stamps mean the
 // job was not traced (or never reached that stage — a routing failure
-// leaves start/done zero). Valid only after Wait (or Done) returns.
+// leaves start/done zero). Valid only after Wait (or Await) returns.
 func (p *Pending) TraceTimes() (submitNS, startNS, doneNS int64) {
 	return p.tSubmit, p.tStart, p.tDone
 }
@@ -450,14 +497,14 @@ func nowNS() int64 {
 
 func (p *Pending) complete(res *core.CallResult, card int, err error) {
 	p.res, p.card, p.err = res, card, err
-	close(p.done)
+	p.done <- struct{}{}
 }
 
 // Failed returns an already-completed Pending carrying err, for callers
 // that must fail a submission before it reaches any queue (for example
 // a bad function name at an outer API layer).
 func Failed(err error) *Pending {
-	p := &Pending{done: make(chan struct{}), card: -1}
+	p := &Pending{done: make(chan struct{}, 1), card: -1}
 	p.complete(nil, -1, err)
 	return p
 }
@@ -513,14 +560,23 @@ type Job struct {
 // whose context has already ended, or whose input the card could never
 // stage (core.CheckInput), fails here, alone, before it can join other
 // members' run; one whose deadline expires while queued is failed by
-// the worker without touching the card.
+// the worker without touching the card. A single-input job costs no
+// allocation once the Pending pool is warm: its slice is backed by the
+// Pending itself.
 func (cl *Cluster) SubmitJob(job Job) []*Pending {
-	all := make([]*Pending, len(job.Inputs))
 	stages, err := newStageList(job.Stages)
+	var all []*Pending
+	if len(job.Inputs) == 1 {
+		p := newPending(stages, job.Inputs[0])
+		all = p.self[:]
+	} else {
+		all = make([]*Pending, len(job.Inputs))
+		for i, input := range job.Inputs {
+			all[i] = newPending(stages, input)
+		}
+	}
 	failed := 0
-	for i, input := range job.Inputs {
-		p := &Pending{stages: stages, input: input, ctx: context.Background(), done: make(chan struct{}), card: -1}
-		all[i] = p
+	for i, p := range all {
 		if i < len(job.Ctxs) && job.Ctxs[i] != nil {
 			p.ctx = job.Ctxs[i]
 		}
@@ -532,7 +588,7 @@ func (cl *Cluster) SubmitJob(job Job) []*Pending {
 			perr = p.ctx.Err()
 		}
 		if perr == nil {
-			perr = cl.cards[0].CheckInput(input) // every card has the same window
+			perr = cl.cards[0].CheckInput(p.input) // every card has the same window
 		}
 		if perr != nil {
 			p.complete(nil, -1, perr)
@@ -648,7 +704,8 @@ func (cl *Cluster) worker(card int) {
 		depth = cl.metrics.Gauge("agile_cluster_queue_depth", cl.cardLabels[card])
 	}
 	var held *Pending
-	var run []*Pending // reused across iterations: serveRun keeps nothing
+	var run []*Pending  // reused across iterations: serveRun keeps nothing
+	var res core.Result // likewise: each job's result is copied into its Pending
 	for {
 		var p *Pending
 		if held != nil {
@@ -680,15 +737,16 @@ func (cl *Cluster) worker(card int) {
 				break coalesce
 			}
 		}
-		cl.serveRun(card, run)
+		cl.serveRun(card, run, &res)
 	}
 }
 
 // serveRun executes a coalesced run of jobs with one stage list on one
-// card, as one core job. Jobs whose deadline expired while queued are
-// failed without touching the card: their caller has already given up,
-// so spending fabric time on them only delays the live jobs behind them.
-func (cl *Cluster) serveRun(card int, run []*Pending) {
+// card, as one core job into the worker's res. Jobs whose deadline
+// expired while queued are failed without touching the card: their
+// caller has already given up, so spending fabric time on them only
+// delays the live jobs behind them.
+func (cl *Cluster) serveRun(card int, run []*Pending, res *core.Result) {
 	now := nowNS()
 	live := run[:0]
 	for _, p := range run {
@@ -731,7 +789,7 @@ func (cl *Cluster) serveRun(card int, run []*Pending) {
 			job.TraceID, job.SpanID = p.ref.TraceID, p.ref.SpanID
 		}
 	}
-	res, err := cl.cards[card].Run(job)
+	err := cl.cards[card].Run(job, res)
 	// Close every traced member's service window just before completion,
 	// so queue wait (tStart−tSubmit) plus service time (tDone−tStart)
 	// tiles the job's whole dispatcher residency.
@@ -745,7 +803,8 @@ func (cl *Cluster) serveRun(card int, run []*Pending) {
 			// run observes it.
 			p.complete(nil, card, err)
 		} else {
-			p.complete(&res.Results[i], card, nil)
+			p.result = res.Results[i]
+			p.complete(&p.result, card, nil)
 		}
 	}
 }

@@ -74,10 +74,8 @@ func TestSubmitGroupServedAsOneBatch(t *testing.T) {
 	// Four jobs, one slot: a second group still fits the 2-deep queue.
 	more := cl.SubmitJob(Job{Stages: []uint16{algos.IDCRC32}, Inputs: inputs[:2]})
 	for _, p := range append(pendings, more...) {
-		select {
-		case <-p.Done():
+		if settled(p) {
 			t.Fatal("group settled with no worker running")
-		default:
 		}
 	}
 	cl.startWorkers()

@@ -69,7 +69,7 @@ func BenchmarkColdLoad(b *testing.B) {
 // CRC scratch is owned by its caller, so the bound holds under -race too,
 // with the decode cache off and on (BenchmarkColdLoad's two arms).
 func TestColdLoadAllocs(t *testing.T) {
-	const limit = 30
+	const limit = 9
 	for _, bc := range []struct {
 		name  string
 		cache int

@@ -86,11 +86,24 @@ type Result struct {
 	Results []CallResult
 
 	// single backs Outputs and Results of a one-item job, so the plain
-	// call costs one result allocation.
+	// call needs no storage beyond the Result itself.
 	single struct {
 		out [1][]byte
 		res [1]CallResult
 	}
+}
+
+// reset empties r for a job of n items, keeping whatever item storage
+// it already has room in.
+func (r *Result) reset(n int) {
+	outs, items := r.Outputs[:0], r.Results[:0]
+	switch {
+	case n == 1:
+		outs, items = r.single.out[:0], r.single.res[:0]
+	case cap(items) < n: // also leaves the one-item storage behind
+		outs, items = make([][]byte, 0, n), make([]CallResult, 0, n)
+	}
+	*r = Result{Outputs: outs, Results: items}
 }
 
 // ErrInputTooLarge reports an item that does not fit the card's input
@@ -112,17 +125,30 @@ func (cp *CoProcessor) CheckInput(input []byte) error {
 	return nil
 }
 
-// Run executes job on the card and is the only entry that takes a trace
-// tag; Call, CallBatch, CallChain and CallChainBatch are shapes of it.
-func (cp *CoProcessor) Run(job Job) (*Result, error) {
+// Run executes job on the card into res, which the caller supplies:
+// a dispatcher reuses one Result across jobs, so a served item costs no
+// result allocation. res is overwritten, including on error. Run is the
+// only entry that takes a trace tag; Call, CallBatch, CallChain and
+// CallChainBatch are shapes of it.
+func (cp *CoProcessor) Run(job Job, res *Result) error {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
 	cp.ctrl.SetRequestTrace(job.TraceID, job.SpanID)
 	defer cp.ctrl.SetRequestTrace(0, 0)
-	return cp.run(job)
+	return cp.run(job, res)
 }
 
-// runNamed is Run with the stages given by name.
+// runJob is Run into fresh storage, for the entry points that hand the
+// Result to their caller.
+func (cp *CoProcessor) runJob(job Job) (*Result, error) {
+	res := new(Result)
+	if err := cp.Run(job, res); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// runNamed is runJob with the stages given by name.
 func (cp *CoProcessor) runNamed(names []string, items [][]byte) (*Result, error) {
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
@@ -135,23 +161,28 @@ func (cp *CoProcessor) runNamed(names []string, items [][]byte) (*Result, error)
 		}
 		stages = append(stages, f.ID())
 	}
-	return cp.run(Job{Stages: stages, Items: items})
+	res := new(Result)
+	if err := cp.run(Job{Stages: stages, Items: items}, res); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 // run is the host protocol and its timing model. The whole job is
 // validated before the first bus write, so a rejected job leaves the
 // card and the clocks untouched. Callers hold cp.mu.
-func (cp *CoProcessor) run(job Job) (*Result, error) {
+func (cp *CoProcessor) run(job Job, res *Result) error {
 	k, n := len(job.Stages), len(job.Items)
+	res.reset(n)
 	if k < 1 || k > mcu.MaxChainStages {
-		return nil, fmt.Errorf("core: job must name 1..%d stages, got %d", mcu.MaxChainStages, k)
+		return fmt.Errorf("core: job must name 1..%d stages, got %d", mcu.MaxChainStages, k)
 	}
 	if n == 0 {
-		return nil, errors.New("core: empty batch")
+		return errors.New("core: empty batch")
 	}
 	for i, input := range job.Items {
 		if err := cp.CheckInput(input); err != nil {
-			return nil, fmt.Errorf("item %d: %w", i, err)
+			return fmt.Errorf("item %d: %w", i, err)
 		}
 	}
 
@@ -166,17 +197,11 @@ func (cp *CoProcessor) run(job Job) (*Result, error) {
 			latch += cyc
 			if err != nil {
 				cp.pciDom.Advance(latch)
-				return nil, err
+				return err
 			}
 		}
 	}
 
-	res := &Result{}
-	if n == 1 {
-		res.Outputs, res.Results = res.single.out[:0], res.single.res[:0]
-	} else {
-		res.Outputs, res.Results = make([][]byte, 0, n), make([]CallResult, 0, n)
-	}
 	var attribution []StageResult // every item's CallResult.Stages, k apiece
 	if k > 1 {
 		attribution = make([]StageResult, n*k)
@@ -187,15 +212,16 @@ func (cp *CoProcessor) run(job Job) (*Result, error) {
 	// chain stages are simultaneously resident, so stage s of item N and
 	// stage s+1 of item N-1 genuinely run in parallel — and the
 	// output-collection module. One item has nothing to overlap with.
-	var cardPipe *sim.Pipeline
+	var cardPipe sim.Pipeline
 	var costs []sim.Time
-	if n > 1 && !cp.cfg.SequentialConfig {
-		phases := make([]sim.Phase, k+2)
+	pipelined := n > 1 && !cp.cfg.SequentialConfig
+	if pipelined {
+		var phases [sim.MaxPipelineStages]sim.Phase
 		phases[0], phases[k+1] = sim.PhaseDataIn, sim.PhaseDataOut
 		for s := 1; s <= k; s++ {
 			phases[s] = sim.PhaseExec
 		}
-		cardPipe = sim.NewPipeline(phases...)
+		cardPipe = sim.NewPipeline(phases[:k+2]...)
 		costs = make([]sim.Time, 0, mcu.MaxChainStages+2)
 	}
 	var label string // the job's metric label, built once
@@ -209,7 +235,7 @@ func (cp *CoProcessor) run(job Job) (*Result, error) {
 		outT := cp.pciDom.Advance(outCycles)
 		latch = 0
 		if err != nil {
-			return nil, fmt.Errorf("item %d of %s: %w", i, cp.stagesLabel(job.Stages), err)
+			return fmt.Errorf("item %d of %s: %w", i, cp.stagesLabel(job.Stages), err)
 		}
 		br := cp.ctrl.LastBreakdown()
 		stages := cp.ctrl.LastChainStages()
@@ -220,7 +246,7 @@ func (cp *CoProcessor) run(job Job) (*Result, error) {
 			firstIn = inT
 		}
 		lastOut = outT
-		if cardPipe != nil {
+		if pipelined {
 			// Slot costs, summing exactly to cardT. The entry slot carries
 			// stage 0's lookup/config/data-in; each stage slot carries its
 			// exec plus — for later stages — the RAM hand-off that precedes
@@ -260,7 +286,7 @@ func (cp *CoProcessor) run(job Job) (*Result, error) {
 	}
 	res.SequentialLatency = busTotal + cardTotal
 	cardPath := cardTotal
-	if cardPipe != nil {
+	if pipelined {
 		cardPath = cardPipe.Latency()
 		res.OverlapSaved = cardTotal - cardPath
 	}
@@ -275,7 +301,7 @@ func (cp *CoProcessor) run(job Job) (*Result, error) {
 		}
 		cp.metrics.Counter(name).Add(uint64(res.OverlapSaved))
 	}
-	return res, nil
+	return nil
 }
 
 // exchange is one mailbox round trip: the input bursts into BAR1, the
@@ -379,7 +405,7 @@ func (cp *CoProcessor) Call(name string, input []byte) (*CallResult, error) {
 
 // CallID is Call by function id.
 func (cp *CoProcessor) CallID(fnID uint16, input []byte) (*CallResult, error) {
-	return first(cp.Run(Job{Stages: []uint16{fnID}, Items: [][]byte{input}}))
+	return first(cp.runJob(Job{Stages: []uint16{fnID}, Items: [][]byte{input}}))
 }
 
 // CallBatch executes the named function over every input, modelling a
@@ -391,7 +417,7 @@ func (cp *CoProcessor) CallBatch(name string, inputs [][]byte) (*Result, error) 
 
 // CallBatchID is CallBatch by function id.
 func (cp *CoProcessor) CallBatchID(fnID uint16, inputs [][]byte) (*Result, error) {
-	return cp.Run(Job{Stages: []uint16{fnID}, Items: inputs})
+	return cp.runJob(Job{Stages: []uint16{fnID}, Items: inputs})
 }
 
 // CallChain executes the named functions as one on-card dataflow chain
@@ -409,7 +435,7 @@ func (cp *CoProcessor) CallChainID(fns []uint16, input []byte) (*CallResult, err
 	if err := errNotChain(len(fns)); err != nil {
 		return nil, err
 	}
-	return first(cp.Run(Job{Stages: fns, Items: [][]byte{input}}))
+	return first(cp.runJob(Job{Stages: fns, Items: [][]byte{input}}))
 }
 
 // CallChainBatch executes the named chain over every input, modelling
@@ -427,5 +453,5 @@ func (cp *CoProcessor) CallChainBatchID(fns []uint16, inputs [][]byte) (*Result,
 	if err := errNotChain(len(fns)); err != nil {
 		return nil, err
 	}
-	return cp.Run(Job{Stages: fns, Items: inputs})
+	return cp.runJob(Job{Stages: fns, Items: inputs})
 }

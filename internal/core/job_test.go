@@ -10,21 +10,26 @@ import (
 )
 
 // TestHotCallAllocs pins the degenerate job — one stage, one item, the
-// function resident — at the allocation count the dedicated single-call
-// body had before the lanes merged (what BenchmarkHotCall reports): the
-// general runner must not pay for a pipeline, a heap stage list or
-// per-batch result slices it has no use for. Nor may the count depend on
-// the function's ROM slot: the record lookup is charged as a scan of the
-// table, but the host reads the record from an index.
+// function resident — at what the caller keeps: the Result, the host's
+// output buffer and the function's output, plus the behavioural core's
+// padded copy of an input that is not a whole number of its blocks
+// (4 KiB of modexp128's 48-byte blocks).
+// The general runner must not pay for a pipeline, a heap stage list or
+// per-batch result slices it has no use for, the PCI register accesses
+// must not allocate, and the card reads its staged input in place. Nor
+// may the count depend on the function's ROM slot: the record lookup is
+// charged as a scan of the table, but the host reads the record from an
+// index.
 func TestHotCallAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		only *algos.Function // installed alone; nil installs the whole bank
 		fn   uint16          // called warm
 		slot int             // fn's ROM slot
+		max  float64         // allocations per warm call
 	}{
-		{"aes128 alone", algos.AES128(), algos.IDAES128, 0},
-		{"modexp128 in the bank", nil, algos.IDModExp128, 15},
+		{"aes128 alone", algos.AES128(), algos.IDAES128, 0, 3},
+		{"modexp128 in the bank", nil, algos.IDModExp128, 15, 4},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cp := newCP(t, Config{})
@@ -54,8 +59,8 @@ func TestHotCallAllocs(t *testing.T) {
 					t.Fatal(err)
 				}
 			})
-			if allocs > 12 {
-				t.Errorf("warm CallID allocates %.0f times, want at most 12", allocs)
+			if allocs > tc.max {
+				t.Errorf("warm CallID allocates %.0f times, want at most %.0f", allocs, tc.max)
 			}
 		})
 	}

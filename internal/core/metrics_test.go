@@ -142,8 +142,9 @@ func tracedWorkload(t *testing.T, cp *CoProcessor) []sim.Time {
 		in := make([]byte, 128)
 		in[0] = byte(i)
 		ref := tracer.StartRoot("call", "host", fn.ID())
-		res, err := cp.Run(Job{Stages: []uint16{fn.ID()}, Items: [][]byte{in},
-			TraceID: ref.TraceID, SpanID: ref.SpanID})
+		var res Result
+		err = cp.Run(Job{Stages: []uint16{fn.ID()}, Items: [][]byte{in},
+			TraceID: ref.TraceID, SpanID: ref.SpanID}, &res)
 		tracer.End(ref, "ok")
 		if err != nil {
 			t.Fatalf("call %s: %v", name, err)

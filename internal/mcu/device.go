@@ -105,12 +105,7 @@ func (c *Controller) ReadBAR(bar int, off uint32, p []byte) error {
 	case 0:
 		return c.readRegs(off, p)
 	case 1:
-		data, err := c.ram.Read(int(off), len(p))
-		if err != nil {
-			return err
-		}
-		copy(p, data)
-		return nil
+		return c.ram.Read(int(off), p)
 	}
 	return fmt.Errorf("%w: BAR%d", pci.ErrBadBAR, bar)
 }
@@ -236,7 +231,10 @@ func (c *Controller) cmdExec(chained bool) {
 		c.fail(ErrCodeBadInput)
 		return
 	}
-	input, err := c.ram.Read(0, n)
+	// The input is viewed in place, not copied: execution never mutates
+	// its input, and nothing writes the input window until the next
+	// command stages a new one.
+	input, err := c.ram.View(0, n)
 	if err != nil {
 		c.fail(ErrCodeBadInput)
 		return

@@ -342,7 +342,7 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 		c.mcuDom.Advance(memory.ReadCycles(raw))
 		c.cfgDom.Advance(portCycles)
 		stall := pipe.Attribute(br)
-		c.notePipeline(rec.FnID, pipe, stall)
+		c.notePipeline(rec.FnID, &pipe, stall)
 	case c.cfg.SequentialConfig:
 		// Additive model: the three stages run back to back, window
 		// overlap disabled — the E18 baseline.
@@ -376,7 +376,7 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 		c.mcuDom.Advance(p.romCycles)
 		c.cfgDom.Advance(p.decompCycles + portCycles)
 		stall := pipe.Attribute(br)
-		c.notePipeline(rec.FnID, pipe, stall)
+		c.notePipeline(rec.FnID, &pipe, stall)
 	}
 	br.Add(sim.PhaseOverhead, c.mcuDom.Advance(overhead))
 

@@ -214,15 +214,29 @@ func TestRAMReadWrite(t *testing.T) {
 	if err := ram.Write(10, []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ram.Read(10, 5)
-	if err != nil || string(got) != "hello" {
+	got := make([]byte, 5)
+	if err := ram.Read(10, got); err != nil || string(got) != "hello" {
 		t.Errorf("Read = %q, %v", got, err)
 	}
 	// Readback is a copy.
 	got[0] = 'X'
-	got2, _ := ram.Read(10, 5)
+	got2 := make([]byte, 5)
+	ram.Read(10, got2)
 	if string(got2) != "hello" {
 		t.Error("Read returned aliased memory")
+	}
+	// A view aliases: it sees the next write, and cannot be appended
+	// past its end into the rest of RAM.
+	view, err := ram.View(10, 5)
+	if err != nil || string(view) != "hello" {
+		t.Fatalf("View = %q, %v", view, err)
+	}
+	ram.Write(10, []byte("j"))
+	if string(view) != "jello" {
+		t.Errorf("View = %q after a write, want the aliased %q", view, "jello")
+	}
+	if cap(view) != 5 {
+		t.Errorf("View capacity %d, want 5", cap(view))
 	}
 }
 
@@ -234,11 +248,14 @@ func TestRAMBounds(t *testing.T) {
 	if err := ram.Write(-1, []byte{1}); !errors.Is(err, ErrRAMBounds) {
 		t.Errorf("negative write: %v", err)
 	}
-	if _, err := ram.Read(12, 10); !errors.Is(err, ErrRAMBounds) {
+	if err := ram.Read(12, make([]byte, 10)); !errors.Is(err, ErrRAMBounds) {
 		t.Errorf("overread: %v", err)
 	}
-	if _, err := ram.Read(0, -1); !errors.Is(err, ErrRAMBounds) {
-		t.Errorf("negative read: %v", err)
+	if _, err := ram.View(12, 10); !errors.Is(err, ErrRAMBounds) {
+		t.Errorf("overlong view: %v", err)
+	}
+	if _, err := ram.View(0, -1); !errors.Is(err, ErrRAMBounds) {
+		t.Errorf("negative view: %v", err)
 	}
 	if _, err := NewRAM(0); err == nil {
 		t.Error("zero-capacity RAM accepted")

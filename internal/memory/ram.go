@@ -39,14 +39,31 @@ func (r *RAM) Write(off int, p []byte) error {
 	return nil
 }
 
-// Read copies n bytes at off into a fresh slice.
-func (r *RAM) Read(off, n int) ([]byte, error) {
-	if off < 0 || n < 0 || off+n > len(r.data) {
-		return nil, fmt.Errorf("%w: read [%d, %d) of %d", ErrRAMBounds, off, off+n, len(r.data))
+// Read copies len(p) bytes at off into p: the caller supplies the
+// storage, as a DMA engine supplies its destination buffer.
+func (r *RAM) Read(off int, p []byte) error {
+	if err := r.check(off, len(p)); err != nil {
+		return err
 	}
-	out := make([]byte, n)
-	copy(out, r.data[off:])
-	return out, nil
+	copy(p, r.data[off:])
+	return nil
+}
+
+// View returns the n bytes at off without copying. The slice aliases
+// RAM: it is valid until the next Write over that range, and the
+// caller must not modify it.
+func (r *RAM) View(off, n int) ([]byte, error) {
+	if err := r.check(off, n); err != nil {
+		return nil, err
+	}
+	return r.data[off : off+n : off+n], nil
+}
+
+func (r *RAM) check(off, n int) error {
+	if off < 0 || n < 0 || off+n > len(r.data) {
+		return fmt.Errorf("%w: read [%d, %d) of %d", ErrRAMBounds, off, off+n, len(r.data))
+	}
+	return nil
 }
 
 // AccessCycles reports microcontroller cycles to move n bytes through the

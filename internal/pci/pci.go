@@ -64,9 +64,15 @@ const (
 type slot struct {
 	dev Device
 	cfg ConfigSpace
+	// word is the data phase of a single-word transaction. It lives in
+	// the slot because a local array would escape through the Device
+	// interface and cost an allocation per register access.
+	word [WordBytes]byte
 }
 
-// Bus is a single-segment PCI bus with numbered slots.
+// Bus is a single-segment PCI bus with numbered slots. Like the real
+// bus it carries one transaction at a time: callers serialise access
+// (a card's host driver does so under its lock).
 type Bus struct {
 	slots map[int]*slot
 }
@@ -198,11 +204,10 @@ func (b *Bus) ReadWord(slotNo, bar int, off uint32) (uint32, uint64, error) {
 	if err := b.checkAccess(s, bar, off, WordBytes); err != nil {
 		return 0, 0, err
 	}
-	var buf [WordBytes]byte
-	if err := s.dev.ReadBAR(bar, off, buf[:]); err != nil {
+	if err := s.dev.ReadBAR(bar, off, s.word[:]); err != nil {
 		return 0, 0, err
 	}
-	return binary.LittleEndian.Uint32(buf[:]), wordCycles, nil
+	return binary.LittleEndian.Uint32(s.word[:]), wordCycles, nil
 }
 
 // WriteWord performs a single-word MMIO write (register access).
@@ -214,9 +219,8 @@ func (b *Bus) WriteWord(slotNo, bar int, off uint32, v uint32) (uint64, error) {
 	if err := b.checkAccess(s, bar, off, WordBytes); err != nil {
 		return 0, err
 	}
-	var buf [WordBytes]byte
-	binary.LittleEndian.PutUint32(buf[:], v)
-	if err := s.dev.WriteBAR(bar, off, buf[:]); err != nil {
+	binary.LittleEndian.PutUint32(s.word[:], v)
+	if err := s.dev.WriteBAR(bar, off, s.word[:]); err != nil {
 		return 0, err
 	}
 	return wordCycles, nil

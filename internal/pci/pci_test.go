@@ -194,6 +194,28 @@ func TestWordAccess(t *testing.T) {
 	}
 }
 
+// TestWordAccessAllocs: a register access is the host driver's most
+// frequent bus transaction (five per call), so it must not allocate.
+// The data phase lives in the slot, not in an array that escapes
+// through the Device interface.
+func TestWordAccessAllocs(t *testing.T) {
+	b, _ := newBus(t)
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := b.WriteWord(3, 0, 4, 0xDEADBEEF); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("WriteWord allocates %.0f times, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, _, err := b.ReadWord(3, 0, 4); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("ReadWord allocates %.0f times, want 0", n)
+	}
+}
+
 func TestWordDearerThanBurstPerByte(t *testing.T) {
 	// 64 register writes must cost more than one 256-byte burst; this is
 	// the property that makes DMA staging worthwhile in E6.

@@ -1,0 +1,77 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"net"
+	"testing"
+
+	"agilefpga/internal/algos"
+	"agilefpga/internal/client"
+	"agilefpga/internal/cluster"
+	"agilefpga/internal/core"
+	"agilefpga/internal/fpga"
+	"agilefpga/internal/testutil"
+)
+
+// TestRoundTripAllocs pins what one resident call costs the heap across
+// the whole loopback stack — client, wire, server, cluster and card —
+// at what a call must allocate: the server's per-request goroutine, the
+// host driver's output buffer, the behavioural core's output, and the
+// copy of the response payload the caller keeps. The client waiter, the
+// server's Call, the cluster's Pending, the card's result and every
+// frame buffer are pooled or reused. Under -race sync.Pool drops Puts,
+// so the count is exact only without it.
+// No metrics registry or tracer is attached: recording is not free,
+// and the serving path is what this pins.
+func TestRoundTripAllocs(t *testing.T) {
+	const want = 4
+	cl, err := cluster.New(2, cluster.ModeAffinity, core.Config{Geometry: fpga.Geometry{Rows: 32, Cols: 40}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	srv := New(cl, Options{})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serr := make(chan error, 1)
+	go func() { serr <- srv.Serve(ln) }()
+	defer func() {
+		srv.Close()
+		<-serr
+	}()
+	c, err := client.Dial(ln.Addr().String(), client.Options{PoolSize: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	in := make([]byte, 256)
+	for i := range in {
+		in[i] = byte(i * 7)
+	}
+	ref, err := algos.SHA256().Exec(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	call := func() {
+		out, _, err := c.Call(context.Background(), algos.IDSHA256, in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, ref) {
+			t.Fatalf("sha256 over the wire = %x, want %x", out, ref)
+		}
+	}
+	for i := 0; i < 100; i++ { // load the function, fill the pools
+		call()
+	}
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops Puts under -race: the pooled objects are reallocated there by design")
+	}
+	// A cold card loads sha256 once above; every call measured is a hit.
+	if got := testing.AllocsPerRun(500, call); got != want {
+		t.Errorf("a resident 256 B sha256 round trip allocates %.0f times, want %d (lower it if this fell)", got, want)
+	}
+}

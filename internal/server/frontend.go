@@ -20,11 +20,12 @@ import (
 // in its own goroutine through a Handler. Responses serialise through
 // one write lock per connection and may leave out of order.
 //
-// A request's lifecycle ends in Call.Reply, which retires its id
-// before writing its response — a client may reuse the id the moment
-// it reads the answer — and then releases the frame its payload
-// aliases. A protocol error (broken framing, or a duplicate in-flight
-// id) poisons the stream, so the connection closes.
+// A request is answered by Call.Reply, which retires its id before
+// writing its response — a client may reuse the id the moment it reads
+// the answer. When the handler returns, the front end releases the
+// frame the payload aliases and recycles the Call, unless the handler
+// orphaned it. A protocol error (broken framing, or a duplicate
+// in-flight id) poisons the stream, so the connection closes.
 type FrontEnd struct {
 	name string // "server" or "router": the capacity refusal and error texts
 	h    Handler
@@ -44,7 +45,8 @@ type FrontEnd struct {
 type Handler struct {
 	// Serve runs one admitted request in the request's own goroutine.
 	// ctx carries the request's deadline, counted from admission. Serve
-	// must answer with exactly one rq.Reply.
+	// must answer with exactly one rq.Reply, and must not keep rq once
+	// it returns: the Call is recycled then.
 	Serve func(ctx context.Context, rq *Call)
 	// Refused, when set, observes a request the front end answered
 	// itself without admitting it: a duplicate id, a drain or a full
@@ -53,15 +55,47 @@ type Handler struct {
 }
 
 // Call is one request a FrontEnd read, as its Handler sees it. The
-// embedded Request's Payload aliases a pooled frame buffer until Reply.
+// embedded Request's Payload aliases a pooled frame buffer: the handler
+// may use it until Reply. Calls are pooled, and a Call is valid until
+// its handler returns.
 type Call struct {
 	wire.Request
 	// Conn is the remote address of the request's connection.
 	Conn string
 
-	c      *frontConn
-	fr     wire.Frame
-	stages [wire.MaxChainStages]uint16
+	c        *frontConn
+	fr       wire.Frame
+	orphaned bool
+	stages   [wire.MaxChainStages]uint16
+}
+
+var callPool = sync.Pool{New: func() any { return new(Call) }}
+
+// newCall takes a Call from the pool for the next request on c.
+func newCall(c *frontConn, remote string) *Call {
+	rq := callPool.Get().(*Call)
+	rq.Conn, rq.c = remote, c
+	return rq
+}
+
+// orphan tells the front end that work the handler gave up on — a job
+// still queued or running on a card — may yet read the request's
+// payload. The front end then neither releases the frame nor recycles
+// the Call; both are left to the garbage collector, which frees them
+// once that work lets go.
+func (rq *Call) orphan() { rq.orphaned = true }
+
+// recycle ends the request: it releases the frame and returns the Call
+// to the pool, unless the handler orphaned it.
+func (rq *Call) recycle() {
+	if rq.orphaned {
+		return
+	}
+	rq.fr.Release()
+	next := rq.Next[:0]
+	*rq = Call{}
+	rq.Next = next
+	callPool.Put(rq)
 }
 
 // Stages is the request's stage list: Fn, then Next.
@@ -70,12 +104,11 @@ func (rq *Call) Stages() []uint16 {
 }
 
 // Reply answers the request: it retires the request's id on its
-// connection, writes the response, and releases the request's frame.
-// Payload must not be used afterwards.
+// connection and writes the response. Payload must not be used
+// afterwards; the other fields stay readable until the handler returns.
 func (rq *Call) Reply(st wire.Status, card int16, payload []byte) {
 	rq.c.retire(rq.ID)
 	rq.c.write(&wire.Response{ID: rq.ID, Status: st, Card: card, Payload: payload})
-	rq.fr.Release()
 }
 
 // frontConn is one connection's shared state: its write side and the
@@ -183,13 +216,14 @@ func (fe *FrontEnd) handleConn(nc net.Conn) {
 	remote := nc.RemoteAddr().String()
 	c := &frontConn{bw: bufio.NewWriter(nc), ids: make(map[uint64]struct{})}
 	for {
-		rq := &Call{Conn: remote, c: c}
+		rq := newCall(c, remote)
 		fr, err := wire.ReadRequestFrame(br, &rq.Request)
 		if err != nil {
 			var ne net.Error
 			if !errors.Is(err, io.EOF) && !errors.As(err, &ne) {
 				fe.reg.Counter("agile_server_decode_errors_total").Inc()
 			}
+			rq.recycle()
 			return
 		}
 		if !c.claim(rq.ID) {
@@ -202,6 +236,7 @@ func (fe *FrontEnd) handleConn(nc net.Conn) {
 			c.write(&wire.Response{ID: rq.ID, Status: wire.StatusInvalidArgument, Card: -1,
 				Payload: []byte(fmt.Sprintf("request id %d already in flight on this connection", rq.ID))})
 			fe.refused(rq, wire.StatusInvalidArgument)
+			rq.recycle()
 			return
 		}
 		rq.fr = fr
@@ -218,6 +253,7 @@ func (fe *FrontEnd) admit(rq *Call) {
 	if fe.draining {
 		fe.mu.Unlock()
 		fe.refuse(rq, wire.StatusUnavailable, DrainMessage)
+		rq.recycle()
 		return
 	}
 	select {
@@ -226,6 +262,7 @@ func (fe *FrontEnd) admit(rq *Call) {
 		fe.mu.Unlock()
 		fe.refuse(rq, wire.StatusResourceExhausted,
 			fmt.Sprintf("%s at capacity (%d in flight)", fe.name, cap(fe.sem)))
+		rq.recycle()
 		return
 	}
 	fe.inflight.Add(1)
@@ -249,6 +286,7 @@ func (fe *FrontEnd) serve(rq *Call) {
 		defer cancel()
 	}
 	fe.h.Serve(ctx, rq)
+	rq.recycle()
 }
 
 // refuse answers a request that was never admitted.

@@ -1,0 +1,146 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"fmt"
+	"net"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"agilefpga/internal/algos"
+	"agilefpga/internal/client"
+	"agilefpga/internal/wire"
+)
+
+// TestExpiredRequestKeepsItsFrame: a request whose deadline fires while
+// its job waits in a coalesced run behind a slow stage is answered at
+// once, but the card still stages its input — straight out of the
+// request's frame — when the run reaches it. The frame must not go back
+// to the pool before then, or the connection loop reads the next request
+// into it while the card copies from it. Requests arrive one every
+// 300 µs, each 1 KiB of viterbi (about a millisecond of card time, more
+// under -race) with a 1 ms budget, so some expire inside a run while
+// the loop keeps reading; the race detector sees any early release.
+func TestExpiredRequestKeepsItsFrame(t *testing.T) {
+	h := newHarness(t, 1, Options{}, nil)
+	conn, err := net.Dial("tcp", h.addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	const n = 200
+	payload := func(i int) []byte {
+		p := make([]byte, 1024)
+		for j := range p {
+			p[j] = byte(i*31 + j)
+		}
+		return p
+	}
+	var expired, served atomic.Int64
+	// Load viterbi first, so the timed requests meet a resident stage.
+	if err := wire.WriteRequest(conn, &wire.Request{ID: n, Fn: algos.IDViterbi, Payload: payload(n)}); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := wire.ReadResponse(conn); err != nil || resp.Status != wire.StatusOK {
+		t.Fatalf("warm-up: %+v, %v", resp, err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		for range n {
+			resp, err := wire.ReadResponse(conn)
+			if err != nil {
+				done <- err
+				return
+			}
+			switch resp.Status {
+			case wire.StatusDeadlineExceeded:
+				expired.Add(1)
+			case wire.StatusOK:
+				served.Add(1)
+				want, err := algos.Viterbi().Exec(payload(int(resp.ID)))
+				if err != nil || !bytes.Equal(resp.Payload, want) {
+					done <- fmt.Errorf("request %d: wrong output", resp.ID)
+					return
+				}
+			case wire.StatusResourceExhausted:
+			default:
+				done <- fmt.Errorf("request %d: %s: %s", resp.ID, resp.Status, resp.Payload)
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := range n {
+		req := &wire.Request{ID: uint64(i), Fn: algos.IDViterbi, Deadline: time.Millisecond, Payload: payload(i)}
+		if err := wire.WriteRequest(conn, req); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(300 * time.Microsecond)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if expired.Load() == 0 {
+		t.Log("no request expired in the queue: the window was not exercised")
+	}
+	t.Logf("%d served, %d expired", served.Load(), expired.Load())
+}
+
+// TestCallOutlivesReply: a handler may read its request's fields after
+// Reply — the server's own handler logs rq.ID and rq.Fn then — so the
+// front end recycles a Call only once its handler returns. Each handler
+// here replies, lets the connection loop read on, and then checks that
+// its Call still holds its own request.
+func TestCallOutlivesReply(t *testing.T) {
+	var wrong atomic.Int64
+	fe := NewFrontEnd("test", 1024, nil, Handler{Serve: func(ctx context.Context, rq *Call) {
+		id, fn := rq.ID, rq.Fn
+		rq.Reply(wire.StatusOK, 0, rq.Payload)
+		time.Sleep(200 * time.Microsecond)
+		if rq.ID != id || rq.Fn != fn {
+			wrong.Add(1)
+		}
+	}})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serr := make(chan error, 1)
+	go func() { serr <- fe.Serve(ln) }()
+	defer func() {
+		fe.Close()
+		<-serr
+	}()
+	c, err := client.Dial(ln.Addr().String(), client.Options{PoolSize: 2, MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	var wg sync.WaitGroup
+	errs := make(chan error, 16)
+	for g := range 16 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range 20 {
+				in := []byte(fmt.Sprintf("caller %d call %d", g, i))
+				out, _, err := c.Call(context.Background(), uint16(g), in)
+				if err != nil || !bytes.Equal(out, in) {
+					errs <- fmt.Errorf("caller %d call %d: %q, %v", g, i, out, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if n := wrong.Load(); n != 0 {
+		t.Errorf("%d handlers saw another request's fields after Reply", n)
+	}
+}

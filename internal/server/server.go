@@ -200,20 +200,24 @@ func (s *Server) execute(ctx context.Context, rq *Call, ref trace.SpanRef) (wire
 			Ctxs: []context.Context{ctx}, Refs: []trace.SpanRef{ref},
 		})[0]
 	}
-	select {
-	case <-p.Done():
-	case <-ctx.Done():
-		// The budget ran out while the job sat in a card queue. Answer
-		// now; the worker will discard the expired job when it reaches
-		// it.
+	if !p.Await(ctx) {
+		// The budget ran out while the job sat in a card queue or ran on
+		// a card. Answer now; the worker will discard the expired job
+		// when it reaches it. Until then it may read the payload, so the
+		// frame, the Call and the Pending all go to the garbage collector
+		// instead of back to their pools.
+		rq.orphan()
 		return wire.StatusDeadlineExceeded, -1, []byte(ctx.Err().Error())
 	}
 	res, card, err := p.Wait()
 	s.addDispatchSpans(rq.Fn, ref, p, res, card)
 	if err != nil {
+		p.Release()
 		return statusOf(err), int16(card), []byte(err.Error())
 	}
-	return wire.StatusOK, int16(card), res.Output
+	out := res.Output
+	p.Release()
+	return wire.StatusOK, int16(card), out
 }
 
 // addDispatchSpans attaches the dispatcher's view of a settled job to

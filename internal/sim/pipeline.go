@@ -21,16 +21,25 @@ import "fmt"
 // PhasePipeStall. The residual is provably non-negative because the
 // critical path includes at least the fill of every earlier stage by the
 // first item plus the busy time of the final stage.
+//
+// The per-stage state is held in fixed arrays, so a pipeline that does
+// not escape its caller costs no heap allocation.
 type Pipeline struct {
-	phases []Phase
-	finish []Time // previous item's finish time per stage
-	first  []Time // first item's cost per stage (pipeline fill)
-	busy   []Time // total busy time per stage
-	sum    Time   // sum of every cost fed (sequential-equivalent time)
+	n      int // stages
+	phases [MaxPipelineStages]Phase
+	finish [MaxPipelineStages]Time // previous item's finish time per stage
+	first  [MaxPipelineStages]Time // first item's cost per stage (pipeline fill)
+	busy   [MaxPipelineStages]Time // total busy time per stage
+	sum    Time                    // sum of every cost fed (sequential-equivalent time)
 	items  int
 	ends   [pipeRing]Time // ring buffer of recent item completion times
 	peak   int            // peak number of items simultaneously in flight
 }
+
+// MaxPipelineStages bounds a pipeline's stage count: a card job's
+// data-input module, up to eight chained fabric stages and the
+// output-collection module.
+const MaxPipelineStages = 10
 
 // pipeRing bounds how far back Feed looks when counting items in flight.
 // The recurrence lets a fast upstream stage run ahead of a slow drain, so
@@ -39,24 +48,23 @@ type Pipeline struct {
 const pipeRing = 64
 
 // NewPipeline returns a pipeline whose stages charge the given phases,
-// in order. It panics if no stages are given.
-func NewPipeline(phases ...Phase) *Pipeline {
-	if len(phases) == 0 {
-		panic("sim: pipeline needs at least one stage")
+// in order. It panics unless 1..MaxPipelineStages stages are given. The
+// pipeline is a value, so a caller that keeps it local keeps it on its
+// stack.
+func NewPipeline(phases ...Phase) Pipeline {
+	if len(phases) == 0 || len(phases) > MaxPipelineStages {
+		panic(fmt.Sprintf("sim: pipeline needs 1..%d stages, got %d", MaxPipelineStages, len(phases)))
 	}
-	return &Pipeline{
-		phases: phases,
-		finish: make([]Time, len(phases)),
-		first:  make([]Time, len(phases)),
-		busy:   make([]Time, len(phases)),
-	}
+	var p Pipeline
+	p.n = copy(p.phases[:], phases)
+	return p
 }
 
 // Feed pushes one item through the pipeline, one cost per stage. It
 // panics if the number of costs does not match the number of stages.
 func (p *Pipeline) Feed(costs ...Time) {
-	if len(costs) != len(p.phases) {
-		panic(fmt.Sprintf("sim: pipeline has %d stages, got %d costs", len(p.phases), len(costs)))
+	if len(costs) != p.n {
+		panic(fmt.Sprintf("sim: pipeline has %d stages, got %d costs", p.n, len(costs)))
 	}
 	start := p.finish[0] // item enters when stage 0 frees up
 	var prev Time
@@ -94,7 +102,7 @@ func (p *Pipeline) Items() int { return p.items }
 
 // Latency reports the critical-path time: the finish time of the last
 // item at the last stage, i.e. the virtual time the whole load takes.
-func (p *Pipeline) Latency() Time { return p.finish[len(p.finish)-1] }
+func (p *Pipeline) Latency() Time { return p.finish[p.n-1] }
 
 // Saved reports how much virtual time the overlap hides relative to
 // running every cost back to back (the sequential model).
@@ -109,7 +117,7 @@ func (p *Pipeline) PeakInFlight() int { return p.peak }
 // stage phases plus PhasePipeStall, and returns the stall time. The
 // charges sum exactly to Latency.
 func (p *Pipeline) Attribute(br *Breakdown) Time {
-	last := len(p.phases) - 1
+	last := p.n - 1
 	var charged Time
 	for s := 0; s < last; s++ {
 		br.Add(p.phases[s], p.first[s])

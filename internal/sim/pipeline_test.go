@@ -113,5 +113,6 @@ func TestPipelineFeedArityPanics(t *testing.T) {
 			t.Error("Feed with wrong arity did not panic")
 		}
 	}()
-	NewPipeline(PhaseROM, PhaseConfigure).Feed(1)
+	p := NewPipeline(PhaseROM, PhaseConfigure)
+	p.Feed(1)
 }

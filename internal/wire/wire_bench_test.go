@@ -74,62 +74,89 @@ func BenchmarkReadResponse(b *testing.B) {
 // onward (the cluster submit boundary), answer with a response whose
 // payload needs no staging copy, and release the frame. One decoder
 // reads plain calls and chains, so both frame types run here. The whole
-// path must stay at 0 allocs/op — the acceptance bar the CI
-// alloc-regression step greps for.
+// path must stay at 0 allocs/op, which TestRequestPathAllocs holds.
 func BenchmarkServerRequestPath(b *testing.B) {
-	for _, bc := range []struct {
-		name string
-		next []uint16
-	}{{"call", nil}, {"chain", []uint16{3, 4}}} {
-		b.Run(bc.name, func(b *testing.B) {
-			frame := AppendRequest(nil, &Request{ID: 42, Fn: 7, Next: bc.next, Payload: benchPayload(4096)})
-			rd := bytes.NewReader(frame)
-			var req Request
-			var resp Response
-			b.ReportAllocs()
-			b.SetBytes(int64(len(frame)))
-			for i := 0; i < b.N; i++ {
-				rd.Reset(frame)
-				fr, err := ReadRequestFrame(rd, &req)
-				if err != nil {
-					b.Fatal(err)
-				}
-				// The response payload aliases the request's — standing in for
-				// a function output handed straight to the encoder, no staging
-				// copy in between.
-				resp.ID, resp.Status, resp.Card, resp.Payload = req.ID, StatusOK, 0, req.Payload
-				if err := WriteResponse(io.Discard, &resp); err != nil {
-					b.Fatal(err)
-				}
-				fr.Release()
-			}
-		})
+	for _, bc := range serverRequestPathCases {
+		b.Run(bc.name, func(b *testing.B) { runOp(b, serverRequestPathOp(b, bc.next, TraceContext{})) })
 	}
+}
+
+// serverRequestPathCases are BenchmarkServerRequestPath's frame types.
+var serverRequestPathCases = []struct {
+	name string
+	next []uint16
+}{{"call", nil}, {"chain", []uint16{3, 4}}}
+
+// pathOp is one iteration of a request path's wire work, and the
+// frame bytes it moves.
+type pathOp struct {
+	run      func()
+	frameLen int
+}
+
+// runOp drives op b.N times, reporting allocations and throughput.
+func runOp(b *testing.B, op pathOp) {
+	b.ReportAllocs()
+	b.SetBytes(int64(op.frameLen))
+	for i := 0; i < b.N; i++ {
+		op.run()
+	}
+}
+
+// serverRequestPathOp is the server's wire work for a request with the
+// given chain tail and trace context.
+func serverRequestPathOp(tb testing.TB, next []uint16, tc TraceContext) pathOp {
+	frame := AppendRequest(nil, &Request{ID: 42, Fn: 7, Next: next, Payload: benchPayload(4096), Trace: tc})
+	rd := bytes.NewReader(frame)
+	var req Request
+	var resp Response
+	return pathOp{func() {
+		rd.Reset(frame)
+		fr, err := ReadRequestFrame(rd, &req)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if req.Trace != tc {
+			tb.Fatal("trace context lost on the read path")
+		}
+		// The response payload aliases the request's — standing in for
+		// a function output handed straight to the encoder, no staging
+		// copy in between.
+		resp.ID, resp.Status, resp.Card, resp.Payload = req.ID, StatusOK, 0, req.Payload
+		if err := WriteResponse(io.Discard, &resp); err != nil {
+			tb.Fatal(err)
+		}
+		fr.Release()
+	}, len(frame)}
 }
 
 // BenchmarkClientRequestPath is the client's per-call wire work: write
 // the request, read the response zero-copy, release. Also 0 allocs/op.
 func BenchmarkClientRequestPath(b *testing.B) {
-	req := &Request{ID: 42, Fn: 7, Payload: benchPayload(4096)}
+	runOp(b, clientRequestPathOp(b, TraceContext{}))
+}
+
+// clientRequestPathOp is the client's wire work for a request with the
+// given trace context.
+func clientRequestPathOp(tb testing.TB, tc TraceContext) pathOp {
+	req := &Request{ID: 42, Fn: 7, Payload: benchPayload(4096), Trace: tc}
 	frame := AppendResponse(nil, &Response{ID: 42, Status: StatusOK, Card: 1, Payload: benchPayload(4096)})
 	rd := bytes.NewReader(frame)
 	var resp Response
-	b.ReportAllocs()
-	b.SetBytes(int64(len(frame)))
-	for i := 0; i < b.N; i++ {
+	return pathOp{func() {
 		if err := WriteRequest(io.Discard, req); err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		rd.Reset(frame)
 		fr, err := ReadResponseFrame(rd, &resp)
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		if resp.ID != req.ID {
-			b.Fatal("id mismatch")
+			tb.Fatal("id mismatch")
 		}
 		fr.Release()
-	}
+	}, len(frame)}
 }
 
 // BenchmarkRoundTrip drives a full request+response round trip through
@@ -158,57 +185,19 @@ func BenchmarkRoundTrip(b *testing.B) {
 	}
 }
 
+// sampledTrace is the context a sampled request carries.
+var sampledTrace = TraceContext{TraceID: 0xF00D, SpanID: 0xCAFE, Flags: FlagSampled}
+
 // BenchmarkServerRequestPathTraced is BenchmarkServerRequestPath with
 // trace context on the frame — the wire cost of a sampled request. The
 // trace header rides the pooled buffers, so this path must also hold
-// 0 allocs/op (the CI alloc gate's RequestPath prefix covers it).
+// 0 allocs/op.
 func BenchmarkServerRequestPathTraced(b *testing.B) {
-	frame := AppendRequest(nil, &Request{ID: 42, Fn: 7, Payload: benchPayload(4096),
-		Trace: TraceContext{TraceID: 0xF00D, SpanID: 0xCAFE, Flags: FlagSampled}})
-	rd := bytes.NewReader(frame)
-	var req Request
-	var resp Response
-	b.ReportAllocs()
-	b.SetBytes(int64(len(frame)))
-	for i := 0; i < b.N; i++ {
-		rd.Reset(frame)
-		fr, err := ReadRequestFrame(rd, &req)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !req.Trace.Valid() || !req.Trace.Sampled() {
-			b.Fatal("trace context lost on the read path")
-		}
-		resp.ID, resp.Status, resp.Card, resp.Payload = req.ID, StatusOK, 0, req.Payload
-		if err := WriteResponse(io.Discard, &resp); err != nil {
-			b.Fatal(err)
-		}
-		fr.Release()
-	}
+	runOp(b, serverRequestPathOp(b, nil, sampledTrace))
 }
 
 // BenchmarkClientRequestPathTraced is the client-side twin: encoding
 // the context costs 17 header bytes, never an allocation.
 func BenchmarkClientRequestPathTraced(b *testing.B) {
-	req := &Request{ID: 42, Fn: 7, Payload: benchPayload(4096),
-		Trace: TraceContext{TraceID: 0xF00D, SpanID: 0xCAFE, Flags: FlagSampled}}
-	frame := AppendResponse(nil, &Response{ID: 42, Status: StatusOK, Card: 1, Payload: benchPayload(4096)})
-	rd := bytes.NewReader(frame)
-	var resp Response
-	b.ReportAllocs()
-	b.SetBytes(int64(len(frame)))
-	for i := 0; i < b.N; i++ {
-		if err := WriteRequest(io.Discard, req); err != nil {
-			b.Fatal(err)
-		}
-		rd.Reset(frame)
-		fr, err := ReadResponseFrame(rd, &resp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if resp.ID != req.ID {
-			b.Fatal("id mismatch")
-		}
-		fr.Release()
-	}
+	runOp(b, clientRequestPathOp(b, sampledTrace))
 }
