@@ -1,227 +1,29 @@
-// agilebench regenerates the experiment tables of EXPERIMENTS.md: every
+// agilebench prints the experiment tables of EXPERIMENTS.md: every
 // table and series the paper's evaluation implies plus the extension
-// studies (DESIGN.md §6, E1–E20 and E23).
+// studies (DESIGN.md §6). It is a thin printer over exp.All and
+// exp.ByID; the virtual-clock tables it prints are pinned byte for
+// byte by internal/exp's golden files.
 //
 // Usage:
 //
 //	agilebench -exp e3             # one experiment
 //	agilebench -exp all            # the full suite (default)
 //	agilebench -exp e5 -format csv # machine-readable output
-//	agilebench -json               # write BENCH.json for perf tracking
 //	agilebench -list               # catalogue
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
 	"os"
-	"sort"
-	"time"
 
 	"agilefpga/internal/exp"
 )
 
-// benchRecord is one experiment's machine-readable result.
-type benchRecord struct {
-	ID       string `json:"id"`
-	Title    string `json:"title"`
-	NsPerRun int64  `json:"ns_per_run"`
-	CSV      string `json:"csv"`
-}
-
-// fleetPoint is one fleet size's outcome in the E19 scaling sweep.
-type fleetPoint struct {
-	Nodes     int     `json:"nodes"`
-	OpsPerSec float64 `json:"ops_per_sec"`
-	HitRate   float64 `json:"hit_rate"`
-	HopP50Ns  int64   `json:"hop_p50_ns"`
-	HopP99Ns  int64   `json:"hop_p99_ns"`
-	Spills    uint64  `json:"spills"`
-}
-
-// phaseLatency is one pipeline phase's virtual-latency distribution,
-// from the telemetry histograms of an instrumented reference run
-// (framediff codec, Zipf stream). Values are virtual nanoseconds.
-type phaseLatency struct {
-	Phase string `json:"phase"`
-	P50Ns int64  `json:"p50_ns"`
-	P95Ns int64  `json:"p95_ns"`
-	P99Ns int64  `json:"p99_ns"`
-	Count uint64 `json:"count"`
-}
-
-// chainPoint is one reference chain's outcome in the E20 comparison:
-// warm per-item virtual latency and PCI share for the staged (one Call
-// per stage) and chained (one CallChain) arms, plus the whole-set batch
-// completion both ways. Durations are virtual nanoseconds.
-type chainPoint struct {
-	Chain         string  `json:"chain"`
-	StagedItemNs  int64   `json:"staged_item_ns"`
-	ChainItemNs   int64   `json:"chain_item_ns"`
-	ItemSpeedup   float64 `json:"item_speedup"`
-	StagedPCINs   int64   `json:"staged_pci_ns"`
-	ChainPCINs    int64   `json:"chain_pci_ns"`
-	StagedBatchNs int64   `json:"staged_batch_ns"`
-	ChainBatchNs  int64   `json:"chain_batch_ns"`
-	BatchSpeedup  float64 `json:"batch_speedup"`
-}
-
-// benchFile is the schema of BENCH.json: per-experiment wall-clock cost
-// plus the headline throughput numbers, so the perf trajectory is
-// trackable across changes.
-type benchFile struct {
-	Experiments  []benchRecord  `json:"experiments"`
-	PhaseLatency []phaseLatency `json:"phase_latency"`
-	Throughput   struct {
-		Requests               int     `json:"requests"`
-		SerialOpsPerSec        float64 `json:"serial_ops_per_sec"`
-		ConcurrentOpsPerSec    float64 `json:"concurrent_ops_per_sec"`
-		Speedup                float64 `json:"speedup"`
-		SerialHitRate          float64 `json:"serial_hit_rate"`
-		ConcurrentHitRate      float64 `json:"concurrent_hit_rate"`
-		SerialFramesLoaded     uint64  `json:"serial_frames_loaded"`
-		ConcurrentFramesLoaded uint64  `json:"concurrent_frames_loaded"`
-		DecompCacheHits        uint64  `json:"decode_cache_hits"`
-	} `json:"throughput"`
-	NetPath struct {
-		Requests          int     `json:"requests"`
-		Concurrency       int     `json:"concurrency"`
-		BaselineOpsPerSec float64 `json:"baseline_ops_per_sec"`
-		MuxBatchOpsPerSec float64 `json:"mux_batch_ops_per_sec"`
-		Speedup           float64 `json:"speedup"`
-		BatchWindows      uint64  `json:"batch_windows"`
-		BatchedJobs       uint64  `json:"batched_jobs"`
-	} `json:"net_path"`
-	Chain struct {
-		Items     int          `json:"items"`
-		ItemBytes int          `json:"item_bytes"`
-		Chains    []chainPoint `json:"chains"`
-	} `json:"chain"`
-	Fleet struct {
-		Requests           int          `json:"requests"`
-		Concurrency        int          `json:"concurrency"`
-		Scaling            []fleetPoint `json:"scaling"`
-		KillNodes          int          `json:"kill_nodes"`
-		KillRequests       int          `json:"kill_requests"`
-		KillFailures       int          `json:"kill_failures"`
-		KillEjections      uint64       `json:"kill_ejections"`
-		KillReinstatements uint64       `json:"kill_reinstatements"`
-	} `json:"fleet"`
-}
-
-// writeJSON runs the selected experiments, timing each, and writes
-// BENCH.json next to the working directory.
-func writeJSON(exps []exp.Experiment, path string) error {
-	var out benchFile
-	for _, e := range exps {
-		start := time.Now() //lint:wallclock BENCH.json records real experiment runtime
-		tab, err := e.Run()
-		if err != nil {
-			return fmt.Errorf("%s: %w", e.ID, err)
-		}
-		out.Experiments = append(out.Experiments, benchRecord{
-			ID:       e.ID,
-			Title:    e.Title,
-			NsPerRun: time.Since(start).Nanoseconds(), //lint:wallclock BENCH.json records real experiment runtime
-			CSV:      tab.CSV(),
-		})
-	}
-	phases, _, err := exp.PhaseProfile(1500, "framediff")
-	if err != nil {
-		return fmt.Errorf("phase profile: %w", err)
-	}
-	for _, pq := range phases {
-		out.PhaseLatency = append(out.PhaseLatency, phaseLatency{
-			Phase: pq.Phase,
-			P50Ns: pq.P50.Duration().Nanoseconds(),
-			P95Ns: pq.P95.Duration().Nanoseconds(),
-			P99Ns: pq.P99.Duration().Nanoseconds(),
-			Count: pq.Count,
-		})
-	}
-	r, err := exp.RunE16(2000)
-	if err != nil {
-		return fmt.Errorf("e16 throughput: %w", err)
-	}
-	out.Throughput.Requests = r.Requests
-	out.Throughput.SerialOpsPerSec = r.SerialOpsPerSec
-	out.Throughput.ConcurrentOpsPerSec = r.ConcurrentOpsPerSec
-	out.Throughput.Speedup = r.Speedup
-	out.Throughput.SerialHitRate = r.SerialHitRate
-	out.Throughput.ConcurrentHitRate = r.ConcurrentHitRate
-	out.Throughput.SerialFramesLoaded = r.SerialFramesLoaded
-	out.Throughput.ConcurrentFramesLoaded = r.ConcurrentFramesLoaded
-	out.Throughput.DecompCacheHits = r.DecompCacheHits
-	np, err := exp.RunE23(0, 0)
-	if err != nil {
-		return fmt.Errorf("e23 net path: %w", err)
-	}
-	out.NetPath.Requests = np.Requests
-	out.NetPath.Concurrency = np.Concurrency
-	out.NetPath.BaselineOpsPerSec = np.BaselineOpsPerSec
-	out.NetPath.MuxBatchOpsPerSec = np.MuxBatchOpsPerSec
-	out.NetPath.Speedup = np.Speedup
-	out.NetPath.BatchWindows = np.BatchWindows
-	out.NetPath.BatchedJobs = np.BatchedJobs
-	const chainItems, chainItemBytes = 16, 2048
-	ch, err := exp.RunE20(chainItems, chainItemBytes)
-	if err != nil {
-		return fmt.Errorf("e20 chaining: %w", err)
-	}
-	out.Chain.Items = chainItems
-	out.Chain.ItemBytes = chainItemBytes
-	labels := make([]string, 0, len(ch.StagedLatency))
-	for label := range ch.StagedLatency {
-		labels = append(labels, label)
-	}
-	sort.Strings(labels)
-	for _, label := range labels {
-		out.Chain.Chains = append(out.Chain.Chains, chainPoint{
-			Chain:         label,
-			StagedItemNs:  ch.StagedLatency[label].Duration().Nanoseconds(),
-			ChainItemNs:   ch.ChainLatency[label].Duration().Nanoseconds(),
-			ItemSpeedup:   float64(ch.StagedLatency[label]) / float64(ch.ChainLatency[label]),
-			StagedPCINs:   ch.StagedPCI[label].Duration().Nanoseconds(),
-			ChainPCINs:    ch.ChainPCI[label].Duration().Nanoseconds(),
-			StagedBatchNs: ch.StagedBatch[label].Duration().Nanoseconds(),
-			ChainBatchNs:  ch.ChainBatch[label].Duration().Nanoseconds(),
-			BatchSpeedup:  float64(ch.StagedBatch[label]) / float64(ch.ChainBatch[label]),
-		})
-	}
-	fl, err := exp.RunE19(0, 0, nil)
-	if err != nil {
-		return fmt.Errorf("e19 fleet: %w", err)
-	}
-	out.Fleet.Requests = fl.Requests
-	out.Fleet.Concurrency = fl.Concurrency
-	for _, n := range fl.Nodes {
-		out.Fleet.Scaling = append(out.Fleet.Scaling, fleetPoint{
-			Nodes:     n,
-			OpsPerSec: fl.OpsPerSec[n],
-			HitRate:   fl.HitRate[n],
-			HopP50Ns:  fl.HopP50[n].Nanoseconds(),
-			HopP99Ns:  fl.HopP99[n].Nanoseconds(),
-			Spills:    fl.Spills[n],
-		})
-	}
-	out.Fleet.KillNodes = fl.KillNodes
-	out.Fleet.KillRequests = fl.KillRequests
-	out.Fleet.KillFailures = fl.KillFailures
-	out.Fleet.KillEjections = fl.KillEjections
-	out.Fleet.KillReinstatements = fl.KillReinstatements
-	buf, err := json.MarshalIndent(&out, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(buf, '\n'), 0o644)
-}
-
 func main() {
 	expID := flag.String("exp", "all", "experiment id (see -list) or 'all'")
 	format := flag.String("format", "text", "output format: text|csv")
-	jsonOut := flag.Bool("json", false, "write machine-readable results to BENCH.json")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
 
@@ -244,14 +46,6 @@ func main() {
 			os.Exit(2)
 		}
 		selected = []exp.Experiment{e}
-	}
-
-	if *jsonOut {
-		if err := writeJSON(selected, "BENCH.json"); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println("wrote BENCH.json")
-		return
 	}
 
 	for _, e := range selected {

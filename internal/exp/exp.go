@@ -88,10 +88,6 @@ func All() []Experiment {
 			r, err := RunE18()
 			return tableOf(r, err)
 		}},
-		{"e19", "Fleet-scale shard routing (agilerouter over N nodes)", func() (*Table, error) {
-			r, err := RunE19(0, 0, nil)
-			return tableOf(r, err)
-		}},
 		{"e20", "On-fabric function chaining vs staged calls", func() (*Table, error) {
 			r, err := RunE20(16, 2048)
 			return tableOf(r, err)
@@ -116,7 +112,7 @@ func expNum(id string) int {
 	return n
 }
 
-// ByID finds an experiment by id ("e1".."e8").
+// ByID finds an experiment by id, as listed by All.
 func ByID(id string) (Experiment, error) {
 	for _, e := range All() {
 		if e.ID == id {
@@ -151,6 +147,5 @@ func (r *E14Result) table() *Table { return &r.Table }
 func (r *E15Result) table() *Table { return &r.Table }
 func (r *E16Result) table() *Table { return &r.Table }
 func (r *E18Result) table() *Table { return &r.Table }
-func (r *E19Result) table() *Table { return &r.Table }
 func (r *E20Result) table() *Table { return &r.Table }
 func (r *E23Result) table() *Table { return &r.Table }

@@ -274,7 +274,7 @@ func TestE20ChainingShape(t *testing.T) {
 
 func TestCatalogue(t *testing.T) {
 	exps := All()
-	if len(exps) != 21 {
+	if len(exps) != 20 {
 		t.Fatalf("%d experiments", len(exps))
 	}
 	if _, err := ByID("e3"); err != nil {

@@ -1,8 +1,8 @@
 // Package exp implements the experiment harness: one runner per
-// experiment in DESIGN.md §6 (E1–E8), each reproducing a table or series
-// the paper's evaluation implies. Runners return structured results plus
-// a formatted table; cmd/agilebench prints them and bench_test.go wraps
-// them in testing.B benchmarks.
+// experiment in DESIGN.md §6, each reproducing a table or series the
+// paper's evaluation implies. Runners return structured results plus a
+// formatted table; cmd/agilebench prints them, and TestVirtualTimeGolden
+// pins every virtual-clock table byte for byte under testdata/.
 package exp
 
 import (

@@ -1,7 +1,7 @@
 // Package metrics is the co-processor's telemetry layer: lock-cheap
 // counters, gauges and fixed-bucket histograms over virtual time,
 // collected into one Registry and exported either as a structured
-// snapshot (quantile queries, BENCH.json enrichment) or as Prometheus
+// snapshot (quantile queries, as E17 and agilesim read them) or as Prometheus
 // text exposition (the agilesim -metrics-addr endpoint).
 //
 // Recording is designed to be safe on the hot path: every instrument is

@@ -134,37 +134,66 @@ func TestRouterEndToEndMatchesDirectCall(t *testing.T) {
 	}
 }
 
-// TestRouterAffinity pins the tentpole routing property: absent
-// overload, every call for one function lands on exactly one backend
-// — the ring primary of the function id itself, so that node's cards
-// stay resident for it and a caller can predict it with Ring.Lookup.
+// TestRouterAffinity pins the routing property the fleet relies on:
+// absent overload, every call for one function lands on exactly one
+// backend — the ring primary of the function id itself, so a caller can
+// predict it with Ring.Lookup — for every function in the bank. A
+// repeat pass then finds the bank resident where affinity put it: the
+// fleet's aggregate card hit rate reaches the single-node ceiling
+// (≥ 0.9) that spraying calls over backends would collapse.
 func TestRouterAffinity(t *testing.T) {
-	f := newFleet(t, 3, 1)
+	f := newFleet(t, 3, 4)
 	r, reg := newTestRouter(t, f, router.Options{})
-	in := []byte{9, 9, 9, 9}
-	fn := algos.CRC32().ID()
-	for i := 0; i < 20; i++ {
-		if _, _, err := r.Call(context.Background(), fn, in); err != nil {
-			t.Fatal(err)
-		}
-	}
 	ring := router.NewRing(0, 1) // newTestRouter's seed
 	for _, addr := range f.addrs {
 		ring.Add(addr)
 	}
-	served := 0
-	for _, addr := range f.addrs {
-		n := reg.Counter("agile_router_forwards_total",
+	forwards := func(addr string) uint64 {
+		return reg.Counter("agile_router_forwards_total",
 			metrics.L("backend", addr), metrics.L("status", "ok")).Value()
-		if n > 0 {
-			served++
-			if n != 20 || addr != ring.Lookup(fn) {
-				t.Fatalf("backend %s served %d of 20; ring primary is %s", addr, n, ring.Lookup(fn))
+	}
+	cardStats := func() (hits, requests uint64) {
+		for _, nd := range f.nodes {
+			st := nd.cl.Stats().Total
+			hits += st.Hits
+			requests += st.Requests
+		}
+		return hits, requests
+	}
+	const calls = 4
+	bank := algos.Bank()
+	for _, fn := range bank {
+		before := make([]uint64, len(f.addrs))
+		for i, addr := range f.addrs {
+			before[i] = forwards(addr)
+		}
+		in := make([]byte, fn.BlockBytes)
+		for i := 0; i < calls; i++ {
+			if _, _, err := r.Call(context.Background(), fn.ID(), in); err != nil {
+				t.Fatalf("%s: %v", fn.Name(), err)
+			}
+		}
+		primary := ring.Lookup(fn.ID())
+		for i, addr := range f.addrs {
+			want := uint64(0)
+			if addr == primary {
+				want = calls
+			}
+			if got := forwards(addr) - before[i]; got != want {
+				t.Fatalf("%s: backend %s served %d of %d; ring primary is %s",
+					fn.Name(), addr, got, calls, primary)
 			}
 		}
 	}
-	if served != 1 {
-		t.Fatalf("one function spread over %d backends without load", served)
+	hits0, requests0 := cardStats()
+	for _, fn := range bank {
+		if _, _, err := r.Call(context.Background(), fn.ID(), make([]byte, fn.BlockBytes)); err != nil {
+			t.Fatalf("%s: %v", fn.Name(), err)
+		}
+	}
+	hits, requests := cardStats()
+	if rate := float64(hits-hits0) / float64(requests-requests0); rate < 0.9 {
+		t.Fatalf("repeat pass over the bank: aggregate card hit rate %.3f, want >= 0.9", rate)
 	}
 }
 
