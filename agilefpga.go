@@ -33,7 +33,9 @@ import (
 	"agilefpga/internal/algos"
 	"agilefpga/internal/core"
 	"agilefpga/internal/fpga"
+	"agilefpga/internal/mcu"
 	"agilefpga/internal/metrics"
+	"agilefpga/internal/replace"
 )
 
 // Config selects the card's build options. The zero value is a sensible
@@ -192,31 +194,43 @@ type CoProcessor struct {
 	inner *core.CoProcessor
 }
 
-// New assembles a card.
-func New(cfg Config) (*CoProcessor, error) {
-	var geom fpga.Geometry
-	if cfg.Rows != 0 || cfg.Cols != 0 {
-		geom = fpga.Geometry{Rows: cfg.Rows, Cols: cfg.Cols}
-	}
-	var reg *metrics.Registry
-	if cfg.Metrics {
-		reg = metrics.NewRegistry()
-	}
-	inner, err := core.New(core.Config{
-		Geometry:         geom,
+// card converts the public options into the card's internal
+// configuration. New and NewCluster both build from it.
+func (cfg Config) card() (core.Config, error) {
+	out := core.Config{
 		ROMBytes:         cfg.ROMBytes,
 		RAMBytes:         cfg.RAMBytes,
 		WindowBytes:      cfg.WindowBytes,
 		Codec:            cfg.Codec,
-		Policy:           cfg.Policy,
-		PolicySeed:       cfg.PolicySeed,
-		NoScatter:        cfg.ContiguousOnly,
+		ContiguousOnly:   cfg.ContiguousOnly,
 		DiffReload:       cfg.DiffReload,
 		Prefetch:         cfg.Prefetch,
 		DecodeCacheBytes: cfg.DecodeCacheBytes,
 		SequentialConfig: cfg.SequentialConfig,
-		Metrics:          reg,
-	})
+	}
+	if cfg.Rows != 0 || cfg.Cols != 0 {
+		out.Geometry = fpga.Geometry{Rows: cfg.Rows, Cols: cfg.Cols}
+	}
+	if cfg.Policy != "" {
+		pol, err := replace.New(cfg.Policy, cfg.PolicySeed)
+		if err != nil {
+			return core.Config{}, err
+		}
+		out.Policy = pol
+	}
+	if cfg.Metrics {
+		out.Metrics = metrics.NewRegistry()
+	}
+	return out, nil
+}
+
+// New assembles a card.
+func New(cfg Config) (*CoProcessor, error) {
+	card, err := cfg.card()
+	if err != nil {
+		return nil, err
+	}
+	inner, err := core.New(card)
 	if err != nil {
 		return nil, err
 	}
@@ -314,18 +328,13 @@ func (cp *CoProcessor) Utilization() (configured, total int) {
 	return cp.inner.Utilization()
 }
 
-// Stats summarises card behaviour.
-func (cp *CoProcessor) Stats() Stats {
-	st := cp.inner.Stats()
-	hr := 0.0
-	if st.Requests > 0 {
-		hr = float64(st.Hits) / float64(st.Requests)
-	}
+// statsOf converts the mini OS's counters to the public form.
+func statsOf(st mcu.Stats) Stats {
 	return Stats{
 		Requests: st.Requests, Hits: st.Hits, Misses: st.Misses,
 		Evictions: st.Evictions, FramesLoaded: st.FramesLoaded,
 		RawConfigBytes: st.RawConfigBytes, CompConfigBytes: st.CompConfigBytes,
-		HitRate:           hr,
+		HitRate:           st.HitRate(),
 		FramesSkipped:     st.FramesSkipped,
 		Prefetches:        st.Prefetches,
 		PrefetchHits:      st.PrefetchHits,
@@ -340,6 +349,9 @@ func (cp *CoProcessor) Stats() Stats {
 		ChainHandoffBytes: st.ChainHandoffBytes,
 	}
 }
+
+// Stats summarises card behaviour.
+func (cp *CoProcessor) Stats() Stats { return statsOf(cp.inner.Stats()) }
 
 // ResetStats zeroes the counters; residency is unaffected.
 func (cp *CoProcessor) ResetStats() { cp.inner.ResetStats() }

@@ -114,6 +114,9 @@ func TestFacadeConfigKnobs(t *testing.T) {
 	if _, err := New(Config{Codec: "nope"}); err == nil {
 		t.Error("bad codec accepted")
 	}
+	if _, err := New(Config{Policy: "clock"}); err == nil {
+		t.Error("unknown policy accepted")
+	}
 	if _, err := New(Config{Rows: 1, Cols: 1}); err == nil {
 		t.Error("bad geometry accepted")
 	}

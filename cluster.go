@@ -5,9 +5,6 @@ import (
 
 	"agilefpga/internal/algos"
 	"agilefpga/internal/cluster"
-	"agilefpga/internal/core"
-	"agilefpga/internal/fpga"
-	"agilefpga/internal/metrics"
 	"agilefpga/internal/sched"
 )
 
@@ -65,28 +62,11 @@ type Cluster struct {
 
 // NewCluster builds a cluster of n cards sharing one Config.
 func NewCluster(n int, mode string, cfg Config) (*Cluster, error) {
-	var geom fpga.Geometry
-	if cfg.Rows != 0 || cfg.Cols != 0 {
-		geom = fpga.Geometry{Rows: cfg.Rows, Cols: cfg.Cols}
+	card, err := cfg.card()
+	if err != nil {
+		return nil, err
 	}
-	var reg *metrics.Registry
-	if cfg.Metrics {
-		reg = metrics.NewRegistry()
-	}
-	inner, err := cluster.New(n, mode, core.Config{
-		Geometry:         geom,
-		ROMBytes:         cfg.ROMBytes,
-		RAMBytes:         cfg.RAMBytes,
-		WindowBytes:      cfg.WindowBytes,
-		Codec:            cfg.Codec,
-		Policy:           cfg.Policy,
-		PolicySeed:       cfg.PolicySeed,
-		NoScatter:        cfg.ContiguousOnly,
-		DiffReload:       cfg.DiffReload,
-		Prefetch:         cfg.Prefetch,
-		DecodeCacheBytes: cfg.DecodeCacheBytes,
-		Metrics:          reg,
-	})
+	inner, err := cluster.New(n, mode, card)
 	if err != nil {
 		return nil, err
 	}
@@ -153,27 +133,7 @@ type ClusterStats struct {
 // Stats aggregates over all cards.
 func (cl *Cluster) Stats() ClusterStats {
 	st := cl.inner.Stats()
-	return ClusterStats{
-		Stats: Stats{
-			Requests: st.Total.Requests, Hits: st.Total.Hits, Misses: st.Total.Misses,
-			Evictions: st.Total.Evictions, FramesLoaded: st.Total.FramesLoaded,
-			RawConfigBytes: st.Total.RawConfigBytes, CompConfigBytes: st.Total.CompConfigBytes,
-			HitRate:           st.HitRate,
-			FramesSkipped:     st.Total.FramesSkipped,
-			Prefetches:        st.Total.Prefetches,
-			PrefetchHits:      st.Total.PrefetchHits,
-			DecompCacheHits:   st.Total.DecompCacheHits,
-			DecompCacheBytes:  st.Total.DecompCacheBytes,
-			PipelinedLoads:    st.Total.PipelinedLoads,
-			PipeWindows:       st.Total.PipeWindows,
-			PipeStall:         st.Total.PipeStallTime.Duration(),
-			PipeOverlapSaved:  st.Total.PipeOverlapSaved.Duration(),
-			ChainRuns:         st.Total.ChainRuns,
-			ChainStages:       st.Total.ChainStages,
-			ChainHandoffBytes: st.Total.ChainHandoffBytes,
-		},
-		PerCardRequests: st.PerCardRequests,
-	}
+	return ClusterStats{Stats: statsOf(st.Total), PerCardRequests: st.PerCardRequests}
 }
 
 // Close shuts the serving layer down, draining queued jobs. Synchronous

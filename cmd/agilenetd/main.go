@@ -45,6 +45,7 @@ import (
 	"agilefpga/internal/core"
 	"agilefpga/internal/fpga"
 	"agilefpga/internal/metrics"
+	"agilefpga/internal/replace"
 	"agilefpga/internal/server"
 	"agilefpga/internal/trace"
 )
@@ -89,11 +90,15 @@ func main() {
 		return
 	}
 
+	pol, err := replace.New(*policy, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	reg := metrics.NewRegistry()
 	cl, err := cluster.NewWithOptions(*cards, *mode, core.Config{
 		Geometry:   fpga.Geometry{Rows: *rows, Cols: *cols},
 		Codec:      *codec,
-		Policy:     *policy,
+		Policy:     pol,
 		Prefetch:   *prefetch,
 		DiffReload: *diff,
 		Metrics:    reg,

@@ -33,6 +33,7 @@ import (
 	"agilefpga/internal/core"
 	"agilefpga/internal/fpga"
 	"agilefpga/internal/metrics"
+	"agilefpga/internal/replace"
 	"agilefpga/internal/sched"
 	"agilefpga/internal/sim"
 	"agilefpga/internal/trace"
@@ -116,14 +117,18 @@ func main() {
 		fmt.Printf("serving /debug/traces and /debug/pprof on http://%s\n", debugLn.Addr())
 	}
 
+	pol, err := replace.New(*policy, 0)
+	if err != nil {
+		log.Fatal(err)
+	}
 	cp, err := core.New(core.Config{
-		Geometry:   fpga.Geometry{Rows: *rows, Cols: *cols},
-		Codec:      *codec,
-		Policy:     *policy,
-		NoScatter:  *noScatter,
-		DiffReload: *diff,
-		Prefetch:   *prefetch,
-		Metrics:    reg,
+		Geometry:       fpga.Geometry{Rows: *rows, Cols: *cols},
+		Codec:          *codec,
+		Policy:         pol,
+		ContiguousOnly: *noScatter,
+		DiffReload:     *diff,
+		Prefetch:       *prefetch,
+		Metrics:        reg,
 	})
 	if err != nil {
 		log.Fatal(err)

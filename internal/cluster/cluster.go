@@ -118,7 +118,8 @@ type Cluster struct {
 }
 
 // New builds a cluster of n cards sharing one configuration, provisioning
-// the whole algorithm bank according to mode.
+// the whole algorithm bank according to mode. Each card replaces frames
+// with its own fresh copy of cfg.Policy.
 func New(n int, mode string, cfg core.Config) (*Cluster, error) {
 	return NewWithOptions(n, mode, cfg, Options{})
 }
@@ -144,7 +145,11 @@ func NewWithOptions(n int, mode string, cfg core.Config, opts Options) (*Cluster
 	}
 	cl.metrics = cfg.Metrics
 	for i := 0; i < n; i++ {
-		cp, err := core.New(cfg)
+		card := cfg
+		if cfg.Policy != nil {
+			card.Policy = cfg.Policy.Fresh()
+		}
+		cp, err := core.New(card)
 		if err != nil {
 			return nil, err
 		}
@@ -880,37 +885,9 @@ func (cl *Cluster) Stats() Stats {
 	for _, cp := range cl.cards {
 		st := cp.Stats()
 		out.PerCardRequests = append(out.PerCardRequests, st.Requests)
-		out.Total.Requests += st.Requests
-		out.Total.Hits += st.Hits
-		out.Total.Misses += st.Misses
-		out.Total.Evictions += st.Evictions
-		out.Total.FramesLoaded += st.FramesLoaded
-		out.Total.RawConfigBytes += st.RawConfigBytes
-		out.Total.CompConfigBytes += st.CompConfigBytes
-		out.Total.ContigPlacements += st.ContigPlacements
-		out.Total.ScatterPlacements += st.ScatterPlacements
-		out.Total.FramesSkipped += st.FramesSkipped
-		out.Total.Prefetches += st.Prefetches
-		out.Total.PrefetchHits += st.PrefetchHits
-		out.Total.PrefetchTime += st.PrefetchTime
-		out.Total.DecompCacheHits += st.DecompCacheHits
-		out.Total.DecompCacheBytes += st.DecompCacheBytes
-		out.Total.SEURepairs += st.SEURepairs
-		out.Total.ScrubTime += st.ScrubTime
-		out.Total.PipelinedLoads += st.PipelinedLoads
-		out.Total.PipeWindows += st.PipeWindows
-		out.Total.PipeStallTime += st.PipeStallTime
-		out.Total.PipeOverlapSaved += st.PipeOverlapSaved
-		out.Total.ChainRuns += st.ChainRuns
-		out.Total.ChainStages += st.ChainStages
-		out.Total.ChainHandoffBytes += st.ChainHandoffBytes
-		out.Total.Defrags += st.Defrags
-		out.Total.Errors += st.Errors
-		out.Total.Phases.AddAll(st.Phases)
+		out.Total.Add(st)
 	}
-	if out.Total.Requests > 0 {
-		out.HitRate = float64(out.Total.Hits) / float64(out.Total.Requests)
-	}
+	out.HitRate = out.Total.HitRate()
 	return out
 }
 

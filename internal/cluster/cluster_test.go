@@ -10,6 +10,7 @@ import (
 	"agilefpga/internal/algos"
 	"agilefpga/internal/core"
 	"agilefpga/internal/fpga"
+	"agilefpga/internal/replace"
 	"agilefpga/internal/sched"
 )
 
@@ -498,5 +499,35 @@ func TestCloseIdempotent(t *testing.T) {
 	// Synchronous calls still work after Close.
 	if _, _, err := cl.Call(f.ID(), []byte{4, 3, 2, 1}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPolicyNotSharedAcrossCards: one Config builds every card, and a
+// replacement policy holds one card's residency, so each card must get
+// its own. Two small cards thrash through the bank under FIFO.
+func TestPolicyNotSharedAcrossCards(t *testing.T) {
+	cfg := core.Config{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, Policy: replace.NewFIFO()}
+	cl, err := New(2, ModeReplicate, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl.cards[0].Controller().Config().Policy == cl.cards[1].Controller().Config().Policy {
+		t.Fatal("both cards replace frames through one policy")
+	}
+	in := make([]byte, 64)
+	for round := 0; round < 2; round++ {
+		for _, f := range algos.Bank() {
+			if _, _, err := cl.Call(f.ID(), in); err != nil {
+				t.Fatalf("%s: %v", f.Name(), err)
+			}
+			if err := cl.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	for i, cp := range cl.cards {
+		if got := cp.Controller().PolicyName(); got != "fifo" {
+			t.Errorf("card %d replaces with %q, want fifo", i, got)
+		}
 	}
 }

@@ -22,7 +22,6 @@ import (
 	"agilefpga/internal/memory"
 	"agilefpga/internal/metrics"
 	"agilefpga/internal/pci"
-	"agilefpga/internal/replace"
 	"agilefpga/internal/sim"
 	"agilefpga/internal/trace"
 )
@@ -31,48 +30,10 @@ import (
 // machine of the paper's era.
 const HostHz = 2_000_000_000
 
-// Config parameterises the whole system. Zero values select defaults.
-type Config struct {
-	Geometry    fpga.Geometry // default: fpga.DefaultGeometry
-	ROMBytes    int
-	RAMBytes    int
-	WindowBytes int
-	// Codec names the bitstream compression scheme used when installing
-	// functions. Default "framediff".
-	Codec string
-	// Policy names the frame replacement policy ("lru", "fifo", "lfu",
-	// "random"). Default "lru" (the paper's). PolicyImpl overrides it.
-	Policy     string
-	PolicySeed uint64
-	PolicyImpl replace.Policy
-	// AllowScatter permits non-contiguous placement. Default true.
-	NoScatter bool
-	// DiffReload enables the mini OS's difference-based reconfiguration
-	// flow (lazy eviction + generation-verified revival).
-	DiffReload bool
-	// Prefetch enables the mini OS's configuration prefetcher.
-	Prefetch bool
-	// ROMImage boots the card from a pre-burned ROM image (see
-	// memory.LoadROM and cmd/bitc -burn); functions found in it are
-	// immediately callable without Install.
-	ROMImage []byte
-	// DecodeCacheBytes bounds the mini OS's decoded-frame cache: reloads
-	// whose decoded frame images are cached skip decompression entirely.
-	// 0 disables the cache.
-	DecodeCacheBytes int
-	// SequentialConfig reverts the configuration module to the additive
-	// timing model (ROM, decompression, and port writes charged back to
-	// back) and disables the card-side overlap between a job's items. The zero value is
-	// the pipelined model — see mcu.Config.SequentialConfig and DESIGN
-	// §12. Retained for A/B comparison (experiment E18).
-	SequentialConfig bool
-	// Metrics, when non-nil, receives the telemetry the card and host
-	// driver produce: per-phase latency histograms, request/error
-	// counters, cache and prefetch behaviour. Observation is passive —
-	// it never advances a clock domain — so attaching a registry changes
-	// no virtual-time result.
-	Metrics *metrics.Registry
-}
+// Config is the card's build options. It is mcu.Config itself: the
+// host driver takes the card configuration as given, and mcu.New applies
+// every default.
+type Config = mcu.Config
 
 // CoProcessor is the assembled card plus its host driver. All exported
 // methods are safe for concurrent use: one mutex serialises the card, so
@@ -97,45 +58,16 @@ type CoProcessor struct {
 
 // New assembles a co-processor with the full algorithm bank registered.
 func New(cfg Config) (*CoProcessor, error) {
-	if cfg.Geometry == (fpga.Geometry{}) {
-		cfg.Geometry = fpga.DefaultGeometry
-	}
-	if cfg.Codec == "" {
-		cfg.Codec = "framediff"
-	}
-	if cfg.Policy == "" {
-		cfg.Policy = "lru"
-	}
-	pol := cfg.PolicyImpl
-	if pol == nil {
-		var err error
-		pol, err = replace.New(cfg.Policy, cfg.PolicySeed)
-		if err != nil {
-			return nil, err
-		}
-	}
-	codec, err := compress.New(cfg.Codec, cfg.Geometry.FrameBytes())
-	if err != nil {
-		return nil, err
-	}
 	reg := fpga.NewRegistry()
 	if err := algos.RegisterAll(reg); err != nil {
 		return nil, err
 	}
-	ctrl, err := mcu.New(mcu.Config{
-		Geometry:         cfg.Geometry,
-		ROMBytes:         cfg.ROMBytes,
-		RAMBytes:         cfg.RAMBytes,
-		WindowBytes:      cfg.WindowBytes,
-		Policy:           pol,
-		AllowScatter:     !cfg.NoScatter,
-		DiffReload:       cfg.DiffReload,
-		Prefetch:         cfg.Prefetch,
-		ROMImage:         cfg.ROMImage,
-		DecodeCacheBytes: cfg.DecodeCacheBytes,
-		SequentialConfig: cfg.SequentialConfig,
-		Metrics:          cfg.Metrics,
-	}, reg)
+	ctrl, err := mcu.New(cfg, reg)
+	if err != nil {
+		return nil, err
+	}
+	cfg = ctrl.Config()
+	codec, err := compress.New(cfg.Codec, cfg.Geometry.FrameBytes())
 	if err != nil {
 		return nil, err
 	}

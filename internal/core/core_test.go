@@ -39,9 +39,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Codec: "zstd"}); err == nil {
 		t.Error("unknown codec accepted")
 	}
-	if _, err := New(Config{Policy: "clock"}); err == nil {
-		t.Error("unknown policy accepted")
-	}
 	if _, err := New(Config{Geometry: fpga.Geometry{Rows: 1, Cols: 1}}); err == nil {
 		t.Error("degenerate geometry accepted")
 	}

@@ -67,7 +67,7 @@ func RunE3(requests int) (*E3Result, error) {
 					return nil, err
 				}
 			}
-			cp, err := core.New(core.Config{Geometry: E3Geometry, PolicyImpl: pol})
+			cp, err := core.New(core.Config{Geometry: E3Geometry, Policy: pol})
 			if err != nil {
 				return nil, err
 			}

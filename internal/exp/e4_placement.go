@@ -45,11 +45,11 @@ func RunE4(requests int) (*E4Result, error) {
 	}
 	geom := fpga.Geometry{Rows: 32, Cols: 32}
 	for _, mode := range []struct {
-		name        string
-		noScatter   bool
-		defragEvery int
+		name           string
+		contiguousOnly bool
+		defragEvery    int
 	}{{"contiguous", true, 0}, {"contig+defrag", true, 100}, {"scatter", false, 0}} {
-		cp, err := core.New(core.Config{Geometry: geom, NoScatter: mode.noScatter})
+		cp, err := core.New(core.Config{Geometry: geom, ContiguousOnly: mode.contiguousOnly})
 		if err != nil {
 			return nil, err
 		}

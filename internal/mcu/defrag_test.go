@@ -43,7 +43,7 @@ func fragment(t *testing.T, c *Controller) {
 }
 
 func TestDefragCompactsFreeSpace(t *testing.T) {
-	c := newController(t, Config{Geometry: fpga.DefaultGeometry, AllowScatter: false})
+	c := newController(t, Config{Geometry: fpga.DefaultGeometry, ContiguousOnly: true})
 	fragment(t, c)
 	if freeRuns(c) < 2 {
 		t.Skip("fabric not fragmented; scenario needs adjusting")
@@ -87,7 +87,7 @@ func TestDefragCompactsFreeSpace(t *testing.T) {
 func TestDefragEnablesContiguousPlacement(t *testing.T) {
 	// A contiguous-only device too fragmented for a big function must
 	// accept it after defrag without extra evictions.
-	c := newController(t, Config{Geometry: fpga.Geometry{Rows: 32, Cols: 26}, AllowScatter: false})
+	c := newController(t, Config{Geometry: fpga.Geometry{Rows: 32, Cols: 26}, ContiguousOnly: true})
 	small := []*algos.Function{algos.CRC32(), algos.GFMul(), algos.FIR()} // 2+1+5 frames
 	for _, f := range small {
 		install(t, c, f, "rle")
@@ -116,7 +116,7 @@ func TestDefragEnablesContiguousPlacement(t *testing.T) {
 }
 
 func TestDefragUnderDiffReloadStillCompacts(t *testing.T) {
-	c := newController(t, Config{Geometry: fpga.DefaultGeometry, AllowScatter: false, DiffReload: true})
+	c := newController(t, Config{Geometry: fpga.DefaultGeometry, ContiguousOnly: true, DiffReload: true})
 	fragment(t, c)
 	if _, _, err := c.Defrag(); err != nil {
 		t.Fatal(err)

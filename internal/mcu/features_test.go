@@ -13,7 +13,7 @@ import (
 )
 
 func TestDiffReloadSkipsIdenticalFrames(t *testing.T) {
-	c := newController(t, Config{Geometry: fpga.DefaultGeometry, AllowScatter: true, DiffReload: true})
+	c := newController(t, Config{Geometry: fpga.DefaultGeometry, DiffReload: true})
 	f := algos.DES()
 	install(t, c, f, "framediff")
 	in := []byte("8bytes!!")
@@ -62,7 +62,7 @@ func TestDiffReloadSkipsIdenticalFrames(t *testing.T) {
 
 func TestDiffReloadCheaperThanFullReload(t *testing.T) {
 	run := func(diff bool) sim.Time {
-		c := newController(t, Config{Geometry: fpga.DefaultGeometry, AllowScatter: true, DiffReload: diff})
+		c := newController(t, Config{Geometry: fpga.DefaultGeometry, DiffReload: diff})
 		f := algos.Bitonic() // 15 frames: the win is visible
 		install(t, c, f, "none")
 		in := make([]byte, f.BlockBytes)
@@ -85,7 +85,7 @@ func TestDiffReloadCheaperThanFullReload(t *testing.T) {
 }
 
 func TestDiffReloadAfterClobberWritesOnlyDirtyFrames(t *testing.T) {
-	c := newController(t, Config{Geometry: fpga.DefaultGeometry, AllowScatter: true, DiffReload: true})
+	c := newController(t, Config{Geometry: fpga.DefaultGeometry, DiffReload: true})
 	f := algos.FIR() // 5 frames
 	install(t, c, f, "rle")
 	in := make([]byte, 64)
@@ -135,7 +135,7 @@ func TestPrefetcherLearnsAlternation(t *testing.T) {
 	// successor table is warm, every request hits.
 	mk := func(prefetch bool) *Controller {
 		c := newController(t, Config{
-			Geometry: fpga.Geometry{Rows: 32, Cols: 16}, AllowScatter: true, Prefetch: prefetch,
+			Geometry: fpga.Geometry{Rows: 32, Cols: 16}, Prefetch: prefetch,
 		})
 		install(t, c, algos.FFT(), "framediff")    // 13 frames
 		install(t, c, algos.MatMul(), "framediff") // 11 frames
@@ -182,7 +182,7 @@ func TestPrefetcherLearnsAlternation(t *testing.T) {
 }
 
 func TestPrefetcherHarmlessOnRepeats(t *testing.T) {
-	c := newController(t, Config{Geometry: fpga.DefaultGeometry, AllowScatter: true, Prefetch: true})
+	c := newController(t, Config{Geometry: fpga.DefaultGeometry, Prefetch: true})
 	f := algos.CRC32()
 	install(t, c, f, "rle")
 	for i := 0; i < 5; i++ {
@@ -204,7 +204,7 @@ func TestPrefetcherSurvivesCapacityPressure(t *testing.T) {
 	// mini OS: the prefetch load evicts via policy like any load, and
 	// invariants hold throughout.
 	c := newController(t, Config{
-		Geometry: fpga.Geometry{Rows: 32, Cols: 20}, AllowScatter: true, Prefetch: true,
+		Geometry: fpga.Geometry{Rows: 32, Cols: 20}, Prefetch: true,
 	})
 	install(t, c, algos.Bitonic(), "framediff") // 15 frames
 	install(t, c, algos.FFT(), "framediff")     // 13 frames
@@ -223,8 +223,8 @@ func TestPrefetcherSurvivesCapacityPressure(t *testing.T) {
 
 func TestDiffAndPrefetchCompose(t *testing.T) {
 	c := newController(t, Config{
-		Geometry:     fpga.Geometry{Rows: 32, Cols: 16},
-		AllowScatter: true, DiffReload: true, Prefetch: true,
+		Geometry:   fpga.Geometry{Rows: 32, Cols: 16},
+		DiffReload: true, Prefetch: true,
 	})
 	install(t, c, algos.FFT(), "framediff")
 	install(t, c, algos.MatMul(), "framediff")

@@ -34,8 +34,11 @@ const (
 	FabricHz = 100_000_000
 )
 
-// Config parameterises the controller.
+// Config is the card's build options, declared once: core.Config is an
+// alias of it, and the public agilefpga.Config converts into it in one
+// place. Zero values select defaults; New applies every one of them.
 type Config struct {
+	// Geometry sizes the fabric. Default: fpga.DefaultGeometry.
 	Geometry fpga.Geometry
 	ROMBytes int
 	RAMBytes int
@@ -45,15 +48,19 @@ type Config struct {
 	// record's frames fails New.
 	ROMImage []byte
 	// WindowBytes is the configuration module's decompression window
-	// (paper §2.3: "window by window").
+	// (paper §2.3: "window by window"). Default DefaultWindowBytes.
 	WindowBytes int
-	// Policy is the frame replacement policy. Defaults to the paper's
-	// LRU when nil.
+	// Codec names the bitstream compression the host driver installs
+	// functions with (see compress.Names). Default "framediff". The card
+	// itself decodes whatever codec each ROM record names.
+	Codec string
+	// Policy is the frame replacement policy. Nil selects the paper's
+	// LRU. A policy holds one card's state: cards built from one Config
+	// each need their own (see replace.Policy.Fresh).
 	Policy replace.Policy
-	// AllowScatter permits non-contiguous frame placement (§2.5 allows
-	// functions to occupy non-contiguous frames). When false, placement
-	// is strictly contiguous first-fit.
-	AllowScatter bool
+	// ContiguousOnly forbids non-contiguous frame placement, which §2.5
+	// otherwise allows: placement is then strictly contiguous first-fit.
+	ContiguousOnly bool
 	// DiffReload enables the difference-based reconfiguration flow in the
 	// spirit of XAPP290 (which the paper cites): eviction leaves frame
 	// contents in place and records their write generations; when the
@@ -77,11 +84,12 @@ type Config struct {
 	// SequentialConfig disables the pipelined configuration timing model
 	// (DESIGN §12) and reverts to the additive model that charges ROM
 	// streaming, window decompression, and configuration-port writes back
-	// to back. The zero value is the PipelinedConfig behaviour: while the
-	// port clocks in window N, the decompressor produces N+1 and the ROM
-	// streams N+2, so a cold load costs the pipeline's critical path and
-	// the hidden time shows up as overlap savings. The additive model is
-	// retained only for A/B comparison (experiment E18).
+	// to back; the host driver then also drops the card-side overlap
+	// between a job's items. The zero value is the pipelined behaviour:
+	// while the port clocks in window N, the decompressor produces N+1
+	// and the ROM streams N+2, so a cold load costs the pipeline's
+	// critical path and the hidden time shows up as overlap savings. The
+	// additive model is retained only for A/B comparison (experiment E18).
 	SequentialConfig bool
 	// Metrics, when non-nil, receives per-phase latency histograms and
 	// behaviour counters. Observation is passive: it never advances a
@@ -354,6 +362,47 @@ type Stats struct {
 	Phases sim.Breakdown
 }
 
+// Add accumulates o into s, field by field: a cluster's total is the sum
+// of its cards'.
+func (s *Stats) Add(o Stats) {
+	s.Requests += o.Requests
+	s.Hits += o.Hits
+	s.Misses += o.Misses
+	s.Evictions += o.Evictions
+	s.FramesLoaded += o.FramesLoaded
+	s.RawConfigBytes += o.RawConfigBytes
+	s.CompConfigBytes += o.CompConfigBytes
+	s.ContigPlacements += o.ContigPlacements
+	s.ScatterPlacements += o.ScatterPlacements
+	s.FramesSkipped += o.FramesSkipped
+	s.Prefetches += o.Prefetches
+	s.PrefetchHits += o.PrefetchHits
+	s.PrefetchTime += o.PrefetchTime
+	s.DecompCacheHits += o.DecompCacheHits
+	s.DecompCacheBytes += o.DecompCacheBytes
+	s.SEURepairs += o.SEURepairs
+	s.ScrubTime += o.ScrubTime
+	s.PipelinedLoads += o.PipelinedLoads
+	s.PipeWindows += o.PipeWindows
+	s.PipeStallTime += o.PipeStallTime
+	s.PipeOverlapSaved += o.PipeOverlapSaved
+	s.ChainRuns += o.ChainRuns
+	s.ChainStages += o.ChainStages
+	s.ChainHandoffBytes += o.ChainHandoffBytes
+	s.Defrags += o.Defrags
+	s.Errors += o.Errors
+	s.Phases.AddAll(o.Phases)
+}
+
+// HitRate is the share of requests served without reconfiguration (0
+// before the first request).
+func (s Stats) HitRate() float64 {
+	if s.Requests == 0 {
+		return 0
+	}
+	return float64(s.Hits) / float64(s.Requests)
+}
+
 // Controller errors.
 var (
 	ErrTooLarge   = errors.New("mcu: function does not fit the device")
@@ -364,6 +413,9 @@ var (
 
 // New builds a controller, its fabric, ROM and RAM.
 func New(cfg Config, reg *fpga.Registry) (*Controller, error) {
+	if cfg.Geometry == (fpga.Geometry{}) {
+		cfg.Geometry = fpga.DefaultGeometry
+	}
 	if err := cfg.Geometry.Validate(); err != nil {
 		return nil, err
 	}
@@ -378,6 +430,9 @@ func New(cfg Config, reg *fpga.Registry) (*Controller, error) {
 	}
 	if cfg.WindowBytes < 4 {
 		return nil, fmt.Errorf("mcu: window of %d bytes is below one port word", cfg.WindowBytes)
+	}
+	if cfg.Codec == "" {
+		cfg.Codec = "framediff"
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = replace.NewLRU()
@@ -434,6 +489,9 @@ func New(cfg Config, reg *fpga.Registry) (*Controller, error) {
 	}
 	return c, nil
 }
+
+// Config reports the options the card was built with, defaults applied.
+func (c *Controller) Config() Config { return c.cfg }
 
 // Fabric exposes the FPGA (read-only uses: readback, utilization).
 func (c *Controller) Fabric() *fpga.Fabric { return c.fab }

@@ -67,7 +67,7 @@ func install(t *testing.T, c *Controller, f *algos.Function, codecName string) {
 }
 
 func defaultCfg() Config {
-	return Config{Geometry: fpga.DefaultGeometry, AllowScatter: true}
+	return Config{Geometry: fpga.DefaultGeometry}
 }
 
 func TestExecuteEndToEnd(t *testing.T) {
@@ -126,7 +126,7 @@ func TestHitAvoidsReconfiguration(t *testing.T) {
 
 func TestEvictionUnderPressure(t *testing.T) {
 	// 24 frames; aes(9) + fft(13) = 22, then matmul(11) forces eviction.
-	c := newController(t, Config{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, AllowScatter: true})
+	c := newController(t, Config{Geometry: fpga.Geometry{Rows: 32, Cols: 24}})
 	aes, fft, mat := algos.AES128(), algos.FFT(), algos.MatMul()
 	for _, f := range []*algos.Function{aes, fft, mat} {
 		install(t, c, f, "framediff")
@@ -163,7 +163,7 @@ func TestEvictionUnderPressure(t *testing.T) {
 }
 
 func TestLRUOrderUnderPressure(t *testing.T) {
-	c := newController(t, Config{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, AllowScatter: true})
+	c := newController(t, Config{Geometry: fpga.Geometry{Rows: 32, Cols: 24}})
 	aes, fft, mat := algos.AES128(), algos.FFT(), algos.MatMul()
 	for _, f := range []*algos.Function{aes, fft, mat} {
 		install(t, c, f, "framediff")
@@ -193,7 +193,7 @@ func TestContiguousOnlyPlacementFragmentation(t *testing.T) {
 	// fragment the space.
 	geom := fpga.Geometry{Rows: 32, Cols: 16}
 	for _, scatter := range []bool{false, true} {
-		c := newController(t, Config{Geometry: geom, AllowScatter: scatter})
+		c := newController(t, Config{Geometry: geom, ContiguousOnly: !scatter})
 		crc, gf, fir := algos.CRC32(), algos.GFMul(), algos.FIR()
 		for _, f := range []*algos.Function{crc, gf, fir} {
 			install(t, c, f, "rle")
@@ -255,7 +255,7 @@ func TestFindRecordMatchesScan(t *testing.T) {
 
 func TestFunctionTooLarge(t *testing.T) {
 	// A 4-frame device cannot host AES (9 frames at 32 rows).
-	c := newController(t, Config{Geometry: fpga.Geometry{Rows: 32, Cols: 4}, AllowScatter: true})
+	c := newController(t, Config{Geometry: fpga.Geometry{Rows: 32, Cols: 4}})
 	// Bypass install's synthesize (it would fail) and download a
 	// well-formed, uncompressed 9-frame bitstream by hand.
 	g := c.Fabric().Geometry()
@@ -328,7 +328,7 @@ func TestCorruptBlobRecovers(t *testing.T) {
 }
 
 func TestInputExceedsRAMWindow(t *testing.T) {
-	c := newController(t, Config{Geometry: fpga.DefaultGeometry, RAMBytes: 4096, AllowScatter: true})
+	c := newController(t, Config{Geometry: fpga.DefaultGeometry, RAMBytes: 4096})
 	f := algos.CRC32()
 	install(t, c, f, "none")
 	_, _, err := c.Execute(f.ID(), make([]byte, 3000)) // window is 2048
@@ -551,7 +551,7 @@ func TestMailboxErrors(t *testing.T) {
 }
 
 func TestDownloadROMFull(t *testing.T) {
-	c := newController(t, Config{Geometry: fpga.DefaultGeometry, ROMBytes: 4096, AllowScatter: true})
+	c := newController(t, Config{Geometry: fpga.DefaultGeometry, ROMBytes: 4096})
 	// Uncompressed AES is 9 frames × 672 B ≈ 6 KiB: too big for 4 KiB.
 	f := algos.AES128()
 	g := c.Fabric().Geometry()
@@ -582,7 +582,7 @@ func TestPolicyPluggability(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := newController(t, Config{
-			Geometry: fpga.Geometry{Rows: 32, Cols: 24}, Policy: pol, AllowScatter: true,
+			Geometry: fpga.Geometry{Rows: 32, Cols: 24}, Policy: pol,
 		})
 		if c.PolicyName() != pname {
 			t.Errorf("PolicyName = %q", c.PolicyName())
@@ -607,7 +607,7 @@ func TestWindowSizeAffectsOverheadOnly(t *testing.T) {
 	// Same function, two window sizes: identical output, different
 	// overhead accounting.
 	run := func(window int) (sim.Breakdown, []byte) {
-		c := newController(t, Config{Geometry: fpga.DefaultGeometry, WindowBytes: window, AllowScatter: true})
+		c := newController(t, Config{Geometry: fpga.DefaultGeometry, WindowBytes: window})
 		f := algos.DES()
 		install(t, c, f, "huffman")
 		out, br, err := c.Execute(f.ID(), []byte("testing!"))
@@ -640,7 +640,7 @@ func TestEmptyInputRejected(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	reg := fpga.NewRegistry()
-	if _, err := New(Config{Geometry: fpga.Geometry{Rows: 0, Cols: 0}}, reg); err == nil {
+	if _, err := New(Config{Geometry: fpga.Geometry{Rows: 0, Cols: 8}}, reg); err == nil {
 		t.Error("bad geometry accepted")
 	}
 	if _, err := New(Config{Geometry: fpga.DefaultGeometry, WindowBytes: 2}, reg); err == nil {

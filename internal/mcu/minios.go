@@ -173,7 +173,7 @@ func (c *Controller) takeFrames(demand int) (frames []int, contiguous, ok bool) 
 			return frames, true, true
 		}
 	}
-	if !c.cfg.AllowScatter {
+	if c.cfg.ContiguousOnly {
 		return nil, false, false
 	}
 	frames = append([]int(nil), fl[:demand]...)

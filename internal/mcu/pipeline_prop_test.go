@@ -23,11 +23,11 @@ func TestPipelineNeverSlower(t *testing.T) {
 			codecName, win := codecName, win
 			t.Run(fmt.Sprintf("%s_w%d", codecName, win), func(t *testing.T) {
 				seqC := newController(t, Config{
-					Geometry: fpga.DefaultGeometry, AllowScatter: true,
+					Geometry:    fpga.DefaultGeometry,
 					WindowBytes: win, SequentialConfig: true,
 				})
 				pipeC := newController(t, Config{
-					Geometry: fpga.DefaultGeometry, AllowScatter: true,
+					Geometry:    fpga.DefaultGeometry,
 					WindowBytes: win,
 				})
 				for _, f := range algos.Bank() {

@@ -39,7 +39,7 @@ func TestPlanMarksMatchReaderGolden(t *testing.T) {
 			if !ok {
 				t.Fatalf("%s: not in the reader golden", key)
 			}
-			c := newController(t, Config{Geometry: fpga.Geometry{Rows: 32, Cols: 40}})
+			c := newController(t, Config{Geometry: fpga.Geometry{Rows: 32, Cols: 40}, ContiguousOnly: true})
 			install(t, c, f, codec)
 			p := c.plans[f.ID()]
 			at := make(map[int]int) // output offset → mark
@@ -69,7 +69,7 @@ func TestPlanMarksMatchReaderGolden(t *testing.T) {
 // per request, end with identical fabric bytes and statistics, and
 // neither ever writes to a plan's images.
 func TestBootedCardMatchesProvisioned(t *testing.T) {
-	cfg := Config{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, AllowScatter: true}
+	cfg := Config{Geometry: fpga.Geometry{Rows: 32, Cols: 24}}
 	cfg.DecodeCacheBytes = 8 * cfg.Geometry.FrameBytes()
 	prov := newController(t, cfg)
 	codecs := compress.Names()

@@ -18,13 +18,13 @@ import (
 
 func TestMiniOSRandomOperations(t *testing.T) {
 	configs := []Config{
-		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, AllowScatter: true},
-		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, AllowScatter: false},
-		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, AllowScatter: true, DiffReload: true},
-		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, AllowScatter: true, Prefetch: true},
-		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, AllowScatter: true, DiffReload: true, Prefetch: true},
-		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, AllowScatter: true, SequentialConfig: true},
-		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, AllowScatter: true, DiffReload: true, Prefetch: true, SequentialConfig: true},
+		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}},
+		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, ContiguousOnly: true},
+		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, DiffReload: true},
+		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, Prefetch: true},
+		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, DiffReload: true, Prefetch: true},
+		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, SequentialConfig: true},
+		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, DiffReload: true, Prefetch: true, SequentialConfig: true},
 	}
 	// A mixed-footprint subset that fits the 24-frame device one or two
 	// at a time.
@@ -33,7 +33,7 @@ func TestMiniOSRandomOperations(t *testing.T) {
 	}
 	for ci, cfg := range configs {
 		cfg := cfg
-		t.Run(fmt.Sprintf("cfg%d_scatter%v_diff%v_pf%v_seq%v", ci, cfg.AllowScatter, cfg.DiffReload, cfg.Prefetch, cfg.SequentialConfig),
+		t.Run(fmt.Sprintf("cfg%d_scatter%v_diff%v_pf%v_seq%v", ci, !cfg.ContiguousOnly, cfg.DiffReload, cfg.Prefetch, cfg.SequentialConfig),
 			func(t *testing.T) {
 				c := newController(t, cfg)
 				for _, f := range fns {
@@ -99,7 +99,7 @@ func residentFramesOf(c *Controller, fn uint16) []int {
 func TestMiniOSRecoversFromClobberStorm(t *testing.T) {
 	// Clobber every frame, then demand every function: the mini OS must
 	// rebuild the fabric from ROM without help.
-	c := newController(t, Config{Geometry: fpga.DefaultGeometry, AllowScatter: true})
+	c := newController(t, Config{Geometry: fpga.DefaultGeometry})
 	fns := []*algos.Function{algos.CRC32(), algos.DES(), algos.SHA1()}
 	for _, f := range fns {
 		install(t, c, f, "rle")

@@ -33,6 +33,9 @@ type Policy interface {
 	// Victim returns the resident function to evict. It fails if nothing
 	// is resident.
 	Victim() (uint16, error)
+	// Fresh returns an empty policy of the same kind and parameters, so
+	// every card built from one configuration keeps its own state.
+	Fresh() Policy
 }
 
 // ErrNoResident reports a Victim call with an empty resident set.
@@ -71,6 +74,9 @@ func NewLRU() *LRU { return &LRU{last: make(map[uint16]uint64)} }
 
 // Name implements Policy.
 func (p *LRU) Name() string { return "lru" }
+
+// Fresh implements Policy.
+func (p *LRU) Fresh() Policy { return NewLRU() }
 
 // OnInstall implements Policy.
 func (p *LRU) OnInstall(fn uint16, now uint64) { p.last[fn] = now }
@@ -112,6 +118,9 @@ func NewFIFO() *FIFO { return &FIFO{} }
 // Name implements Policy.
 func (p *FIFO) Name() string { return "fifo" }
 
+// Fresh implements Policy.
+func (p *FIFO) Fresh() Policy { return NewFIFO() }
+
 // OnInstall implements Policy.
 func (p *FIFO) OnInstall(fn uint16, now uint64) { p.order = append(p.order, fn) }
 
@@ -150,6 +159,9 @@ func NewLFU() *LFU {
 
 // Name implements Policy.
 func (p *LFU) Name() string { return "lfu" }
+
+// Fresh implements Policy.
+func (p *LFU) Fresh() Policy { return NewLFU() }
 
 // OnInstall implements Policy.
 func (p *LFU) OnInstall(fn uint16, now uint64) {
@@ -196,15 +208,19 @@ func (p *LFU) Victim() (uint16, error) {
 type Random struct {
 	resident map[uint16]struct{}
 	rng      *sim.RNG
+	seed     uint64
 }
 
 // NewRandom returns a random policy with the given seed.
 func NewRandom(seed uint64) *Random {
-	return &Random{resident: make(map[uint16]struct{}), rng: sim.NewRNG(seed)}
+	return &Random{resident: make(map[uint16]struct{}), rng: sim.NewRNG(seed), seed: seed}
 }
 
 // Name implements Policy.
 func (p *Random) Name() string { return "random" }
+
+// Fresh implements Policy: the new policy restarts from the same seed.
+func (p *Random) Fresh() Policy { return NewRandom(p.seed) }
 
 // OnInstall implements Policy.
 func (p *Random) OnInstall(fn uint16, now uint64) { p.resident[fn] = struct{}{} }
@@ -234,6 +250,7 @@ func (p *Random) Victim() (uint16, error) {
 // in the replacement experiment. Accesses must be reported in exactly the
 // order of the trace it was built from.
 type OPT struct {
+	trace    []uint16
 	next     map[uint16][]int // future positions per function, ascending
 	resident map[uint16]struct{}
 	pos      int
@@ -245,11 +262,15 @@ func NewOPT(trace []uint16) *OPT {
 	for i, fn := range trace {
 		next[fn] = append(next[fn], i)
 	}
-	return &OPT{next: next, resident: make(map[uint16]struct{})}
+	return &OPT{trace: trace, next: next, resident: make(map[uint16]struct{})}
 }
 
 // Name implements Policy.
 func (p *OPT) Name() string { return "opt" }
+
+// Fresh implements Policy: the new policy replays the same trace from
+// its start.
+func (p *OPT) Fresh() Policy { return NewOPT(p.trace) }
 
 // OnInstall implements Policy.
 func (p *OPT) OnInstall(fn uint16, now uint64) { p.resident[fn] = struct{}{} }

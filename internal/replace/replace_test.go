@@ -250,3 +250,19 @@ func TestLRUBeatsFIFOOnSkewedTrace(t *testing.T) {
 		t.Errorf("LRU (%d) worse than FIFO (%d) on skewed trace", lru, fifo)
 	}
 }
+
+func TestFreshIsEmptyAndOfTheSameKind(t *testing.T) {
+	for _, p := range []Policy{NewLRU(), NewFIFO(), NewLFU(), NewRandom(5), NewOPT([]uint16{1, 2})} {
+		p.OnInstall(1, 0)
+		q := p.Fresh()
+		if q.Name() != p.Name() {
+			t.Errorf("%s: Fresh is a %s", p.Name(), q.Name())
+		}
+		if _, err := q.Victim(); !errors.Is(err, ErrNoResident) {
+			t.Errorf("%s: Fresh shares residency (Victim err = %v)", p.Name(), err)
+		}
+		if v, err := p.Victim(); err != nil || v != 1 {
+			t.Errorf("%s: Fresh disturbed the original (Victim = %d, %v)", p.Name(), v, err)
+		}
+	}
+}
