@@ -118,7 +118,8 @@ func retryable(err error) bool {
 // it.
 type waiter struct {
 	ready chan struct{} // capacity one: the reader's send never blocks
-	resp  wire.Response // Payload is a fresh copy the caller keeps
+	dst   []byte        // the caller's buffer for the response payload
+	resp  wire.Response // Payload is a copy in dst's array, or a fresh one
 	err   error
 }
 
@@ -127,7 +128,7 @@ var waiterPool = sync.Pool{New: func() any { return &waiter{ready: make(chan str
 // recycle returns a settled waiter to the pool; its signal has been
 // received, so ready is empty again.
 func (w *waiter) recycle() {
-	w.resp, w.err = wire.Response{}, nil
+	w.dst, w.resp, w.err = nil, wire.Response{}, nil
 	waiterPool.Put(w)
 }
 
@@ -146,14 +147,16 @@ type muxConn struct {
 	err     error              // set once the connection breaks
 }
 
-// register installs a waiter for id.
-func (m *muxConn) register(id uint64) (*waiter, error) {
+// register installs a waiter for id whose response payload the reader
+// copies into dst's array.
+func (m *muxConn) register(id uint64, dst []byte) (*waiter, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.err != nil {
 		return nil, m.err
 	}
 	w := waiterPool.Get().(*waiter)
+	w.dst = dst
 	m.waiters[id] = w
 	return w, nil
 }
@@ -211,7 +214,7 @@ func (m *muxConn) readLoop(drop func(*muxConn)) {
 			continue
 		}
 		w.resp = resp
-		w.resp.Payload = append([]byte(nil), resp.Payload...)
+		w.resp.Payload = append(w.dst[:0], resp.Payload...)
 		fr.Release()
 		w.ready <- struct{}{}
 	}
@@ -389,7 +392,7 @@ func (c *Client) callRoot(ctx context.Context, verb string, stages []uint16, pay
 		fn = stages[0]
 	}
 	ref := c.opts.Tracer.StartRoot(verb, "client", fn)
-	out, card, err := c.CallRef(ctx, stages, payload, ref)
+	out, card, err := c.CallRef(ctx, stages, payload, nil, ref)
 	c.opts.Tracer.End(ref, spanStatus(err))
 	return out, card, err
 }
@@ -414,7 +417,13 @@ func (c *Client) Inflight() int {
 // keep one trace across client → router → backend. A tracer-less
 // client forwards parent as the wire trace context unchanged, so
 // context still propagates through a hop that records nothing itself.
-func (c *Client) CallRef(ctx context.Context, stages []uint16, payload []byte, parent trace.SpanRef) ([]byte, int, error) {
+//
+// The output is copied into dst's array when it fits, else into a new
+// one; nil dst always gives a fresh copy. After an error the call may
+// have abandoned its wait while the response was being read, so a late
+// answer can still be written into dst's array: the caller must not
+// reuse that array.
+func (c *Client) CallRef(ctx context.Context, stages []uint16, payload, dst []byte, parent trace.SpanRef) ([]byte, int, error) {
 	if len(stages) == 0 || len(stages) > wire.MaxChainStages {
 		return nil, -1, fmt.Errorf("%w: %d stages", wire.ErrBadChain, len(stages))
 	}
@@ -429,7 +438,7 @@ func (c *Client) CallRef(ctx context.Context, stages []uint16, payload []byte, p
 			// context so an upstream trace survives the forward.
 			wref = parent
 		}
-		out, card, err := c.once(ctx, stages, payload, wref)
+		out, card, err := c.once(ctx, stages, payload, dst, wref)
 		c.opts.Tracer.End(aref, spanStatus(err))
 		if err == nil {
 			return out, card, nil
@@ -469,7 +478,7 @@ func spanStatus(err error) string {
 // once is a single attempt, pipelined onto one multiplexed connection.
 // A valid aref ships as the request's wire trace context, so the
 // server's spans join this attempt's trace.
-func (c *Client) once(ctx context.Context, stages []uint16, payload []byte, aref trace.SpanRef) ([]byte, int, error) {
+func (c *Client) once(ctx context.Context, stages []uint16, payload, dst []byte, aref trace.SpanRef) ([]byte, int, error) {
 	m, err := c.pick()
 	if err != nil {
 		return nil, -1, err
@@ -483,7 +492,7 @@ func (c *Client) once(ctx context.Context, stages []uint16, payload []byte, aref
 		}
 	}
 	id := c.nextID.Add(1)
-	w, err := m.register(id)
+	w, err := m.register(id, dst)
 	if err != nil {
 		return nil, -1, err // already a *TransportError from the reader
 	}

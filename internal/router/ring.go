@@ -11,7 +11,10 @@
 // context ride through the hop unchanged.
 package router
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // DefaultVNodes is the virtual-node count per backend. 128 points per
 // node keeps the per-node key-share standard deviation under ~10% of
@@ -124,34 +127,31 @@ func (r *Ring) Nodes() []string {
 
 // Lookup returns the node owning fn, or "" on an empty ring.
 func (r *Ring) Lookup(fn uint16) string {
-	ns := r.LookupN(fn, 1)
-	if len(ns) == 0 {
-		return ""
+	var one [1]string
+	if ns := r.LookupN(one[:0], fn, 1); len(ns) > 0 {
+		return ns[0]
 	}
-	return ns[0]
+	return ""
 }
 
-// LookupN returns up to n distinct nodes for fn in ring order: the
-// primary first, then the replicas met walking clockwise. The replica
-// set is as stable under membership change as the primary — a node's
-// departure shifts only successors, so spilled heat is not wasted.
-func (r *Ring) LookupN(fn uint16, n int) []string {
+// LookupN appends up to n distinct nodes for fn to dst in ring order:
+// the primary first, then the replicas met walking clockwise. Only the
+// appended names are checked for distinctness, so dst's prefix is kept
+// as it is. The replica set is as stable under membership change as
+// the primary — a node's departure shifts only successors, so spilled
+// heat is not wasted.
+func (r *Ring) LookupN(dst []string, fn uint16, n int) []string {
 	if len(r.points) == 0 || n <= 0 {
-		return nil
+		return dst
 	}
-	if n > len(r.nodes) {
-		n = len(r.nodes)
-	}
+	n = min(n, len(r.nodes))
 	h := r.keyHash(fn)
 	i := sort.Search(len(r.points), func(i int) bool { return r.points[i].hash >= h })
-	out := make([]string, 0, n)
-	seen := make(map[string]struct{}, n)
-	for j := 0; j < len(r.points) && len(out) < n; j++ {
-		p := r.points[(i+j)%len(r.points)]
-		if _, ok := seen[p.node]; !ok {
-			seen[p.node] = struct{}{}
-			out = append(out, p.node)
+	base := len(dst)
+	for j := 0; j < len(r.points) && len(dst)-base < n; j++ {
+		if node := r.points[(i+j)%len(r.points)].node; !slices.Contains(dst[base:], node) {
+			dst = append(dst, node)
 		}
 	}
-	return out
+	return dst
 }

@@ -3,6 +3,7 @@ package router_test
 import (
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"agilefpga/internal/router"
@@ -149,11 +150,13 @@ func TestRingDeterministicSeeding(t *testing.T) {
 }
 
 // TestRingLookupN pins the replica contract: distinct nodes, primary
-// first, count clamped to the member count.
+// first, count clamped to the member count, and appending to a
+// non-empty dst keeps its prefix and de-duplicates only what it
+// appended.
 func TestRingLookupN(t *testing.T) {
 	r := buildRing(ringNodes(4), 5)
 	for fn := uint16(0); fn < 512; fn++ {
-		reps := r.LookupN(fn, 3)
+		reps := r.LookupN(nil, fn, 3)
 		if len(reps) != 3 {
 			t.Fatalf("fn %d: got %d replicas, want 3", fn, len(reps))
 		}
@@ -167,11 +170,19 @@ func TestRingLookupN(t *testing.T) {
 			}
 			seen[n] = true
 		}
+		// The prefix holds the primary, so only an unchecked prefix
+		// lets it be appended again.
+		prefix := []string{"x", reps[0]}
+		got := r.LookupN(prefix, fn, 3)
+		if want := append([]string{"x", reps[0]}, reps...); !slices.Equal(got, want) {
+			t.Fatalf("fn %d: LookupN onto %v = %v, want %v", fn, prefix, got, want)
+		}
 	}
-	if got := r.LookupN(7, 99); len(got) != 4 {
+	if got := r.LookupN(nil, 7, 99); len(got) != 4 {
 		t.Fatalf("LookupN over-asks: got %d, want clamp to 4", len(got))
 	}
-	if got := router.NewRing(0, 1).LookupN(7, 2); got != nil {
-		t.Fatalf("empty ring LookupN = %v, want nil", got)
+	dst := []string{"kept"}
+	if got := router.NewRing(0, 1).LookupN(dst, 7, 2); !slices.Equal(got, dst) {
+		t.Fatalf("empty ring LookupN = %v, want dst %v unchanged", got, dst)
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"net"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
@@ -84,8 +85,7 @@ type Options struct {
 
 // Router fans calls out over a fleet of agilenetd backends by
 // consistent-hash function affinity. Use it directly as a library
-// (Call/CallMulti) or put it on the wire with Serve. Safe for
-// concurrent use.
+// (Call) or put it on the wire with Serve. Safe for concurrent use.
 type Router struct {
 	opts        Options
 	backendOpts client.Options
@@ -171,18 +171,22 @@ func New(backends []string, opts Options) (*Router, error) {
 	return r, nil
 }
 
-// candidates orders the backends to try for a ring key: healthy ring
-// replicas first (primary, then clockwise), with the least-loaded replica
-// promoted over an overloaded primary (load-aware spill); then the
-// remaining healthy nodes; then ejected ones as a last resort (a probe
-// may lag a node's recovery). The bool reports whether a spill
-// promotion happened.
-func (r *Router) candidates(key uint16) ([]*backend, bool) {
-	reps := r.ring.LookupN(key, r.opts.Replication)
-	inReps := make(map[string]struct{}, len(reps))
-	cands := make([]*backend, 0, len(r.order))
+// stackCands is the fleet size (and replication) whose candidate list
+// route builds without touching the heap; a larger fleet grows the
+// list onto it, in the same order.
+const stackCands = 8
+
+// candidates lists in dst's array, from dst[:0], the backends to try
+// for a ring key: healthy ring replicas first (primary, then
+// clockwise), with the least-loaded replica promoted over an overloaded
+// primary (load-aware spill); then the remaining healthy nodes; then
+// ejected ones as a last resort (a probe may lag a node's recovery).
+// The bool reports whether a spill promotion happened.
+func (r *Router) candidates(dst []*backend, key uint16) ([]*backend, bool) {
+	var repBuf [stackCands]string
+	reps := r.ring.LookupN(repBuf[:0], key, r.opts.Replication)
+	cands := dst[:0]
 	for _, name := range reps {
-		inReps[name] = struct{}{}
 		if b := r.backends[name]; b.healthy() {
 			cands = append(cands, b)
 		}
@@ -204,10 +208,7 @@ func (r *Router) candidates(key uint16) ([]*backend, bool) {
 		}
 	}
 	for _, name := range r.order {
-		if _, ok := inReps[name]; ok {
-			continue
-		}
-		if b := r.backends[name]; b.healthy() {
+		if b := r.backends[name]; !slices.Contains(reps, name) && b.healthy() {
 			cands = append(cands, b)
 		}
 	}
@@ -217,10 +218,7 @@ func (r *Router) candidates(key uint16) ([]*backend, bool) {
 		}
 	}
 	for _, name := range r.order {
-		if _, ok := inReps[name]; ok {
-			continue
-		}
-		if b := r.backends[name]; !b.healthy() {
+		if b := r.backends[name]; !slices.Contains(reps, name) && !b.healthy() {
 			cands = append(cands, b)
 		}
 	}
@@ -266,55 +264,10 @@ func classify(err error) disposition {
 func (r *Router) Call(ctx context.Context, fn uint16, payload []byte) ([]byte, int, error) {
 	ref := r.opts.Tracer.StartRoot("route", "router", fn)
 	start := time.Now() //lint:wallclock hop accounting is wall time; the router is outside the simulation
-	out, card, backendNS, err := r.route(ctx, []uint16{fn}, payload, ref)
+	out, card, backendNS, err := r.route(ctx, []uint16{fn}, payload, nil, ref)
 	r.observeRoute(start, backendNS, err, ref.TraceID)
 	r.opts.Tracer.End(ref, routeStatus(err))
 	return out, card, err
-}
-
-// MultiCall is one element of a scatter-gather batch.
-type MultiCall struct {
-	Fn      uint16
-	Payload []byte
-}
-
-// MultiResult is CallMulti's per-element outcome, in input order.
-type MultiResult struct {
-	Output []byte
-	Card   int
-	Err    error
-}
-
-// CallMulti scatters a multi-function batch across the fleet — each
-// element routed independently by its function's affinity — and
-// gathers the results in input order. One scatter span parents the
-// per-element route spans.
-func (r *Router) CallMulti(ctx context.Context, calls []MultiCall) []MultiResult {
-	ref := r.opts.Tracer.StartRoot("scatter", "router", 0)
-	results := make([]MultiResult, len(calls))
-	var wg sync.WaitGroup
-	for i := range calls {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			cref := r.opts.Tracer.StartChild(ref, "route", "router", calls[i].Fn)
-			start := time.Now() //lint:wallclock hop accounting is wall time; the router is outside the simulation
-			out, card, backendNS, err := r.route(ctx, []uint16{calls[i].Fn}, calls[i].Payload, cref)
-			r.observeRoute(start, backendNS, err, cref.TraceID)
-			r.opts.Tracer.End(cref, routeStatus(err))
-			results[i] = MultiResult{Output: out, Card: card, Err: err}
-		}(i)
-	}
-	wg.Wait()
-	st := "ok"
-	for i := range results {
-		if results[i].Err != nil {
-			st = "error"
-			break
-		}
-	}
-	r.opts.Tracer.End(ref, st)
-	return results
 }
 
 // ringKey places a stage list on the ring. A plain call keys on its
@@ -336,16 +289,18 @@ func ringKey(stages []uint16) uint16 {
 	return uint16(h ^ h>>16)
 }
 
-// route is the candidate/retry loop behind Call, CallMulti and the
-// wire front end: it forwards the stage list (one function for a plain
-// call) to the backends ringKey's affinity selects. backendNS
-// accumulates wall time spent inside backend forwards, so callers can
-// separate hop overhead from backend service time.
-func (r *Router) route(ctx context.Context, stages []uint16, payload []byte, ref trace.SpanRef) (out []byte, card int, backendNS int64, err error) {
+// route is the candidate/retry loop behind Call and the wire front
+// end: it forwards the stage list (one function for a plain call) to
+// the backends ringKey's affinity selects. A successful answer is
+// copied into dst's array when it fits (client.CallRef's contract).
+// backendNS accumulates wall time spent inside backend forwards, so
+// callers can separate hop overhead from backend service time.
+func (r *Router) route(ctx context.Context, stages []uint16, payload, dst []byte, ref trace.SpanRef) (out []byte, card int, backendNS int64, err error) {
 	key := ringKey(stages)
 	var lastErr error
+	var candBuf [stackCands]*backend
 	for round := 0; ; round++ {
-		cands, spilled := r.candidates(key)
+		cands, spilled := r.candidates(candBuf[:0], key)
 		if spilled {
 			cands[0].spills.Add(1)
 			cands[0].cSpill.Inc()
@@ -357,7 +312,7 @@ func (r *Router) route(ctx context.Context, stages []uint16, payload []byte, ref
 				}
 				return nil, -1, backendNS, lastErr
 			}
-			out, card, dns, ferr := r.forward(ctx, b, stages, payload, ref)
+			out, card, dns, ferr := r.forward(ctx, b, stages, payload, dst, ref)
 			backendNS += dns
 			if ferr == nil {
 				return out, card, backendNS, nil
@@ -398,7 +353,7 @@ func (r *Router) route(ctx context.Context, stages []uint16, payload []byte, ref
 // forward sends one attempt to one backend through its mux client,
 // tracking per-backend in-flight (the spill signal) and the forward
 // outcome series.
-func (r *Router) forward(ctx context.Context, b *backend, stages []uint16, payload []byte, ref trace.SpanRef) ([]byte, int, int64, error) {
+func (r *Router) forward(ctx context.Context, b *backend, stages []uint16, payload, dst []byte, ref trace.SpanRef) ([]byte, int, int64, error) {
 	c, err := b.getClient(r.backendOpts)
 	if err != nil {
 		r.countForward(b, err)
@@ -407,7 +362,7 @@ func (r *Router) forward(ctx context.Context, b *backend, stages []uint16, paylo
 	b.inflight.Add(1)
 	b.gInflight.Inc()
 	start := time.Now() //lint:wallclock hop accounting is wall time; the router is outside the simulation
-	out, card, cerr := c.CallRef(ctx, stages, payload, ref)
+	out, card, cerr := c.CallRef(ctx, stages, payload, dst, ref)
 	elapsed := time.Since(start) //lint:wallclock hop accounting is wall time; the router is outside the simulation
 	b.inflight.Add(-1)
 	b.gInflight.Dec()
@@ -449,10 +404,11 @@ func (r *Router) observeRoute(start time.Time, backendNS int64, err error, trace
 
 // routeStatus renders a route outcome as a span/label status string.
 func routeStatus(err error) string {
+	if err == nil {
+		return "ok" // before se: errors.As makes it escape, nil or not
+	}
 	var se *client.StatusError
 	switch {
-	case err == nil:
-		return "ok"
 	case errors.As(err, &se):
 		return se.Status.String()
 	case errors.Is(err, context.DeadlineExceeded):
@@ -535,6 +491,9 @@ func (r *Router) DebugHandler() http.Handler {
 // fatal protocol error.
 func (r *Router) Serve(ln net.Listener) error { return r.front.Serve(ln) }
 
+// respBufs holds the buffers serve has the backend answers copied into.
+var respBufs = sync.Pool{New: func() any { return new([]byte) }}
+
 // serve is the router's request handler: a route span and one trip
 // through the candidate/retry loop.
 func (r *Router) serve(ctx context.Context, rq *server.Call) {
@@ -553,9 +512,16 @@ func (r *Router) serve(ctx context.Context, rq *server.Call) {
 		ref = r.opts.Tracer.StartRoot("route", "router", rq.Fn)
 	}
 	start := time.Now() //lint:wallclock hop accounting is wall time; the router is outside the simulation
-	out, card, backendNS, err := r.route(ctx, rq.Stages(), rq.Payload, ref)
+	buf := respBufs.Get().(*[]byte)
+	out, card, backendNS, err := r.route(ctx, rq.Stages(), rq.Payload, (*buf)[:0], ref)
 	st, payload := responseFor(out, err)
 	rq.Reply(st, int16(card), payload)
+	if err == nil {
+		// Reply has written out. After a failed forward a late answer
+		// may still land in the buffer, so only a settled one is reused.
+		*buf = out[:0]
+		respBufs.Put(buf)
+	}
 	r.observeRoute(start, backendNS, err, ref.TraceID)
 	r.opts.Tracer.End(ref, routeStatus(err))
 }

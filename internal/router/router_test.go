@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"testing"
@@ -107,6 +108,23 @@ func newTestRouter(t *testing.T, f *fleet, opts router.Options) (*router.Router,
 	}
 	t.Cleanup(func() { r.Close() })
 	return r, reg
+}
+
+// serveWire puts r on a loopback listener until the test ends, and
+// returns the listener's address.
+func serveWire(t *testing.T, r *router.Router) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	serr := make(chan error, 1)
+	go func() { serr <- r.Serve(ln) }()
+	t.Cleanup(func() {
+		r.Close()
+		<-serr
+	})
+	return ln.Addr().String()
 }
 
 // TestRouterEndToEndMatchesDirectCall proves the hop is transparent:
@@ -303,10 +321,10 @@ func TestRouterKillFailoverAndReinstate(t *testing.T) {
 	}
 }
 
-// startDrainStub runs a wire-speaking backend stuck mid-drain: every
-// request is answered UNAVAILABLE + server.DrainMessage, exactly what
-// a draining agilenetd sends while its listener is still reachable.
-func startDrainStub(t *testing.T) string {
+// startStub runs a wire-speaking backend that answers each request,
+// in the request's own goroutine, with the response answer gives after
+// the delay it gives, so a delayed answer holds up no other.
+func startStub(t *testing.T, answer func(req *wire.Request) (time.Duration, wire.Response)) string {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -329,6 +347,7 @@ func startDrainStub(t *testing.T) string {
 			wg.Add(1)
 			go func(c net.Conn) {
 				defer wg.Done()
+				var wmu sync.Mutex
 				br := bufio.NewReader(c)
 				for {
 					req := new(wire.Request)
@@ -336,10 +355,18 @@ func startDrainStub(t *testing.T) string {
 					if err != nil {
 						return
 					}
+					req.Payload = append([]byte(nil), req.Payload...)
 					fr.Release()
-					wire.WriteResponse(c, &wire.Response{ID: req.ID,
-						Status: wire.StatusUnavailable, Card: -1,
-						Payload: []byte(server.DrainMessage)})
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						delay, resp := answer(req)
+						time.Sleep(delay) //lint:wallclock the stub times its answer against the router's real deadline
+						resp.ID = req.ID
+						wmu.Lock()
+						wire.WriteResponse(c, &resp)
+						wmu.Unlock()
+					}()
 				}
 			}(c)
 		}
@@ -354,6 +381,15 @@ func startDrainStub(t *testing.T) string {
 		wg.Wait()
 	})
 	return ln.Addr().String()
+}
+
+// startDrainStub runs a wire-speaking backend stuck mid-drain: every
+// request is answered UNAVAILABLE + server.DrainMessage, exactly what
+// a draining agilenetd sends while its listener is still reachable.
+func startDrainStub(t *testing.T) string {
+	return startStub(t, func(*wire.Request) (time.Duration, wire.Response) {
+		return 0, wire.Response{Status: wire.StatusUnavailable, Card: -1, Payload: []byte(server.DrainMessage)}
+	})
 }
 
 // TestRouterDrainEjection: a draining backend answers UNAVAILABLE +
@@ -393,35 +429,50 @@ func TestRouterDrainEjection(t *testing.T) {
 	}
 }
 
-// TestRouterScatterGather: CallMulti fans a multi-function batch
-// across the fleet and gathers results in input order, each equal to
-// its direct-call twin.
-func TestRouterScatterGather(t *testing.T) {
+// TestRoutedConcurrentCalls drives 32 goroutines through the wire
+// router at once, mixing functions and payloads from 8 B to 4 KiB, so
+// the router's pooled answer buffers grow and change hands between
+// requests. Every output must equal the function's reference.
+func TestRoutedConcurrentCalls(t *testing.T) {
 	f := newFleet(t, 3, 2)
 	r, _ := newTestRouter(t, f, router.Options{})
-	in := []byte{7, 6, 5, 4, 3, 2, 1, 0}
-	fns := []*algos.Function{algos.CRC32(), algos.MD5(), algos.SHA1(), algos.SHA256(),
-		algos.FIR(), algos.AES128()}
-	calls := make([]router.MultiCall, len(fns))
-	for i, fn := range fns {
-		calls[i] = router.MultiCall{Fn: fn.ID(), Payload: in}
+	c, err := client.Dial(serveWire(t, r), client.Options{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	results := r.CallMulti(context.Background(), calls)
-	if len(results) != len(calls) {
-		t.Fatalf("got %d results for %d calls", len(results), len(calls))
+	defer c.Close()
+	fns := []*algos.Function{algos.CRC32(), algos.SHA256(), algos.AES128(),
+		algos.DES(), algos.FIR(), algos.MD5()}
+	const workers, calls = 32, 12
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < calls; i++ {
+				fn := fns[(g+i)%len(fns)]
+				in := make([]byte, 8<<((g*calls+i)%10)) // 8 B … 4 KiB
+				for j := range in {
+					in[j] = byte(g*31 + i*7 + j)
+				}
+				want, err := fn.Exec(in)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got, _, err := c.Call(context.Background(), fn.ID(), in)
+				if err != nil {
+					t.Errorf("worker %d call %d (%s, %d B): %v", g, i, fn.Name(), len(in), err)
+					return
+				}
+				if !bytes.Equal(got, want) {
+					t.Errorf("worker %d call %d (%s, %d B): routed output differs from the reference", g, i, fn.Name(), len(in))
+					return
+				}
+			}
+		}(g)
 	}
-	for i, res := range results {
-		if res.Err != nil {
-			t.Fatalf("%s: %v", fns[i].Name(), res.Err)
-		}
-		direct, _, err := f.nodes[0].cl.Call(fns[i].ID(), in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(res.Output, direct.Output) {
-			t.Fatalf("%s: scatter output %x != direct %x", fns[i].Name(), res.Output, direct.Output)
-		}
-	}
+	wg.Wait()
 }
 
 // TestRouterWireFrontEnd puts the router on the wire: an ordinary mux
@@ -431,18 +482,7 @@ func TestRouterScatterGather(t *testing.T) {
 func TestRouterWireFrontEnd(t *testing.T) {
 	f := newFleet(t, 2, 2)
 	r, reg := newTestRouter(t, f, router.Options{})
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	serr := make(chan error, 1)
-	go func() { serr <- r.Serve(ln) }()
-	t.Cleanup(func() {
-		r.Close()
-		<-serr
-	})
-
-	c, err := client.Dial(ln.Addr().String(), client.Options{})
+	c, err := client.Dial(serveWire(t, r), client.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,4 +616,82 @@ func TestRouterSequentialIDReuseIsLegal(t *testing.T) {
 			t.Fatalf("round %d: %+v", round, resp)
 		}
 	}
+}
+
+// TestForwardDeadlineDropsBuffer: a backend answers every late-marked
+// request around the router's deadline for it, so the backend client
+// may be copying that answer into the buffer the router lent the
+// forward while the router gives up on it. The router must never lend
+// that buffer again: every call that succeeds, interleaved with the late
+// ones, returns its own answer and never the late poison bytes.
+func TestForwardDeadlineDropsBuffer(t *testing.T) {
+	const late = 0xAA
+	flip := func(in []byte) []byte {
+		out := make([]byte, len(in))
+		for i, b := range in {
+			out[i] = ^b
+		}
+		return out
+	}
+	stub := startStub(t, func(req *wire.Request) (time.Duration, wire.Response) {
+		if len(req.Payload) > 0 && req.Payload[0] == late {
+			// Spread the answers over the last millisecond before the
+			// deadline and just past it: the window that matters is a
+			// response read just as the router gives up, and where it
+			// falls depends on the loopback and timer latencies.
+			skew := time.Duration(rand.IntN(1200)-1000) * time.Microsecond
+			return req.Deadline + skew, wire.Response{Status: wire.StatusOK,
+				Payload: bytes.Repeat([]byte{0xEE}, len(req.Payload))}
+		}
+		return 0, wire.Response{Status: wire.StatusOK, Payload: flip(req.Payload)}
+	})
+	// The backend client keeps its default pool of connections: a late
+	// answer and the next use of its buffer are then read by different
+	// goroutines, which is what makes reusing the buffer a race.
+	r, err := router.New([]string{stub}, router.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := serveWire(t, r)
+	// Late calls get a client of their own: a write that overruns their
+	// short deadline closes its connection, which must not fail the
+	// calls under test.
+	c, err := client.Dial(addr, client.Options{MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	lateC, err := client.Dial(addr, client.Options{MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lateC.Close()
+	const workers, rounds = 8, 25
+	var wg sync.WaitGroup
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
+				lateC.Call(ctx, 1, bytes.Repeat([]byte{late}, 512)) // fails or returns poison: either is legal
+				cancel()
+				in := make([]byte, 64+(g*rounds+i)%449)
+				for j := range in {
+					in[j] = byte(g + i + j)
+				}
+				in[0] = 0
+				got, _, err := c.Call(context.Background(), 1, in)
+				if err != nil {
+					t.Errorf("worker %d round %d: %v", g, i, err)
+					return
+				}
+				if !bytes.Equal(got, flip(in)) {
+					t.Errorf("worker %d round %d: a %d B call got another request's bytes", g, i, len(in))
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
 }
