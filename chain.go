@@ -55,10 +55,8 @@ func phasesOf(br sim.Breakdown) map[string]time.Duration {
 
 // functionName maps a bank function id to its name.
 func functionName(id uint16) string {
-	for _, f := range algos.Bank() {
-		if f.ID() == id {
-			return f.Name()
-		}
+	if f, ok := algos.ByID(id); ok {
+		return f.Name()
 	}
 	return "unknown"
 }

@@ -54,7 +54,10 @@ type Function struct {
 	swSetup   uint64
 	swPerByte float64
 
-	run func(in []byte) []byte // operates on block-padded input
+	// run computes the behavioural model over block-padded input into
+	// out, which holds exactly OutputLen(len(in)) bytes: it writes every
+	// one of them and reads none back before writing it.
+	run func(out, in []byte)
 }
 
 // ID implements fpga.Core.
@@ -73,8 +76,7 @@ func (f *Function) Blocks(n int) int {
 }
 
 // pad returns in zero-padded to a whole number of blocks: in itself when
-// it already is one (run only reads its input and returns fresh output),
-// a padded copy otherwise.
+// it already is one (run only reads its input), a padded copy otherwise.
 func (f *Function) pad(in []byte) []byte {
 	n := f.Blocks(len(in)) * f.BlockBytes
 	if n == len(in) {
@@ -85,16 +87,34 @@ func (f *Function) pad(in []byte) []byte {
 	return padded
 }
 
-// Exec implements fpga.Core: it runs the behavioural model over the
-// block-padded input.
+// Exec runs the behavioural model over the block-padded input into a
+// fresh output the caller keeps: ExecInto with storage of its own. It is
+// the host reference the card's outputs are checked against.
 func (f *Function) Exec(in []byte) ([]byte, error) {
-	if len(in) == 0 {
-		return nil, fmt.Errorf("algos: %s: empty input", f.name)
+	out := make([]byte, f.OutputLen(len(in)))
+	if err := f.ExecInto(out, in); err != nil {
+		return nil, err
 	}
-	return f.run(f.pad(in)), nil
+	return out, nil
 }
 
-// OutputLen reports the output size for n input bytes.
+// ExecInto implements fpga.Core: it runs the behavioural model over the
+// block-padded input into dst, which must hold exactly OutputLen(len(in))
+// bytes. Every byte of dst is written and none is read first, so dst
+// may hold anything — the card passes its output window, which still
+// holds the previous output.
+func (f *Function) ExecInto(dst, in []byte) error {
+	if len(in) == 0 {
+		return fmt.Errorf("algos: %s: empty input", f.name)
+	}
+	if want := f.OutputLen(len(in)); len(dst) != want {
+		return fmt.Errorf("algos: %s: destination holds %d bytes, output is %d", f.name, len(dst), want)
+	}
+	f.run(dst, f.pad(in))
+	return nil
+}
+
+// OutputLen implements fpga.Core: the output size for n input bytes.
 func (f *Function) OutputLen(n int) int {
 	if f.outFixed > 0 {
 		return f.outFixed
@@ -157,6 +177,23 @@ func ByName(name string) (*Function, error) {
 		}
 	}
 	return nil, fmt.Errorf("algos: no function %q in the bank", name)
+}
+
+// byID indexes the bank by function id (ids are 1..BankSize).
+var byID = func() (t [BankSize + 1]*Function) {
+	for _, f := range Bank() {
+		t[f.id] = f
+	}
+	return t
+}()
+
+// ByID finds a bank function by id without allocating: the host driver
+// sizes every submitted item's outputs with it.
+func ByID(id uint16) (*Function, bool) {
+	if int(id) >= len(byID) || byID[id] == nil {
+		return nil, false
+	}
+	return byID[id], true
 }
 
 // RegisterAll registers the whole bank with a fabric core registry.

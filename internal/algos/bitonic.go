@@ -10,9 +10,8 @@ import "encoding/binary"
 
 const bitonicN = 256
 
-func bitonicRun(in []byte) []byte {
+func bitonicRun(out, in []byte) {
 	const blockBytes = bitonicN * 4
-	out := make([]byte, len(in))
 	copy(out, in)
 	var v [bitonicN]uint32
 	for b := 0; b+blockBytes <= len(out); b += blockBytes {
@@ -43,7 +42,6 @@ func bitonicRun(in []byte) []byte {
 			binary.LittleEndian.PutUint32(out[b+4*i:], x)
 		}
 	}
-	return out
 }
 
 var bitonicFn = &Function{

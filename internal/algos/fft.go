@@ -58,9 +58,8 @@ func fftBlock(re, im *[fftPoints]int32) {
 	}
 }
 
-func fftRun(in []byte) []byte {
+func fftRun(out, in []byte) {
 	const blockBytes = fftPoints * 4
-	out := make([]byte, len(in))
 	var re, im [fftPoints]int32
 	for b := 0; b+blockBytes <= len(in); b += blockBytes {
 		for i, r := range fftRev {
@@ -73,7 +72,6 @@ func fftRun(in []byte) []byte {
 			binary.LittleEndian.PutUint32(out[b+4*i:], uint32(uint16(re[i]))|uint32(uint16(im[i]))<<16)
 		}
 	}
-	return out
 }
 
 var fftFn = &Function{

@@ -13,9 +13,8 @@ var firCoeff = [16]int32{
 	8140, 6380, 3680, 1320, -120, -510, -340, -120,
 }
 
-func firFilter(in []byte) []byte {
+func firFilter(out, in []byte) {
 	n := len(in) / 2
-	out := make([]byte, len(in))
 	// The first 15 outputs see the zero initial state: their windows
 	// start in a 30-byte zero head ahead of the first 15 samples.
 	var head [60]byte
@@ -26,7 +25,6 @@ func firFilter(in []byte) []byte {
 	for i := 15; i < n; i++ {
 		binary.LittleEndian.PutUint16(out[2*i:], firTap((*[32]byte)(in[2*i-30:])))
 	}
-	return out
 }
 
 // firTap is one output sample: the Q15 dot product of the taps with the

@@ -5,12 +5,10 @@ package algos
 // are tiny in LUTs and unbeatably parallel in fabric — the extreme end of
 // the offload spectrum.
 
-func gfmulRun(in []byte) []byte {
-	out := make([]byte, len(in)/2)
+func gfmulRun(out, in []byte) {
 	for i := 0; i+1 < len(in); i += 2 {
 		out[i/2] = gfMulByte(in[i], in[i+1])
 	}
-	return out
 }
 
 var gfmulFn = &Function{

@@ -249,7 +249,8 @@ func TestHashesMatchStdlibAtEveryLength(t *testing.T) {
 }
 
 func TestExecAllocs(t *testing.T) {
-	// A whole-block call allocates its output buffer and nothing else.
+	// A whole-block call allocates its output buffer and nothing else,
+	// and into the caller's storage it allocates nothing.
 	for _, f := range Bank() {
 		in := make([]byte, f.Blocks(1024)*f.BlockBytes)
 		for i := range in {
@@ -263,7 +264,72 @@ func TestExecAllocs(t *testing.T) {
 		if got > 1 {
 			t.Errorf("%s(%d bytes): %.0f allocs per call, want ≤ 1", f.Name(), len(in), got)
 		}
+		dst := make([]byte, f.OutputLen(len(in)))
+		got = testing.AllocsPerRun(20, func() {
+			if err := f.ExecInto(dst, in); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if got != 0 {
+			t.Errorf("%s(%d bytes) into caller storage: %.0f allocs per call, want 0", f.Name(), len(in), got)
+		}
 	}
+}
+
+// FuzzExecInto checks the destination rule of fpga.Core on every bank
+// function: ExecInto writes every byte of its destination and reads
+// none back first. The card passes its RAM output window, which still
+// holds the previous output, so a kernel that relied on zeroed storage
+// would corrupt data silently. Each input, ragged or multi-KiB, runs
+// into one reused buffer filled with poison bytes beforehand, and must
+// equal Exec's output into fresh, zeroed storage. A destination of the
+// wrong size is refused.
+func FuzzExecInto(f *testing.F) {
+	ramp := make([]byte, 9000)
+	for i := range ramp {
+		ramp[i] = byte(i*131 + 7)
+	}
+	for _, n := range []int{1, 3, 8, 15, 16, 17, 47, 48, 63, 64, 65, 223, 224, 256, 1023, 1024, 1025, 4099, 9000} {
+		f.Add(ramp[:n], byte(0xA5))
+	}
+	f.Add(ramp[:1024], byte(0))
+	f.Add(ramp[:300], byte(0xff))
+	bank := Bank()
+	var buf []byte
+	f.Fuzz(func(t *testing.T, in []byte, poison byte) {
+		for _, fn := range bank {
+			want, err := fn.Exec(in)
+			if len(in) == 0 {
+				if err == nil || fn.ExecInto(nil, in) == nil {
+					t.Fatalf("%s accepted an empty input", fn.Name())
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%s(%d bytes): %v", fn.Name(), len(in), err)
+			}
+			n := fn.OutputLen(len(in))
+			if cap(buf) < n+1 {
+				buf = make([]byte, 2*n+1)
+			}
+			dst := buf[:n]
+			for i := range buf[:cap(buf)] {
+				buf[:cap(buf)][i] = poison
+			}
+			if err := fn.ExecInto(dst, in); err != nil {
+				t.Fatalf("%s(%d bytes) into %d: %v", fn.Name(), len(in), n, err)
+			}
+			if !bytes.Equal(dst, want) {
+				t.Fatalf("%s(%d bytes): output into a poisoned destination differs from Exec's", fn.Name(), len(in))
+			}
+			if buf[:n+1][n] != poison {
+				t.Fatalf("%s(%d bytes) wrote past its %d-byte destination", fn.Name(), len(in), n)
+			}
+			if fn.ExecInto(buf[:n+1], in) == nil || fn.ExecInto(dst[:n-1], in) == nil {
+				t.Fatalf("%s(%d bytes) accepted a destination of the wrong size", fn.Name(), len(in))
+			}
+		}
+	})
 }
 
 // FuzzDSPKernels compares fir16, fft64 and bitonic256 byte for byte with
@@ -289,8 +355,9 @@ func FuzzDSPKernels(f *testing.F) {
 		f.Add(seed)
 	}
 	kernels := []struct {
-		name     string
-		got, ref func([]byte) []byte
+		name string
+		got  func(out, in []byte)
+		ref  func([]byte) []byte
 	}{
 		{"fir16", firFilter, firFilterRef},
 		{"fft64", fftRun, fftRunRef},
@@ -298,7 +365,8 @@ func FuzzDSPKernels(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, in []byte) {
 		for _, k := range kernels {
-			got, want := k.got(in), k.ref(in)
+			got, want := make([]byte, len(in)), k.ref(in)
+			k.got(got, in)
 			if len(got) != len(want) {
 				t.Fatalf("%s(%d bytes): %d bytes out, reference gives %d", k.name, len(in), len(got), len(want))
 			}

@@ -37,16 +37,14 @@ func modExp64(base, exp, m uint64) uint64 {
 	return result
 }
 
-func modexpRun(in []byte) []byte {
+func modexpRun(out, in []byte) {
 	blocks := len(in) / 24
-	out := make([]byte, blocks*8)
 	for b := 0; b < blocks; b++ {
 		base := binary.LittleEndian.Uint64(in[24*b:])
 		exp := binary.LittleEndian.Uint64(in[24*b+8:])
 		m := binary.LittleEndian.Uint64(in[24*b+16:])
 		binary.LittleEndian.PutUint64(out[8*b:], modExp64(base, exp, m))
 	}
-	return out
 }
 
 var modexpFn = &Function{

@@ -142,16 +142,13 @@ var modexp128Fn = &Function{
 	swSetup:     200,
 	swPerByte:   1400, // ~67k host cycles per record: 192 modmuls of
 	//              multi-precision shift-and-add on a 32-bit-era host
-	run: func(in []byte) []byte {
-		blocks := len(in) / 48
-		out := make([]byte, blocks*16)
-		for b := 0; b < blocks; b++ {
+	run: func(out, in []byte) {
+		for b := 0; b < len(in)/48; b++ {
 			base := get128(in[48*b:])
 			exp := get128(in[48*b+16:])
 			m := get128(in[48*b+32:])
 			put128(out[16*b:], modExp128(base, exp, m))
 		}
-		return out
 	},
 }
 

@@ -108,14 +108,11 @@ var rsFn = &Function{
 	hwPerBlock:  255, // one byte per cycle plus the 32-cycle parity flush
 	swSetup:     200,
 	swPerByte:   120, // 32 GF multiply-accumulates per input byte
-	run: func(in []byte) []byte {
+	run: func(out, in []byte) {
 		rsOnce.Do(rsInit)
-		blocks := len(in) / rsK
-		out := make([]byte, blocks*rsN)
-		for b := 0; b < blocks; b++ {
+		for b := 0; b < len(in)/rsK; b++ {
 			rsEncodeBlock(out[b*rsN:], in[b*rsK:])
 		}
-		return out
 	},
 }
 

@@ -158,13 +158,10 @@ var vitFn = &Function{
 	hwPerBlock:  100, // one trellis step per cycle + traceback
 	swSetup:     500,
 	swPerByte:   800, // 64-state ACS sweep per pair of channel bits
-	run: func(in []byte) []byte {
-		blocks := len(in) / 16
-		out := make([]byte, blocks*8)
-		for b := 0; b < blocks; b++ {
+	run: func(out, in []byte) {
+		for b := 0; b < len(in)/16; b++ {
 			vitDecodeBlock(out[b*8:], in[b*16:])
 		}
-		return out
 	},
 }
 

@@ -11,10 +11,11 @@ var testGeom = fpga.Geometry{Rows: 8, Cols: 16}
 
 type nopCore uint16
 
-func (c nopCore) ID() uint16                     { return uint16(c) }
-func (c nopCore) Name() string                   { return "nop" }
-func (c nopCore) Exec(in []byte) ([]byte, error) { return append([]byte(nil), in...), nil }
-func (c nopCore) ExecCycles(n int) uint64        { return uint64(n) }
+func (c nopCore) ID() uint16                    { return uint16(c) }
+func (c nopCore) Name() string                  { return "nop" }
+func (c nopCore) OutputLen(n int) int           { return n }
+func (c nopCore) ExecInto(out, in []byte) error { copy(out, in); return nil }
+func (c nopCore) ExecCycles(n int) uint64       { return uint64(n) }
 
 func newFabric(t *testing.T) *fpga.Fabric {
 	t.Helper()
@@ -124,12 +125,12 @@ func TestAssembleLoadsThroughPort(t *testing.T) {
 	if _, err := fab.Port().Write(bs); err != nil {
 		t.Fatalf("port rejected assembled stream: %v", err)
 	}
-	inst, err := fab.Activate(frames)
-	if err != nil {
+	inst := new(fpga.Instance)
+	if err := fab.Activate(inst, frames); err != nil {
 		t.Fatalf("activate: %v", err)
 	}
-	out, _, err := inst.Exec([]byte("hello"))
-	if err != nil || string(out) != "hello" {
+	out := make([]byte, 5)
+	if _, err := inst.Exec(out, []byte("hello")); err != nil || string(out) != "hello" {
 		t.Fatalf("exec: %v %q", err, out)
 	}
 	// Configuration memory must hold exactly the synthesised images.
@@ -284,8 +285,8 @@ func TestPartialReconfigLeavesNeighboursRunning(t *testing.T) {
 	if _, err := fab.Port().Write(bsA); err != nil {
 		t.Fatal(err)
 	}
-	instA, err := fab.Activate(framesA)
-	if err != nil {
+	instA := new(fpga.Instance)
+	if err := fab.Activate(instA, framesA); err != nil {
 		t.Fatal(err)
 	}
 
@@ -300,7 +301,7 @@ func TestPartialReconfigLeavesNeighboursRunning(t *testing.T) {
 	if !instA.Valid() {
 		t.Fatal("partial reconfiguration invalidated untouched frames")
 	}
-	if _, _, err := instA.Exec([]byte{1, 2}); err != nil {
+	if _, err := instA.Exec(make([]byte, 2), []byte{1, 2}); err != nil {
 		t.Fatalf("exec after neighbour reconfig: %v", err)
 	}
 	_ = xorCore{}

@@ -397,11 +397,15 @@ func (cl *Cluster) CallChain(fns []uint16, input []byte) (*core.CallResult, int,
 //
 // Pendings are pooled: whoever ends a Pending's last use may Release it
 // for reuse, after which neither it nor the *core.CallResult its Wait
-// returned may be touched (the result's Output stays the caller's). A
-// caller that gives up on a Pending before it settles — Await returned
-// false — must not Release it: the job may still be queued or on a
-// card, so it is left to the garbage collector. Releasing is optional;
-// a Pending that is never released is collected like any value.
+// returned may be touched. The result's Output is read into a buffer
+// the Pending keeps across uses, so it is valid until Release: a
+// server writes its reply before it releases. A caller that gives up on
+// a Pending before it settles — Await returned false — must not
+// Release it: the job may still be queued or on a card, and the card
+// may yet write its output buffer, so the Pending and its buffer are
+// left to the garbage collector. Releasing is optional; a Pending that
+// is never released is collected like any value, and its Output stays
+// the caller's.
 type Pending struct {
 	stages stageList
 	input  []byte
@@ -415,6 +419,11 @@ type Pending struct {
 	card   int
 	err    error
 	result core.CallResult // what res points at for a served job
+	// out and attr are the storage result.Output and result.Stages are
+	// read into. Unlike every other field they survive Release, so a
+	// pooled Pending serves its next job without allocating.
+	out  []byte
+	attr []core.StageResult
 	// self backs the one-element slices a single-input submission
 	// returns and its queue entry expands to, so neither allocates.
 	self [1]*Pending
@@ -451,7 +460,7 @@ func newPending(stages stageList, input []byte) *Pending {
 // still in flight.
 func (p *Pending) Release() {
 	<-p.done
-	*p = Pending{done: p.done}
+	*p = Pending{done: p.done, out: p.out[:0], attr: p.attr[:0]}
 	pendingPool.Put(p)
 }
 
@@ -593,7 +602,7 @@ func (cl *Cluster) SubmitJob(job Job) []*Pending {
 			perr = p.ctx.Err()
 		}
 		if perr == nil {
-			perr = cl.cards[0].CheckInput(p.input) // every card has the same window
+			perr = cl.cards[0].CheckInput(job.Stages, p.input) // every card has the same windows
 		}
 		if perr != nil {
 			p.complete(nil, -1, perr)
@@ -784,10 +793,17 @@ func (cl *Cluster) serveRun(card int, run []*Pending, res *core.Result) {
 			cl.metrics.Counter("agile_cluster_coalesced_jobs_total", cl.cardLabels[card]).Add(uint64(len(run)))
 		}
 	}
-	// The constant capacity keeps the item list of a usual run on the stack.
-	job := core.Job{Stages: run[0].stages.slice(), Items: make([][]byte, 0, DefaultCoalesce)}
+	// The constant capacities keep the item and destination lists of a
+	// usual run on the stack. Each output is read into its Pending's
+	// buffer.
+	job := core.Job{
+		Stages: run[0].stages.slice(),
+		Items:  make([][]byte, 0, DefaultCoalesce),
+		Dsts:   make([][]byte, 0, DefaultCoalesce),
+	}
 	for _, p := range run {
 		job.Items = append(job.Items, p.input)
+		job.Dsts = append(job.Dsts, p.out)
 		// The card-log events of the run are tagged with the first
 		// traced member's span, by convention.
 		if job.TraceID == 0 && p.ref.Valid() {
@@ -808,7 +824,15 @@ func (cl *Cluster) serveRun(card int, run []*Pending, res *core.Result) {
 			// run observes it.
 			p.complete(nil, card, err)
 		} else {
+			// The output already sits in p's buffer (or in one the card
+			// had to grow); a chain's stage list is copied out of res,
+			// which the next run reuses.
 			p.result = res.Results[i]
+			p.out = p.result.Output
+			if p.result.Stages != nil {
+				p.attr = append(p.attr[:0], p.result.Stages...)
+				p.result.Stages = p.attr
+			}
 			p.complete(&p.result, card, nil)
 		}
 	}

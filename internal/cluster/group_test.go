@@ -176,6 +176,59 @@ func TestSubmitJobBadInputFailsAlone(t *testing.T) {
 	cl.Close()
 }
 
+// TestSubmitJobOversizeOutputFailsAlone is TestSubmitJobBadInputFailsAlone
+// for an input that fits the staging window while an output does not:
+// rs255 turns each 223-byte block into a 255-byte codeword, so 30 000 B
+// in is 34 425 B out, over the 32 KiB output window; through two rs255
+// stages, 25 000 B in fits the first output (28 815 B) but not the
+// second (33 150 B). The submission checks every stage's padded output,
+// so the oversize item fails alone, with core.ErrInputTooLarge, instead
+// of failing on the card with every item coalesced into its run.
+func TestSubmitJobOversizeOutputFailsAlone(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		stages []uint16
+		big    int
+	}{
+		{"one stage", []uint16{algos.IDRS255}, 30000},
+		{"second stage of a chain", []uint16{algos.IDRS255, algos.IDRS255}, 25000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, err := NewWithOptions(1, ModeReplicate, smallCfg(), Options{Queue: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			cl.startOnce.Do(func() {}) // park the workers so the singles below coalesce
+			small := bytes.Repeat([]byte{0x5a, 0x33}, 150)
+			inputs := [][]byte{small, make([]byte, tc.big), small[:223]}
+			pendings := cl.SubmitJob(Job{Stages: tc.stages, Inputs: inputs})
+			for _, in := range inputs {
+				pendings = append(pendings, cl.SubmitJob(Job{Stages: tc.stages, Inputs: [][]byte{in}})[0])
+			}
+			cl.startWorkers()
+			for i, p := range pendings {
+				res, _, err := p.Wait()
+				if i%3 == 1 {
+					if !errors.Is(err, core.ErrInputTooLarge) {
+						t.Fatalf("oversize job %d: err = %v, want ErrInputTooLarge", i, err)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatalf("valid job %d failed beside an oversize one: %v", i, err)
+				}
+				if !bytes.Equal(res.Output, hostRef(t, tc.stages, inputs[i%3])) {
+					t.Fatalf("valid job %d: wrong output", i)
+				}
+			}
+			if got, want := cl.Stats().Total.Errors, uint64(0); got != want {
+				t.Fatalf("card reported %d errors, want %d", got, want)
+			}
+		})
+	}
+}
+
 // TestSubmitGroupErrorPaths: unknown functions fail every child with
 // the routing error; an empty group is a no-op; a stopped cluster
 // fails the group with ErrStopped.

@@ -97,10 +97,8 @@ func New(cfg Config) (*CoProcessor, error) {
 	// installs stay distinguishable.
 	if cfg.ROMImage != nil {
 		for _, rec := range ctrl.ROM().Records() {
-			for _, f := range algos.Bank() {
-				if f.ID() == rec.FnID {
-					cp.installed[rec.FnID] = f
-				}
+			if f, ok := algos.ByID(rec.FnID); ok {
+				cp.installed[rec.FnID] = f
 			}
 			if rec.Serial > cp.serial {
 				cp.serial = rec.Serial

@@ -310,6 +310,53 @@ func TestOversizedInputRejectedHostSide(t *testing.T) {
 	}
 }
 
+// TestOversizedOutputRejectedHostSide: an input that fits the input
+// window but whose output — of any stage — would overflow the output
+// window is refused before the first bus write, like an oversized
+// input, instead of failing on the card: rs255 turns 30 000 B into
+// 34 425 B, and through two rs255 stages 25 000 B turns into 28 815 B
+// and then 33 150 B, over the 32 KiB window either way. The card stays
+// untouched: no request, no error, no bus time.
+func TestOversizedOutputRejectedHostSide(t *testing.T) {
+	cp := newCP(t, Config{})
+	if _, err := cp.Install(algos.RS255()); err != nil {
+		t.Fatal(err)
+	}
+	rs := algos.IDRS255
+	for _, tc := range []struct {
+		stages []uint16
+		n      int
+	}{{[]uint16{rs}, 30000}, {[]uint16{rs, rs}, 25000}} {
+		in := make([]byte, tc.n)
+		if err := cp.CheckInput(tc.stages, in); !errors.Is(err, ErrInputTooLarge) {
+			t.Errorf("%d stages, %d B: CheckInput err = %v, want ErrInputTooLarge", len(tc.stages), tc.n, err)
+		}
+		bus := cp.pciDom.Cycles()
+		var res Result
+		err := cp.Run(Job{Stages: tc.stages, Items: [][]byte{in}}, &res)
+		if !errors.Is(err, ErrInputTooLarge) {
+			t.Errorf("%d stages, %d B: Run err = %v, want ErrInputTooLarge", len(tc.stages), tc.n, err)
+		}
+		if st := cp.Stats(); st.Requests != 0 || st.Errors != 0 || cp.pciDom.Cycles() != bus {
+			t.Errorf("%d stages, %d B: the card saw the job: %d requests, %d errors", len(tc.stages), tc.n, st.Requests, st.Errors)
+		}
+	}
+	// The largest inputs that do fit are accepted and served.
+	for _, tc := range []struct {
+		stages []uint16
+		n      int
+	}{{[]uint16{rs}, 128 * 223}, {[]uint16{rs, rs}, 111 * 223}} {
+		in := make([]byte, tc.n)
+		if err := cp.CheckInput(tc.stages, in); err != nil {
+			t.Errorf("%d stages, %d B: %v", len(tc.stages), tc.n, err)
+		}
+		var res Result
+		if err := cp.Run(Job{Stages: tc.stages, Items: [][]byte{in}}, &res); err != nil {
+			t.Errorf("%d stages, %d B: %v", len(tc.stages), tc.n, err)
+		}
+	}
+}
+
 // TestCoProcessorConcurrentCalls drives one card from many goroutines:
 // the per-card mutex must serialise the host protocol so outputs stay
 // correct and the mini-OS invariants hold. Run with -race.

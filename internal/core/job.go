@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"agilefpga/internal/algos"
 	"agilefpga/internal/mcu"
 	"agilefpga/internal/metrics"
 	"agilefpga/internal/sim"
@@ -23,6 +24,12 @@ type Job struct {
 	Stages []uint16
 	// Items are the inputs, each run through every stage in order.
 	Items [][]byte
+	// Dsts, when set, gives each item the storage its output is read
+	// into: item i's output is Dsts[i][:n] whenever that capacity holds
+	// its n bytes, and fresh storage otherwise (or when Dsts has no
+	// entry i). A dispatcher that keeps one buffer per request thus
+	// reads every output without allocating.
+	Dsts [][]byte
 	// TraceID and SpanID, when non-zero, stamp the card-log events the
 	// job emits with the owning request's distributed-trace identity (by
 	// convention the first traced member's when items were coalesced).
@@ -91,6 +98,9 @@ type Result struct {
 		out [1][]byte
 		res [1]CallResult
 	}
+	// stages backs every item's CallResult.Stages in a chained job, k
+	// apiece, kept across jobs like Outputs and Results.
+	stages []StageResult
 }
 
 // reset empties r for a job of n items, keeping whatever item storage
@@ -98,29 +108,50 @@ type Result struct {
 func (r *Result) reset(n int) {
 	outs, items := r.Outputs[:0], r.Results[:0]
 	switch {
+	case cap(items) >= n:
 	case n == 1:
 		outs, items = r.single.out[:0], r.single.res[:0]
-	case cap(items) < n: // also leaves the one-item storage behind
+	default:
 		outs, items = make([][]byte, 0, n), make([]CallResult, 0, n)
 	}
-	*r = Result{Outputs: outs, Results: items}
+	*r = Result{Outputs: outs, Results: items, stages: r.stages}
 }
 
-// ErrInputTooLarge reports an item that does not fit the card's input
-// staging window. It is a property of the item alone: dispatchers test
-// for it (CheckInput) before an item can join other clients' work.
-var ErrInputTooLarge = errors.New("core: input exceeds the card's staging window")
+// ErrInputTooLarge reports an item that does not fit the card's staging
+// windows: its input, or the output of one of its stages, padded to the
+// stage's bus width. It is a property of the item alone: dispatchers
+// test for it (CheckInput) before an item can join other clients' work.
+var ErrInputTooLarge = errors.New("core: item exceeds the card's staging window")
 
 var errEmptyInput = errors.New("core: empty input")
 
 // CheckInput is the one place an item is validated against the card:
-// non-empty and no larger than the input staging window.
-func (cp *CoProcessor) CheckInput(input []byte) error {
+// non-empty, and every stage's input and output, padded to its bus
+// widths as the card's data modules stage them, within the RAM staging
+// windows. A stage the bank does not know is left for the card to
+// refuse.
+func (cp *CoProcessor) CheckInput(stages []uint16, input []byte) error {
 	if len(input) == 0 {
 		return errEmptyInput
 	}
-	if win := cp.ctrl.InWindowBytes(); len(input) > win {
-		return fmt.Errorf("%w: %d bytes, window %d", ErrInputTooLarge, len(input), win)
+	win := cp.ctrl.InWindowBytes() // the output window is the same size
+	n := len(input)
+	if n > win {
+		return fmt.Errorf("%w: %d-byte input, window %d", ErrInputTooLarge, n, win)
+	}
+	for _, fn := range stages {
+		f, ok := algos.ByID(fn)
+		if !ok {
+			return nil
+		}
+		in := mcu.Padded(n, int(f.InBus))
+		if in > win {
+			return fmt.Errorf("%w: %s input of %d bytes, window %d", ErrInputTooLarge, f.Name(), in, win)
+		}
+		n = f.OutputLen(in)
+		if out := mcu.Padded(n, int(f.OutBus)); out > win {
+			return fmt.Errorf("%w: %s output of %d bytes, window %d", ErrInputTooLarge, f.Name(), out, win)
+		}
 	}
 	return nil
 }
@@ -181,7 +212,7 @@ func (cp *CoProcessor) run(job Job, res *Result) error {
 		return errors.New("core: empty batch")
 	}
 	for i, input := range job.Items {
-		if err := cp.CheckInput(input); err != nil {
+		if err := cp.CheckInput(job.Stages, input); err != nil {
 			return fmt.Errorf("item %d: %w", i, err)
 		}
 	}
@@ -204,7 +235,10 @@ func (cp *CoProcessor) run(job Job, res *Result) error {
 
 	var attribution []StageResult // every item's CallResult.Stages, k apiece
 	if k > 1 {
-		attribution = make([]StageResult, n*k)
+		if cap(res.stages) < n*k {
+			res.stages = make([]StageResult, n*k)
+		}
+		attribution = res.stages[:n*k]
 	}
 	// Card-side pipeline, one slot per physically distinct resource an
 	// item occupies in sequence: the data-input module (with the
@@ -230,7 +264,11 @@ func (cp *CoProcessor) run(job Job, res *Result) error {
 	}
 	var busTotal, cardTotal, firstIn, lastOut sim.Time
 	for i, input := range job.Items {
-		out, inCycles, outCycles, err := cp.exchange(cmd, arg0, input)
+		var dst []byte
+		if i < len(job.Dsts) {
+			dst = job.Dsts[i]
+		}
+		out, inCycles, outCycles, err := cp.exchange(cmd, arg0, input, dst)
 		inT := cp.pciDom.Advance(latch + inCycles)
 		outT := cp.pciDom.Advance(outCycles)
 		latch = 0
@@ -307,10 +345,11 @@ func (cp *CoProcessor) run(job Job, res *Result) error {
 // exchange is one mailbox round trip: the input bursts into BAR1, the
 // arguments and the command go into BAR0 — the command runs
 // synchronously on the card — status and result length come back, and
-// the output bursts out of BAR1. It reports the bus cycles spent toward
-// the card and back from it, on error paths too, so the caller charges
-// the PCI domain for exactly what crossed the bus.
-func (cp *CoProcessor) exchange(cmd, arg0 uint32, input []byte) (out []byte, inCycles, outCycles uint64, err error) {
+// the output bursts out of BAR1 into dst's storage (fresh storage when
+// dst's capacity is short). It reports the bus cycles spent toward the
+// card and back from it, on error paths too, so the caller charges the
+// PCI domain for exactly what crossed the bus.
+func (cp *CoProcessor) exchange(cmd, arg0 uint32, input, dst []byte) (out []byte, inCycles, outCycles uint64, err error) {
 	if inCycles, err = cp.bus.Write(cp.slot, 1, 0, input); err != nil {
 		return nil, inCycles, 0, err
 	}
@@ -341,7 +380,11 @@ func (cp *CoProcessor) exchange(cmd, arg0 uint32, input []byte) (out []byte, inC
 	if status != mcu.StatusOK {
 		return nil, inCycles, outCycles, fmt.Errorf("core: card reported error code %d", val)
 	}
-	out, cyc, err = cp.bus.Read(cp.slot, 1, cp.ctrl.OutWindowOff(), int(val))
+	if out = dst[:0]; cap(out) < int(val) {
+		out = make([]byte, val)
+	}
+	out = out[:val]
+	cyc, err = cp.bus.Read(cp.slot, 1, cp.ctrl.OutWindowOff(), out)
 	return out, inCycles, outCycles + cyc, err
 }
 
@@ -369,6 +412,9 @@ func (cp *CoProcessor) observeRoundTrip(label string, chained bool, br sim.Break
 // stagesLabel renders a stage list as one metric label: the function's
 // bank name, or the chain's names joined by "->".
 func (cp *CoProcessor) stagesLabel(stages []uint16) string {
+	if f, ok := cp.installed[stages[0]]; len(stages) == 1 && ok {
+		return f.Name()
+	}
 	parts := make([]string, len(stages))
 	for i, fn := range stages {
 		if f, ok := cp.installed[fn]; ok {

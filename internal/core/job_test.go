@@ -1,19 +1,23 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 
 	"agilefpga/internal/algos"
 	"agilefpga/internal/mcu"
 	"agilefpga/internal/memory"
+	"agilefpga/internal/metrics"
 	"agilefpga/internal/sim"
 )
 
 // TestHotCallAllocs pins the degenerate job — one stage, one item, the
-// function resident — at what the caller keeps: the Result, the host's
-// output buffer and the function's output, plus the behavioural core's
-// padded copy of an input that is not a whole number of its blocks
-// (4 KiB of modexp128's 48-byte blocks).
+// function resident — at what the caller keeps: the Result and the
+// output the host reads into, plus the behavioural core's padded copy of
+// an input that is not a whole number of its blocks (4 KiB of
+// modexp128's 48-byte blocks). The core computes into the card's RAM
+// output window. With a metrics registry attached the count is the
+// same: a series lookup builds its key on the stack.
 // The general runner must not pay for a pipeline, a heap stage list or
 // per-batch result slices it has no use for, the PCI register accesses
 // must not allocate, and the card reads its staged input in place. Nor
@@ -22,17 +26,23 @@ import (
 // index.
 func TestHotCallAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		only *algos.Function // installed alone; nil installs the whole bank
-		fn   uint16          // called warm
-		slot int             // fn's ROM slot
-		max  float64         // allocations per warm call
+		name    string
+		only    *algos.Function // installed alone; nil installs the whole bank
+		fn      uint16          // called warm
+		slot    int             // fn's ROM slot
+		max     float64         // allocations per warm call
+		metrics bool            // attach a registry
 	}{
-		{"aes128 alone", algos.AES128(), algos.IDAES128, 0, 3},
-		{"modexp128 in the bank", nil, algos.IDModExp128, 15, 4},
+		{"aes128 alone", algos.AES128(), algos.IDAES128, 0, 2, false},
+		{"modexp128 in the bank", nil, algos.IDModExp128, 15, 3, false},
+		{"aes128 alone, metrics on", algos.AES128(), algos.IDAES128, 0, 2, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			cp := newCP(t, Config{})
+			var cfg Config
+			if tc.metrics {
+				cfg.Metrics = metrics.NewRegistry()
+			}
+			cp := newCP(t, cfg)
 			var err error
 			if tc.only != nil {
 				_, err = cp.Install(tc.only)
@@ -86,5 +96,96 @@ func TestCardErrorChargesBus(t *testing.T) {
 	}
 	if spent[0] == 0 || spent[0] != spent[1] {
 		t.Errorf("bus cycles charged on a card error: %d for 1 item, %d for 3 — want equal and non-zero", spent[0], spent[1])
+	}
+}
+
+// TestRunIntoDestinationsAllocs pins the dispatcher's shape of the one
+// request path at zero allocations: Run into a Result the caller
+// reuses, every output read into a destination the caller keeps. The
+// core computes into the card's RAM output window and the host reads it
+// out into the destination, a chain's attribution reuses the Result's
+// storage, and a cold load rewrites the function's Frame Replacement
+// Table row in place — for a resident call, a chain, a batch, a chain
+// batch and a cold load alike.
+func TestRunIntoDestinationsAllocs(t *testing.T) {
+	cp, ids, _ := coldCard(t, 0)
+	input := func(f *algos.Function, n int) []byte {
+		in := make([]byte, n)
+		for i := range in {
+			in[i] = byte(i*31) ^ byte(f.ID())
+		}
+		return in
+	}
+	dsts := func(n int) [][]byte {
+		d := make([][]byte, n)
+		for i := range d {
+			d[i] = make([]byte, 0, 1024)
+		}
+		return d
+	}
+	sha, aes, crc := algos.SHA256(), algos.AES128(), algos.CRC32()
+	fir, fft := algos.FIR(), algos.FFT()
+	crcs := make([][]byte, 4)
+	for i := range crcs {
+		crcs[i] = input(crc, 64*(i+1))
+	}
+	dsp := [][]byte{input(fir, 1024), input(fir, 512), input(fir, 256)}
+	cases := []struct {
+		name string
+		job  Job
+	}{
+		{"resident call", Job{Stages: []uint16{sha.ID()}, Items: [][]byte{input(sha, 256)}, Dsts: dsts(1)}},
+		{"chain", Job{Stages: []uint16{sha.ID(), aes.ID()}, Items: [][]byte{input(sha, 256)}, Dsts: dsts(1)}},
+		{"batch", Job{Stages: []uint16{crc.ID()}, Items: crcs, Dsts: dsts(len(crcs))}},
+		{"chain batch", Job{Stages: []uint16{fir.ID(), fft.ID()}, Items: dsp, Dsts: dsts(len(dsp))}},
+	}
+	var res Result
+	for _, tc := range cases {
+		run := func() {
+			if err := cp.Run(tc.job, &res); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run() // warm: loads, and sizes the Result's storage
+		for i, in := range tc.job.Items {
+			want := in
+			for _, fn := range tc.job.Stages {
+				f, _ := algos.ByID(fn)
+				want, _ = f.Exec(want)
+			}
+			out := res.Outputs[i]
+			if !bytes.Equal(out, want) {
+				t.Fatalf("%s: item %d = %x, want %x", tc.name, i, out, want)
+			}
+			if &out[:1][0] != &tc.job.Dsts[i][:1][0] {
+				t.Errorf("%s: item %d was not read into its destination", tc.name, i)
+			}
+		}
+		if got := testing.AllocsPerRun(20, run); got != 0 {
+			t.Errorf("%s: Run into a reused Result and destinations allocates %.0f times, want 0", tc.name, got)
+		}
+	}
+
+	// Cold loads: evict and run, round-robin over the bank, each on one
+	// natural block.
+	jobs := make([]Job, len(ids))
+	for i, id := range ids {
+		f, _ := algos.ByID(id)
+		jobs[i] = Job{Stages: []uint16{id}, Items: [][]byte{input(f, f.BlockBytes)}, Dsts: dsts(1)}
+	}
+	i := 0
+	got := testing.AllocsPerRun(len(ids), func() {
+		job := jobs[i%len(jobs)]
+		i++
+		cp.Evict(job.Stages[0])
+		if err := cp.Run(job, &res); err != nil {
+			t.Fatal(err)
+		}
+		if res.Hits != 0 {
+			t.Fatalf("fn %d hit after its eviction", job.Stages[0])
+		}
+	})
+	if got != 0 {
+		t.Errorf("cold load: Run into a reused Result and destination allocates %.0f times, want 0", got)
 	}
 }

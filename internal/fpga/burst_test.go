@@ -165,7 +165,7 @@ func FuzzPortChunking(f *testing.F) {
 			if err := fabrics[1].Port().Err(); err != nil {
 				t.Fatalf("valid stream faulted: %v", err)
 			}
-			if _, err := fabrics[1].Activate([]int{1, 2, 6}); err != nil {
+			if err := fabrics[1].Activate(new(Instance), []int{1, 2, 6}); err != nil {
 				t.Fatalf("valid stream does not activate: %v", err)
 			}
 		}

@@ -3,7 +3,7 @@ package fpga
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Fabric is the simulated partially reconfigurable device: frame-organised
@@ -136,62 +136,71 @@ var (
 	ErrOverwritten  = errors.New("fpga: function frames were reconfigured since activation")
 )
 
-// Activate binds the frames to the function whose bitstream they carry.
-// Every frame must hold a valid signature of the same function and serial,
-// and the frame indices must cover 0..Total-1 exactly. The behavioural
-// core is resolved through the registry; activation fails if the
-// configured function has no registered core — the fabric cannot execute
-// bits it does not recognise.
-func (f *Fabric) Activate(frames []int) (*Instance, error) {
+// seenOnStack is the frame count up to which Activate's duplicate check
+// lives on the stack: a frame set never outnumbers the fabric's columns,
+// and the largest device (agl1-l) has 96.
+const seenOnStack = 256
+
+// Activate binds the frames to the function whose bitstream they carry,
+// writing the binding into inst: a Frame Replacement Table row keeps one
+// Instance per function and re-activates it on every load, reusing its
+// storage. Every frame must hold a valid signature of the same function
+// and serial, and the frame indices must cover 0..Total-1 exactly. The
+// behavioural core is resolved through the registry; activation fails
+// if the configured function has no registered core — the fabric cannot
+// execute bits it does not recognise. A failed activation leaves inst
+// as it was.
+func (f *Fabric) Activate(inst *Instance, frames []int) error {
 	if len(frames) == 0 {
-		return nil, ErrNoFrames
+		return ErrNoFrames
 	}
 	var first Signature
-	seen := make([]bool, len(frames))
+	var stack [seenOnStack]bool
+	seen := stack[:]
+	if len(frames) > len(stack) {
+		seen = make([]bool, len(frames))
+	}
 	for n, fi := range frames {
 		if fi < 0 || fi >= f.geom.NumFrames() {
-			return nil, fmt.Errorf("%w: %d", ErrFrameAddress, fi)
+			return fmt.Errorf("%w: %d", ErrFrameAddress, fi)
 		}
 		sig, ok := DecodeSignature(f.cfg[fi])
 		if !ok {
-			return nil, fmt.Errorf("%w: frame %d", ErrBadSignature, fi)
+			return fmt.Errorf("%w: frame %d", ErrBadSignature, fi)
 		}
 		if n == 0 {
 			first = sig
 			if int(sig.Total) != len(frames) {
-				return nil, fmt.Errorf("%w: function %d wants %d frames, activation names %d",
+				return fmt.Errorf("%w: function %d wants %d frames, activation names %d",
 					ErrIncomplete, sig.FnID, sig.Total, len(frames))
 			}
 		} else if sig.FnID != first.FnID || sig.Serial != first.Serial {
-			return nil, fmt.Errorf("%w: frame %d holds fn %d/serial %d, expected fn %d/serial %d",
+			return fmt.Errorf("%w: frame %d holds fn %d/serial %d, expected fn %d/serial %d",
 				ErrMixedFrames, fi, sig.FnID, sig.Serial, first.FnID, first.Serial)
 		}
 		if int(sig.Index) >= len(frames) || seen[sig.Index] {
-			return nil, fmt.Errorf("%w: duplicate or out-of-range frame index %d", ErrIncomplete, sig.Index)
+			return fmt.Errorf("%w: duplicate or out-of-range frame index %d", ErrIncomplete, sig.Index)
 		}
 		seen[sig.Index] = true
 	}
 	core, ok := f.reg.Lookup(first.FnID)
 	if !ok {
-		return nil, fmt.Errorf("%w: id %d", ErrUnknownCore, first.FnID)
+		return fmt.Errorf("%w: id %d", ErrUnknownCore, first.FnID)
 	}
-	inst := &Instance{
-		fab:    f,
-		core:   core,
-		serial: first.Serial,
-		frames: append([]int(nil), frames...),
-		gens:   make([]uint64, len(frames)),
+	inst.fab, inst.core, inst.serial, inst.Execs = f, core, first.Serial, 0
+	inst.frames = append(inst.frames[:0], frames...)
+	slices.Sort(inst.frames)
+	inst.gens = inst.gens[:0]
+	for _, fi := range inst.frames {
+		inst.gens = append(inst.gens, f.generation[fi])
 	}
-	for n, fi := range frames {
-		inst.gens[n] = f.generation[fi]
-	}
-	sort.Ints(inst.frames)
-	return inst, nil
+	return nil
 }
 
 // Instance is an activated function: a binding between a set of configured
 // frames and the behavioural core the bits identify. The binding is
-// invalidated if any of its frames is reconfigured.
+// invalidated if any of its frames is reconfigured. The zero Instance
+// is bound to nothing; Fabric.Activate binds it.
 type Instance struct {
 	fab    *Fabric
 	core   Core
@@ -220,17 +229,17 @@ func (in *Instance) Valid() bool {
 	return true
 }
 
-// Exec runs the function on in-fabric data, returning the output and the
-// fabric-clock cycle cost. It fails with ErrOverwritten if any frame was
-// reconfigured after activation.
-func (in *Instance) Exec(input []byte) (output []byte, cycles uint64, err error) {
+// Exec runs the function on in-fabric data into dst, which holds
+// exactly Core().OutputLen(len(input)) bytes (see Core.ExecInto), and
+// reports the fabric-clock cycle cost. It fails with ErrOverwritten if
+// any frame was reconfigured after activation.
+func (in *Instance) Exec(dst, input []byte) (cycles uint64, err error) {
 	if !in.Valid() {
-		return nil, 0, ErrOverwritten
+		return 0, ErrOverwritten
 	}
-	out, err := in.core.Exec(input)
-	if err != nil {
-		return nil, 0, fmt.Errorf("fpga: core %q: %w", in.core.Name(), err)
+	if err := in.core.ExecInto(dst, input); err != nil {
+		return 0, fmt.Errorf("fpga: core %q: %w", in.core.Name(), err)
 	}
 	in.Execs++
-	return out, in.core.ExecCycles(len(input)), nil
+	return in.core.ExecCycles(len(input)), nil
 }

@@ -3,6 +3,7 @@ package fpga
 import (
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -120,14 +121,14 @@ type echoCore struct {
 	name string
 }
 
-func (e echoCore) ID() uint16   { return e.id }
-func (e echoCore) Name() string { return e.name }
-func (e echoCore) Exec(in []byte) ([]byte, error) {
-	out := make([]byte, len(in))
+func (e echoCore) ID() uint16          { return e.id }
+func (e echoCore) Name() string        { return e.name }
+func (e echoCore) OutputLen(n int) int { return n }
+func (e echoCore) ExecInto(out, in []byte) error {
 	for i, b := range in {
 		out[i] = b ^ 0x5A
 	}
-	return out, nil
+	return nil
 }
 func (e echoCore) ExecCycles(n int) uint64 { return uint64(n) + 4 }
 
@@ -263,11 +264,12 @@ func TestPortLoadsAndActivates(t *testing.T) {
 		t.Errorf("Utilization = %d/%d", cfgd, total)
 	}
 
-	inst, err := f.Activate([]int{5, 2})
-	if err != nil {
+	inst := new(Instance)
+	if err := f.Activate(inst, []int{5, 2}); err != nil {
 		t.Fatalf("Activate: %v", err)
 	}
-	out, cyc, err := inst.Exec([]byte{1, 2, 3})
+	out := make([]byte, 3)
+	cyc, err := inst.Exec(out, []byte{1, 2, 3})
 	if err != nil {
 		t.Fatalf("Exec: %v", err)
 	}
@@ -319,9 +321,56 @@ func TestActivateRejectsWrongSets(t *testing.T) {
 		{"duplicate", []int{2, 2}, ErrIncomplete},
 	}
 	for _, c := range cases {
-		if _, err := f.Activate(c.frames); !errors.Is(err, c.want) {
+		if err := f.Activate(new(Instance), c.frames); !errors.Is(err, c.want) {
 			t.Errorf("%s: err = %v, want %v", c.name, err, c.want)
 		}
+	}
+}
+
+// TestActivateReusesInstance: the mini OS keeps one Instance per
+// function and re-activates it on every load, so activation into an
+// instance that already has room allocates nothing, records one write
+// generation per frame in frame order (whatever order the frames were
+// named in), and a failed activation leaves the instance as it was.
+func TestActivateReusesInstance(t *testing.T) {
+	f := testFabric(t)
+	loadFunction(t, f, 1)
+	inst := new(Instance)
+	if err := f.Activate(inst, []int{5, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if got := testing.AllocsPerRun(50, func() {
+		if err := f.Activate(inst, []int{5, 2}); err != nil {
+			t.Fatal(err)
+		}
+	}); got != 0 {
+		t.Errorf("re-activation allocates %.0f times, want 0", got)
+	}
+	// Frame 5 is written once more than frame 2, so the two frames'
+	// generations differ: an instance that recorded them in naming order
+	// but checks them in frame order would call itself stale at once.
+	if err := f.ClearFrame(5); err != nil {
+		t.Fatal(err)
+	}
+	loadFunction(t, f, 1)
+	if err := f.Activate(inst, []int{5, 2}); err != nil {
+		t.Fatal(err)
+	}
+	if !inst.Valid() {
+		t.Fatal("freshly activated instance is not valid")
+	}
+	if err := f.ClearFrame(2); err != nil {
+		t.Fatal(err)
+	}
+	if inst.Valid() {
+		t.Error("instance valid after its frame 2 was cleared")
+	}
+	before := *inst
+	if err := f.Activate(inst, []int{2, 5}); !errors.Is(err, ErrBadSignature) {
+		t.Fatalf("activation over a cleared frame: err = %v, want ErrBadSignature", err)
+	}
+	if inst.core != before.core || !slices.Equal(inst.frames, []int{2, 5}) || !slices.Equal(inst.gens, before.gens) {
+		t.Error("a failed activation changed the instance")
 	}
 }
 
@@ -343,7 +392,7 @@ func TestActivateRejectsMixedSerials(t *testing.T) {
 	if _, err := f.Port().Write(s.bytes()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Activate([]int{2, 5}); !errors.Is(err, ErrMixedFrames) {
+	if err := f.Activate(new(Instance), []int{2, 5}); !errors.Is(err, ErrMixedFrames) {
 		t.Errorf("err = %v, want ErrMixedFrames", err)
 	}
 }
@@ -351,8 +400,8 @@ func TestActivateRejectsMixedSerials(t *testing.T) {
 func TestExecAfterOverwriteFails(t *testing.T) {
 	f := testFabric(t)
 	loadFunction(t, f, 1)
-	inst, err := f.Activate([]int{2, 5})
-	if err != nil {
+	inst := new(Instance)
+	if err := f.Activate(inst, []int{2, 5}); err != nil {
 		t.Fatal(err)
 	}
 	if !inst.Valid() {
@@ -364,7 +413,7 @@ func TestExecAfterOverwriteFails(t *testing.T) {
 	if inst.Valid() {
 		t.Error("instance still valid after frame clear")
 	}
-	if _, _, err := inst.Exec([]byte{1}); !errors.Is(err, ErrOverwritten) {
+	if _, err := inst.Exec(make([]byte, 1), []byte{1}); !errors.Is(err, ErrOverwritten) {
 		t.Errorf("Exec err = %v, want ErrOverwritten", err)
 	}
 }
@@ -473,7 +522,7 @@ func TestPortIgnoresPreSyncNoise(t *testing.T) {
 		loadFunction(t, f, 3)
 	}
 	loadFunctionAfterNoise()
-	if _, err := f.Activate([]int{2, 5}); err != nil {
+	if err := f.Activate(new(Instance), []int{2, 5}); err != nil {
 		t.Errorf("activate after noisy sync: %v", err)
 	}
 }

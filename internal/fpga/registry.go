@@ -6,9 +6,10 @@ import (
 )
 
 // Core is the behavioural model of one hardware function: the logic that a
-// configured frame set realises. Exec defines the input→output behaviour;
-// ExecCycles is the fabric-clock cost model (what the real logic would
-// take, typically derived from the core's pipeline depth and throughput).
+// configured frame set realises. ExecInto defines the input→output
+// behaviour; ExecCycles is the fabric-clock cost model (what the real
+// logic would take, typically derived from the core's pipeline depth and
+// throughput).
 //
 // A Core is looked up by the function id carried in the frame signatures
 // at activation time, so execution requires that the right bits actually
@@ -16,9 +17,14 @@ import (
 type Core interface {
 	ID() uint16
 	Name() string
-	// Exec computes the function over input. Implementations must treat
-	// input as read-only and return freshly allocated output.
-	Exec(input []byte) ([]byte, error)
+	// OutputLen reports the output size for inputLen bytes of input.
+	OutputLen(inputLen int) int
+	// ExecInto computes the function over input into dst, which holds
+	// exactly OutputLen(len(input)) bytes. Implementations treat input
+	// as read-only, write every byte of dst and never read what dst held
+	// before: dst is storage the card owns (its RAM output window), which
+	// still holds the previous request's output.
+	ExecInto(dst, input []byte) error
 	// ExecCycles reports fabric cycles to process inputLen bytes.
 	ExecCycles(inputLen int) uint64
 }

@@ -27,7 +27,7 @@ func TestPortSurvivesRandomBytes(t *testing.T) {
 			if sig, ok := f.FrameSignature(i); ok {
 				// A valid signature from random bytes is a 2^-16 CRC
 				// fluke at best; activation must still fail safe.
-				if _, err := f.Activate([]int{i}); err == nil && sig.Total == 1 {
+				if err := f.Activate(new(Instance), []int{i}); err == nil && sig.Total == 1 {
 					t.Fatalf("trial %d: random bytes produced an activatable frame", trial)
 				}
 			}
@@ -38,7 +38,7 @@ func TestPortSurvivesRandomBytes(t *testing.T) {
 			t.Fatalf("trial %d: reset did not clear fault", trial)
 		}
 		loadFunction(t, f, uint16(trial+1))
-		if _, err := f.Activate([]int{2, 5}); err != nil {
+		if err := f.Activate(new(Instance), []int{2, 5}); err != nil {
 			t.Fatalf("trial %d: port unusable after junk + reset: %v", trial, err)
 		}
 	}
@@ -77,7 +77,7 @@ func TestWriteAfterDesync(t *testing.T) {
 	}
 	// A second session works without an explicit Reset.
 	loadFunction(t, f, 2)
-	if _, err := f.Activate([]int{2, 5}); err != nil {
+	if err := f.Activate(new(Instance), []int{2, 5}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -103,7 +103,7 @@ func TestPartialWordBuffering(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := f.Activate([]int{1}); err != nil {
+	if err := f.Activate(new(Instance), []int{1}); err != nil {
 		t.Fatalf("byte-at-a-time load failed: %v", err)
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"agilefpga/internal/memory"
 	"agilefpga/internal/sim"
 	"agilefpga/internal/trace"
 )
@@ -39,7 +38,9 @@ type ChainStage struct {
 // evict stage k — then the stages run in order with each intermediate
 // result handed to the next stage through local RAM. It returns the
 // final output, the whole chain's breakdown (no PCI — the host side
-// owns that), and the per-stage attribution.
+// owns that), and the per-stage attribution. Like Execute's, the output
+// is the RAM output window and the attribution the controller's: both
+// are valid until the next command.
 func (c *Controller) ExecuteChain(fns []uint16, input []byte) ([]byte, sim.Breakdown, []ChainStage, error) {
 	var br sim.Breakdown
 	spanBase := c.stats.Phases.Total() + c.stats.PrefetchTime
@@ -112,7 +113,8 @@ func (c *Controller) executeChain(fns []uint16, input []byte, br *sim.Breakdown)
 		}
 	}()
 
-	stages = make([]ChainStage, len(fns))
+	stages = c.chain[:len(fns)]
+	clear(stages)
 	// Whatever happens, the chain's breakdown is exactly the sum of its
 	// stage costs — error paths included.
 	defer func() {
@@ -124,7 +126,7 @@ func (c *Controller) executeChain(fns []uint16, input []byte, br *sim.Breakdown)
 	// Pass 1: make every stage resident simultaneously. Each stage is
 	// one request against the replacement machinery, so Requests, Hits
 	// and Misses keep their per-function-activation semantics.
-	recs := make([]memory.Record, len(fns))
+	recs := c.chainRecs[:len(fns)]
 	for i, fn := range fns {
 		stages[i].Fn = fn
 		if recs[i], stages[i].Hit, err = c.makeResident(fn, len(input), "chain", &stages[i].Cost); err != nil {
@@ -133,9 +135,10 @@ func (c *Controller) executeChain(fns []uint16, input []byte, br *sim.Breakdown)
 	}
 
 	// Pass 2: stream the data through the chain. Stage 0 reads the
-	// host's input from the input window; every later stage streams its
-	// predecessor's output straight out of the output window — the RAM
-	// hand-off that replaces a per-stage PCI round trip.
+	// host's input from the input window; every later stage's
+	// data-input module stages its predecessor's output from the output
+	// window into the input window — the RAM hand-off that replaces a
+	// per-stage PCI round trip.
 	cur := input
 	for i, fn := range fns {
 		sbr := &stages[i].Cost
@@ -153,12 +156,8 @@ func (c *Controller) executeChain(fns []uint16, input []byte, br *sim.Breakdown)
 				return nil, stages, handoff, err
 			}
 		}
-		inOff := 0
-		if i > 0 {
-			inOff = c.ram.Capacity() / 2
-		}
 		var staged int
-		if cur, staged, err = c.runStage(rec, res, cur, inOff, sbr); err != nil {
+		if cur, staged, err = c.runStage(rec, res, cur, sbr); err != nil {
 			return nil, stages, handoff, err
 		}
 		if i > 0 {

@@ -125,10 +125,12 @@ type Controller struct {
 	lastBreakdown sim.Breakdown
 	// lastChain holds the per-stage attribution of the most recent
 	// execute command (one stage for CmdExec), for the host to collect
-	// after the mailbox reports success. oneStage backs it for Execute,
-	// so a plain call allocates nothing here.
+	// after the mailbox reports success. chain backs it, and chainRecs
+	// holds a chain's ROM records between its two passes, so no execute
+	// command allocates here.
 	lastChain []ChainStage
-	oneStage  [1]ChainStage
+	chain     [MaxChainStages]ChainStage
+	chainRecs [MaxChainStages]memory.Record
 
 	stats Stats
 
@@ -267,21 +269,28 @@ func (c *Controller) observeRequest(fn uint16, br sim.Breakdown, hit bool, reqEr
 		metrics.L("fn", name), metrics.L("result", result)).Inc()
 }
 
-// resident is one Frame Replacement Table entry: the frames an algorithm
-// occupies and the timestamp of its last access (paper §2.5).
+// resident is one Frame Replacement Table row: the frames an algorithm
+// occupies, its activated instance and the timestamp of its last access
+// (paper §2.5). Each function has one row for the card's lifetime: a
+// load rewrites it in place, reusing its frame list and its instance.
 type resident struct {
 	frames     []int
-	inst       *fpga.Instance
+	inst       fpga.Instance
 	lastAccess uint64
 	serial     uint16
 }
 
 // kernel is the mini-OS state.
 type kernel struct {
-	freeList []int // Free Frame List, ascending
-	table    map[uint16]*resident
-	policy   replace.Policy
-	now      uint64 // logical clock, bumped per request
+	// freeList is the Free Frame List, ascending. It is compacted in
+	// place and never outgrows the capacity of NumFrames it boots with.
+	freeList []int
+	// table holds the rows of the functions resident now; rows holds
+	// every function's row, resident or not.
+	table  map[uint16]*resident
+	rows   map[uint16]*resident
+	policy replace.Policy
+	now    uint64 // logical clock, bumped per request
 
 	// Prefetcher state: first-order Markov successor table and the set
 	// of functions brought in speculatively and not yet used.
@@ -477,7 +486,9 @@ func New(cfg Config, reg *fpga.Registry) (*Controller, error) {
 		c.dcache = newDecodeCache(cfg.DecodeCacheBytes)
 	}
 	c.kernel = kernel{
+		freeList:   make([]int, 0, cfg.Geometry.NumFrames()),
 		table:      make(map[uint16]*resident),
+		rows:       make(map[uint16]*resident),
 		policy:     cfg.Policy,
 		succ:       make(map[uint16]uint16),
 		prefetched: make(map[uint16]bool),
@@ -573,14 +584,17 @@ func (c *Controller) Evict(fn uint16) bool {
 // Execute runs function fnID over input, loading it onto the fabric first
 // if needed. It returns the output and the per-phase latency breakdown of
 // this request (excluding PCI transfer, which the host side owns). The
-// request is also recorded as a one-stage list for LastChainStages.
+// output is the card's RAM output window, where the output-collection
+// module left it: it is valid until the next command, which the host
+// reads it out before. The request is also recorded as a one-stage list
+// for LastChainStages.
 func (c *Controller) Execute(fnID uint16, input []byte) ([]byte, sim.Breakdown, error) {
 	var br sim.Breakdown
 	spanBase := c.stats.Phases.Total() + c.stats.PrefetchTime
 	out, hit, err := c.execute(fnID, input, &br)
 	c.lastBreakdown = br
-	c.oneStage[0] = ChainStage{Fn: fnID, Hit: hit, Cost: br}
-	c.lastChain = c.oneStage[:]
+	c.chain[0] = ChainStage{Fn: fnID, Hit: hit, Cost: br}
+	c.lastChain = c.chain[:1]
 	c.stats.Phases.AddAll(br)
 	if err != nil {
 		c.stats.Errors++
@@ -647,7 +661,7 @@ func (c *Controller) execute(fnID uint16, input []byte, br *sim.Breakdown) ([]by
 	if err != nil {
 		return nil, hit, err
 	}
-	out, _, err := c.runStage(rec, c.kernel.table[fnID], input, 0, br)
+	out, _, err := c.runStage(rec, c.kernel.table[fnID], input, br)
 	return out, hit, err
 }
 
@@ -696,41 +710,50 @@ func (c *Controller) makeResident(fn uint16, inputLen int, detail string, br *si
 }
 
 // runStage is the dataflow half of one stage: the data-input module
-// stages input at RAM offset inOff and streams it to the fabric in
-// multiples of the record's input bus width (§2.3), the function
-// executes, and the output-collection module streams the result into
-// the output window in OutBus multiples. Both modules are DMA engines
-// against dual-ported staging RAM, so the RAM access hides behind the
-// bus beats; the charge is beats plus setup. staged reports the padded
-// bytes written at inOff.
-func (c *Controller) runStage(rec memory.Record, res *resident, input []byte, inOff int, br *sim.Breakdown) (out []byte, staged int, err error) {
+// stages input in the input window, zero-padded to a multiple of the
+// record's input bus width (§2.3), and streams it to the fabric; the
+// function executes straight into the output window, which the
+// output-collection module zero-pads to a multiple of OutBus. Both
+// modules are DMA engines against dual-ported staging RAM, so the RAM
+// access hides behind the bus beats; the charge is beats plus setup.
+// input may alias either window: a chain stage's input is the previous
+// stage's output. out aliases the output window; staged reports the
+// padded input bytes.
+func (c *Controller) runStage(rec memory.Record, res *resident, input []byte, br *sim.Breakdown) (out []byte, staged int, err error) {
 	inWin, outWin := c.ram.Capacity()/2, c.ram.Capacity()/2
-	padded := padTo(input, int(rec.InBus))
-	if len(padded) > inWin {
-		return nil, 0, fmt.Errorf("%w: function %d input %d bytes, window %d", ErrRAMWindow, rec.FnID, len(padded), inWin)
+	staged = Padded(len(input), int(rec.InBus))
+	if staged > inWin {
+		return nil, 0, fmt.Errorf("%w: function %d input %d bytes, window %d", ErrRAMWindow, rec.FnID, staged, inWin)
 	}
-	if err := c.ram.Write(inOff, padded); err != nil {
+	padded, err := c.ram.Region(0, staged)
+	if err != nil {
 		return nil, 0, err
 	}
-	inBeats := uint64(len(padded)) / uint64(rec.InBus)
+	clear(padded[copy(padded, input):])
+	inBeats := uint64(staged) / uint64(rec.InBus)
 	br.Add(sim.PhaseDataIn, c.mcuDom.Advance(inBeats+4))
 
-	out, fabCycles, err := res.inst.Exec(padded)
+	// The output's size is known before the fabric runs, so a result the
+	// window cannot hold is refused without running it.
+	outLen := res.inst.Core().OutputLen(staged)
+	outPadded := Padded(outLen, int(rec.OutBus))
+	if outPadded > outWin {
+		return nil, staged, fmt.Errorf("%w: function %d output %d bytes, window %d", ErrRAMWindow, rec.FnID, outPadded, outWin)
+	}
+	win, err := c.ram.Region(inWin, outPadded)
 	if err != nil {
-		return nil, len(padded), err
+		return nil, staged, err
+	}
+	out = win[:outLen]
+	fabCycles, err := res.inst.Exec(out, padded)
+	if err != nil {
+		return nil, staged, err
 	}
 	br.Add(sim.PhaseExec, c.fabDom.Advance(fabCycles))
-
-	outPadded := padTo(out, int(rec.OutBus))
-	if len(outPadded) > outWin {
-		return nil, len(padded), fmt.Errorf("%w: function %d output %d bytes, window %d", ErrRAMWindow, rec.FnID, len(outPadded), outWin)
-	}
-	if err := c.ram.Write(inWin, outPadded); err != nil {
-		return nil, len(padded), err
-	}
-	outBeats := uint64(len(outPadded)) / uint64(rec.OutBus)
+	clear(win[outLen:])
+	outBeats := uint64(outPadded) / uint64(rec.OutBus)
 	br.Add(sim.PhaseDataOut, c.mcuDom.Advance(outBeats+4))
-	return out, len(padded), nil
+	return out, staged, nil
 }
 
 // findRecord is the mini OS's record lookup, reporting how many records
@@ -745,17 +768,13 @@ func (c *Controller) findRecord(fnID uint16) (memory.Record, int, error) {
 	return rec, slot + 1, nil
 }
 
-// padTo zero-pads p to a multiple of unit (§2.3: every transfer is a
-// multiple of the interface bus width).
-func padTo(p []byte, unit int) []byte {
-	if unit <= 0 {
-		unit = 1
+// Padded reports the bytes a data module moves for n bytes over a bus
+// of the given width: n rounded up to whole bus words (§2.3: every
+// transfer is a multiple of the interface bus width). The host driver
+// sizes a job's items with it before they reach the card.
+func Padded(n, bus int) int {
+	if bus <= 0 {
+		bus = 1
 	}
-	if len(p)%unit == 0 {
-		return p
-	}
-	n := (len(p)/unit + 1) * unit
-	out := make([]byte, n)
-	copy(out, p)
-	return out
+	return (n + bus - 1) / bus * bus
 }

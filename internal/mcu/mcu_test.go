@@ -427,7 +427,8 @@ func TestMailboxProtocol(t *testing.T) {
 	if rlen != 4 {
 		t.Fatalf("RESULTLEN = %d", rlen)
 	}
-	out, _, err := bus.Read(0, 1, c.OutWindowOff(), int(rlen))
+	out := make([]byte, rlen)
+	_, err = bus.Read(0, 1, c.OutWindowOff(), out)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,4 +675,12 @@ func TestStatsAccumulate(t *testing.T) {
 	if c.Stats().Requests != 0 {
 		t.Error("ResetStats failed")
 	}
+}
+
+// padTo zero-pads p to a multiple of unit, as the data-input module
+// stages it.
+func padTo(p []byte, unit int) []byte {
+	out := make([]byte, Padded(len(p), unit))
+	copy(out, p)
+	return out
 }

@@ -2,6 +2,7 @@ package mcu
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"agilefpga/internal/memory"
@@ -14,9 +15,23 @@ import (
 // eviction through the Frame Replacement Policy, and the configuration
 // module that streams a compressed bitstream from ROM onto the fabric.
 
+// row returns fn's Frame Replacement Table row, creating it the first
+// time fn is loaded. Rows are never freed: an eviction takes the row out
+// of the table, and the next load writes it afresh.
+func (k *kernel) row(fn uint16) *resident {
+	res := k.rows[fn]
+	if res == nil {
+		res = new(resident)
+		k.rows[fn] = res
+	}
+	return res
+}
+
 // load brings the function of rec onto the fabric: it finds frames
 // (evicting if necessary), streams and decompresses the bitstream window
-// by window into the configuration port, and activates the function.
+// by window into the configuration port, and activates the function
+// into its table row. The caller has made sure the function is not
+// resident.
 func (c *Controller) load(rec memory.Record, br *sim.Breakdown) (*resident, error) {
 	c.noteFn(rec)
 	demand := int(rec.FrameCount)
@@ -25,19 +40,19 @@ func (c *Controller) load(rec memory.Record, br *sim.Breakdown) (*resident, erro
 			ErrTooLarge, rec.Name, demand, c.cfg.Geometry.NumFrames())
 	}
 
+	res := c.kernel.row(rec.FnID)
 	// Difference-based fast path: the function's previous frames are
 	// still free and provably untouched, so its bits are already in the
 	// fabric — skip the whole ROM/decompress/configure pipeline.
-	if c.cfg.DiffReload {
-		if res, ok := c.reviveStale(rec, br); ok {
-			return res, nil
-		}
+	if c.cfg.DiffReload && c.reviveStale(rec, res, br) {
+		return res, nil
 	}
 
-	frames, err := c.place(demand, br)
+	frames, err := c.place(demand, res.frames[:0], br)
 	if err != nil {
 		return nil, err
 	}
+	res.frames = frames
 
 	if err := c.configure(rec, frames, br); err != nil {
 		// A failed configuration leaves the frames unusable until
@@ -49,8 +64,7 @@ func (c *Controller) load(rec memory.Record, br *sim.Breakdown) (*resident, erro
 		return nil, err
 	}
 
-	inst, err := c.fab.Activate(frames)
-	if err != nil {
+	if err := c.fab.Activate(&res.inst, frames); err != nil {
 		for _, fi := range frames {
 			_ = c.fab.ClearFrame(fi)
 		}
@@ -58,7 +72,7 @@ func (c *Controller) load(rec memory.Record, br *sim.Breakdown) (*resident, erro
 		return nil, fmt.Errorf("mcu: activation after load: %w", err)
 	}
 
-	res := &resident{frames: frames, inst: inst, serial: rec.Serial, lastAccess: c.kernel.now}
+	res.serial, res.lastAccess = rec.Serial, c.kernel.now
 	c.kernel.table[rec.FnID] = res
 	c.kernel.policy.OnInstall(rec.FnID, c.kernel.now)
 	if c.metrics != nil {
@@ -71,17 +85,19 @@ func (c *Controller) load(rec memory.Record, br *sim.Breakdown) (*resident, erro
 // reviveStale checks the difference-flow bookkeeping: if every frame the
 // function occupied at its lazy eviction is still on the free list with
 // an unchanged write generation, the frames are removed from the free
-// list and the function re-activated in place. The cost is pure mini-OS
-// bookkeeping — the saving the difference-based flow exists for.
-func (c *Controller) reviveStale(rec memory.Record, br *sim.Breakdown) (*resident, bool) {
+// list and the function re-activated in place, into its row res. The
+// cost is pure mini-OS bookkeeping — the saving the difference-based
+// flow exists for. The flow's own bookkeeping allocates; it is off by
+// default.
+func (c *Controller) reviveStale(rec memory.Record, res *resident, br *sim.Breakdown) bool {
 	k := &c.kernel
 	se := k.stale[rec.FnID]
 	if se == nil {
-		return nil, false
+		return false
 	}
 	delete(k.stale, rec.FnID) // single-use: either revived now or gone
 	if se.serial != rec.Serial {
-		return nil, false
+		return false
 	}
 	free := make(map[int]bool, len(k.freeList))
 	for _, fi := range k.freeList {
@@ -89,12 +105,11 @@ func (c *Controller) reviveStale(rec memory.Record, br *sim.Breakdown) (*residen
 	}
 	for i, fi := range se.frames {
 		if !free[fi] || c.fab.Generation(fi) != se.gens[i] {
-			return nil, false
+			return false
 		}
 	}
-	inst, err := c.fab.Activate(se.frames)
-	if err != nil {
-		return nil, false
+	if err := c.fab.Activate(&res.inst, se.frames); err != nil {
+		return false
 	}
 	remaining := k.freeList[:0]
 	member := make(map[int]bool, len(se.frames))
@@ -108,22 +123,23 @@ func (c *Controller) reviveStale(rec memory.Record, br *sim.Breakdown) (*residen
 	}
 	k.freeList = remaining
 
-	res := &resident{frames: se.frames, inst: inst, serial: rec.Serial, lastAccess: k.now}
+	res.frames = append(res.frames[:0], se.frames...)
+	res.serial, res.lastAccess = rec.Serial, k.now
 	k.table[rec.FnID] = res
 	k.policy.OnInstall(rec.FnID, k.now)
 	c.stats.FramesSkipped += uint64(len(se.frames))
 	br.Add(sim.PhaseOverhead, c.mcuDom.Advance(uint64(8+2*len(se.frames))))
 	c.emit(trace.KindRevive, rec.FnID, len(se.frames), 0, "")
-	return res, true
+	return true
 }
 
-// place returns `demand` frames from the Free Frame List, evicting
-// algorithms chosen by the Frame Replacement Policy until the demand fits
-// (paper §2.5). Placement prefers a contiguous run; when none exists and
-// scatter is allowed, any free frames serve.
-func (c *Controller) place(demand int, br *sim.Breakdown) ([]int, error) {
+// place appends `demand` frames from the Free Frame List to dst,
+// evicting algorithms chosen by the Frame Replacement Policy until the
+// demand fits (paper §2.5). Placement prefers a contiguous run; when none
+// exists and scatter is allowed, any free frames serve.
+func (c *Controller) place(demand int, dst []int, br *sim.Breakdown) ([]int, error) {
 	for {
-		if frames, contiguous, ok := c.takeFrames(demand); ok {
+		if frames, contiguous, ok := c.takeFrames(demand, dst); ok {
 			if contiguous {
 				c.stats.ContigPlacements++
 			} else {
@@ -154,9 +170,10 @@ func (c *Controller) place(demand int, br *sim.Breakdown) ([]int, error) {
 	}
 }
 
-// takeFrames removes a frame set from the free list: a contiguous run if
-// one exists, else (scatter allowed) the lowest free frames.
-func (c *Controller) takeFrames(demand int) (frames []int, contiguous, ok bool) {
+// takeFrames moves a frame set from the free list to dst: a contiguous
+// run if one exists, else (scatter allowed) the lowest free frames. The
+// free list closes the gap in place.
+func (c *Controller) takeFrames(demand int, dst []int) (frames []int, contiguous, ok bool) {
 	fl := c.kernel.freeList
 	if demand <= 0 || len(fl) < demand {
 		return nil, false, false
@@ -168,16 +185,16 @@ func (c *Controller) takeFrames(demand int) (frames []int, contiguous, ok bool) 
 			start = i
 		}
 		if i-start+1 == demand {
-			frames = append([]int(nil), fl[start:i+1]...)
-			c.kernel.freeList = append(fl[:start], fl[i+1:]...)
+			frames = append(dst, fl[start:i+1]...)
+			c.kernel.freeList = slices.Delete(fl, start, i+1)
 			return frames, true, true
 		}
 	}
 	if c.cfg.ContiguousOnly {
 		return nil, false, false
 	}
-	frames = append([]int(nil), fl[:demand]...)
-	c.kernel.freeList = append([]int(nil), fl[demand:]...)
+	frames = append(dst, fl[:demand]...)
+	c.kernel.freeList = slices.Delete(fl, 0, demand)
 	return frames, false, true
 }
 
@@ -191,11 +208,13 @@ func (c *Controller) evict(fn uint16, br *sim.Breakdown) {
 	if c.cfg.DiffReload {
 		// Lazy eviction: leave the bits in place and remember their
 		// write generations so a returning load can prove them intact.
+		// The entry copies the frame list: the row is rewritten by the
+		// next load.
 		gens := make([]uint64, len(res.frames))
 		for i, fi := range res.frames {
 			gens[i] = c.fab.Generation(fi)
 		}
-		c.kernel.stale[fn] = &staleEntry{frames: res.frames, gens: gens, serial: res.serial}
+		c.kernel.stale[fn] = &staleEntry{frames: slices.Clone(res.frames), gens: gens, serial: res.serial}
 	} else {
 		// Scrub the logic space.
 		for _, fi := range res.frames {
@@ -214,10 +233,11 @@ func (c *Controller) evict(fn uint16, br *sim.Breakdown) {
 	br.Add(sim.PhaseOverhead, c.mcuDom.Advance(uint64(8+2*len(res.frames))))
 }
 
-// returnFrames merges frames back into the sorted free list.
+// returnFrames merges frames back into the sorted free list, within the
+// capacity it booted with.
 func (c *Controller) returnFrames(frames []int) {
 	c.kernel.freeList = append(c.kernel.freeList, frames...)
-	sort.Ints(c.kernel.freeList)
+	slices.Sort(c.kernel.freeList)
 }
 
 // Defrag compacts the fabric: every resident function is reloaded from

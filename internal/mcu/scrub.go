@@ -67,11 +67,9 @@ func (c *Controller) Scrub() (ScrubReport, error) {
 
 		// The repair bumped generations: re-activate to keep the
 		// instance valid.
-		inst, err := c.fab.Activate(res.frames)
-		if err != nil {
+		if err := c.fab.Activate(&res.inst, res.frames); err != nil {
 			return rep, fmt.Errorf("mcu: scrub re-activation of fn %d: %w", fn, err)
 		}
-		res.inst = inst
 	}
 	rep.Time = br.Total()
 	c.stats.ScrubTime += rep.Time

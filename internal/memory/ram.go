@@ -59,6 +59,16 @@ func (r *RAM) View(off, n int) ([]byte, error) {
 	return r.data[off : off+n : off+n], nil
 }
 
+// Region returns the n bytes at off for a DMA engine to fill in place —
+// the data-input module staging an input, the output-collection module
+// collecting a result. The slice aliases RAM like View's.
+func (r *RAM) Region(off, n int) ([]byte, error) {
+	if err := r.check(off, n); err != nil {
+		return nil, err
+	}
+	return r.data[off : off+n : off+n], nil
+}
+
 func (r *RAM) check(off, n int) error {
 	if off < 0 || n < 0 || off+n > len(r.data) {
 		return fmt.Errorf("%w: read [%d, %d) of %d", ErrRAMBounds, off, off+n, len(r.data))

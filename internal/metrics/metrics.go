@@ -14,8 +14,8 @@
 package metrics
 
 import (
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -223,41 +223,61 @@ func NewRegistry() *Registry {
 	return &Registry{series: make(map[string]*series)}
 }
 
-// seriesKey builds the map key: name plus sorted k=v pairs. Labels are
-// sorted so call sites need not agree on ordering.
-func seriesKey(name string, labels []Label) (string, []Label) {
-	if len(labels) > 1 {
-		labels = append([]Label(nil), labels...)
-		sort.Slice(labels, func(i, j int) bool { return labels[i].Key < labels[j].Key })
+// A lookup of up to stackLabels labels whose key fits stackKeyBytes
+// sorts the labels and builds the key on the stack.
+const (
+	stackLabels   = 8
+	stackKeyBytes = 128
+)
+
+// appendKey appends the map key of a series to b: name plus k=v pairs
+// in the order of sorted (see sortLabels).
+func appendKey(b []byte, name string, sorted []Label) []byte {
+	b = append(b, name...)
+	for _, l := range sorted {
+		b = append(b, 0xff)
+		b = append(b, l.Key...)
+		b = append(b, '=')
+		b = append(b, l.Value...)
 	}
-	var b strings.Builder
-	b.WriteString(name)
-	for _, l := range labels {
-		b.WriteByte(0xff)
-		b.WriteString(l.Key)
-		b.WriteByte('=')
-		b.WriteString(l.Value)
+	return b
+}
+
+// sortLabels sorts labels by key in place, so call sites need not agree
+// on ordering. Label lists are short: an insertion sort, which needs no
+// closure to escape.
+func sortLabels(labels []Label) []Label {
+	for i := 1; i < len(labels); i++ {
+		for j := i; j > 0 && labels[j].Key < labels[j-1].Key; j-- {
+			labels[j], labels[j-1] = labels[j-1], labels[j]
+		}
 	}
-	return b.String(), labels
+	return labels
 }
 
 // lookup finds or creates a series, taking only a read lock on the hot
-// (already registered) path. bounds applies only to histogram creation
-// (nil = DefaultLatencyBuckets) and is ignored once the series exists.
+// (already registered) path, which allocates nothing: the labels are
+// sorted in a stack copy, the key is built in a stack buffer, and both
+// are copied to the heap only when the series is created. bounds
+// applies only to histogram creation (nil = DefaultLatencyBuckets) and
+// is ignored once the series exists.
 func (r *Registry) lookup(name string, labels []Label, kind seriesKind, bounds []sim.Time) *series {
-	key, sorted := seriesKey(name, labels)
+	var lbuf [stackLabels]Label
+	var kbuf [stackKeyBytes]byte
+	sorted := sortLabels(append(lbuf[:0], labels...))
+	key := appendKey(kbuf[:0], name, sorted)
 	r.mu.RLock()
-	s := r.series[key]
+	s := r.series[string(key)]
 	r.mu.RUnlock()
 	if s != nil {
 		return s
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if s = r.series[key]; s != nil {
+	if s = r.series[string(key)]; s != nil {
 		return s
 	}
-	s = &series{name: name, labels: sorted, kind: kind}
+	s = &series{name: name, labels: slices.Clone(sorted), kind: kind}
 	switch kind {
 	case kindCounter:
 		s.counter = &Counter{}
@@ -269,7 +289,7 @@ func (r *Registry) lookup(name string, labels []Label, kind seriesKind, bounds [
 		}
 		s.hist = &Histogram{bounds: bounds, buckets: make([]atomic.Uint64, len(bounds)+1)}
 	}
-	r.series[key] = s
+	r.series[string(key)] = s
 	return s
 }
 

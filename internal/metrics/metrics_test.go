@@ -228,3 +228,36 @@ func TestConcurrentRecording(t *testing.T) {
 		t.Errorf("counters sum = %d", total)
 	}
 }
+
+// TestRegistryLookupAllocs pins a lookup of an existing series at zero
+// allocations, whatever the label count and order: the daemons attach a
+// registry to every card, so every observation on the serving path
+// takes this path. The key is built and the labels sorted on the stack;
+// only creating a series copies them.
+func TestRegistryLookupAllocs(t *testing.T) {
+	r := NewRegistry()
+	fn, phase, card := L("fn", "sha256"), L("phase", "exec"), L("card", "1")
+	sizes := SizeBuckets()
+	lookups := []struct {
+		name string
+		run  func()
+	}{
+		{"counter, no labels", func() { r.Counter("agile_chain_runs_total").Inc() }},
+		{"counter, one label", func() { r.Counter("agile_errors_total", fn).Inc() }},
+		{"gauge, one label", func() { r.Gauge("agile_cluster_queue_depth", card).Inc() }},
+		{"histogram, two labels", func() { r.Histogram("agile_phase_seconds", phase, fn).Observe(sim.Microsecond) }},
+		{"histogram, two labels reversed", func() { r.Histogram("agile_phase_seconds", fn, phase).Observe(sim.Microsecond) }},
+		{"histogram with bounds, three labels", func() {
+			r.HistogramWith("agile_net_batch_window_size", sizes, phase, card, fn).Observe(4)
+		}},
+	}
+	for _, l := range lookups {
+		l.run() // create the series
+		if got := testing.AllocsPerRun(100, l.run); got != 0 {
+			t.Errorf("%s: a lookup of an existing series allocates %.0f times, want 0", l.name, got)
+		}
+	}
+	if n := len(r.Snapshot()); n != len(lookups)-1 {
+		t.Errorf("%d series registered, want %d: label order must not make a new series", n, len(lookups)-1)
+	}
+}

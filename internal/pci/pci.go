@@ -163,21 +163,21 @@ func (b *Bus) checkAccess(s *slot, bar int, off uint32, n int) error {
 	return nil
 }
 
-// Read bursts n bytes out of a device BAR window. It returns the data and
-// the bus cycles consumed.
-func (b *Bus) Read(slotNo, bar int, off uint32, n int) ([]byte, uint64, error) {
+// Read bursts len(p) bytes out of a device BAR window into p — storage
+// the caller supplies, as a host driver supplies its DMA buffer — and
+// returns the bus cycles consumed.
+func (b *Bus) Read(slotNo, bar int, off uint32, p []byte) (uint64, error) {
 	s, err := b.at(slotNo)
 	if err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	if err := b.checkAccess(s, bar, off, n); err != nil {
-		return nil, 0, err
+	if err := b.checkAccess(s, bar, off, len(p)); err != nil {
+		return 0, err
 	}
-	p := make([]byte, n)
 	if err := s.dev.ReadBAR(bar, off, p); err != nil {
-		return nil, 0, err
+		return 0, err
 	}
-	return p, TransferCycles(n), nil
+	return TransferCycles(len(p)), nil
 }
 
 // Write bursts p into a device BAR window, returning bus cycles consumed.

@@ -144,3 +144,100 @@ func TestCallOutlivesReply(t *testing.T) {
 		t.Errorf("%d handlers saw another request's fields after Reply", n)
 	}
 }
+
+// TestExpiredRequestKeepsItsOutput: the card reads each output into a
+// buffer its request's cluster.Pending keeps across uses, and the
+// server writes an answer straight out of that buffer. So the server
+// releases a Pending only after its reply is written, and never
+// releases one whose request expired: the job may still be on the card,
+// which writes the buffer when it finishes. Eight connections interleave
+// 1 KiB viterbi requests on a 1 ms budget — about a millisecond of card
+// time, so some expire while their run is on the card — with 256 B
+// sha256 requests that have no deadline, all on one card. Every answer
+// served must be its own request's output; under -race an early release
+// shows as a write into a buffer another request's reply is reading.
+func TestExpiredRequestKeepsItsOutput(t *testing.T) {
+	h := newHarness(t, 1, Options{}, nil)
+	const conns, n = 8, 60
+	payload := func(c, i int) []byte {
+		p := make([]byte, 1024)
+		if i%2 == 1 {
+			p = p[:256]
+		}
+		for j := range p {
+			p[j] = byte(c*97 + i*31 + j)
+		}
+		return p
+	}
+	fnOf := func(i int) *algos.Function {
+		if i%2 == 1 {
+			return algos.SHA256()
+		}
+		return algos.Viterbi()
+	}
+	var expired, served atomic.Int64
+	errs := make(chan error, conns)
+	var wg sync.WaitGroup
+	for c := range conns {
+		conn, err := net.Dial("tcp", h.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range n {
+				resp, err := wire.ReadResponse(conn)
+				if err != nil {
+					errs <- err
+					return
+				}
+				i := int(resp.ID)
+				switch resp.Status {
+				case wire.StatusDeadlineExceeded:
+					if fnOf(i) != algos.Viterbi() {
+						errs <- fmt.Errorf("conn %d request %d expired without a deadline", c, i)
+						return
+					}
+					expired.Add(1)
+				case wire.StatusOK:
+					served.Add(1)
+					want, err := fnOf(i).Exec(payload(c, i))
+					if err != nil || !bytes.Equal(resp.Payload, want) {
+						errs <- fmt.Errorf("conn %d request %d (%s): wrong output", c, i, fnOf(i).Name())
+						return
+					}
+				case wire.StatusResourceExhausted:
+				default:
+					errs <- fmt.Errorf("conn %d request %d: %s: %s", c, i, resp.Status, resp.Payload)
+					return
+				}
+			}
+		}()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range n {
+				req := &wire.Request{ID: uint64(i), Fn: fnOf(i).ID(), Payload: payload(c, i)}
+				if fnOf(i) == algos.Viterbi() {
+					req.Deadline = time.Millisecond
+				}
+				if err := wire.WriteRequest(conn, req); err != nil {
+					errs <- err
+					return
+				}
+				time.Sleep(150 * time.Microsecond)
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if expired.Load() == 0 {
+		t.Log("no request expired: the window was not exercised")
+	}
+	t.Logf("%d served, %d expired", served.Load(), expired.Load())
+}

@@ -159,13 +159,16 @@ func (s *Server) serve(ctx context.Context, rq *Call) {
 	if s.hookAdmitted != nil {
 		s.hookAdmitted(&rq.Request)
 	}
-	status, card, payload := s.execute(ctx, rq, ref)
+	status, card, payload, p := s.execute(ctx, rq, ref)
 	// The request leaves /debug/requests before its response is written:
 	// a client may look at the table the moment it reads the response.
 	s.reqMu.Lock()
 	delete(s.reqs, rq)
 	s.reqMu.Unlock()
 	rq.Reply(status, card, payload)
+	if p != nil {
+		p.Release() // the payload may be p's output buffer: written out now
+	}
 	s.opts.Tracer.End(ref, statusLabel(status))
 	s.observeTraced(rq.ID, rq.Fn, status, card, time.Since(start), ref.TraceID) //lint:wallclock served latency is wall time seen by network clients
 }
@@ -186,12 +189,14 @@ func statusLabel(st wire.Status) string {
 // payload, one card-queue slot — and the cluster worker coalesces
 // consecutive jobs for the same stage list into one pipelined run; a
 // plain request joins the batcher's window first when one is
-// configured.
-func (s *Server) execute(ctx context.Context, rq *Call, ref trace.SpanRef) (wire.Status, int16, []byte) {
+// configured. A settled job's Pending comes back with the answer, for
+// the caller to release once the reply is written: an OK payload is
+// the Pending's output buffer.
+func (s *Server) execute(ctx context.Context, rq *Call, ref trace.SpanRef) (wire.Status, int16, []byte, *cluster.Pending) {
 	var p *cluster.Pending
 	switch {
 	case len(rq.Payload) == 0:
-		return wire.StatusInvalidArgument, -1, []byte("empty payload")
+		return wire.StatusInvalidArgument, -1, []byte("empty payload"), nil
 	case s.batch != nil && len(rq.Next) == 0:
 		p = s.batch.submit(ctx, &rq.Request, ref)
 	default:
@@ -203,21 +208,19 @@ func (s *Server) execute(ctx context.Context, rq *Call, ref trace.SpanRef) (wire
 	if !p.Await(ctx) {
 		// The budget ran out while the job sat in a card queue or ran on
 		// a card. Answer now; the worker will discard the expired job
-		// when it reaches it. Until then it may read the payload, so the
-		// frame, the Call and the Pending all go to the garbage collector
-		// instead of back to their pools.
+		// when it reaches it. Until then it may read the payload and
+		// write the Pending's output buffer, so the frame, the Call and
+		// the Pending all go to the garbage collector instead of back to
+		// their pools.
 		rq.orphan()
-		return wire.StatusDeadlineExceeded, -1, []byte(ctx.Err().Error())
+		return wire.StatusDeadlineExceeded, -1, []byte(ctx.Err().Error()), nil
 	}
 	res, card, err := p.Wait()
 	s.addDispatchSpans(rq.Fn, ref, p, res, card)
 	if err != nil {
-		p.Release()
-		return statusOf(err), int16(card), []byte(err.Error())
+		return statusOf(err), int16(card), []byte(err.Error()), p
 	}
-	out := res.Output
-	p.Release()
-	return wire.StatusOK, int16(card), out
+	return wire.StatusOK, int16(card), res.Output, p
 }
 
 // addDispatchSpans attaches the dispatcher's view of a settled job to
