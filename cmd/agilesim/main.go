@@ -180,13 +180,6 @@ func main() {
 	}
 
 	var total, worst sim.Time
-	resident := func() map[uint16]bool {
-		m := make(map[uint16]bool)
-		for _, fn := range cp.Controller().ResidentFunctions() {
-			m[fn] = true
-		}
-		return m
-	}
 	serve := func(j sched.Job) error {
 		// Sampled calls become span trees: a host call span with the
 		// card's virtual phase breakdown underneath. A nil tracer (or
@@ -215,7 +208,7 @@ func main() {
 		}
 		return nil
 	}
-	_, maxDisp, err := sched.Run(jobs, picker, resident, serve)
+	_, maxDisp, err := sched.Run(jobs, picker, cp.Resident, serve)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -220,3 +220,18 @@ func TestExtendedBankRegistered(t *testing.T) {
 		t.Errorf("bank has %d entries, BankSize says %d", len(Bank()), BankSize)
 	}
 }
+
+// rsSyndromes evaluates the codeword at the generator roots; all-zero
+// means a valid codeword.
+func rsSyndromes(code []byte) [rsParity]byte {
+	var syn [rsParity]byte
+	for i := 0; i < rsParity; i++ {
+		var s byte
+		alpha := rsExp[i]
+		for _, c := range code {
+			s = rsMul(s, alpha) ^ c
+		}
+		syn[i] = s
+	}
+	return syn
+}

@@ -81,21 +81,6 @@ func rsEncodeBlock(dst, data []byte) {
 	}
 }
 
-// rsSyndromes evaluates the codeword at the generator roots; all-zero
-// means a valid codeword. Exported to the tests via the lowercase helper.
-func rsSyndromes(code []byte) [rsParity]byte {
-	var syn [rsParity]byte
-	for i := 0; i < rsParity; i++ {
-		var s byte
-		alpha := rsExp[i]
-		for _, c := range code {
-			s = rsMul(s, alpha) ^ c
-		}
-		syn[i] = s
-	}
-	return syn
-}
-
 var rsFn = &Function{
 	id:          IDRS255,
 	name:        "rs255",

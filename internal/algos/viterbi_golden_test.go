@@ -24,7 +24,7 @@ func viterbiGoldenChannel() []byte {
 			info[j] = byte(rng.Uint64())
 		}
 		block := vitEncodeBits(info)
-		for _, bit := range rng.Perm(128)[:i%3] {
+		for _, bit := range perm(rng, 128)[:i%3] {
 			block[bit/8] ^= 0x80 >> uint(bit%8)
 		}
 		channel = append(channel, block...)
@@ -59,4 +59,17 @@ func TestViterbiMatchesGolden(t *testing.T) {
 			t.Fatalf("block %d decodes to %x, golden %x", b/8, got[b:b+8], want[b:b+8])
 		}
 	}
+}
+
+// perm returns a pseudo-random permutation of [0, n) (Fisher–Yates).
+func perm(r *sim.RNG, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	for i := n - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		p[i], p[j] = p[j], p[i]
+	}
+	return p
 }

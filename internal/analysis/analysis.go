@@ -36,6 +36,10 @@
 //   - lockorder: the static lock-acquisition graph across packages is
 //     acyclic, so no two code paths can deadlock by taking the same
 //     locks in opposite orders.
+//   - deadexport: every exported name of an internal package has a
+//     non-test reference in the module. internal/testutil and
+//     internal/analysis/analysistest are exempt, and under go vet
+//     -vettool, which sees one package at a time, it reports nothing.
 //
 // The framework additionally reports stale //lint: directives — a
 // suppression that suppresses nothing is itself a finding (analyzer
@@ -69,7 +73,8 @@ type Analyzer struct {
 	// lock ordering — that only exist across package boundaries.
 	// Under the vet-tool protocol the go command hands agilelint one
 	// package at a time, so a RunSuite analyzer sees a single pass
-	// there and degrades to its intra-package findings.
+	// there and degrades to its intra-package findings (or, like
+	// deadexport, to none).
 	RunSuite func([]*Pass) error
 }
 
@@ -132,6 +137,7 @@ func All() []*Analyzer {
 		CtxFlow,
 		AtomicMix,
 		LockOrder,
+		DeadExport,
 	}
 }
 
@@ -181,10 +187,12 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 		}
 	}
 	// A directive that suppressed nothing — for an analyzer that did
-	// run — is itself a finding.
+	// run — is itself a finding. A whole-program analyzer given one
+	// package (the vet-tool protocol) cannot see what its directives
+	// excuse, so they are judged only on a whole-program run.
 	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
-		ran[a.Name] = true
+		ran[a.Name] = a.RunSuite == nil || len(pkgs) > 1
 	}
 	for _, pkg := range pkgs {
 		out = append(out, pkg.directives.stale(ran)...)

@@ -45,7 +45,6 @@ var traceObservationFuncs = map[string]bool{
 // virtual clock domain.
 var clockAdvancingFuncs = map[string]bool{
 	"Advance": true,
-	"Reset":   true,
 }
 
 // PassiveMetrics enforces that telemetry is an observer, never an
@@ -54,8 +53,7 @@ var clockAdvancingFuncs = map[string]bool{
 // TestMetricsChangeNoVirtualTime and TestTracingNoVirtualTime
 // spot-check this property dynamically for single paths; the analyzer
 // proves the syntactic form of it everywhere — no call reachable from
-// an observation's argument list may be (*sim.Domain).Advance or
-// Reset.
+// an observation's argument list may be (*sim.Domain).Advance.
 var PassiveMetrics = &Analyzer{
 	Name: "passivemetrics",
 	Doc: `metrics observation and trace recording must not advance virtual time
@@ -66,7 +64,7 @@ hist.Observe(dom.Advance(n)) — or stamping a span with
 VirtPS: uint64(dom.Advance(n)) — would make telemetry perturb the very
 quantity it measures, breaking the paper's deterministic cost model
 whenever metrics or tracing are enabled. The analyzer flags any
-(*sim.Domain).Advance / Reset call nested inside the argument
+(*sim.Domain).Advance call nested inside the argument
 expressions of an internal/metrics observation or internal/trace span
 call.`,
 	Run: runPassiveMetrics,

@@ -63,3 +63,34 @@ func TestLockOrder(t *testing.T) {
 		"lockorder/internal/cluster",
 	)
 }
+
+// TestDeadExport loads package lib with its only caller and an exempt
+// testutil: the whole module, as deadexport needs it.
+func TestDeadExport(t *testing.T) {
+	analysistest.Run(t, analysis.DeadExport,
+		"deadexport/internal/lib",
+		"deadexport/internal/app",
+		"deadexport/internal/testutil",
+	)
+}
+
+// TestDeadExportInertOnOnePackage is the go vet -vettool shape: one
+// package, whose callers the analyzer cannot see. It must report
+// nothing rather than call every export dead.
+func TestDeadExportInertOnOnePackage(t *testing.T) {
+	root, err := moduleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := analysis.Load(root, "./internal/analysis/testdata/src/deadexport/internal/lib")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := analysis.RunAnalyzers(pkgs, []*analysis.Analyzer{analysis.DeadExport})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("one-package run reported: %s", d)
+	}
+}

@@ -14,8 +14,8 @@ func record(tr *trace.Tracer, d *sim.Domain) {
 	tr.Add(ref, trace.Span{Name: "exec", Layer: "card", VirtPS: uint64(cost)})             // legal: the cost was computed first, the span is a passive record
 	tr.Add(ref, trace.Span{Name: "exec", Layer: "card", VirtPS: uint64(d.Advance(10))})    // want `\(\*sim\.Domain\)\.Advance advances virtual time inside the arguments of trace call tr\.Add`
 	child := tr.StartChild(ref, "queue", "cluster", uint16(d.Advance(1)))                  // want `Advance advances virtual time inside the arguments of trace call tr\.StartChild`
-	tr.End(child, func() string { d.Reset(); return "reset" }())                           // want `\(\*sim\.Domain\)\.Reset advances virtual time inside the arguments of trace call tr\.End`
-	tr.Add(ref, trace.Span{Name: "drain", Layer: "card", VirtPS: uint64(d.Elapsed())})     // legal: Elapsed reads the clock without moving it
+	tr.End(child, func() string { d.Advance(1); return "late" }())                         // want `\(\*sim\.Domain\)\.Advance advances virtual time inside the arguments of trace call tr\.End`
+	tr.Add(ref, trace.Span{Name: "drain", Layer: "card", VirtPS: uint64(d.Span(10))})      // legal: Span converts cycles without moving the clock
 	_ = tr.StartRemote(ref.TraceID, ref.SpanID, true, "hop", "server", uint16(d.Cycles())) // legal: Cycles reads the clock without moving it
 	tr.End(ref, "ok")
 }

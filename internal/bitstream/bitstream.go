@@ -1,9 +1,8 @@
 // Package bitstream produces configuration bitstreams for the simulated
 // fabric: a packet builder, a pseudo-netlist synthesizer that turns a
-// function's resource demand into frame images, and assemblers for the
-// module-based (per-frame) and difference-based partial reconfiguration
-// flows described in Xilinx XAPP290, which the paper cites for its
-// proof-of-concept.
+// function's resource demand into frame images, and an assembler for the
+// module-based (per-frame) partial reconfiguration flow described in
+// Xilinx XAPP290, which the paper cites for its proof-of-concept.
 //
 // The wire format (sync word, type-1 register writes, CRC) is defined by
 // package fpga, whose configuration port parses it; this package is the
@@ -27,14 +26,6 @@ type Builder struct {
 	crc     uint32
 	scratch []byte         // CRCUpdateBurst scratch, kept across writes
 	shift   *fpga.CRCShift // folds one frame's FDRI key, built on first use
-}
-
-// NewBuilder returns a builder primed with a dummy pad word and the sync
-// word, ready for packets.
-func NewBuilder() *Builder {
-	b := &Builder{}
-	b.prime()
-	return b
 }
 
 func (b *Builder) prime() {
@@ -101,13 +92,6 @@ func (b *Builder) WriteCRC() {
 	b.WriteReg(fpga.RegCRC, b.crc)
 	b.crc = 0
 }
-
-// Words reports the number of words assembled so far.
-func (b *Builder) Words() int { return len(b.buf) / 4 }
-
-// Bytes returns the bitstream assembled so far. The slice aliases the
-// builder's storage until the next append.
-func (b *Builder) Bytes() []byte { return b.buf }
 
 // maxFDRIWords is the largest payload a single type-1 packet can carry
 // (11-bit word count).
@@ -181,42 +165,6 @@ func FrameKey(image []byte, scratch *[]byte) uint32 {
 		image = append(image[:len(image):len(image)], make([]byte, 4-len(image)%4)...)
 	}
 	return fpga.CRCBurstKey(fpga.RegFDRI, image, scratch)
-}
-
-// AssembleDiff builds a difference-based partial bitstream: frames whose
-// image already matches current[i] are omitted entirely (XAPP290's
-// difference flow). It returns the stream and the number of frames it
-// actually writes; if nothing differs the returned stream is nil and the
-// count zero.
-func AssembleDiff(g fpga.Geometry, idcode uint32, frames []int, images, current [][]byte) ([]byte, int, error) {
-	if len(frames) != len(images) || len(frames) != len(current) {
-		return nil, 0, fmt.Errorf("bitstream: mismatched diff inputs (%d/%d/%d)", len(frames), len(images), len(current))
-	}
-	var dFrames []int
-	var dImages [][]byte
-	for i := range frames {
-		if !equalBytes(images[i], current[i]) {
-			dFrames = append(dFrames, frames[i])
-			dImages = append(dImages, images[i])
-		}
-	}
-	if len(dFrames) == 0 {
-		return nil, 0, nil
-	}
-	bs, err := Assemble(g, idcode, dFrames, dImages)
-	return bs, len(dFrames), err
-}
-
-func equalBytes(a, b []byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // Netlist is a pseudo-netlist: the resource demand and statistical shape

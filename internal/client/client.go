@@ -397,20 +397,6 @@ func (c *Client) callRoot(ctx context.Context, verb string, stages []uint16, pay
 	return out, card, err
 }
 
-// Inflight reports the calls currently in flight across the pool —
-// the load signal a router uses for least-loaded spill decisions.
-func (c *Client) Inflight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var n int64
-	for _, m := range c.conns {
-		if m != nil {
-			n += m.inflight.Load()
-		}
-	}
-	return int(n)
-}
-
 // CallRef runs the stage list (one function for a plain call) under a
 // caller-owned parent span: attempts become children of parent and no
 // root span is opened or ended here — the shape a proxy hop needs to
@@ -537,13 +523,6 @@ func (c *Client) once(ctx context.Context, stages []uint16, payload, dst []byte,
 		return nil, int(resp.Card), &StatusError{Status: resp.Status, Msg: string(resp.Payload)}
 	}
 	return resp.Payload, int(resp.Card), nil
-}
-
-// backoff computes the jittered delay before retry number attempt.
-// Kept as a method so tests exercise the schedule the retry loop uses;
-// the policy itself lives in the shared Backoff type.
-func (c *Client) backoff(attempt int) time.Duration {
-	return c.bo.Delay(attempt)
 }
 
 // Close closes every pooled connection and waits for their readers to

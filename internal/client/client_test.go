@@ -22,7 +22,7 @@ func TestBackoffSeedDeterminism(t *testing.T) {
 		c.bo = NewBackoff(c.opts.BaseBackoff, c.opts.MaxBackoff, seed)
 		var ds []time.Duration
 		for attempt := 0; attempt < 6; attempt++ {
-			ds = append(ds, c.backoff(attempt))
+			ds = append(ds, c.bo.Delay(attempt))
 		}
 		return ds
 	}
@@ -54,7 +54,7 @@ func TestBackoffGrowsAndCaps(t *testing.T) {
 			nominal = c.opts.MaxBackoff
 		}
 		for i := 0; i < 50; i++ {
-			d := c.backoff(attempt)
+			d := c.bo.Delay(attempt)
 			if d < nominal/2 || d > nominal {
 				t.Fatalf("attempt %d: backoff %v outside [%v, %v]", attempt, d, nominal/2, nominal)
 			}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"os"
 	"sync"
@@ -88,7 +89,7 @@ func (fs *fakeServer) close() {
 // echo answers each request immediately with its own payload.
 func echo(c net.Conn) {
 	for {
-		req, err := wire.ReadRequest(c)
+		req, err := readRequest(c)
 		if err != nil {
 			return
 		}
@@ -104,7 +105,7 @@ func TestMuxOutOfOrderResponses(t *testing.T) {
 	fs := newFakeServer(t, func(c net.Conn) {
 		reqs := make([]*wire.Request, 0, n)
 		for len(reqs) < n {
-			req, err := wire.ReadRequest(c)
+			req, err := readRequest(c)
 			if err != nil {
 				return
 			}
@@ -154,13 +155,13 @@ func TestMuxSlowDoesNotBlockFast(t *testing.T) {
 	slowSeen := make(chan uint64, 1)   // server → test: the slow request arrived
 	releaseSlow := make(chan struct{}) // test → server: answer it now
 	fs := newFakeServer(t, func(c net.Conn) {
-		slow, err := wire.ReadRequest(c)
+		slow, err := readRequest(c)
 		if err != nil {
 			return
 		}
 		slowSeen <- slow.ID
 		for {
-			req, err := wire.ReadRequest(c)
+			req, err := readRequest(c)
 			if err != nil {
 				return
 			}
@@ -208,7 +209,7 @@ func TestMuxAbruptConnClose(t *testing.T) {
 	var kill atomic.Bool
 	kill.Store(true)
 	fs := newFakeServer(t, func(c net.Conn) {
-		req, err := wire.ReadRequest(c)
+		req, err := readRequest(c)
 		if err != nil {
 			return
 		}
@@ -247,7 +248,7 @@ func TestMuxCloseDrainsPipeline(t *testing.T) {
 	held := make(chan struct{}, n)
 	fs := newFakeServer(t, func(c net.Conn) {
 		for {
-			if _, err := wire.ReadRequest(c); err != nil {
+			if _, err := readRequest(c); err != nil {
 				return
 			}
 			held <- struct{}{} // park every request unanswered
@@ -291,7 +292,7 @@ func TestMuxCloseDrainsPipeline(t *testing.T) {
 func TestMuxAbandonedCallDropsLateResponse(t *testing.T) {
 	gate := make(chan struct{})
 	fs := newFakeServer(t, func(c net.Conn) {
-		req, err := wire.ReadRequest(c)
+		req, err := readRequest(c)
 		if err != nil {
 			return
 		}
@@ -396,4 +397,17 @@ func TestCallChainStageCounts(t *testing.T) {
 	if n := fs.accepted.Load(); n != 1 {
 		t.Fatalf("%d connections dialled, want 1", n)
 	}
+}
+
+// readRequest reads one request frame, copying the payload out of the
+// pooled buffer so the request outlives the frame.
+func readRequest(r io.Reader) (*wire.Request, error) {
+	req := new(wire.Request)
+	fr, err := wire.ReadRequestFrame(r, req)
+	if err != nil {
+		return nil, err
+	}
+	req.Payload = append([]byte(nil), req.Payload...)
+	fr.Release()
+	return req, nil
 }

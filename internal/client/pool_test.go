@@ -29,7 +29,7 @@ func TestAbandonedWaiterIsNotRecycled(t *testing.T) {
 		var wg sync.WaitGroup
 		defer wg.Wait()
 		for {
-			req, err := wire.ReadRequest(c)
+			req, err := readRequest(c)
 			if err != nil {
 				return
 			}

@@ -21,7 +21,7 @@ func TestCallTracesRetriesAsChildSpans(t *testing.T) {
 	var ctxs [2]wire.TraceContext
 	fs := newFakeServer(t, func(c net.Conn) {
 		for {
-			req, err := wire.ReadRequest(c)
+			req, err := readRequest(c)
 			if err != nil {
 				return
 			}
@@ -111,7 +111,7 @@ func TestUntracedCallShipsNoContext(t *testing.T) {
 	done := make(chan struct{}, 1)
 	fs := newFakeServer(t, func(c net.Conn) {
 		for {
-			req, err := wire.ReadRequest(c)
+			req, err := readRequest(c)
 			if err != nil {
 				return
 			}

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
 	"agilefpga/internal/algos"
@@ -131,7 +132,7 @@ func TestClusterTraceCarriesCardIdentity(t *testing.T) {
 	if spans == 0 {
 		t.Error("no span events — per-phase timeline missing from cluster runs")
 	}
-	if log.Count(trace.KindRequest) == 0 {
+	if !slices.ContainsFunc(log.Events(), func(e trace.Event) bool { return e.Kind == trace.KindRequest }) {
 		t.Error("no request events recorded")
 	}
 }

@@ -73,11 +73,7 @@ func New(cfg Config) (*CoProcessor, error) {
 	}
 	bus := pci.NewBus()
 	const slot = 4
-	if err := bus.Attach(slot, ctrl, pci.ConfigSpace{
-		VendorID: 0x1172, // Altera, per the proof-of-concept board
-		DeviceID: 0xA617,
-		Class:    0x0B4000, // co-processor
-	}); err != nil {
+	if err := bus.Attach(slot, ctrl); err != nil {
 		return nil, err
 	}
 	cp := &CoProcessor{
@@ -110,12 +106,6 @@ func New(cfg Config) (*CoProcessor, error) {
 
 // Controller exposes the card's microcontroller (stats, invariants).
 func (cp *CoProcessor) Controller() *mcu.Controller { return cp.ctrl }
-
-// Bus exposes the PCI bus (device discovery demos).
-func (cp *CoProcessor) Bus() *pci.Bus { return cp.bus }
-
-// Slot reports the card's PCI slot.
-func (cp *CoProcessor) Slot() int { return cp.slot }
 
 // Codec reports the install-time compression codec.
 func (cp *CoProcessor) Codec() compress.Codec { return cp.codec }
@@ -224,19 +214,6 @@ func (cp *CoProcessor) InstallBank() (sim.Time, error) {
 		total += t
 	}
 	return total, nil
-}
-
-// Installed lists the provisioned functions.
-func (cp *CoProcessor) Installed() []*algos.Function {
-	cp.mu.Lock()
-	defer cp.mu.Unlock()
-	out := make([]*algos.Function, 0, len(cp.installed))
-	for _, f := range algos.Bank() {
-		if _, ok := cp.installed[f.ID()]; ok {
-			out = append(out, f)
-		}
-	}
-	return out
 }
 
 // lookup resolves a provisioned function by name.

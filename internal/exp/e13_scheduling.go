@@ -76,13 +76,6 @@ func RunE13(jobCount int) (*E13Result, error) {
 			jobs[i] = sched.Job{Fn: fn, Input: in, Seq: i}
 		}
 		var total sim.Time
-		resident := func() map[uint16]bool {
-			m := make(map[uint16]bool)
-			for _, fn := range cp.Controller().ResidentFunctions() {
-				m[fn] = true
-			}
-			return m
-		}
 		serve := func(j sched.Job) error {
 			call, err := cp.CallID(j.Fn, j.Input)
 			if err != nil {
@@ -91,7 +84,7 @@ func RunE13(jobCount int) (*E13Result, error) {
 			total += call.Latency
 			return nil
 		}
-		_, maxDisp, err := sched.Run(jobs, picker, resident, serve)
+		_, maxDisp, err := sched.Run(jobs, picker, cp.Resident, serve)
 		if err != nil {
 			return nil, fmt.Errorf("exp: E13 %s: %w", sname, err)
 		}

@@ -114,7 +114,7 @@ func portState(f *Fabric) string {
 		fmt.Fprintf(&b, "frame %d gen %d sig %v % x\n", i, f.Generation(i), sigOK, f.cfg[i])
 	}
 	p := f.Port()
-	fmt.Fprintf(&b, "written %d cycles %d err %v\n", p.FramesWritten, p.Cycles(), p.Err())
+	fmt.Fprintf(&b, "written %d cycles %d err %v\n", p.FramesWritten, p.cycles, p.fault)
 	return b.String()
 }
 
@@ -162,7 +162,7 @@ func FuzzPortChunking(f *testing.F) {
 			t.Errorf("chunked write diverges from byte-at-a-time\nbytewise:\n%s\nchunked:\n%s", want, got)
 		}
 		if flip < 0 {
-			if err := fabrics[1].Port().Err(); err != nil {
+			if err := fabrics[1].Port().fault; err != nil {
 				t.Fatalf("valid stream faulted: %v", err)
 			}
 			if err := fabrics[1].Activate(new(Instance), []int{1, 2, 6}); err != nil {

@@ -42,36 +42,6 @@ func EncodeCLB(dst []byte, c *CLB) int {
 	return off + SwitchBytes
 }
 
-// DecodeCLB parses one CLB from src, which must be at least CLBBytes long.
-func DecodeCLB(src []byte) CLB {
-	_ = src[CLBBytes-1]
-	var c CLB
-	off := 0
-	for s := range c.Slices {
-		for l := range c.Slices[s].LUTs {
-			c.Slices[s].LUTs[l].Init = binary.LittleEndian.Uint16(src[off:])
-			off += LUTBytes
-		}
-	}
-	c.Flags = src[off]
-	off++
-	c.Switch = binary.LittleEndian.Uint32(src[off:])
-	return c
-}
-
-// UsedLUTs counts the LUTs of the CLB whose truth table is non-zero.
-func (c *CLB) UsedLUTs() int {
-	n := 0
-	for s := range c.Slices {
-		for l := range c.Slices[s].LUTs {
-			if c.Slices[s].LUTs[l].Init != 0 {
-				n++
-			}
-		}
-	}
-	return n
-}
-
 // Frame signature layout. The first CLB of every configured frame carries
 // a 12-byte signature in its LUT-init area identifying the function that
 // owns the frame; an empty (all-zero) frame has no signature. Activation

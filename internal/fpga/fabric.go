@@ -55,9 +55,6 @@ func (f *Fabric) IDCode() uint32 { return f.idcode }
 // Port returns the configuration port.
 func (f *Fabric) Port() *ConfigPort { return &f.port }
 
-// Registry returns the core registry backing behavioural execution.
-func (f *Fabric) Registry() *Registry { return f.reg }
-
 // ReadFrame returns a copy of frame i's configuration memory (readback).
 func (f *Fabric) ReadFrame(i int) ([]byte, error) {
 	if i < 0 || i >= f.geom.NumFrames() {
@@ -138,7 +135,7 @@ var (
 
 // seenOnStack is the frame count up to which Activate's duplicate check
 // lives on the stack: a frame set never outnumbers the fabric's columns,
-// and the largest device (agl1-l) has 96.
+// and the default geometry has 48.
 const seenOnStack = 256
 
 // Activate binds the frames to the function whose bitstream they carry,
@@ -214,9 +211,6 @@ type Instance struct {
 
 // Core reports the behavioural core bound to the instance.
 func (in *Instance) Core() Core { return in.core }
-
-// Frames returns the sorted frame set of the instance.
-func (in *Instance) Frames() []int { return append([]int(nil), in.frames...) }
 
 // Valid reports whether all frames still hold the configuration the
 // instance was activated with.

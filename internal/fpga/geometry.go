@@ -80,9 +80,6 @@ func (g Geometry) FrameWords() int { return (g.FrameBytes() + 3) / 4 }
 // NumFrames reports the number of frames (columns) on the device.
 func (g Geometry) NumFrames() int { return g.Cols }
 
-// ConfigBytes reports the total configuration memory of the device.
-func (g Geometry) ConfigBytes() int { return g.Cols * g.FrameBytes() }
-
 // LUTsPerFrame reports how many LUTs one frame provides, excluding the
 // signature CLB (CLB row 0), which is reserved.
 func (g Geometry) LUTsPerFrame() int {

@@ -61,7 +61,6 @@ func parseType1(w uint32) (typ, op, reg, count int) {
 
 // Configuration port errors.
 var (
-	ErrNotSynced    = errors.New("fpga: configuration port not synchronised")
 	ErrBadPacket    = errors.New("fpga: malformed configuration packet")
 	ErrIDCODE       = errors.New("fpga: bitstream IDCODE does not match device")
 	ErrFrameLength  = errors.New("fpga: bitstream frame length does not match device")
@@ -69,7 +68,6 @@ var (
 	ErrNoWCFG       = errors.New("fpga: frame data received outside a WCFG session")
 	ErrNoIDCheck    = errors.New("fpga: frame data received before IDCODE check")
 	ErrFrameAddress = errors.New("fpga: frame address out of range")
-	ErrPortFault    = errors.New("fpga: configuration port in error state")
 )
 
 // port FSM states.
@@ -86,7 +84,7 @@ const (
 // fabric's configuration memory.
 //
 // Timing: each byte costs one cycle of the configuration clock domain;
-// cycle counts accumulate in Cycles and are harvested by the caller.
+// cycle counts accumulate until the caller harvests them with TakeCycles.
 type ConfigPort struct {
 	fab *Fabric
 
@@ -114,13 +112,6 @@ type ConfigPort struct {
 	// the port's lifetime.
 	FramesWritten uint64
 }
-
-// Err reports the sticky port fault, if any.
-func (p *ConfigPort) Err() error { return p.fault }
-
-// Cycles reports configuration-clock cycles consumed since the last
-// TakeCycles call.
-func (p *ConfigPort) Cycles() uint64 { return p.cycles }
 
 // TakeCycles returns the accumulated cycle count and resets it.
 func (p *ConfigPort) TakeCycles() uint64 {
@@ -181,14 +172,6 @@ func (p *ConfigPort) Write(data []byte) (int, error) {
 		}
 	}
 	return n, nil
-}
-
-// WriteWord feeds one 32-bit word directly (used by tests).
-func (p *ConfigPort) WriteWord(w uint32) error {
-	var b [4]byte
-	binary.BigEndian.PutUint32(b[:], w)
-	_, err := p.Write(b[:])
-	return err
 }
 
 // fail records a sticky fault and corrupts the signature of every frame

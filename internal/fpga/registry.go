@@ -1,9 +1,6 @@
 package fpga
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Core is the behavioural model of one hardware function: the logic that a
 // configured frame set realises. ExecInto defines the input→output
@@ -62,23 +59,4 @@ func (r *Registry) Register(c Core) error {
 func (r *Registry) Lookup(id uint16) (Core, bool) {
 	c, ok := r.byID[id]
 	return c, ok
-}
-
-// LookupName resolves a core by name.
-func (r *Registry) LookupName(name string) (Core, bool) {
-	c, ok := r.byName[name]
-	return c, ok
-}
-
-// Len reports the number of registered cores.
-func (r *Registry) Len() int { return len(r.byID) }
-
-// Names returns all registered core names, sorted.
-func (r *Registry) Names() []string {
-	names := make([]string, 0, len(r.byName))
-	for n := range r.byName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -34,7 +34,7 @@ func TestPortSurvivesRandomBytes(t *testing.T) {
 		}
 		// The port must recover after a reset.
 		f.Port().Reset()
-		if f.Port().Err() != nil {
+		if f.Port().fault != nil {
 			t.Fatalf("trial %d: reset did not clear fault", trial)
 		}
 		loadFunction(t, f, uint16(trial+1))

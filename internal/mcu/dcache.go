@@ -72,12 +72,6 @@ func (d *decodeCache) put(key dcKey, n int) {
 	d.bytes += n
 }
 
-// Len reports the number of cached configurations.
-func (d *decodeCache) Len() int { return len(d.entries) }
-
-// Bytes reports the decoded bytes currently held.
-func (d *decodeCache) Bytes() int { return d.bytes }
-
 func (d *decodeCache) remove(e *list.Element) {
 	ent := d.lru.Remove(e).(dcEntry)
 	delete(d.entries, ent.key)

@@ -48,7 +48,7 @@ func TestDecodeCacheHitSkipsDecompress(t *testing.T) {
 	if br.Get(sim.PhaseDecompress) == 0 {
 		t.Fatal("cold load paid no decompression — test is vacuous")
 	}
-	if entries, _ := c.DecodeCacheSize(); entries != 1 {
+	if entries := len(c.dcache.entries); entries != 1 {
 		t.Fatalf("cache entries = %d after cold load", entries)
 	}
 	coldStats := c.Stats()
@@ -143,13 +143,13 @@ func TestDecodeCacheEvictsAtByteBound(t *testing.T) {
 	if _, _, err := c.Execute(a.ID(), inA); err != nil {
 		t.Fatal(err)
 	}
-	if entries, bytes := c.DecodeCacheSize(); entries != 1 || bytes != aBytes {
+	if entries, bytes := len(c.dcache.entries), c.dcache.bytes; entries != 1 || bytes != aBytes {
 		t.Fatalf("after A: entries=%d bytes=%d, want 1/%d", entries, bytes, aBytes)
 	}
 	if _, _, err := c.Execute(b.ID(), inB); err != nil {
 		t.Fatal(err)
 	}
-	entries, cached := c.DecodeCacheSize()
+	entries, cached := len(c.dcache.entries), c.dcache.bytes
 	if cached > cfg.DecodeCacheBytes {
 		t.Fatalf("cache holds %d bytes, bound %d", cached, cfg.DecodeCacheBytes)
 	}
@@ -185,8 +185,8 @@ func TestDecodeCacheLRUOrder(t *testing.T) {
 	d := newDecodeCache(100)
 	d.put(makeDCKey(1, 1), 40)
 	d.put(makeDCKey(2, 1), 40)
-	if d.Len() != 2 || d.Bytes() != 80 {
-		t.Fatalf("len=%d bytes=%d", d.Len(), d.Bytes())
+	if len(d.entries) != 2 || d.bytes != 80 {
+		t.Fatalf("len=%d bytes=%d", len(d.entries), d.bytes)
 	}
 	// Refresh key 1; inserting 40 more must evict key 2, not key 1.
 	if !d.get(makeDCKey(1, 1)) {
@@ -199,8 +199,8 @@ func TestDecodeCacheLRUOrder(t *testing.T) {
 	if !d.get(makeDCKey(1, 1)) {
 		t.Error("LRU evicted the freshly used entry")
 	}
-	if d.Bytes() > 100 {
-		t.Errorf("bytes=%d over bound", d.Bytes())
+	if d.bytes > 100 {
+		t.Errorf("bytes=%d over bound", d.bytes)
 	}
 	// An entry larger than the whole cache is rejected outright.
 	d.put(makeDCKey(4, 1), 101)
@@ -209,8 +209,8 @@ func TestDecodeCacheLRUOrder(t *testing.T) {
 	}
 	// Replacing a key frees its old bytes.
 	d.put(makeDCKey(1, 1), 10)
-	if d.Len() != 2 || d.Bytes() != 10+40 {
-		t.Errorf("len=%d bytes=%d after replacing key 1, want 2/50", d.Len(), d.Bytes())
+	if len(d.entries) != 2 || d.bytes != 10+40 {
+		t.Errorf("len=%d bytes=%d after replacing key 1, want 2/50", len(d.entries), d.bytes)
 	}
 	// Distinct serials of one function are distinct entries.
 	d.put(makeDCKey(5, 1), 10)
@@ -226,15 +226,15 @@ func TestDecodeCacheManySerials(t *testing.T) {
 	d := newDecodeCache(256)
 	for i := 0; i < 1000; i++ {
 		d.put(makeDCKey(uint16(i%7), uint16(i)), 64)
-		if d.Bytes() > 256 {
-			t.Fatalf("iteration %d: bytes=%d over bound", i, d.Bytes())
+		if d.bytes > 256 {
+			t.Fatalf("iteration %d: bytes=%d over bound", i, d.bytes)
 		}
-		if d.Len() > 4 {
-			t.Fatalf("iteration %d: %d entries exceed 256/64", i, d.Len())
+		if len(d.entries) > 4 {
+			t.Fatalf("iteration %d: %d entries exceed 256/64", i, len(d.entries))
 		}
 	}
-	if d.Len() != 4 {
-		t.Fatalf("final len=%d", d.Len())
+	if len(d.entries) != 4 {
+		t.Fatalf("final len=%d", len(d.entries))
 	}
 	// Everything still reachable must be the most recent four.
 	found := 0

@@ -65,7 +65,7 @@ func TestDefragCompactsFreeSpace(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every resident function still computes correctly.
-	for _, fn := range c.ResidentFunctions() {
+	for fn := range c.kernel.table {
 		for _, f := range algos.Bank() {
 			if f.ID() != fn {
 				continue

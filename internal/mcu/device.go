@@ -51,9 +51,8 @@ const (
 	CmdExecChain = 6
 )
 
-// STATUS values.
+// STATUS values (0 until the first command completes).
 const (
-	StatusIdle     = 0
 	StatusOK       = 1
 	StatusError    = 2
 	StatusResident = 3

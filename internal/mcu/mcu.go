@@ -170,9 +170,6 @@ func (c *Controller) SetTrace(l *trace.Log) { c.traceLog = l }
 // assigns each card its index; single-card systems keep 0).
 func (c *Controller) SetCard(card int) { c.card = card }
 
-// SetMetrics attaches a telemetry registry; pass nil to disable.
-func (c *Controller) SetMetrics(r *metrics.Registry) { c.metrics = r }
-
 // SetRequestTrace tags every event emitted until the next call with
 // the serving request's distributed-trace identity (zero ids clear the
 // tag). Callers must hold the card's serialization (core.CoProcessor's
@@ -416,7 +413,6 @@ func (s Stats) HitRate() float64 {
 var (
 	ErrTooLarge   = errors.New("mcu: function does not fit the device")
 	ErrNoCapacity = errors.New("mcu: cannot free enough frames")
-	ErrBadCommand = errors.New("mcu: unknown command")
 	ErrRAMWindow  = errors.New("mcu: I/O exceeds the RAM staging windows")
 )
 
@@ -523,35 +519,14 @@ func (c *Controller) Stats() Stats { return c.stats }
 // ResetStats zeroes the statistics (not the mini-OS state).
 func (c *Controller) ResetStats() { c.stats = Stats{} }
 
-// FreeFrames reports the current Free Frame List length.
-func (c *Controller) FreeFrames() int { return len(c.kernel.freeList) }
-
 // Resident reports whether fn is currently configured on the fabric.
 func (c *Controller) Resident(fn uint16) bool {
 	_, ok := c.kernel.table[fn]
 	return ok
 }
 
-// ResidentFunctions lists the functions currently on the fabric.
-func (c *Controller) ResidentFunctions() []uint16 {
-	out := make([]uint16, 0, len(c.kernel.table))
-	for fn := range c.kernel.table {
-		out = append(out, fn)
-	}
-	return out
-}
-
 // LastBreakdown reports the per-phase latency of the most recent command.
 func (c *Controller) LastBreakdown() sim.Breakdown { return c.lastBreakdown }
-
-// DecodeCacheSize reports the decoded-frame cache occupancy (entries and
-// decoded bytes). Both are zero when the cache is disabled.
-func (c *Controller) DecodeCacheSize() (entries, bytes int) {
-	if c.dcache == nil {
-		return 0, 0
-	}
-	return c.dcache.Len(), c.dcache.Bytes()
-}
 
 // Download stores a compressed function bitstream and its record into ROM
 // (the host pushes these over PCI at provisioning time, paper §2.2). It

@@ -241,7 +241,7 @@ func TestFindRecordMatchesScan(t *testing.T) {
 	for id := uint16(0); id <= uint16(len(bank))+2; id++ {
 		want, scanned, found := memory.Record{}, c.rom.NumRecords(), false
 		for i := 0; i < c.rom.NumRecords(); i++ {
-			if rec, _ := c.rom.Record(i); rec.FnID == id {
+			if rec := c.rom.Records()[i]; rec.FnID == id {
 				want, scanned, found = rec, i+1, true
 				break
 			}
@@ -299,7 +299,7 @@ func TestCorruptBlobRecovers(t *testing.T) {
 		{"more frames than the record", rleID, 1, twoFrames},
 		{"unknown codec", 0xEE, 1, oneFrame},
 	} {
-		image, free := c.ROM().Image(), c.FreeFrames()
+		image, free := c.ROM().Image(), len(c.kernel.freeList)
 		rec := memory.Record{Name: f.Name(), FnID: f.ID(), CodecID: bc.codec,
 			InBus: f.InBus, OutBus: f.OutBus, FrameCount: bc.frames, Serial: 1}
 		if _, err := c.Download(rec, bc.blob); err == nil {
@@ -308,7 +308,7 @@ func TestCorruptBlobRecovers(t *testing.T) {
 		if !bytes.Equal(c.ROM().Image(), image) {
 			t.Errorf("%s: rejected download changed the ROM", bc.name)
 		}
-		if c.FreeFrames() != free {
+		if len(c.kernel.freeList) != free {
 			t.Errorf("%s: rejected download moved the free list", bc.name)
 		}
 		if err := c.CheckInvariants(); err != nil {
@@ -402,7 +402,7 @@ func TestMailboxProtocol(t *testing.T) {
 	install(t, c, f, "rle")
 
 	bus := pci.NewBus()
-	if err := bus.Attach(0, c, pci.ConfigSpace{VendorID: 0x1172, DeviceID: 0xA617}); err != nil {
+	if err := bus.Attach(0, c); err != nil {
 		t.Fatal(err)
 	}
 
@@ -461,7 +461,7 @@ func TestMailboxProtocol(t *testing.T) {
 	}
 
 	// Telemetry registers.
-	if free, _, _ := bus.ReadWord(0, 0, RegFREEFRM); free != uint32(c.FreeFrames()) {
+	if free, _, _ := bus.ReadWord(0, 0, RegFREEFRM); free != uint32(len(c.kernel.freeList)) {
 		t.Error("free-frame telemetry wrong")
 	}
 	if reqs, _, _ := bus.ReadWord(0, 0, RegREQS); reqs != uint32(c.Stats().Requests) {
@@ -474,7 +474,7 @@ func TestMailboxScrubAndDefrag(t *testing.T) {
 	f := algos.DES()
 	install(t, c, f, "rle")
 	bus := pci.NewBus()
-	if err := bus.Attach(0, c, pci.ConfigSpace{}); err != nil {
+	if err := bus.Attach(0, c); err != nil {
 		t.Fatal(err)
 	}
 	// Load the function, upset a bit, scrub over the mailbox.
@@ -512,7 +512,7 @@ func TestMailboxScrubAndDefrag(t *testing.T) {
 func TestMailboxErrors(t *testing.T) {
 	c := newController(t, defaultCfg())
 	bus := pci.NewBus()
-	_ = bus.Attach(0, c, pci.ConfigSpace{})
+	_ = bus.Attach(0, c)
 
 	// Exec of unknown function.
 	_, _ = bus.WriteWord(0, 0, RegARG0, 777)

@@ -119,7 +119,10 @@ func TestBootedCardMatchesProvisioned(t *testing.T) {
 			t.Fatalf("step %d %s: provisioned and booted cards diverge", step, f.Name())
 		}
 		if step == 200 {
-			fn := prov.ResidentFunctions()[0]
+			var fn uint16
+			for fn = range prov.kernel.table {
+				break
+			}
 			frames := prov.FramesOf(fn)
 			for _, c := range cards {
 				if err := c.Fabric().InjectSEU(frames[len(frames)-1], 8*40+3); err != nil {

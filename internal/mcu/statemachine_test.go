@@ -52,8 +52,8 @@ func TestMiniOSRandomOperations(t *testing.T) {
 						// TestReloadAfterExternalClobber; here it would
 						// legitimately trip the invariant until repaired.
 						owned := false
-						for _, fn := range c.ResidentFunctions() {
-							for _, of := range residentFramesOf(c, fn) {
+						for _, res := range c.kernel.table {
+							for _, of := range res.frames {
 								if of == fi {
 									owned = true
 								}

@@ -33,8 +33,8 @@ func TestROMImageRoundTrip(t *testing.T) {
 		t.Fatal("geometry mismatch after reload")
 	}
 	for i := 0; i < rom.NumRecords(); i++ {
-		a, _ := rom.Record(i)
-		b, _ := got.Record(i)
+		a := rom.recs[i]
+		b := got.recs[i]
 		if a != b {
 			t.Fatalf("record %d differs: %+v vs %+v", i, a, b)
 		}

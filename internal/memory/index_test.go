@@ -31,8 +31,8 @@ func checkIndex(t *testing.T, r *ROM, maxID int) {
 		if err != nil {
 			t.Fatalf("slot %d: %v", i, err)
 		}
-		if got, err := r.Record(i); err != nil || got != want {
-			t.Fatalf("Record(%d) = %+v, %v; slot bytes decode to %+v", i, got, err, want)
+		if got := r.recs[i]; got != want {
+			t.Fatalf("record %d = %+v; slot bytes decode to %+v", i, got, want)
 		}
 	}
 	for id := 0; id <= maxID+2; id++ {
@@ -109,8 +109,8 @@ func TestRecordIndexMatchesScan(t *testing.T) {
 		}
 		checkIndex(t, reloaded, maxID)
 		for i := 0; i < rom.NumRecords(); i++ {
-			a, _ := rom.Record(i)
-			b, _ := reloaded.Record(i)
+			a := rom.recs[i]
+			b := reloaded.recs[i]
 			if a != b {
 				t.Fatalf("record %d differs after reload: %+v vs %+v", i, a, b)
 			}

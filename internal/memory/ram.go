@@ -6,15 +6,10 @@ import (
 )
 
 // RAM is the word-addressed local store the microcontroller stages
-// function inputs and outputs in (paper §2.3). Accesses are bounds-checked
-// and cost-modelled through a 32-bit interface.
+// function inputs and outputs in (paper §2.3). Accesses are bounds-checked.
 type RAM struct {
 	data []byte
 }
-
-// RAMBytesPerCycle is the local RAM port width: 32-bit SRAM delivers 4
-// bytes per microcontroller cycle.
-const RAMBytesPerCycle = 4
 
 // ErrRAMBounds reports an out-of-range RAM access.
 var ErrRAMBounds = errors.New("memory: RAM access out of bounds")
@@ -74,10 +69,4 @@ func (r *RAM) check(off, n int) error {
 		return fmt.Errorf("%w: read [%d, %d) of %d", ErrRAMBounds, off, off+n, len(r.data))
 	}
 	return nil
-}
-
-// AccessCycles reports microcontroller cycles to move n bytes through the
-// RAM port.
-func AccessCycles(n int) uint64 {
-	return uint64((n + RAMBytesPerCycle - 1) / RAMBytesPerCycle)
 }

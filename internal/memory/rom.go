@@ -175,14 +175,6 @@ func (r *ROM) add(rec Record) {
 	r.recs = append(r.recs, rec)
 }
 
-// Record returns the i-th record (installation order).
-func (r *ROM) Record(i int) (Record, error) {
-	if i < 0 || i >= len(r.recs) {
-		return Record{}, fmt.Errorf("%w: index %d of %d", ErrNoRecord, i, len(r.recs))
-	}
-	return r.recs[i], nil
-}
-
 // Records returns all records in installation order.
 func (r *ROM) Records() []Record {
 	return append([]Record(nil), r.recs...)
@@ -197,16 +189,6 @@ func (r *ROM) FindByID(fnID uint16) (Record, int, error) {
 		return Record{}, 0, fmt.Errorf("%w: id %d", ErrNoRecord, fnID)
 	}
 	return r.recs[slot], slot, nil
-}
-
-// FindByName locates the record of the named function.
-func (r *ROM) FindByName(name string) (Record, error) {
-	for _, rec := range r.recs {
-		if rec.Name == name {
-			return rec, nil
-		}
-	}
-	return Record{}, fmt.Errorf("%w: name %q", ErrNoRecord, name)
 }
 
 // ReadAt copies n bytes starting at off into a fresh slice.

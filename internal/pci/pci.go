@@ -2,9 +2,8 @@
 // the co-processor card sits on (the paper's proof-of-concept uses an
 // Altera Stratix PCI development board). It models what the experiments
 // need from PCI: per-transaction arbitration and address overhead, burst
-// data phases, burst-length limits, and a configuration space for device
-// discovery — enough that host↔board transfer cost scales the way a real
-// bus makes it scale.
+// data phases and burst-length limits — enough that host↔board transfer
+// cost scales the way a real bus makes it scale.
 package pci
 
 import (
@@ -47,23 +46,8 @@ type Device interface {
 	WriteBAR(bar int, off uint32, p []byte) error
 }
 
-// ConfigSpace is the identification header of a device.
-type ConfigSpace struct {
-	VendorID uint16
-	DeviceID uint16
-	Class    uint32
-}
-
-// Standard configuration registers (byte offsets).
-const (
-	CfgRegID    = 0x00 // device ID << 16 | vendor ID
-	CfgRegClass = 0x08 // class code
-	CfgRegBAR0  = 0x10 // BAR0 size probe; BARn at 0x10+4n
-)
-
 type slot struct {
 	dev Device
-	cfg ConfigSpace
 	// word is the data phase of a single-word transaction. It lives in
 	// the slot because a local array would escape through the Device
 	// interface and cost an allocation per register access.
@@ -81,24 +65,15 @@ type Bus struct {
 func NewBus() *Bus { return &Bus{slots: make(map[int]*slot)} }
 
 // Attach plugs a device into a slot.
-func (b *Bus) Attach(slotNo int, d Device, cfg ConfigSpace) error {
+func (b *Bus) Attach(slotNo int, d Device) error {
 	if d == nil {
 		return errors.New("pci: Attach(nil device)")
 	}
 	if _, used := b.slots[slotNo]; used {
 		return fmt.Errorf("%w: %d", ErrSlotUsed, slotNo)
 	}
-	b.slots[slotNo] = &slot{dev: d, cfg: cfg}
+	b.slots[slotNo] = &slot{dev: d}
 	return nil
-}
-
-// Slots lists occupied slot numbers.
-func (b *Bus) Slots() []int {
-	var out []int
-	for s := range b.slots {
-		out = append(out, s)
-	}
-	return out
 }
 
 func (b *Bus) at(slotNo int) (*slot, error) {
@@ -107,26 +82,6 @@ func (b *Bus) at(slotNo int) (*slot, error) {
 		return nil, fmt.Errorf("%w: %d", ErrNoDevice, slotNo)
 	}
 	return s, nil
-}
-
-// ConfigRead performs a type-0 configuration read. Unoccupied slots
-// return all-ones (master abort), as on a real bus, with no error.
-func (b *Bus) ConfigRead(slotNo int, reg int) (uint32, uint64) {
-	cycles := uint64(arbCycles + addrCycles + waitCycles + 1)
-	s, ok := b.slots[slotNo]
-	if !ok {
-		return 0xFFFFFFFF, cycles
-	}
-	switch {
-	case reg == CfgRegID:
-		return uint32(s.cfg.DeviceID)<<16 | uint32(s.cfg.VendorID), cycles
-	case reg == CfgRegClass:
-		return s.cfg.Class, cycles
-	case reg >= CfgRegBAR0 && reg < CfgRegBAR0+24 && (reg-CfgRegBAR0)%4 == 0:
-		return s.dev.BARSize((reg - CfgRegBAR0) / 4), cycles
-	default:
-		return 0, cycles
-	}
 }
 
 // TransferCycles is the bus cost of moving n bytes via burst

@@ -45,7 +45,7 @@ func newBus(t *testing.T) (*Bus, *memDevice) {
 	t.Helper()
 	b := NewBus()
 	d := &memDevice{}
-	err := b.Attach(3, d, ConfigSpace{VendorID: 0x1172, DeviceID: 0xA617, Class: 0x0B4000})
+	err := b.Attach(3, d)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,41 +54,11 @@ func newBus(t *testing.T) (*Bus, *memDevice) {
 
 func TestAttachErrors(t *testing.T) {
 	b, _ := newBus(t)
-	if err := b.Attach(3, &memDevice{}, ConfigSpace{}); !errors.Is(err, ErrSlotUsed) {
+	if err := b.Attach(3, &memDevice{}); !errors.Is(err, ErrSlotUsed) {
 		t.Errorf("double attach: %v", err)
 	}
-	if err := b.Attach(4, nil, ConfigSpace{}); err == nil {
+	if err := b.Attach(4, nil); err == nil {
 		t.Error("nil device accepted")
-	}
-	if got := b.Slots(); len(got) != 1 || got[0] != 3 {
-		t.Errorf("Slots = %v", got)
-	}
-}
-
-func TestConfigRead(t *testing.T) {
-	b, _ := newBus(t)
-	id, cyc := b.ConfigRead(3, CfgRegID)
-	if id != 0xA617_1172 {
-		t.Errorf("ID reg = %08x", id)
-	}
-	if cyc == 0 {
-		t.Error("config read free")
-	}
-	if class, _ := b.ConfigRead(3, CfgRegClass); class != 0x0B4000 {
-		t.Errorf("class = %06x", class)
-	}
-	if sz, _ := b.ConfigRead(3, CfgRegBAR0); sz != 16 {
-		t.Errorf("BAR0 size = %d", sz)
-	}
-	if sz, _ := b.ConfigRead(3, CfgRegBAR0+4); sz != 1024 {
-		t.Errorf("BAR1 size = %d", sz)
-	}
-	if sz, _ := b.ConfigRead(3, CfgRegBAR0+8); sz != 0 {
-		t.Errorf("BAR2 size = %d", sz)
-	}
-	// Empty slot: master abort returns all ones.
-	if v, _ := b.ConfigRead(9, CfgRegID); v != 0xFFFFFFFF {
-		t.Errorf("empty slot read = %08x", v)
 	}
 }
 

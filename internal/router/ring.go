@@ -96,25 +96,6 @@ func (r *Ring) Add(node string) {
 	})
 }
 
-// Remove deletes a node and its points (idempotent). Keys it owned
-// redistribute to the next clockwise survivors; nothing else moves.
-func (r *Ring) Remove(node string) {
-	if _, ok := r.nodes[node]; !ok {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-// Len is the member count.
-func (r *Ring) Len() int { return len(r.nodes) }
-
 // Nodes returns the members sorted by name.
 func (r *Ring) Nodes() []string {
 	out := make([]string, 0, len(r.nodes))

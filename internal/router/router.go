@@ -257,19 +257,6 @@ func classify(err error) disposition {
 	return dispTerminal // context errors and the like are not the backend's fault
 }
 
-// Call routes one request through the fleet, returning the output and
-// the serving backend card. The context deadline bounds routing,
-// retries, and the forwarded budget. Non-OK backend statuses surface
-// as *client.StatusError, exactly as a direct client call would.
-func (r *Router) Call(ctx context.Context, fn uint16, payload []byte) ([]byte, int, error) {
-	ref := r.opts.Tracer.StartRoot("route", "router", fn)
-	start := time.Now() //lint:wallclock hop accounting is wall time; the router is outside the simulation
-	out, card, backendNS, err := r.route(ctx, []uint16{fn}, payload, nil, ref)
-	r.observeRoute(start, backendNS, err, ref.TraceID)
-	r.opts.Tracer.End(ref, routeStatus(err))
-	return out, card, err
-}
-
 // ringKey places a stage list on the ring. A plain call keys on its
 // function id. A chain folds its whole ordered stage list into one
 // synthetic key (FNV-1a over the big-endian stage bytes, upper half
@@ -289,8 +276,8 @@ func ringKey(stages []uint16) uint16 {
 	return uint16(h ^ h>>16)
 }
 
-// route is the candidate/retry loop behind Call and the wire front
-// end: it forwards the stage list (one function for a plain call) to
+// route is the candidate/retry loop behind the wire front end: it
+// forwards the stage list (one function for a plain call) to
 // the backends ringKey's affinity selects. A successful answer is
 // copied into dst's array when it fits (client.CallRef's contract).
 // backendNS accumulates wall time spent inside backend forwards, so

@@ -36,9 +36,9 @@ type Job struct {
 type Picker interface {
 	Name() string
 	// Next returns the index into pending of the job to serve now.
-	// pending is never empty; resident reports the functions currently
-	// configured on the fabric.
-	Next(pending []Job, resident map[uint16]bool) int
+	// pending is never empty; resident reports whether a function is
+	// currently configured on the fabric.
+	Next(pending []Job, resident func(fn uint16) bool) int
 }
 
 // Names lists the available scheduler names.
@@ -66,7 +66,7 @@ type FIFO struct{}
 func (FIFO) Name() string { return "fifo" }
 
 // Next implements Picker.
-func (FIFO) Next(pending []Job, resident map[uint16]bool) int { return 0 }
+func (FIFO) Next(pending []Job, resident func(fn uint16) bool) int { return 0 }
 
 // Sticky serves any pending job whose function is already resident,
 // preferring the oldest; only when nothing matches does it take the head
@@ -77,9 +77,9 @@ type Sticky struct{}
 func (Sticky) Name() string { return "sticky" }
 
 // Next implements Picker.
-func (Sticky) Next(pending []Job, resident map[uint16]bool) int {
+func (Sticky) Next(pending []Job, resident func(fn uint16) bool) int {
 	for i, j := range pending {
-		if resident[j.Fn] {
+		if resident(j.Fn) {
 			return i
 		}
 	}
@@ -114,11 +114,8 @@ func NewWindow(depth int) (*Window, error) {
 // Name implements Picker.
 func (w *Window) Name() string { return "window" }
 
-// Depth reports the lookahead depth.
-func (w *Window) Depth() int { return w.depth }
-
 // Next implements Picker.
-func (w *Window) Next(pending []Job, resident map[uint16]bool) int {
+func (w *Window) Next(pending []Job, resident func(fn uint16) bool) int {
 	head := pending[0].Seq
 	if !w.primed || head != w.headSeq {
 		w.headSeq, w.headSkips, w.primed = head, 0, true
@@ -133,7 +130,7 @@ func (w *Window) Next(pending []Job, resident map[uint16]bool) int {
 		limit = len(pending)
 	}
 	for i := 0; i < limit; i++ {
-		if resident[pending[i].Fn] {
+		if resident(pending[i].Fn) {
 			if i != 0 {
 				w.headSkips++
 			}
@@ -146,11 +143,11 @@ func (w *Window) Next(pending []Job, resident map[uint16]bool) int {
 // Run drains the queue through serve (which executes one job and reports
 // whether it hit the fabric), returning the service order and the worst
 // overtaking any job suffered (served position minus submission index).
-func Run(jobs []Job, p Picker, resident func() map[uint16]bool, serve func(Job) error) (order []int, maxDisplacement int, err error) {
+func Run(jobs []Job, p Picker, resident func(fn uint16) bool, serve func(Job) error) (order []int, maxDisplacement int, err error) {
 	pending := append([]Job(nil), jobs...)
 	pos := 0
 	for len(pending) > 0 {
-		i := p.Next(pending, resident())
+		i := p.Next(pending, resident)
 		if i < 0 || i >= len(pending) {
 			return nil, 0, fmt.Errorf("sched: %s picked %d of %d pending", p.Name(), i, len(pending))
 		}

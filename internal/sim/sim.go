@@ -35,9 +35,6 @@ func (t Time) Duration() time.Duration {
 	return time.Duration(t/Nanosecond) * time.Nanosecond
 }
 
-// Nanoseconds reports t in nanoseconds, rounded down.
-func (t Time) Nanoseconds() uint64 { return uint64(t / Nanosecond) }
-
 // Microseconds reports t in microseconds as a float for table output.
 func (t Time) Microseconds() float64 { return float64(t) / float64(Microsecond) }
 
@@ -57,11 +54,9 @@ func (t Time) String() string {
 	}
 }
 
-// Domain is a clock domain: a name, a frequency, and an accumulated cycle
+// Domain is a clock domain: a cycle period and an accumulated cycle
 // counter. The zero value is unusable; construct domains with NewDomain.
 type Domain struct {
-	name       string
-	hz         uint64
 	psPerCycle uint64
 	cycles     uint64
 }
@@ -75,14 +70,8 @@ func NewDomain(name string, hz uint64) *Domain {
 	if hz == 0 || hz > thz {
 		panic(fmt.Sprintf("sim: invalid frequency %d Hz for clock domain %q", hz, name))
 	}
-	return &Domain{name: name, hz: hz, psPerCycle: (thz + hz/2) / hz}
+	return &Domain{psPerCycle: (thz + hz/2) / hz}
 }
-
-// Name reports the domain name.
-func (d *Domain) Name() string { return d.name }
-
-// Hz reports the domain frequency.
-func (d *Domain) Hz() uint64 { return d.hz }
 
 // Advance adds c cycles to the domain counter and returns the virtual time
 // those cycles took.
@@ -94,20 +83,10 @@ func (d *Domain) Advance(c uint64) Time {
 // Span converts a cycle count to virtual time without advancing the clock.
 func (d *Domain) Span(c uint64) Time { return Time(c * d.psPerCycle) }
 
-// CyclesFor reports how many whole cycles of this domain cover t,
-// rounding up.
-func (d *Domain) CyclesFor(t Time) uint64 {
-	return (uint64(t) + d.psPerCycle - 1) / d.psPerCycle
-}
-
 // Cycles reports the accumulated cycle count.
+//
+//lint:allow deadexport internal/core's tests read the PCI domain's count to prove that error paths charge the bus
 func (d *Domain) Cycles() uint64 { return d.cycles }
-
-// Elapsed reports the accumulated virtual time of the domain.
-func (d *Domain) Elapsed() Time { return Time(d.cycles * d.psPerCycle) }
-
-// Reset zeroes the accumulated cycle counter.
-func (d *Domain) Reset() { d.cycles = 0 }
 
 // Phase identifies one stage of the request path for latency accounting.
 type Phase int
@@ -237,17 +216,4 @@ func (r *RNG) Intn(n int) int {
 // Float64 returns a uniform value in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / float64(1<<53)
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
 }

@@ -438,28 +438,6 @@ func (t *Tracer) Captured() []*Trace {
 	return out
 }
 
-// Tail snapshots the slowest-N ring, slowest first.
-func (t *Tracer) Tail() []*Trace {
-	if t == nil {
-		return nil
-	}
-	t.ringsMu.Lock()
-	out := append([]*Trace(nil), t.tail...)
-	t.ringsMu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].DurNS > out[j].DurNS })
-	return out
-}
-
-// Errored snapshots the error ring in arrival order.
-func (t *Tracer) Errored() []*Trace {
-	if t == nil {
-		return nil
-	}
-	t.ringsMu.Lock()
-	defer t.ringsMu.Unlock()
-	return append([]*Trace(nil), t.errs...)
-}
-
 // Completed counts traces the collector has filed.
 func (t *Tracer) Completed() uint64 {
 	if t == nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"sort"
 	"testing"
 )
 
@@ -370,4 +371,26 @@ func TestTracerConcurrentCompletion(t *testing.T) {
 	if got := tr.Completed() + tr.Dropped(); got != 8*200 {
 		t.Fatalf("completed+dropped = %d, want 1600", got)
 	}
+}
+
+// Tail snapshots the slowest-N ring, slowest first.
+func (t *Tracer) Tail() []*Trace {
+	if t == nil {
+		return nil
+	}
+	t.ringsMu.Lock()
+	out := append([]*Trace(nil), t.tail...)
+	t.ringsMu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].DurNS > out[j].DurNS })
+	return out
+}
+
+// Errored snapshots the error ring in arrival order.
+func (t *Tracer) Errored() []*Trace {
+	if t == nil {
+		return nil
+	}
+	t.ringsMu.Lock()
+	defer t.ringsMu.Unlock()
+	return append([]*Trace(nil), t.errs...)
 }

@@ -62,7 +62,6 @@ type Log struct {
 	mu      sync.Mutex
 	events  []Event
 	seq     uint64
-	counts  map[Kind]int
 	dropped uint64
 	// Cap bounds the log length; beyond it, the oldest half is dropped
 	// and a KindDrop marker notes the loss. Zero means 1<<20 events.
@@ -77,18 +76,12 @@ func (l *Log) Record(e Event) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.counts == nil {
-		l.counts = make(map[Kind]int)
-	}
 	cap := l.Cap
 	if cap == 0 {
 		cap = 1 << 20
 	}
 	if len(l.events) >= cap {
 		drop := len(l.events) / 2
-		for _, old := range l.events[:drop] {
-			l.counts[old.Kind]--
-		}
 		l.events = append(l.events[:0], l.events[drop:]...)
 		l.dropped += uint64(drop)
 		l.seq++
@@ -97,12 +90,10 @@ func (l *Log) Record(e Event) {
 			Detail: fmt.Sprintf("trace overflow: dropped %d oldest events", drop),
 		}
 		l.events = append(l.events, marker)
-		l.counts[KindDrop]++
 	}
 	l.seq++
 	e.Seq = l.seq
 	l.events = append(l.events, e)
-	l.counts[e.Kind]++
 }
 
 // Len reports the number of recorded events.
@@ -136,18 +127,6 @@ func (l *Log) Events() []Event {
 	return append([]Event(nil), l.events...)
 }
 
-// Count tallies events of one kind currently held in the log. Tallies
-// are maintained at Record time, so Count is O(1) regardless of log
-// length.
-func (l *Log) Count(k Kind) int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.counts[k]
-}
-
 // WriteJSONL streams the log as JSON lines.
 func (l *Log) WriteJSONL(w io.Writer) error {
 	if l == nil {
@@ -160,18 +139,4 @@ func (l *Log) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// ReadJSONL parses a JSON-lines log (the inverse of WriteJSONL).
-func ReadJSONL(r io.Reader) ([]Event, error) {
-	dec := json.NewDecoder(r)
-	var out []Event
-	for dec.More() {
-		var e Event
-		if err := dec.Decode(&e); err != nil {
-			return nil, fmt.Errorf("trace: %w", err)
-		}
-		out = append(out, e)
-	}
-	return out, nil
 }

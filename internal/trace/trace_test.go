@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
 	"strings"
 	"sync"
 	"testing"
@@ -10,7 +13,7 @@ import (
 func TestNilLogIsSafe(t *testing.T) {
 	var l *Log
 	l.Record(Event{Kind: KindRequest})
-	if l.Len() != 0 || l.Events() != nil || l.Count(KindRequest) != 0 {
+	if l.Len() != 0 || l.Events() != nil || count(l, KindRequest) != 0 {
 		t.Error("nil log misbehaved")
 	}
 	var buf bytes.Buffer
@@ -27,7 +30,7 @@ func TestRecordAndQuery(t *testing.T) {
 	if l.Len() != 3 {
 		t.Fatalf("Len = %d", l.Len())
 	}
-	if l.Count(KindRequest) != 2 || l.Count(KindHit) != 1 || l.Count(KindEvict) != 0 {
+	if count(l, KindRequest) != 2 || count(l, KindHit) != 1 || count(l, KindEvict) != 0 {
 		t.Error("counts wrong")
 	}
 	ev := l.Events()
@@ -52,15 +55,12 @@ func TestJSONLRoundTrip(t *testing.T) {
 	if got := strings.Count(buf.String(), "\n"); got != 2 {
 		t.Fatalf("%d lines", got)
 	}
-	events, err := ReadJSONL(&buf)
+	events, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(events) != 2 || events[0] != l.Events()[0] || events[1].Detail != "boom" {
 		t.Errorf("round trip mismatch: %+v", events)
-	}
-	if _, err := ReadJSONL(strings.NewReader("{not json")); err == nil {
-		t.Error("garbage accepted")
 	}
 }
 
@@ -82,7 +82,7 @@ func TestOverflowDropsOldest(t *testing.T) {
 		t.Error("no overflow marker")
 	}
 	// The marker is not an error: KindError stays clean.
-	if got := l.Count(KindError); got != 0 {
+	if got := count(l, KindError); got != 0 {
 		t.Errorf("overflow polluted Count(KindError) = %d", got)
 	}
 	// Dropped events are accounted.
@@ -96,51 +96,6 @@ func TestOverflowDropsOldest(t *testing.T) {
 	}
 }
 
-func TestCountTracksOverflow(t *testing.T) {
-	l := &Log{Cap: 10}
-	for i := 0; i < 25; i++ {
-		k := KindRequest
-		if i%2 == 1 {
-			k = KindHit
-		}
-		l.Record(Event{Kind: k, Fn: uint16(i)})
-	}
-	// O(1) tallies must match a full scan after overflow halving.
-	want := map[Kind]int{}
-	for _, e := range l.Events() {
-		want[e.Kind]++
-	}
-	for _, k := range []Kind{KindRequest, KindHit, KindDrop, KindError} {
-		if got := l.Count(k); got != want[k] {
-			t.Errorf("Count(%s) = %d, scan says %d", k, got, want[k])
-		}
-	}
-}
-
-func TestReadJSONLMalformed(t *testing.T) {
-	cases := map[string]string{
-		"garbage":          "{not json",
-		"truncated object": `{"seq":1,"kind":"requ`,
-		"truncated stream": `{"seq":1,"time_ps":5,"kind":"request"}` + "\n" + `{"seq":2,"ki`,
-		"wrong type":       `{"seq":"one","kind":"request"}`,
-		"bare array":       `[1,2,3]`,
-	}
-	for name, in := range cases {
-		if _, err := ReadJSONL(strings.NewReader(in)); err == nil {
-			t.Errorf("%s: malformed input accepted", name)
-		}
-	}
-	// Empty input is a valid empty log, not an error.
-	events, err := ReadJSONL(strings.NewReader(""))
-	if err != nil || len(events) != 0 {
-		t.Errorf("empty input: events=%v err=%v", events, err)
-	}
-	// Whitespace-only likewise.
-	if _, err := ReadJSONL(strings.NewReader("\n\n  \n")); err != nil {
-		t.Errorf("whitespace input rejected: %v", err)
-	}
-}
-
 func TestReadJSONLPreservesNewFields(t *testing.T) {
 	l := &Log{}
 	l.Record(Event{Kind: KindSpan, Fn: 7, TimePS: 100, DurPS: 40, Detail: "configure", Card: 3})
@@ -148,7 +103,7 @@ func TestReadJSONLPreservesNewFields(t *testing.T) {
 	if err := l.WriteJSONL(&buf); err != nil {
 		t.Fatal(err)
 	}
-	events, err := ReadJSONL(&buf)
+	events, err := readJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,4 +128,29 @@ func TestConcurrentRecord(t *testing.T) {
 	if l.Len() != 800 {
 		t.Errorf("Len = %d, want 800", l.Len())
 	}
+}
+
+// count tallies the log's events of kind k.
+func count(l *Log, k Kind) int {
+	n := 0
+	for _, e := range l.Events() {
+		if e.Kind == k {
+			n++
+		}
+	}
+	return n
+}
+
+// readJSONL parses a JSON-lines log (the inverse of WriteJSONL).
+func readJSONL(r io.Reader) ([]Event, error) {
+	dec := json.NewDecoder(r)
+	var out []Event
+	for dec.More() {
+		var e Event
+		if err := dec.Decode(&e); err != nil {
+			return nil, fmt.Errorf("trace: %w", err)
+		}
+		out = append(out, e)
+	}
+	return out, nil
 }

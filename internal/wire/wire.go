@@ -404,19 +404,6 @@ func DecodeRequestInto(req *Request, b []byte) (int, error) {
 	return lenPrefix + len(body), nil
 }
 
-// DecodeRequest decodes one request frame from the front of b,
-// returning the bytes consumed. The payload is copied out of b, so the
-// request owns its memory (the zero-copy variant is DecodeRequestInto).
-func DecodeRequest(b []byte) (*Request, int, error) {
-	var req Request
-	n, err := DecodeRequestInto(&req, b)
-	if err != nil {
-		return nil, 0, err
-	}
-	req.Payload = append([]byte(nil), req.Payload...)
-	return &req, n, nil
-}
-
 // DecodeResponseInto decodes one response frame from the front of b
 // into *resp without copying: resp.Payload aliases b. It returns the
 // bytes consumed.
@@ -570,20 +557,6 @@ func ReadResponseFrame(r io.Reader, resp *Response) (Frame, error) {
 		return Frame{}, err
 	}
 	return Frame{bp: bp}, nil
-}
-
-// ReadRequest reads and decodes one request frame from r. A clean
-// close at a frame boundary returns io.EOF; a close mid-frame returns
-// ErrTruncated. The payload is copied, so the request owns its memory
-// (the zero-copy variant is ReadRequestFrame).
-func ReadRequest(r io.Reader) (*Request, error) {
-	bp, err := readFrame(r, chainHeaderLen, maxRequestHeaderLen)
-	if err != nil {
-		return nil, err
-	}
-	req, _, err := DecodeRequest(*bp)
-	putBuf(bp)
-	return req, err
 }
 
 // ReadResponse reads and decodes one response frame from r.

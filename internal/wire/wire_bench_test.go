@@ -43,19 +43,6 @@ func BenchmarkWriteResponse(b *testing.B) {
 	}
 }
 
-func BenchmarkReadRequest(b *testing.B) {
-	frame := AppendRequest(nil, &Request{ID: 42, Fn: 7, Payload: benchPayload(4096)})
-	rd := bytes.NewReader(frame)
-	b.ReportAllocs()
-	b.SetBytes(int64(len(frame)))
-	for i := 0; i < b.N; i++ {
-		rd.Reset(frame)
-		if _, err := ReadRequest(rd); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkReadResponse(b *testing.B) {
 	frame := AppendResponse(nil, &Response{ID: 42, Status: StatusOK, Card: 1, Payload: benchPayload(4096)})
 	rd := bytes.NewReader(frame)
@@ -166,15 +153,18 @@ func BenchmarkRoundTrip(b *testing.B) {
 	req := &Request{ID: 42, Fn: 7, Payload: benchPayload(4096)}
 	resp := &Response{ID: 42, Status: StatusOK, Card: 0, Payload: benchPayload(4096)}
 	var buf bytes.Buffer
+	var got Request
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
 		if err := WriteRequest(&buf, req); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := ReadRequest(&buf); err != nil {
+		fr, err := ReadRequestFrame(&buf, &got)
+		if err != nil {
 			b.Fatal(err)
 		}
+		fr.Release()
 		buf.Reset()
 		if err := WriteResponse(&buf, resp); err != nil {
 			b.Fatal(err)

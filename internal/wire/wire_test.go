@@ -68,15 +68,17 @@ func TestStreamRoundTrip(t *testing.T) {
 		}
 	}
 	for _, want := range reqs {
-		got, err := ReadRequest(&buf)
+		var got Request
+		fr, err := ReadRequestFrame(&buf, &got)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.ID != want.ID || !bytes.Equal(got.Payload, want.Payload) {
 			t.Fatalf("stream mismatch: %+v vs %+v", got, want)
 		}
+		fr.Release()
 	}
-	if _, err := ReadRequest(&buf); err != io.EOF {
+	if _, err := ReadRequestFrame(&buf, new(Request)); err != io.EOF {
 		t.Fatalf("empty stream err = %v, want io.EOF", err)
 	}
 }
@@ -89,7 +91,7 @@ func TestDecodeTruncated(t *testing.T) {
 		}
 	}
 	// Mid-frame stream close is distinguished from a clean close.
-	if _, err := ReadRequest(bytes.NewReader(full[:len(full)-2])); !errors.Is(err, ErrTruncated) {
+	if _, err := ReadRequestFrame(bytes.NewReader(full[:len(full)-2]), new(Request)); !errors.Is(err, ErrTruncated) {
 		t.Fatalf("stream cut err should be ErrTruncated")
 	}
 }
@@ -133,7 +135,7 @@ func TestDecodeOversized(t *testing.T) {
 		t.Fatalf("err = %v, want ErrOversized", err)
 	}
 	// The stream reader must reject the length prefix before allocating.
-	if _, err := ReadRequest(bytes.NewReader(b)); !errors.Is(err, ErrOversized) {
+	if _, err := ReadRequestFrame(bytes.NewReader(b), new(Request)); !errors.Is(err, ErrOversized) {
 		t.Fatalf("stream err = %v, want ErrOversized", err)
 	}
 	if err := WriteRequest(io.Discard, &Request{ID: 1, Fn: 1, Payload: make([]byte, MaxPayload+1)}); !errors.Is(err, ErrOversized) {
@@ -370,4 +372,17 @@ func TestTraceContextRejectsMalformed(t *testing.T) {
 	if !(TraceContext{TraceID: 1, Flags: FlagSampled}).Sampled() || (TraceContext{TraceID: 1}).Sampled() {
 		t.Fatal("Sampled() does not reflect FlagSampled")
 	}
+}
+
+// DecodeRequest decodes one request frame from the front of b,
+// returning the bytes consumed. The payload is copied out of b, so the
+// request owns its memory (the zero-copy variant is DecodeRequestInto).
+func DecodeRequest(b []byte) (*Request, int, error) {
+	var req Request
+	n, err := DecodeRequestInto(&req, b)
+	if err != nil {
+		return nil, 0, err
+	}
+	req.Payload = append([]byte(nil), req.Payload...)
+	return &req, n, nil
 }

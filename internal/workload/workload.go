@@ -278,27 +278,3 @@ func (g *Markov) Next() uint16 {
 	}
 	return g.fns[g.cur]
 }
-
-// Trace replays a fixed request sequence, then repeats it.
-type Trace struct {
-	seq []uint16
-	i   int
-}
-
-// NewTrace returns a generator replaying seq.
-func NewTrace(seq []uint16) (*Trace, error) {
-	if err := checkFns(seq); err != nil {
-		return nil, err
-	}
-	return &Trace{seq: append([]uint16(nil), seq...)}, nil
-}
-
-// Name implements Generator.
-func (g *Trace) Name() string { return "trace" }
-
-// Next implements Generator.
-func (g *Trace) Next() uint16 {
-	fn := g.seq[g.i]
-	g.i = (g.i + 1) % len(g.seq)
-	return fn
-}

@@ -128,22 +128,6 @@ func TestCyclicRoundRobin(t *testing.T) {
 	}
 }
 
-func TestTraceReplays(t *testing.T) {
-	g, err := NewTrace([]uint16{9, 9, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []uint16{9, 9, 4, 9, 9, 4}
-	for i, w := range want {
-		if got := g.Next(); got != w {
-			t.Fatalf("position %d: got %d, want %d", i, got, w)
-		}
-	}
-	if _, err := NewTrace(nil); err == nil {
-		t.Error("empty trace accepted")
-	}
-}
-
 func TestMarkovStickinessExtremes(t *testing.T) {
 	// stick=1: pure successor ring (cyclic shifted by one).
 	g, err := NewMarkov(cat, 1, 5)

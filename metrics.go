@@ -60,14 +60,6 @@ func (m *Metrics) Quantile(name string, q float64, match map[string]string) (tim
 	return t.Duration(), n
 }
 
-// registry exposes the internal handle to sibling files.
-func (m *Metrics) registry() *metrics.Registry {
-	if m == nil {
-		return nil
-	}
-	return m.reg
-}
-
 // Metrics exposes the card's telemetry registry, or nil when the card
 // was built without Config.Metrics.
 func (cp *CoProcessor) Metrics() *Metrics {
