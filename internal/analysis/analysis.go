@@ -38,8 +38,9 @@
 //     locks in opposite orders.
 //   - deadexport: every exported name of an internal package has a
 //     non-test reference in the module. internal/testutil and
-//     internal/analysis/analysistest are exempt, and under go vet
-//     -vettool, which sees one package at a time, it reports nothing.
+//     internal/analysis/analysistest are exempt. It needs the whole
+//     module: on any partial load, one package under go vet -vettool
+//     included, it reports nothing.
 //
 // The framework additionally reports stale //lint: directives — a
 // suppression that suppresses nothing is itself a finding (analyzer
@@ -76,6 +77,10 @@ type Analyzer struct {
 	// there and degrades to its intra-package findings (or, like
 	// deadexport, to none).
 	RunSuite func([]*Pass) error
+	// WholeModule marks a RunSuite analyzer whose answer needs every
+	// package of the module: it runs, and its directives are judged,
+	// only on a load that holds them all (see Load).
+	WholeModule bool
 }
 
 // A Pass is one analyzer's view of one type-checked package.
@@ -174,8 +179,12 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 			}
 		}
 	}
+	whole := len(pkgs) > 0
+	for _, pkg := range pkgs {
+		whole = whole && pkg.wholeModule
+	}
 	for _, a := range analyzers {
-		if a.RunSuite == nil {
+		if a.RunSuite == nil || a.WholeModule && !whole {
 			continue
 		}
 		passes := make([]*Pass, len(pkgs))
@@ -189,10 +198,18 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 	// A directive that suppressed nothing — for an analyzer that did
 	// run — is itself a finding. A whole-program analyzer given one
 	// package (the vet-tool protocol) cannot see what its directives
-	// excuse, so they are judged only on a whole-program run.
+	// excuse, so they are judged only on a whole-program run, and a
+	// whole-module analyzer's only on a whole-module one.
 	ran := make(map[string]bool, len(analyzers))
 	for _, a := range analyzers {
-		ran[a.Name] = a.RunSuite == nil || len(pkgs) > 1
+		switch {
+		case a.RunSuite == nil:
+			ran[a.Name] = true
+		case a.WholeModule:
+			ran[a.Name] = whole
+		default:
+			ran[a.Name] = len(pkgs) > 1
+		}
 	}
 	for _, pkg := range pkgs {
 		out = append(out, pkg.directives.stale(ran)...)

@@ -24,10 +24,12 @@ MarshalJSON and the like). internal/testutil and
 internal/analysis/analysistest exist for tests and are exempt; the
 root package's public API and cmd/ are not internal, and agilelint
 testdata lies outside ./..., so none of them is checked. The answer
-needs the whole module: under go vet -vettool, which hands agilelint
-one package at a time, the analyzer reports nothing, and a standalone
-run is only meaningful over ./....`,
-	RunSuite: runDeadExport,
+needs the whole module, so the analyzer reports nothing on a partial
+load: under go vet -vettool, which hands agilelint one package at a
+time, or over a pattern such as ./internal/... that leaves out the
+root package and cmd/.`,
+	RunSuite:    runDeadExport,
+	WholeModule: true,
 }
 
 // deadExportExempt lists the internal packages (below their last
@@ -48,9 +50,6 @@ var dynamicMethods = map[string]bool{
 }
 
 func runDeadExport(passes []*Pass) error {
-	if len(passes) < 2 {
-		return nil // one package cannot see its callers elsewhere
-	}
 	used := make(map[string]bool)
 	ifaces := make(map[string]map[string]string) // interface → method name → signature
 	for _, p := range passes {

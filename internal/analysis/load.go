@@ -26,7 +26,10 @@ type Package struct {
 	Types *types.Package
 	Info  *types.Info
 
-	directives *directiveIndex
+	// wholeModule is set by Load when the load holds every package of
+	// the module (see moduleLoaded).
+	wholeModule bool
+	directives  *directiveIndex
 }
 
 // sourceFiles returns the package's non-test files. Analyzers only see
@@ -104,6 +107,10 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	}
 	imp := importer.ForCompiler(fset, "gc", lookup)
 
+	whole, err := moduleLoaded(dir, targets)
+	if err != nil {
+		return nil, err
+	}
 	var pkgs []*Package
 	for _, p := range targets {
 		if len(p.GoFiles) == 0 {
@@ -122,16 +129,51 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 			return nil, fmt.Errorf("analysis: type-checking %s: %w", p.ImportPath, err)
 		}
 		pkgs = append(pkgs, &Package{
-			Path:       p.ImportPath,
-			Dir:        p.Dir,
-			Fset:       fset,
-			Files:      files,
-			Types:      pkg,
-			Info:       info,
-			directives: buildDirectiveIndex(fset, files),
+			Path:        p.ImportPath,
+			Dir:         p.Dir,
+			Fset:        fset,
+			Files:       files,
+			Types:       pkg,
+			Info:        info,
+			wholeModule: whole,
+			directives:  buildDirectiveIndex(fset, files),
 		})
 	}
 	return pkgs, nil
+}
+
+// moduleLoaded reports whether targets hold every package that may
+// import one of them. By Go's internal-import rule, a package below an
+// internal directory is importable only from the tree rooted at that
+// directory's parent — the module root for this repository's
+// internal packages, and its own miniature tree for an analyzer's
+// testdata — so every such tree must be loaded in full.
+func moduleLoaded(dir string, targets []listedPackage) (bool, error) {
+	loaded := make(map[string]bool, len(targets))
+	roots := make(map[string]bool)
+	for _, p := range targets {
+		loaded[p.ImportPath] = true
+		if i := strings.LastIndex(p.ImportPath+"/", "/internal/"); i >= 0 {
+			below := filepath.FromSlash(p.ImportPath[i:])
+			roots[strings.TrimSuffix(p.Dir, below)] = true
+		}
+	}
+	for root := range roots {
+		cmd := exec.Command("go", "list", "-e", "-find", "-f", "{{.ImportPath}}", filepath.Join(root, "..."))
+		cmd.Dir = dir
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
+		out, err := cmd.Output()
+		if err != nil {
+			return false, fmt.Errorf("analysis: go list %s/...: %v\n%s", root, err, stderr.Bytes())
+		}
+		for _, path := range strings.Fields(string(out)) {
+			if !loaded[path] {
+				return false, nil
+			}
+		}
+	}
+	return true, nil
 }
 
 // LoadFiles type-checks one package given explicit files and an export

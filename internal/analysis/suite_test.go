@@ -94,3 +94,28 @@ func TestDeadExportInertOnOnePackage(t *testing.T) {
 		t.Errorf("one-package run reported: %s", d)
 	}
 }
+
+// TestDeadExportInertOnPartialLoad: ./internal/... leaves out the root
+// package and cmd/, which call into internal packages, so the analyzer
+// cannot tell a dead export from one only they use. It must report
+// nothing, stale allow directives included.
+func TestDeadExportInertOnPartialLoad(t *testing.T) {
+	if testing.Short() {
+		t.Skip("shells out to go list -export over most of the module")
+	}
+	root, err := moduleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs, err := analysis.Load(root, "./internal/...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := analysis.RunAnalyzers(pkgs, []*analysis.Analyzer{analysis.DeadExport})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range diags {
+		t.Errorf("./internal/... run reported: %s", d)
+	}
+}

@@ -34,6 +34,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -735,7 +736,13 @@ func (cl *Cluster) worker(card int) {
 // caller has already given up, so spending fabric time on them only
 // delays the live jobs behind them.
 func (cl *Cluster) serveRun(card int, run []*Pending, res *core.Result) {
-	now := nowNS()
+	// The wall clock is read only for a run with a traced member: only
+	// a traced job keeps its stamps.
+	traced := slices.ContainsFunc(run, func(p *Pending) bool { return p.ref.Valid() })
+	var now int64
+	if traced {
+		now = nowNS()
+	}
 	live := run[:0]
 	for _, p := range run {
 		if err := p.ctx.Err(); err != nil {
@@ -788,7 +795,10 @@ func (cl *Cluster) serveRun(card int, run []*Pending, res *core.Result) {
 	// Close every traced member's service window just before completion,
 	// so queue wait (tStart−tSubmit) plus service time (tDone−tStart)
 	// tiles the job's whole dispatcher residency.
-	end := nowNS()
+	var end int64
+	if traced {
+		end = nowNS()
+	}
 	for i, p := range run {
 		if p.ref.Valid() {
 			p.tDone = end

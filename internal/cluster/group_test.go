@@ -9,6 +9,7 @@ import (
 	"agilefpga/internal/algos"
 	"agilefpga/internal/core"
 	"agilefpga/internal/metrics"
+	"agilefpga/internal/trace"
 )
 
 // TestSubmitGroupMatchesIndividualCalls is the cross-client batching
@@ -250,5 +251,32 @@ func TestSubmitGroupErrorPaths(t *testing.T) {
 		if _, _, err := p.Wait(); !errors.Is(err, ErrStopped) {
 			t.Fatalf("err after close = %v, want ErrStopped", err)
 		}
+	}
+}
+
+// TestTracedGroupStampsOnlyTracedMembers: a run with a traced member
+// reads the wall clock, and only that member keeps the stamps; an
+// untraced member of the same run reports all three as zero.
+func TestTracedGroupStampsOnlyTracedMembers(t *testing.T) {
+	cl, err := New(1, ModeReplicate, smallCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	ref := trace.SpanRef{TraceID: 0xA11CE, SpanID: 0xB0B}
+	ps := cl.SubmitJob(Job{
+		Stages: []uint16{algos.IDCRC32}, Inputs: [][]byte{{1, 2, 3, 4}, {5, 6, 7, 8}},
+		Refs: []trace.SpanRef{ref}, Wait: true,
+	})
+	for _, p := range ps {
+		if _, _, err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if sub, start, done := ps[0].TraceTimes(); sub == 0 || start == 0 || done == 0 {
+		t.Fatalf("traced member's stamps missing: %d %d %d", sub, start, done)
+	}
+	if sub, start, done := ps[1].TraceTimes(); sub != 0 || start != 0 || done != 0 {
+		t.Fatalf("untraced member stamped times: %d %d %d", sub, start, done)
 	}
 }

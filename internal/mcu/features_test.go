@@ -251,3 +251,61 @@ func TestDiffAndPrefetchCompose(t *testing.T) {
 	// invariants). The revival win itself is covered by
 	// TestDiffReloadSkipsIdenticalFrames on a roomier device.
 }
+
+// TestDiffReloadAllocs: once warm, the difference flow's bookkeeping
+// allocates nothing. An eviction records its frames' generations in
+// the function's own row, a revival checks them and takes the frames
+// off the free list in place, and a reload whose bits were overwritten
+// falls back to the full load, which reuses the row as well.
+func TestDiffReloadAllocs(t *testing.T) {
+	c := newController(t, Config{Geometry: fpga.DefaultGeometry, DiffReload: true})
+	f := algos.DES()
+	install(t, c, f, "rle")
+	in := []byte("8bytes!!")
+	exec := func() {
+		if _, _, err := c.Execute(f.ID(), in); err != nil {
+			t.Fatal(err)
+		}
+	}
+	evict := func() {
+		if !c.Evict(f.ID()) {
+			t.Fatal("des was not resident")
+		}
+	}
+	// Evict, then revive: the frames are untouched.
+	revive := func() {
+		evict()
+		exec()
+	}
+	// Evict, overwrite one of the frames, then reload: the stale record
+	// fails its generation check.
+	reload := func() {
+		evict()
+		if err := c.Fabric().ClearFrame(c.kernel.rows[f.ID()].frames[0]); err != nil {
+			t.Fatal(err)
+		}
+		exec()
+	}
+	exec()
+	for i := 0; i < 3; i++ { // warm the row and its lists
+		revive()
+		reload()
+	}
+	skipped, loaded := c.Stats().FramesSkipped, c.Stats().FramesLoaded
+	if got := testing.AllocsPerRun(50, revive); got != 0 {
+		t.Errorf("evict + revive allocates %.1f times, want 0", got)
+	}
+	if c.Stats().FramesSkipped == skipped || c.Stats().FramesLoaded != loaded {
+		t.Fatal("the evict + revive cycle did not revive in place")
+	}
+	skipped = c.Stats().FramesSkipped
+	if got := testing.AllocsPerRun(50, reload); got != 0 {
+		t.Errorf("evict + reload allocates %.1f times, want 0", got)
+	}
+	if c.Stats().FramesSkipped != skipped || c.Stats().FramesLoaded == loaded {
+		t.Fatal("the evict + reload cycle revived instead of reloading")
+	}
+	if err := c.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}

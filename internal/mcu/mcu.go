@@ -275,6 +275,13 @@ type resident struct {
 	inst       fpga.Instance
 	lastAccess uint64
 	serial     uint16
+
+	// Difference-based flow: a lazy eviction leaves frames and serial
+	// as they were and records the frames' write generations, so the
+	// next load of the function can prove its bits intact. stale is
+	// set from that eviction until the next load or Defrag.
+	stale bool
+	gens  []uint64
 }
 
 // kernel is the mini-OS state.
@@ -296,24 +303,12 @@ type kernel struct {
 	haveLast   bool
 	prefetched map[uint16]bool
 
-	// Difference-based flow: per function, the frames a lazy eviction
-	// left intact and their write generations at eviction time.
-	stale map[uint16]*staleEntry
-
 	// Chain pinning: functions that must stay resident for the duration
 	// of the running chain (ExecuteChain sets and clears them), and the
 	// pinned victims place() hid from the policy so Victim() keeps
 	// making progress; the chain re-registers them on the way out.
 	pinned map[uint16]bool
 	hidden []uint16
-}
-
-// staleEntry records a lazily evicted function's frames so a returning
-// load can prove them untouched and skip reconfiguration.
-type staleEntry struct {
-	frames []int
-	gens   []uint64
-	serial uint16
 }
 
 // Stats aggregates observable behaviour for the experiments.
@@ -488,7 +483,6 @@ func New(cfg Config, reg *fpga.Registry) (*Controller, error) {
 		policy:     cfg.Policy,
 		succ:       make(map[uint16]uint16),
 		prefetched: make(map[uint16]bool),
-		stale:      make(map[uint16]*staleEntry),
 		pinned:     make(map[uint16]bool),
 	}
 	for i := 0; i < cfg.Geometry.NumFrames(); i++ {

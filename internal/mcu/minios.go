@@ -87,49 +87,39 @@ func (c *Controller) load(rec memory.Record, br *sim.Breakdown) (*resident, erro
 // an unchanged write generation, the frames are removed from the free
 // list and the function re-activated in place, into its row res. The
 // cost is pure mini-OS bookkeeping — the saving the difference-based
-// flow exists for. The flow's own bookkeeping allocates; it is off by
-// default.
+// flow exists for. Nothing is allocated: the row keeps the frame list
+// and generations, and the free list shrinks in place.
 func (c *Controller) reviveStale(rec memory.Record, res *resident, br *sim.Breakdown) bool {
 	k := &c.kernel
-	se := k.stale[rec.FnID]
-	if se == nil {
+	if !res.stale {
 		return false
 	}
-	delete(k.stale, rec.FnID) // single-use: either revived now or gone
-	if se.serial != rec.Serial {
+	res.stale = false // single-use: either revived now or gone
+	if res.serial != rec.Serial {
 		return false
 	}
-	free := make(map[int]bool, len(k.freeList))
-	for _, fi := range k.freeList {
-		free[fi] = true
-	}
-	for i, fi := range se.frames {
-		if !free[fi] || c.fab.Generation(fi) != se.gens[i] {
+	for i, fi := range res.frames {
+		if _, free := slices.BinarySearch(k.freeList, fi); !free || c.fab.Generation(fi) != res.gens[i] {
 			return false
 		}
 	}
-	if err := c.fab.Activate(&res.inst, se.frames); err != nil {
+	if err := c.fab.Activate(&res.inst, res.frames); err != nil {
 		return false
 	}
-	remaining := k.freeList[:0]
-	member := make(map[int]bool, len(se.frames))
-	for _, fi := range se.frames {
-		member[fi] = true
+	// Mark the revived frames on the sorted free list, then close the
+	// gaps.
+	for _, fi := range res.frames {
+		i, _ := slices.BinarySearch(k.freeList, fi)
+		k.freeList[i] = -1
 	}
-	for _, fi := range k.freeList {
-		if !member[fi] {
-			remaining = append(remaining, fi)
-		}
-	}
-	k.freeList = remaining
+	k.freeList = slices.DeleteFunc(k.freeList, func(fi int) bool { return fi < 0 })
 
-	res.frames = append(res.frames[:0], se.frames...)
-	res.serial, res.lastAccess = rec.Serial, k.now
+	res.lastAccess = k.now
 	k.table[rec.FnID] = res
 	k.policy.OnInstall(rec.FnID, k.now)
-	c.stats.FramesSkipped += uint64(len(se.frames))
-	br.Add(sim.PhaseOverhead, c.mcuDom.Advance(uint64(8+2*len(se.frames))))
-	c.emit(trace.KindRevive, rec.FnID, len(se.frames), 0, "")
+	c.stats.FramesSkipped += uint64(len(res.frames))
+	br.Add(sim.PhaseOverhead, c.mcuDom.Advance(uint64(8+2*len(res.frames))))
+	c.emit(trace.KindRevive, rec.FnID, len(res.frames), 0, "")
 	return true
 }
 
@@ -208,13 +198,12 @@ func (c *Controller) evict(fn uint16, br *sim.Breakdown) {
 	if c.cfg.DiffReload {
 		// Lazy eviction: leave the bits in place and remember their
 		// write generations so a returning load can prove them intact.
-		// The entry copies the frame list: the row is rewritten by the
-		// next load.
-		gens := make([]uint64, len(res.frames))
-		for i, fi := range res.frames {
-			gens[i] = c.fab.Generation(fi)
+		// The row keeps its frame list until that load.
+		res.gens = res.gens[:0]
+		for _, fi := range res.frames {
+			res.gens = append(res.gens, c.fab.Generation(fi))
 		}
-		c.kernel.stale[fn] = &staleEntry{frames: slices.Clone(res.frames), gens: gens, serial: res.serial}
+		res.stale = true
 	} else {
 		// Scrub the logic space.
 		for _, fi := range res.frames {
@@ -269,9 +258,9 @@ func (c *Controller) Defrag() (moved int, cost sim.Time, err error) {
 		c.evict(e.fn, &br)
 	}
 	// Compaction must actually move things: drop any difference-flow
-	// stale entries so the reloads cannot revive in their old positions.
-	for fn := range c.kernel.stale {
-		delete(c.kernel.stale, fn)
+	// stale records so the reloads cannot revive in their old positions.
+	for _, res := range c.kernel.rows {
+		res.stale = false
 	}
 	for _, e := range order {
 		rec, _, ferr := c.rom.FindByID(e.fn)

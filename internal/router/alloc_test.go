@@ -13,16 +13,16 @@ import (
 
 // TestRoutedRoundTripAllocs pins what one resident call routed through
 // the wire router costs the heap — client, router, two backends of one
-// card each — at what a routed call must allocate: the router's and the
-// backend server's per-request goroutines and the copy of the response
-// payload the caller keeps. The ring lookup and the candidate list live
-// on the stack, and the backend's answer is copied into a buffer from
-// the router's pool, so the hop adds only its goroutine to the
-// single-hop count of server.TestRoundTripAllocs.
+// card each — at what a routed call must allocate: the copy of the
+// response payload the caller keeps. The router and the backend server
+// each serve the request on a parked serving goroutine, the ring lookup
+// and the candidate list live on the stack, and the backend's answer is
+// copied into a buffer from the router's pool, so the hop adds nothing
+// to the single-hop count of server.TestRoundTripAllocs.
 // Under -race sync.Pool drops Puts, so the count is exact only without
 // it. No metrics registry or tracer is attached.
 func TestRoutedRoundTripAllocs(t *testing.T) {
-	const want = 3
+	const want = 1
 	f := newFleet(t, 2, 1)
 	r, err := router.New(f.addrs, router.Options{Seed: 1, Backend: client.Options{PoolSize: 1}})
 	if err != nil {

@@ -16,17 +16,18 @@ import (
 
 // TestRoundTripAllocs pins what one resident call costs the heap across
 // the whole loopback stack — client, wire, server, cluster and card —
-// at what a call must allocate: the server's per-request goroutine and
-// the copy of the response payload the caller keeps. The client waiter,
-// the server's Call, the cluster's Pending with its output buffer, the
-// card's result and every frame buffer are pooled or reused; the core
+// at what a call must allocate: the copy of the response payload the
+// caller keeps. The request runs on a parked serving goroutine rather
+// than a new one; the client waiter, the server's Call, the cluster's
+// Pending with its output buffer, the card's result and every frame
+// buffer are pooled or reused; the core
 // computes into the card's RAM output window and the host reads it out
 // into the Pending's buffer. Under -race sync.Pool drops Puts, so the
 // count is exact only without it.
 // No metrics registry or tracer is attached: recording is not free,
 // and the serving path is what this pins.
 func TestRoundTripAllocs(t *testing.T) {
-	const want = 2
+	const want = 1
 	cl, err := cluster.New(2, cluster.ModeAffinity, core.Config{Geometry: fpga.Geometry{Rows: 32, Cols: 40}})
 	if err != nil {
 		t.Fatal(err)

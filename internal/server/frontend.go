@@ -8,6 +8,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"sync/atomic"
 
 	"agilefpga/internal/metrics"
 	"agilefpga/internal/wire"
@@ -16,9 +17,18 @@ import (
 // FrontEnd is the connection loop a Server and a Router share: it
 // accepts connections, reads pipelined request frames zero-copy,
 // rejects a request id already in flight on its connection, refuses
-// work while draining or at capacity, and runs every admitted request
-// in its own goroutine through a Handler. Responses serialise through
-// one write lock per connection and may leave out of order.
+// work while draining or at capacity, and hands every admitted request
+// to a serving goroutine, which runs it through a Handler. Responses
+// serialise through one write lock per connection and may leave out of
+// order.
+//
+// A serving goroutine runs one request at a time, for the request's
+// whole service time, so a slow request holds up neither its
+// connection's reads nor any other request. Between requests it parks
+// on the front end's idle channel, and the next admitted request goes
+// to a parked goroutine; a new one starts only when none is parked.
+// There are never more serving goroutines, busy and parked, than
+// admission slots.
 //
 // A request is answered by Call.Reply, which retires its id before
 // writing its response — a client may reuse the id the moment it reads
@@ -32,6 +42,15 @@ type FrontEnd struct {
 	reg  *metrics.Registry // the agile_server_* edge series; nil records nothing
 	sem  chan struct{}
 
+	// idle hands an admitted request to a parked serving goroutine.
+	// closeConns closes it once, after every connection loop — every
+	// sender — has exited; a parked goroutine then ends, a busy one
+	// after its request.
+	idle      chan *Call
+	closeIdle sync.Once
+	servers   atomic.Int32              // serving goroutines alive, busy or parked
+	onServing func(fe *FrontEnd, d int) // hookServing when the front end was built
+
 	mu       sync.Mutex
 	ln       net.Listener
 	conns    map[net.Conn]struct{}
@@ -43,10 +62,11 @@ type FrontEnd struct {
 
 // Handler is what a FrontEnd does with the requests it reads.
 type Handler struct {
-	// Serve runs one admitted request in the request's own goroutine.
-	// ctx carries the request's deadline, counted from admission. Serve
-	// must answer with exactly one rq.Reply, and must not keep rq once
-	// it returns: the Call is recycled then.
+	// Serve runs one admitted request on a serving goroutine, which
+	// runs nothing else until Serve returns. ctx carries the request's
+	// deadline, counted from admission. Serve must answer with exactly
+	// one rq.Reply, and must not keep rq once it returns: the Call is
+	// recycled then.
 	Serve func(ctx context.Context, rq *Call)
 	// Refused, when set, observes a request the front end answered
 	// itself without admitting it: a duplicate id, a drain or a full
@@ -153,13 +173,20 @@ func (c *frontConn) retire(id uint64) {
 // series.
 func NewFrontEnd(name string, maxInflight int, reg *metrics.Registry, h Handler) *FrontEnd {
 	return &FrontEnd{
-		name:  name,
-		h:     h,
-		reg:   reg,
-		sem:   make(chan struct{}, maxInflight),
-		conns: make(map[net.Conn]struct{}),
+		name:      name,
+		h:         h,
+		reg:       reg,
+		sem:       make(chan struct{}, maxInflight),
+		idle:      make(chan *Call),
+		onServing: hookServing,
+		conns:     make(map[net.Conn]struct{}),
 	}
 }
+
+// hookServing, when set by tests, is given to every front end built
+// afterwards, and sees each of its serving goroutines start (+1) and
+// exit (-1).
+var hookServing func(fe *FrontEnd, d int)
 
 // Serve accepts connections on ln until Shutdown or Close, then
 // returns ErrServerClosed. One front end serves at most one listener.
@@ -244,7 +271,7 @@ func (fe *FrontEnd) handleConn(nc net.Conn) {
 	}
 }
 
-// admit admits one request and, if admitted, serves it in its own
+// admit admits one request and, if admitted, hands it to a serving
 // goroutine. The draining check, semaphore acquisition and in-flight
 // registration happen atomically under mu so Shutdown's drain wait
 // cannot race a late admission.
@@ -268,7 +295,41 @@ func (fe *FrontEnd) admit(rq *Call) {
 	fe.inflight.Add(1)
 	fe.mu.Unlock()
 	fe.reg.Gauge("agile_server_inflight").Inc()
-	go fe.serve(rq)
+	fe.handOff(rq)
+}
+
+// handOff gives an admitted request to a parked serving goroutine, or
+// starts one when none is parked. A goroutine that has finished a
+// request frees its slot a moment before it parks; when one slot per
+// goroutine is already taken, handOff waits for such a goroutine
+// rather than start another. One must be on its way: rq holds a slot
+// no goroutine serves, so not every goroutine can be busy.
+func (fe *FrontEnd) handOff(rq *Call) {
+	select {
+	case fe.idle <- rq:
+		return
+	default:
+	}
+	for n := fe.servers.Load(); n < int32(cap(fe.sem)); n = fe.servers.Load() {
+		if fe.servers.CompareAndSwap(n, n+1) {
+			go fe.serveLoop(rq)
+			return
+		}
+	}
+	fe.idle <- rq
+}
+
+// serveLoop is one serving goroutine: it serves rq, then each request
+// handed to it while parked, until the idle channel closes.
+func (fe *FrontEnd) serveLoop(rq *Call) {
+	defer fe.servers.Add(-1)
+	if fe.onServing != nil {
+		fe.onServing(fe, 1)
+		defer fe.onServing(fe, -1)
+	}
+	for ok := true; ok; rq, ok = <-fe.idle {
+		fe.serve(rq)
+	}
 }
 
 func (fe *FrontEnd) serve(rq *Call) {
@@ -352,7 +413,10 @@ func (fe *FrontEnd) stopAccepting() {
 	}
 }
 
-// closeConns closes every connection and waits for their loops to exit.
+// closeConns closes every connection and waits for their loops to
+// exit. With no loop left to admit a request, nothing sends on the
+// idle channel any more, so it is closed: parked serving goroutines
+// end now, busy ones after their request. Neither is waited for.
 func (fe *FrontEnd) closeConns() {
 	fe.mu.Lock()
 	for c := range fe.conns {
@@ -360,4 +424,5 @@ func (fe *FrontEnd) closeConns() {
 	}
 	fe.mu.Unlock()
 	fe.connWG.Wait()
+	fe.closeIdle.Do(func() { close(fe.idle) })
 }

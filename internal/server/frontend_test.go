@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -220,4 +221,162 @@ func TestDuplicateInflightIDRejected(t *testing.T) {
 			})
 		}
 	})
+}
+
+// TestPipelinedRequestsDoNotWait: requests pipelined on one connection
+// are served side by side. A CRC32 request sent behind an MD5 request
+// held at the admission gate is answered while the MD5 is still held:
+// serving a request never stops its connection's reads.
+func TestPipelinedRequestsDoNotWait(t *testing.T) {
+	forEachFrontEnd(t, 8, func(t *testing.T, fe *frontEnd) {
+		conn, err := net.Dial("tcp", fe.addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		in := []byte{1, 2, 3, 4}
+		if err := wire.WriteRequest(conn, &wire.Request{ID: 1, Fn: algos.MD5().ID(), Payload: in}); err != nil {
+			t.Fatal(err)
+		}
+		server.WaitFor(t, fe.parked)
+		if err := wire.WriteRequest(conn, &wire.Request{ID: 2, Fn: algos.CRC32().ID(), Payload: in}); err != nil {
+			t.Fatal(err)
+		}
+		conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+		resp, err := wire.ReadResponse(conn)
+		if err != nil {
+			t.Fatalf("no answer to the CRC32 request behind a held MD5: %v", err)
+		}
+		want, _ := algos.CRC32().Exec(in)
+		if resp.ID != 2 || resp.Status != wire.StatusOK || !bytes.Equal(resp.Payload, want) {
+			t.Fatalf("first answer %+v, want id 2 OK %x", resp, want)
+		}
+		// The gate is still shut, so the MD5 request is still held.
+		close(fe.gate)
+		resp, err = wire.ReadResponse(conn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ = algos.MD5().Exec(in)
+		if resp.ID != 1 || resp.Status != wire.StatusOK || !bytes.Equal(resp.Payload, want) {
+			t.Fatalf("second answer %+v, want id 1 OK %x", resp, want)
+		}
+	})
+}
+
+// TestServingGoroutinesBounded drives bursts of 3×MaxInflight
+// concurrent gated calls through each front end, so requests keep
+// arriving while serving goroutines finish and park. Busy and parked
+// serving goroutines together never outnumber a front end's admission
+// slots, and once the front ends close every one of them exits.
+func TestServingGoroutinesBounded(t *testing.T) {
+	const maxInflight, bursts = 4, 5
+	sc := server.CountServingGoroutines(t)
+	forEachFrontEnd(t, maxInflight, func(t *testing.T, fe *frontEnd) {
+		defer close(fe.gate)
+		c, err := client.Dial(fe.addr, client.Options{
+			MaxRetries: 1000, BaseBackoff: 100 * time.Microsecond, MaxBackoff: time.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		in := []byte{1, 2, 3, 4}
+		want, _ := algos.MD5().Exec(in)
+		for b := 0; b < bursts; b++ {
+			errs := make(chan error, 3*maxInflight)
+			for i := 0; i < 3*maxInflight; i++ {
+				go func() {
+					out, _, err := c.Call(context.Background(), algos.MD5().ID(), in)
+					if err == nil && !bytes.Equal(out, want) {
+						err = errors.New("md5 answered wrong bytes")
+					}
+					errs <- err
+				}()
+			}
+			// Open the gate one call at a time: each freed slot is taken
+			// by a retry while the goroutine that held it parks.
+			for i := 0; i < 3*maxInflight; i++ {
+				fe.gate <- struct{}{}
+			}
+			for i := 0; i < 3*maxInflight; i++ {
+				if err := <-errs; err != nil {
+					t.Fatalf("burst %d: %v", b, err)
+				}
+			}
+			if err := sc.Check(); err != nil {
+				t.Fatalf("burst %d: %v", b, err)
+			}
+		}
+	})
+	server.WaitFor(t, func() bool { return sc.Live() == 0 })
+}
+
+// TestCloseDoesNotWaitForHandlers: Close does not wait for a busy
+// handler. A router forwards a call to a backend that reads it and
+// never answers; only Close's own teardown of the backend clients
+// ends that forward, so a Close that waited for handlers first would
+// never return. Close returns, then the in-flight call settles.
+func TestCloseDoesNotWaitForHandlers(t *testing.T) {
+	mute, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mute.Close()
+	go func() {
+		for {
+			conn, err := mute.Accept()
+			if err != nil {
+				return
+			}
+			go func() {
+				io.Copy(io.Discard, conn)
+				conn.Close()
+			}()
+		}
+	}()
+	r, err := router.New([]string{mute.Addr().String()}, router.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- r.Serve(ln) }()
+	c, err := client.Dial(ln.Addr().String(), client.Options{MaxRetries: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	settled := make(chan error, 1)
+	go func() {
+		_, _, err := c.Call(context.Background(), algos.CRC32().ID(), []byte{1, 2, 3, 4})
+		settled <- err
+	}()
+	server.WaitFor(t, func() bool { return r.Backends()[0].Inflight == 1 })
+
+	closed := make(chan struct{})
+	go func() {
+		r.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close waited for a handler whose backend never answers")
+	}
+	if err := <-served; !errors.Is(err, server.ErrServerClosed) {
+		t.Fatalf("Serve returned %v, want ErrServerClosed", err)
+	}
+	select {
+	case err := <-settled:
+		if err == nil {
+			t.Fatal("a call to a backend that never answers succeeded")
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("the in-flight call never settled after Close")
+	}
+	server.WaitFor(t, func() bool { return r.Backends()[0].Inflight == 0 })
 }

@@ -241,3 +241,41 @@ func TestExpiredRequestKeepsItsOutput(t *testing.T) {
 	}
 	t.Logf("%d served, %d expired", served.Load(), expired.Load())
 }
+
+// TestHandOffDuringClose: a connection loop that admitted a request
+// just before Close began still hands it off after Close has started.
+// Close closes the idle channel only once every connection loop has
+// exited, so that hand-off neither panics on a closed channel nor
+// loses the request. The loop here is simulated: it holds an admitted
+// request and hands it off well after the drain has begun.
+func TestHandOffDuringClose(t *testing.T) {
+	served := make(chan struct{})
+	fe := NewFrontEnd("test", 1, nil, Handler{Serve: func(context.Context, *Call) { close(served) }})
+	fe.sem <- struct{}{}
+	fe.inflight.Add(1)
+	fe.connWG.Add(1)
+	handedOff := make(chan error, 1)
+	go func() {
+		defer fe.connWG.Done()
+		defer func() {
+			if r := recover(); r != nil {
+				handedOff <- fmt.Errorf("hand-off during Close: %v", r)
+			}
+		}()
+		for !fe.Draining() {
+			time.Sleep(time.Millisecond)
+		}
+		time.Sleep(20 * time.Millisecond) // Close is now as far as it gets while a loop runs
+		fe.handOff(newCall(nil, "simulated"))
+		handedOff <- nil
+	}()
+	fe.Close()
+	if err := <-handedOff; err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-served:
+	case <-time.After(10 * time.Second):
+		t.Fatal("a request handed off during Close was never served")
+	}
+}

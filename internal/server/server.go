@@ -105,9 +105,9 @@ type Server struct {
 	reqMu sync.Mutex
 	reqs  map[*Call]admitted
 
-	// hookAdmitted, when set by tests, runs in the request goroutine
-	// after admission and before dispatch — the deterministic way to
-	// hold the semaphore and observe saturation.
+	// hookAdmitted, when set by tests, runs on the request's serving
+	// goroutine after admission and before dispatch — the deterministic
+	// way to hold the semaphore and observe saturation.
 	hookAdmitted func(*wire.Request)
 }
 
@@ -170,7 +170,10 @@ func (s *Server) serve(ctx context.Context, rq *Call) {
 		p.Release() // the payload may be p's output buffer: written out now
 	}
 	s.opts.Tracer.End(ref, statusLabel(status))
-	s.observeTraced(rq.ID, rq.Fn, status, card, time.Since(start), ref.TraceID) //lint:wallclock served latency is wall time seen by network clients
+	// The served latency costs a clock read: take it only for a sink.
+	if s.opts.Metrics != nil || s.opts.Trace != nil {
+		s.observeTraced(rq.ID, rq.Fn, status, card, time.Since(start), ref.TraceID) //lint:wallclock served latency is wall time seen by network clients
+	}
 }
 
 // statusLabel renders a wire status as a span status string ("ok"
