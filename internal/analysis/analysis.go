@@ -21,8 +21,6 @@
 //   - chanundermutex: no blocking channel operation or WaitGroup.Wait
 //     while holding a mutex — the deadlock class that bites the
 //     cluster/server serving layers.
-//   - passivemetrics: metrics observation is passive; an observation
-//     argument must never advance a virtual clock domain.
 //   - framerelease: every pooled wire.Frame acquisition reaches
 //     Frame.Release exactly once on every path — no leak, no
 //     double-release, no use after release (hard in wire/server).
@@ -136,7 +134,6 @@ func All() []*Analyzer {
 		LockCheck,
 		SentinelErr,
 		ChanUnderMutex,
-		PassiveMetrics,
 		FrameRelease,
 		SpanEnd,
 		CtxFlow,

@@ -6,6 +6,10 @@ import (
 	"go/types"
 )
 
+// tracePkgPath is the real tracing package; analyzer testdata imports
+// the same package, so the exact path is correct in both contexts.
+const tracePkgPath = "agilefpga/internal/trace"
+
 // spanStartFuncs are the internal/trace entry points that open a span
 // the creator must close with Tracer.End. Tracer.Add is absent on
 // purpose: it records an already-timed span and returns a ref that

@@ -26,13 +26,6 @@ func TestChanUnderMutex(t *testing.T) {
 	analysistest.Run(t, analysis.ChanUnderMutex, "chanundermutex/internal/server")
 }
 
-func TestPassiveMetrics(t *testing.T) {
-	analysistest.Run(t, analysis.PassiveMetrics,
-		"passivemetrics/internal/mcu",
-		"passivemetrics/internal/server",
-	)
-}
-
 func TestFrameRelease(t *testing.T) {
 	analysistest.Run(t, analysis.FrameRelease,
 		"framerelease/internal/server",

@@ -73,7 +73,7 @@ var VirtualTime = &Analyzer{
 	Doc: `forbid wall-clock reads in the simulation's virtual-time domain
 
 The simulator's entire value rests on deterministic virtual time:
-internal/sim clock domains advance by cycle counts, never by the host
+internal/sim clock domains turn cycle counts into time, never the host
 clock. Inside the simulation domain (sim, core, mcu, fpga, memory,
 pci, replace, sched, compress, bitstream, algos) any call to time.Now,
 time.Sleep, time.Since and friends — or to math/rand's globally seeded

@@ -92,10 +92,19 @@ func TestChainMatchesStagedCalls(t *testing.T) {
 					if len(cr.Stages) != 2 {
 						t.Fatalf("%s->%s: %d stage attributions", f0.Name(), f1.Name(), len(cr.Stages))
 					}
-					// Stage breakdowns sum to the chain minus PCI.
+					// Stage breakdowns sum to the chain minus PCI, and a
+					// warm stage reads no ROM: its record comes from its
+					// Frame Replacement Table row.
 					var sum sim.Breakdown
 					for _, st := range cr.Stages {
 						sum.AddAll(st.Breakdown)
+						if !st.Hit || st.Breakdown.Get(sim.PhaseROM) != 0 {
+							t.Errorf("%s->%s: warm stage %d hit=%v, ROM phase %v, want a hit with none",
+								f0.Name(), f1.Name(), st.Fn, st.Hit, st.Breakdown.Get(sim.PhaseROM))
+						}
+					}
+					if cr.Breakdown.Total() != cr.Latency {
+						t.Errorf("%s->%s: breakdown %v does not sum to latency %v", f0.Name(), f1.Name(), cr.Breakdown.Total(), cr.Latency)
 					}
 					if sum.Total() != cr.Latency-cr.Breakdown.Get(sim.PhasePCI) {
 						t.Errorf("%s->%s: stage costs %v don't sum to chain %v minus PCI %v",

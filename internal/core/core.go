@@ -192,7 +192,7 @@ func (cp *CoProcessor) InstallImage(f *algos.Function, rec memory.Record, blob [
 // the function callable. Callers hold cp.mu.
 func (cp *CoProcessor) download(f *algos.Function, rec memory.Record, blob []byte) (sim.Time, error) {
 	// Provisioning transfer: blob plus record over the bus.
-	busTime := cp.pciDom.Advance(pci.TransferCycles(len(blob) + memory.RecordBytes))
+	busTime := cp.pciDom.Span(pci.TransferCycles(len(blob) + memory.RecordBytes))
 	romTime, err := cp.ctrl.Download(rec, blob)
 	if err != nil {
 		return 0, err
@@ -244,7 +244,7 @@ func (cp *CoProcessor) RunHost(name string, input []byte) ([]byte, sim.Time, err
 	}
 	cp.mu.Lock()
 	defer cp.mu.Unlock()
-	return out, cp.hostDom.Advance(f.SWCycles(len(input))), nil
+	return out, cp.hostDom.Span(f.SWCycles(len(input))), nil
 }
 
 // SetTrace attaches a structured event log to the card (nil disables).

@@ -307,7 +307,7 @@ func TestOversizedInputRejectedHostSide(t *testing.T) {
 // input, instead of failing on the card: rs255 turns 30 000 B into
 // 34 425 B, and through two rs255 stages 25 000 B turns into 28 815 B
 // and then 33 150 B, over the 32 KiB window either way. The card stays
-// untouched: no request, no error, no bus time.
+// untouched: no request, no error.
 func TestOversizedOutputRejectedHostSide(t *testing.T) {
 	cp := newCP(t, Config{})
 	if _, err := cp.Install(algos.RS255()); err != nil {
@@ -322,13 +322,12 @@ func TestOversizedOutputRejectedHostSide(t *testing.T) {
 		if err := cp.CheckInput(tc.stages, in); !errors.Is(err, ErrInputTooLarge) {
 			t.Errorf("%d stages, %d B: CheckInput err = %v, want ErrInputTooLarge", len(tc.stages), tc.n, err)
 		}
-		bus := cp.pciDom.Cycles()
 		var res Result
 		err := cp.Run(Job{Stages: tc.stages, Items: [][]byte{in}}, &res)
 		if !errors.Is(err, ErrInputTooLarge) {
 			t.Errorf("%d stages, %d B: Run err = %v, want ErrInputTooLarge", len(tc.stages), tc.n, err)
 		}
-		if st := cp.Stats(); st.Requests != 0 || st.Errors != 0 || cp.pciDom.Cycles() != bus {
+		if st := cp.Stats(); st.Requests != 0 || st.Errors != 0 {
 			t.Errorf("%d stages, %d B: the card saw the job: %d requests, %d errors", len(tc.stages), tc.n, st.Requests, st.Errors)
 		}
 	}

@@ -227,7 +227,6 @@ func (cp *CoProcessor) run(job Job, res *Result) error {
 			cyc, err := cp.bus.WriteWord(cp.slot, 0, mcu.RegCHAIN, uint32(i)<<16|uint32(fn))
 			latch += cyc
 			if err != nil {
-				cp.pciDom.Advance(latch)
 				return err
 			}
 		}
@@ -269,8 +268,8 @@ func (cp *CoProcessor) run(job Job, res *Result) error {
 			dst = job.Dsts[i]
 		}
 		out, inCycles, outCycles, err := cp.exchange(cmd, arg0, input, dst)
-		inT := cp.pciDom.Advance(latch + inCycles)
-		outT := cp.pciDom.Advance(outCycles)
+		inT := cp.pciDom.Span(latch + inCycles)
+		outT := cp.pciDom.Span(outCycles)
 		latch = 0
 		if err != nil {
 			return fmt.Errorf("item %d of %s: %w", i, cp.stagesLabel(job.Stages), err)

@@ -126,10 +126,10 @@ func (c *Controller) executeChain(fns []uint16, input []byte, br *sim.Breakdown)
 	// Pass 1: make every stage resident simultaneously. Each stage is
 	// one request against the replacement machinery, so Requests, Hits
 	// and Misses keep their per-function-activation semantics.
-	recs := c.chainRecs[:len(fns)]
+	rows := c.chainRows[:len(fns)]
 	for i, fn := range fns {
 		stages[i].Fn = fn
-		if recs[i], stages[i].Hit, err = c.makeResident(fn, len(input), "chain", &stages[i].Cost); err != nil {
+		if rows[i], stages[i].Hit, err = c.makeResident(fn, len(input), "chain", &stages[i].Cost); err != nil {
 			return nil, stages, handoff, err
 		}
 	}
@@ -142,22 +142,21 @@ func (c *Controller) executeChain(fns []uint16, input []byte, br *sim.Breakdown)
 	cur := input
 	for i, fn := range fns {
 		sbr := &stages[i].Cost
-		rec := recs[i]
 		// Generation re-check: if anything invalidated the stage since
-		// pass 1 (a scrub rewrite, a reinstall bumping the serial), the
-		// stage reloads before it runs rather than executing stale bits.
+		// pass 1 (a frame rewrite), the stage reloads before it runs
+		// rather than executing stale bits.
 		res := k.table[fn]
-		if res == nil || res.serial != rec.Serial || !res.inst.Valid() {
+		if res == nil || !res.inst.Valid() {
 			if res != nil {
 				c.evict(fn, sbr)
 			}
 			stages[i].Hit = false
-			if res, err = c.load(rec, sbr); err != nil {
+			if res, err = c.load(rows[i].rec, sbr); err != nil {
 				return nil, stages, handoff, err
 			}
 		}
 		var staged int
-		if cur, staged, err = c.runStage(rec, res, cur, sbr); err != nil {
+		if cur, staged, err = c.runStage(res, cur, sbr); err != nil {
 			return nil, stages, handoff, err
 		}
 		if i > 0 {

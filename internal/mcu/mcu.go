@@ -125,12 +125,12 @@ type Controller struct {
 	lastBreakdown sim.Breakdown
 	// lastChain holds the per-stage attribution of the most recent
 	// execute command (one stage for CmdExec), for the host to collect
-	// after the mailbox reports success. chain backs it, and chainRecs
-	// holds a chain's ROM records between its two passes, so no execute
-	// command allocates here.
+	// after the mailbox reports success. chain backs it, and chainRows
+	// holds a chain's Frame Replacement Table rows between its two
+	// passes, so no execute command allocates here.
 	lastChain []ChainStage
 	chain     [MaxChainStages]ChainStage
-	chainRecs [MaxChainStages]memory.Record
+	chainRows [MaxChainStages]*resident
 
 	stats Stats
 
@@ -274,9 +274,12 @@ type resident struct {
 	frames     []int
 	inst       fpga.Instance
 	lastAccess uint64
-	serial     uint16
+	// rec is the function's ROM record, written by load. The ROM holds
+	// one record per id for the card's lifetime, so a row never holds a
+	// stale one.
+	rec memory.Record
 
-	// Difference-based flow: a lazy eviction leaves frames and serial
+	// Difference-based flow: a lazy eviction leaves frames and record
 	// as they were and records the frames' write generations, so the
 	// next load of the function can prove its bits intact. stale is
 	// set from that eviction until the next load or Defrag.
@@ -538,7 +541,7 @@ func (c *Controller) Download(rec memory.Record, blob []byte) (sim.Time, error) 
 	// ROM programming: model write cost like read cost plus a flat
 	// programming overhead per install.
 	cycles := memory.ReadCycles(len(blob)+memory.RecordBytes) + 64
-	return c.mcuDom.Advance(cycles), nil
+	return c.mcuDom.Span(cycles), nil
 }
 
 // Evict removes fn from the fabric if resident (host-initiated eviction).
@@ -600,7 +603,7 @@ func (c *Controller) prefetchNext(cur uint16) {
 	}
 	rec, scanned, err := c.findRecord(pred)
 	var br sim.Breakdown
-	br.Add(sim.PhaseROM, c.mcuDom.Advance(memory.ReadCycles(scanned*memory.RecordBytes)))
+	br.Add(sim.PhaseROM, c.mcuDom.Span(memory.ReadCycles(scanned*memory.RecordBytes)))
 	if err == nil {
 		if res, lerr := c.load(rec, &br); lerr == nil {
 			res.lastAccess = k.now
@@ -626,56 +629,59 @@ func (c *Controller) execute(fnID uint16, input []byte, br *sim.Breakdown) ([]by
 	if len(input) == 0 {
 		return nil, false, fmt.Errorf("mcu: empty input for function %d", fnID)
 	}
-	rec, hit, err := c.makeResident(fnID, len(input), "", br)
+	res, hit, err := c.makeResident(fnID, len(input), "", br)
 	if err != nil {
 		return nil, hit, err
 	}
-	out, _, err := c.runStage(rec, c.kernel.table[fnID], input, br)
+	out, _, err := c.runStage(res, input, br)
 	return out, hit, err
 }
 
 // makeResident is the residency half of one stage, shared by plain and
-// chained execution: count the request, scan the ROM record table, then
-// hit or miss against the Frame Replacement Table — a miss (or a stale
-// residency left by a reinstall) loads the function. Every cost lands
-// in br. detail tags the request's trace event.
-func (c *Controller) makeResident(fn uint16, inputLen int, detail string, br *sim.Breakdown) (memory.Record, bool, error) {
+// chained execution: count the request, then probe the Frame
+// Replacement Table. A function resident with a valid instance is a
+// hit, and its record comes from its own table row: the ROM is not
+// read. A miss scans the ROM record table and loads the function,
+// evicting it first if its instance was invalidated in place. It
+// returns the function's row. Every cost lands in br. detail tags the
+// request's trace event.
+func (c *Controller) makeResident(fn uint16, inputLen int, detail string, br *sim.Breakdown) (*resident, bool, error) {
 	k := &c.kernel
 	c.stats.Requests++
 	k.now++
 	c.emit(trace.KindRequest, fn, 0, inputLen, detail)
 
-	// Record lookup: the mini OS scans the ROM record table.
-	rec, scanned, err := c.findRecord(fn)
-	br.Add(sim.PhaseROM, c.mcuDom.Advance(memory.ReadCycles(scanned*memory.RecordBytes)))
-	if err != nil {
-		return rec, false, err
-	}
-	c.noteFn(rec)
-
 	res, resident := k.table[fn]
-	hit := resident && res.serial == rec.Serial && res.inst.Valid()
+	hit := resident && res.inst.Valid()
 	if hit {
 		c.stats.Hits++
 		c.emit(trace.KindHit, fn, len(res.frames), 0, "")
-		if k.prefetched[fn] {
-			c.stats.PrefetchHits++
-		}
 	} else {
+		// Record lookup: the mini OS scans the ROM record table.
+		rec, scanned, err := c.findRecord(fn)
+		br.Add(sim.PhaseROM, c.mcuDom.Span(memory.ReadCycles(scanned*memory.RecordBytes)))
+		if err != nil {
+			return nil, false, err
+		}
 		if resident {
-			// Stale residency (reinstalled function): evict and reload.
+			// A clobbered frame invalidated the instance: evict and reload.
 			c.evict(fn, br)
 		}
 		c.stats.Misses++
 		c.emit(trace.KindMiss, fn, 0, 0, "")
 		if res, err = c.load(rec, br); err != nil {
-			return rec, false, err
+			return nil, false, err
 		}
 	}
-	delete(k.prefetched, fn)
+	if c.cfg.Prefetch {
+		if hit && k.prefetched[fn] {
+			c.stats.PrefetchHits++
+		}
+		delete(k.prefetched, fn)
+	}
 	res.lastAccess = k.now
 	k.policy.OnAccess(fn, k.now)
-	return rec, hit, nil
+	return res, hit, nil
 }
 
 // runStage is the dataflow half of one stage: the data-input module
@@ -688,7 +694,8 @@ func (c *Controller) makeResident(fn uint16, inputLen int, detail string, br *si
 // input may alias either window: a chain stage's input is the previous
 // stage's output. out aliases the output window; staged reports the
 // padded input bytes.
-func (c *Controller) runStage(rec memory.Record, res *resident, input []byte, br *sim.Breakdown) (out []byte, staged int, err error) {
+func (c *Controller) runStage(res *resident, input []byte, br *sim.Breakdown) (out []byte, staged int, err error) {
+	rec := &res.rec
 	inWin, outWin := c.ram.Capacity()/2, c.ram.Capacity()/2
 	staged = Padded(len(input), int(rec.InBus))
 	if staged > inWin {
@@ -700,7 +707,7 @@ func (c *Controller) runStage(rec memory.Record, res *resident, input []byte, br
 	}
 	clear(padded[copy(padded, input):])
 	inBeats := uint64(staged) / uint64(rec.InBus)
-	br.Add(sim.PhaseDataIn, c.mcuDom.Advance(inBeats+4))
+	br.Add(sim.PhaseDataIn, c.mcuDom.Span(inBeats+4))
 
 	// The output's size is known before the fabric runs, so a result the
 	// window cannot hold is refused without running it.
@@ -718,10 +725,10 @@ func (c *Controller) runStage(rec memory.Record, res *resident, input []byte, br
 	if err != nil {
 		return nil, staged, err
 	}
-	br.Add(sim.PhaseExec, c.fabDom.Advance(fabCycles))
+	br.Add(sim.PhaseExec, c.fabDom.Span(fabCycles))
 	clear(win[outLen:])
 	outBeats := uint64(outPadded) / uint64(rec.OutBus)
-	br.Add(sim.PhaseDataOut, c.mcuDom.Advance(outBeats+4))
+	br.Add(sim.PhaseDataOut, c.mcuDom.Span(outBeats+4))
 	return out, staged, nil
 }
 

@@ -41,10 +41,11 @@ func (c *Controller) load(rec memory.Record, br *sim.Breakdown) (*resident, erro
 	}
 
 	res := c.kernel.row(rec.FnID)
+	res.rec = rec
 	// Difference-based fast path: the function's previous frames are
 	// still free and provably untouched, so its bits are already in the
 	// fabric — skip the whole ROM/decompress/configure pipeline.
-	if c.cfg.DiffReload && c.reviveStale(rec, res, br) {
+	if c.cfg.DiffReload && c.reviveStale(res, br) {
 		return res, nil
 	}
 
@@ -72,7 +73,7 @@ func (c *Controller) load(rec memory.Record, br *sim.Breakdown) (*resident, erro
 		return nil, fmt.Errorf("mcu: activation after load: %w", err)
 	}
 
-	res.serial, res.lastAccess = rec.Serial, c.kernel.now
+	res.lastAccess = c.kernel.now
 	c.kernel.table[rec.FnID] = res
 	c.kernel.policy.OnInstall(rec.FnID, c.kernel.now)
 	if c.metrics != nil {
@@ -89,15 +90,12 @@ func (c *Controller) load(rec memory.Record, br *sim.Breakdown) (*resident, erro
 // cost is pure mini-OS bookkeeping — the saving the difference-based
 // flow exists for. Nothing is allocated: the row keeps the frame list
 // and generations, and the free list shrinks in place.
-func (c *Controller) reviveStale(rec memory.Record, res *resident, br *sim.Breakdown) bool {
+func (c *Controller) reviveStale(res *resident, br *sim.Breakdown) bool {
 	k := &c.kernel
 	if !res.stale {
 		return false
 	}
 	res.stale = false // single-use: either revived now or gone
-	if res.serial != rec.Serial {
-		return false
-	}
 	for i, fi := range res.frames {
 		if _, free := slices.BinarySearch(k.freeList, fi); !free || c.fab.Generation(fi) != res.gens[i] {
 			return false
@@ -114,12 +112,13 @@ func (c *Controller) reviveStale(rec memory.Record, res *resident, br *sim.Break
 	}
 	k.freeList = slices.DeleteFunc(k.freeList, func(fi int) bool { return fi < 0 })
 
+	fn := res.rec.FnID
 	res.lastAccess = k.now
-	k.table[rec.FnID] = res
-	k.policy.OnInstall(rec.FnID, k.now)
+	k.table[fn] = res
+	k.policy.OnInstall(fn, k.now)
 	c.stats.FramesSkipped += uint64(len(res.frames))
-	br.Add(sim.PhaseOverhead, c.mcuDom.Advance(uint64(8+2*len(res.frames))))
-	c.emit(trace.KindRevive, rec.FnID, len(res.frames), 0, "")
+	br.Add(sim.PhaseOverhead, c.mcuDom.Span(uint64(8+2*len(res.frames))))
+	c.emit(trace.KindRevive, fn, len(res.frames), 0, "")
 	return true
 }
 
@@ -136,7 +135,7 @@ func (c *Controller) place(demand int, dst []int, br *sim.Breakdown) ([]int, err
 				c.stats.ScatterPlacements++
 			}
 			// Free-list bookkeeping: a handful of MCU cycles per frame.
-			br.Add(sim.PhaseOverhead, c.mcuDom.Advance(uint64(4+2*demand)))
+			br.Add(sim.PhaseOverhead, c.mcuDom.Span(uint64(4+2*demand)))
 			c.emit(trace.KindPlace, 0, demand, 0, "")
 			return frames, nil
 		}
@@ -219,7 +218,7 @@ func (c *Controller) evict(fn uint16, br *sim.Breakdown) {
 		c.metrics.Counter("agile_evictions_total", metrics.L("fn", c.fnLabel(fn))).Inc()
 	}
 	// Table update + frame scrubbing cost.
-	br.Add(sim.PhaseOverhead, c.mcuDom.Advance(uint64(8+2*len(res.frames))))
+	br.Add(sim.PhaseOverhead, c.mcuDom.Span(uint64(8+2*len(res.frames))))
 }
 
 // returnFrames merges frames back into the sorted free list, within the
@@ -263,11 +262,7 @@ func (c *Controller) Defrag() (moved int, cost sim.Time, err error) {
 		res.stale = false
 	}
 	for _, e := range order {
-		rec, _, ferr := c.rom.FindByID(e.fn)
-		if ferr != nil {
-			return moved, br.Total(), ferr
-		}
-		if _, lerr := c.load(rec, &br); lerr != nil {
+		if _, lerr := c.load(c.kernel.rows[e.fn].rec, &br); lerr != nil {
 			return moved, br.Total(), fmt.Errorf("mcu: defrag reload of fn %d: %w", e.fn, lerr)
 		}
 		moved++
@@ -329,8 +324,8 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 	// frame packet.
 	switch {
 	case cached && c.cfg.SequentialConfig:
-		br.Add(sim.PhaseCache, c.mcuDom.Advance(memory.ReadCycles(raw)))
-		br.Add(sim.PhaseConfigure, c.cfgDom.Advance(portCycles))
+		br.Add(sim.PhaseCache, c.mcuDom.Span(memory.ReadCycles(raw)))
+		br.Add(sim.PhaseConfigure, c.cfgDom.Span(portCycles))
 	case cached:
 		// Two-stage pipeline: while the port clocks in frame N, the next
 		// image is read back from RAM. Cumulative-delta costing keeps the
@@ -348,16 +343,14 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 			pipe.Feed(c.mcuDom.Span(ramCum-prevRAM), c.cfgDom.Span(portCum-prevPort))
 			prevRAM, prevPort = ramCum, portCum
 		}
-		c.mcuDom.Advance(memory.ReadCycles(raw))
-		c.cfgDom.Advance(portCycles)
 		stall := pipe.Attribute(br)
 		c.notePipeline(rec.FnID, &pipe, stall)
 	case c.cfg.SequentialConfig:
 		// Additive model: the three stages run back to back, window
 		// overlap disabled — the E18 baseline.
-		br.Add(sim.PhaseROM, c.mcuDom.Advance(p.romCycles))
-		br.Add(sim.PhaseDecompress, c.cfgDom.Advance(p.decompCycles))
-		br.Add(sim.PhaseConfigure, c.cfgDom.Advance(portCycles))
+		br.Add(sim.PhaseROM, c.mcuDom.Span(p.romCycles))
+		br.Add(sim.PhaseDecompress, c.cfgDom.Span(p.decompCycles))
+		br.Add(sim.PhaseConfigure, c.cfgDom.Span(portCycles))
 	default:
 		// Pipelined model (DESIGN §12): while the port clocks in window
 		// N, the decompressor produces N+1 and the ROM streams N+2. Each
@@ -382,12 +375,10 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 			pipe.Feed(c.mcuDom.Span(romCum-prevRom), c.cfgDom.Span(decCum-prevDec), c.cfgDom.Span(portCum-prevPort))
 			prevRom, prevDec, prevPort = romCum, decCum, portCum
 		}
-		c.mcuDom.Advance(p.romCycles)
-		c.cfgDom.Advance(p.decompCycles + portCycles)
 		stall := pipe.Attribute(br)
 		c.notePipeline(rec.FnID, &pipe, stall)
 	}
-	br.Add(sim.PhaseOverhead, c.mcuDom.Advance(overhead))
+	br.Add(sim.PhaseOverhead, c.mcuDom.Span(overhead))
 
 	c.stats.FramesLoaded += uint64(len(frames))
 	c.stats.RawConfigBytes += uint64(raw)

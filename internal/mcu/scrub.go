@@ -45,7 +45,7 @@ func (c *Controller) Scrub() (ScrubReport, error) {
 				return rep, err
 			}
 			// Readback: one byte per configuration-clock cycle.
-			br.Add(sim.PhaseConfigure, c.cfgDom.Advance(uint64(len(cur))))
+			br.Add(sim.PhaseConfigure, c.cfgDom.Span(uint64(len(cur))))
 			rep.FramesChecked++
 			if !bytes.Equal(cur, golden.images[i]) {
 				dirtyFrames = append(dirtyFrames, fi)
@@ -60,7 +60,7 @@ func (c *Controller) Scrub() (ScrubReport, error) {
 		if err != nil {
 			return rep, fmt.Errorf("mcu: scrub repair: %w", err)
 		}
-		br.Add(sim.PhaseConfigure, c.cfgDom.Advance(portCycles))
+		br.Add(sim.PhaseConfigure, c.cfgDom.Span(portCycles))
 		rep.FramesRepaired += len(dirtyFrames)
 		c.stats.SEURepairs += uint64(len(dirtyFrames))
 		c.emit(trace.KindConfigure, fn, len(dirtyFrames), 0, "scrub-repair")
@@ -88,8 +88,8 @@ func (c *Controller) Scrub() (ScrubReport, error) {
 // the card spends reconstructing them.
 func (c *Controller) goldenImages(fn uint16, br *sim.Breakdown) *loadPlan {
 	p := c.plans[fn]
-	br.Add(sim.PhaseROM, c.mcuDom.Advance(p.romCycles))
-	br.Add(sim.PhaseDecompress, c.cfgDom.Advance(uint64(float64(p.rawBytes)*p.cyclesPerByte)))
+	br.Add(sim.PhaseROM, c.mcuDom.Span(p.romCycles))
+	br.Add(sim.PhaseDecompress, c.cfgDom.Span(uint64(float64(p.rawBytes)*p.cyclesPerByte)))
 	return p
 }
 

@@ -67,13 +67,23 @@ func TestMiniOSRandomOperations(t *testing.T) {
 						for i := range in {
 							in[i] = byte(rng.Uint64())
 						}
-						out, _, err := c.Execute(f.ID(), in)
+						wasResident := c.Resident(f.ID())
+						out, br, err := c.Execute(f.ID(), in)
 						if err != nil {
 							t.Fatalf("step %d exec %s: %v", step, f.Name(), err)
 						}
 						want, _ := f.Exec(padTo(in, int(f.InBus)))
 						if !bytes.Equal(out, want) {
 							t.Fatalf("step %d: %s computed wrong result", step, f.Name())
+						}
+						// Only a miss reads the ROM record table; a hit
+						// needs the function already resident.
+						hit := c.LastChainStages()[0].Hit
+						if (br.Get(sim.PhaseROM) == 0) != hit {
+							t.Fatalf("step %d: %s hit=%v with ROM phase %v", step, f.Name(), hit, br.Get(sim.PhaseROM))
+						}
+						if hit && !wasResident {
+							t.Fatalf("step %d: %s hit without being resident", step, f.Name())
 						}
 					}
 					if err := c.CheckInvariants(); err != nil {

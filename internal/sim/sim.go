@@ -1,7 +1,7 @@
 // Package sim provides the timing substrate for the co-processor
-// simulation: clock domains with cycle accounting, a picosecond-resolution
-// virtual time type, per-phase latency breakdowns, and a deterministic
-// pseudo-random number generator.
+// simulation: clock domains that convert cycles to time, a
+// picosecond-resolution virtual time type, per-phase latency
+// breakdowns, and a deterministic pseudo-random number generator.
 //
 // All components of the simulated co-processor express their costs in
 // cycles of their own clock domain (PCI bus, configuration port, fabric,
@@ -54,11 +54,10 @@ func (t Time) String() string {
 	}
 }
 
-// Domain is a clock domain: a cycle period and an accumulated cycle
-// counter. The zero value is unusable; construct domains with NewDomain.
+// Domain is a clock domain: a cycle period. The zero value is unusable;
+// construct domains with NewDomain.
 type Domain struct {
 	psPerCycle uint64
-	cycles     uint64
 }
 
 // NewDomain returns a clock domain running at hz hertz. The cycle period
@@ -73,20 +72,8 @@ func NewDomain(name string, hz uint64) *Domain {
 	return &Domain{psPerCycle: (thz + hz/2) / hz}
 }
 
-// Advance adds c cycles to the domain counter and returns the virtual time
-// those cycles took.
-func (d *Domain) Advance(c uint64) Time {
-	d.cycles += c
-	return d.Span(c)
-}
-
-// Span converts a cycle count to virtual time without advancing the clock.
+// Span converts a cycle count to the virtual time those cycles take.
 func (d *Domain) Span(c uint64) Time { return Time(c * d.psPerCycle) }
-
-// Cycles reports the accumulated cycle count.
-//
-//lint:allow deadexport internal/core's tests read the PCI domain's count to prove that error paths charge the bus
-func (d *Domain) Cycles() uint64 { return d.cycles }
 
 // Phase identifies one stage of the request path for latency accounting.
 type Phase int

@@ -17,9 +17,9 @@ import (
 // DurNS are wall time (a request's real latency, which is what a trace
 // is for), while VirtPS carries the simulator's virtual phase durations
 // so a span tree still shows the paper's cost attribution. The tracer
-// is strictly an observer — it records timestamps and never advances a
-// sim.Domain (agilelint's passivemetrics analyzer machine-checks call
-// sites, and TestTracingNoVirtualTime proves the property end to end).
+// is strictly an observer — it records virtual durations already
+// computed and never moves virtual time (TestTracingNoVirtualTime
+// proves the property end to end).
 //
 // Sampling is two-sided: heads (a probabilistic decision when the root
 // span opens; sampled-out requests carry no context and cost nothing on
