@@ -39,7 +39,7 @@ import (
 )
 
 // Config selects the card's build options. The zero value is a sensible
-// default: a 48-frame device, framediff compression, LRU replacement,
+// default: a 48-frame device, lz77 compression, LRU replacement,
 // scatter placement allowed.
 type Config struct {
 	// Rows and Cols size the fabric: Cols frames of Rows CLBs each.
@@ -48,8 +48,8 @@ type Config struct {
 	// ROMBytes and RAMBytes size the on-card memories (defaults 512 KiB
 	// and 64 KiB).
 	ROMBytes, RAMBytes int
-	// Codec picks the bitstream compression: "none", "rle", "lz77",
-	// "huffman" or "framediff" (default).
+	// Codec picks the bitstream compression: "none", "rle", "lz77"
+	// (default), "huffman" or "framediff".
 	Codec string
 	// Policy picks frame replacement: "lru" (default, the paper's),
 	// "fifo", "lfu" or "random".

@@ -44,6 +44,7 @@ import (
 	"agilefpga/internal/cluster"
 	"agilefpga/internal/core"
 	"agilefpga/internal/fpga"
+	"agilefpga/internal/mcu"
 	"agilefpga/internal/metrics"
 	"agilefpga/internal/replace"
 	"agilefpga/internal/server"
@@ -56,7 +57,7 @@ func main() {
 	mode := flag.String("mode", cluster.ModeAffinity, "dispatch mode: replicate|partition|affinity")
 	rows := flag.Int("rows", 32, "fabric rows per card")
 	cols := flag.Int("cols", 40, "fabric columns per card")
-	codec := flag.String("codec", "framediff", "bitstream codec")
+	codec := flag.String("codec", mcu.DefaultCodec, "bitstream codec")
 	policy := flag.String("policy", "lru", "replacement policy")
 	prefetch := flag.Bool("prefetch", false, "configuration prefetching")
 	diff := flag.Bool("diff", false, "difference-based reconfiguration")

@@ -32,6 +32,7 @@ import (
 	"agilefpga/internal/algos"
 	"agilefpga/internal/core"
 	"agilefpga/internal/fpga"
+	"agilefpga/internal/mcu"
 	"agilefpga/internal/metrics"
 	"agilefpga/internal/replace"
 	"agilefpga/internal/sched"
@@ -43,7 +44,7 @@ import (
 func main() {
 	rows := flag.Int("rows", 32, "fabric rows (CLBs per frame)")
 	cols := flag.Int("cols", 40, "fabric columns (frames)")
-	codec := flag.String("codec", "framediff", "bitstream codec: none|rle|lz77|huffman|framediff")
+	codec := flag.String("codec", mcu.DefaultCodec, "bitstream codec: none|rle|lz77|huffman|framediff")
 	policy := flag.String("policy", "lru", "replacement policy: lru|fifo|lfu|random")
 	wname := flag.String("workload", "zipf", "request stream: uniform|zipf|phased|cyclic")
 	requests := flag.Int("requests", 2000, "number of requests")

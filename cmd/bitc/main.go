@@ -26,13 +26,14 @@ import (
 	"agilefpga/internal/core"
 	"agilefpga/internal/exp"
 	"agilefpga/internal/fpga"
+	"agilefpga/internal/mcu"
 	"agilefpga/internal/memory"
 )
 
 func main() {
 	fnName := flag.String("fn", "", "bank function to compile")
 	all := flag.Bool("all", false, "compile the whole bank")
-	codecName := flag.String("codec", "framediff", "codec for -all mode")
+	codecName := flag.String("codec", mcu.DefaultCodec, "codec for -all and -burn")
 	rows := flag.Int("rows", fpga.DefaultGeometry.Rows, "fabric rows (CLBs per frame)")
 	cols := flag.Int("cols", fpga.DefaultGeometry.Cols, "fabric columns (frames)")
 	dump := flag.Int("dump", 0, "hexdump this many bytes of the raw image")

@@ -10,8 +10,6 @@ import (
 	"sort"
 	"testing"
 
-	"agilefpga/internal/algos"
-	"agilefpga/internal/bitstream"
 	"agilefpga/internal/fpga"
 	"agilefpga/internal/sim"
 	"agilefpga/internal/testutil"
@@ -33,16 +31,12 @@ type readerGolden struct {
 func goldenInputs(t *testing.T) map[string][]byte {
 	t.Helper()
 	in := corpus()
-	g := fpga.Geometry{Rows: 32, Cols: 40}
-	if g.FrameBytes() != testFrameBytes {
+	if g := (fpga.Geometry{Rows: 32, Cols: 40}); g.FrameBytes() != testFrameBytes {
 		t.Fatalf("test frame size %d, geometry %d", testFrameBytes, g.FrameBytes())
 	}
-	for _, f := range []*algos.Function{algos.FFT(), algos.CRC32()} {
-		images, err := bitstream.Synthesize(g, bitstream.Netlist{FnID: f.ID(), Serial: 1, LUTs: f.LUTs, Seed: f.Seed()})
-		if err != nil {
-			t.Fatal(err)
-		}
-		in["image-"+f.Name()] = bytes.Join(images, nil)
+	bank := bankImages(t)
+	for _, name := range []string{"fft64", "crc32"} {
+		in["image-"+name] = bank[name]
 	}
 	return in
 }
@@ -75,16 +69,18 @@ func drain(t *testing.T, r io.Reader, next func() int, clip bool) (out []byte, m
 	}
 }
 
-// TestReaderWindowGolden: the rle and framediff readers, drained at window
-// sizes 1, 3, 256, 4096 and random, decode the same bytes and report the
-// same InputConsumed() at every 256-byte boundary as the byte-at-a-time
-// readers they replaced (testdata/reader_golden.json, captured from them).
+// TestReaderWindowGolden: the rle, framediff and lz77 readers, drained at
+// window sizes 1, 3, 256, 4096 and random, decode the same bytes and
+// report the same InputConsumed() at every 256-byte boundary as the
+// readers they replaced (testdata/reader_golden.json: rle and framediff
+// captured from byte-at-a-time readers, lz77 from its byte-wise match
+// copy).
 func TestReaderWindowGolden(t *testing.T) {
 	got := make(map[string]readerGolden)
 	rng := sim.NewRNG(0x60D)
 	fixed := func(n int) func() int { return func() int { return n } }
 	random := func() int { return 1 + rng.Intn(700) }
-	for _, name := range []string{"rle", "framediff"} {
+	for _, name := range []string{"rle", "framediff", "lz77"} {
 		codec, err := New(name, testFrameBytes)
 		if err != nil {
 			t.Fatal(err)

@@ -3,6 +3,7 @@ package compress
 import (
 	"encoding/binary"
 	"io"
+	"math/bits"
 )
 
 // lz77Codec is greedy sliding-window dictionary coding with a 4 KiB
@@ -36,7 +37,8 @@ func lzHash(p []byte) uint32 {
 }
 
 func (lz77Codec) Compress(src []byte) ([]byte, error) {
-	out := putUvarint(nil, uint64(len(src)))
+	// Bank images compress about 4×: one allocation holds most blobs.
+	out := putUvarint(make([]byte, 0, len(src)/4+16), uint64(len(src)))
 	if len(src) == 0 {
 		return out, nil
 	}
@@ -46,74 +48,70 @@ func (lz77Codec) Compress(src []byte) ([]byte, error) {
 	for i := range head {
 		head[i] = -1
 	}
-
-	flagPos := -1
-	flagBit := 8
-	emitToken := func(isMatch bool, payload []byte) {
-		if flagBit == 8 {
-			flagPos = len(out)
-			out = append(out, 0)
-			flagBit = 0
-		}
-		if isMatch {
-			out[flagPos] |= 1 << uint(flagBit)
-		}
-		flagBit++
-		out = append(out, payload...)
-	}
-
-	insert := func(i int) {
-		if i+lzMinMatch <= len(src) {
-			h := lzHash(src[i:])
-			prev[i] = head[h]
-			head[h] = int32(i)
-		}
-	}
-
+	flagPos, flagBit := 0, 8
 	i := 0
 	for i < len(src) {
 		bestLen, bestOff := 0, 0
 		if i+lzMinMatch <= len(src) {
-			h := lzHash(src[i:])
-			cand := head[h]
-			limit := len(src) - i
-			if limit > lzMaxMatch {
-				limit = lzMaxMatch
-			}
+			cand := head[lzHash(src[i:])]
+			limit := min(len(src)-i, lzMaxMatch)
 			for chain := 0; cand >= 0 && chain < lzMaxChain; chain++ {
-				off := i - int(cand)
+				c := int(cand)
+				cand = prev[c]
+				off := i - c
 				if off > lzWindow {
 					break
 				}
-				l := 0
-				for l < limit && src[int(cand)+l] == src[i+l] {
-					l++
+				// A candidate that differs at bestLen cannot beat bestLen.
+				if src[c+bestLen] != src[i+bestLen] {
+					continue
 				}
+				l := matchLen(src[c:], src[i:], limit)
 				if l > bestLen {
 					bestLen, bestOff = l, off
 					if l == limit {
 						break
 					}
 				}
-				cand = prev[cand]
 			}
+		}
+		if flagBit == 8 {
+			flagPos, flagBit = len(out), 0
+			out = append(out, 0)
 		}
 		if bestLen >= lzMinMatch {
-			var tok [3]byte
-			tok[0] = byte(bestLen - lzMinMatch)
-			binary.LittleEndian.PutUint16(tok[1:], uint16(bestOff))
-			emitToken(true, tok[:])
-			for k := 0; k < bestLen; k++ {
-				insert(i + k)
-			}
-			i += bestLen
+			out[flagPos] |= 1 << uint(flagBit)
+			out = append(out, byte(bestLen-lzMinMatch), byte(bestOff), byte(bestOff>>8))
 		} else {
-			emitToken(false, src[i:i+1])
-			insert(i)
-			i++
+			bestLen = 1
+			out = append(out, src[i])
 		}
+		flagBit++
+		// Index every position the token covered that has a full hash.
+		next := i + bestLen
+		for end := min(next, len(src)-lzMinMatch+1); i < end; i++ {
+			h := lzHash(src[i:])
+			prev[i] = head[h]
+			head[h] = int32(i)
+		}
+		i = next
 	}
 	return out, nil
+}
+
+// matchLen is the length of the common prefix of a and b, at most limit
+// (both hold at least limit bytes), compared eight bytes at a time.
+func matchLen(a, b []byte, limit int) int {
+	l := 0
+	for ; l+8 <= limit; l += 8 {
+		if x := binary.LittleEndian.Uint64(a[l:]) ^ binary.LittleEndian.Uint64(b[l:]); x != 0 {
+			return l + bits.TrailingZeros64(x)/8
+		}
+	}
+	for l < limit && a[l] == b[l] {
+		l++
+	}
+	return l
 }
 
 func (c lz77Codec) Decompress(comp []byte) ([]byte, error) {
@@ -200,10 +198,13 @@ func (r *lz77Reader) decodeToken() error {
 	if offset == 0 || offset > len(r.hist) || length > r.remaining {
 		return ErrCorrupt
 	}
-	start := len(r.hist) - offset
-	for k := 0; k < length; k++ { // byte-wise: matches may overlap themselves
-		r.hist = append(r.hist, r.hist[start+k])
-	}
 	r.remaining -= length
+	// A match may overlap itself: copy at most offset bytes at a time, so
+	// each chunk reads only bytes already written.
+	for start := len(r.hist) - offset; length > 0; {
+		n := min(offset, length)
+		r.hist = append(r.hist, r.hist[start:start+n]...)
+		start, length = start+n, length-n
+	}
 	return nil
 }

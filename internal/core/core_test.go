@@ -26,7 +26,7 @@ func newCP(t *testing.T, cfg Config) *CoProcessor {
 
 func TestNewDefaults(t *testing.T) {
 	cp := newCP(t, Config{})
-	if cp.Codec().Name() != "framediff" {
+	if cp.Codec().Name() != "lz77" {
 		t.Errorf("default codec = %q", cp.Codec().Name())
 	}
 	if cp.Controller().PolicyName() != "lru" {

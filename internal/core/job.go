@@ -104,7 +104,10 @@ type Result struct {
 }
 
 // reset empties r for a job of n items, keeping whatever item storage
-// it already has room in.
+// it already has room in. It assigns the reported fields one by one: a
+// whole-struct assignment would also copy the inline single storage on
+// every call. So a new exported field of Result must be cleared here;
+// TestResetClearsEveryExportedField fails until it is.
 func (r *Result) reset(n int) {
 	outs, items := r.Outputs[:0], r.Results[:0]
 	switch {
@@ -114,7 +117,8 @@ func (r *Result) reset(n int) {
 	default:
 		outs, items = make([][]byte, 0, n), make([]CallResult, 0, n)
 	}
-	*r = Result{Outputs: outs, Results: items, stages: r.stages}
+	r.Outputs, r.Results = outs, items
+	r.Latency, r.SequentialLatency, r.OverlapSaved, r.Hits = 0, 0, 0, 0
 }
 
 // ErrInputTooLarge reports an item that does not fit the card's staging

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"agilefpga/internal/algos"
@@ -102,6 +103,72 @@ func BenchmarkHotCall(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// TestRunResetsReusedResult: Run reports only the job it ran into a
+// reused Result. A batch leaves Hits and OverlapSaved set, which a
+// one-item call never writes, and a rejected job writes nothing after
+// the reset.
+func TestRunResetsReusedResult(t *testing.T) {
+	cp, _, in := coldCard(t, 0)
+	crc := []uint16{algos.CRC32().ID()}
+	var res Result
+	for _, items := range [][][]byte{{in}, {in, in, in}} { // load, then a resident batch
+		if err := cp.Run(Job{Stages: crc, Items: items}, &res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if res.Hits != 3 || res.OverlapSaved == 0 {
+		t.Fatalf("batch: %d hits, %v overlap saved; want 3 and > 0", res.Hits, res.OverlapSaved)
+	}
+	if err := cp.Run(Job{Stages: crc, Items: [][]byte{in}}, &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.Hits != 1 || res.OverlapSaved != 0 || len(res.Outputs) != 1 || len(res.Results) != 1 ||
+		res.Latency != res.Results[0].Latency || res.SequentialLatency != res.Latency {
+		t.Errorf("call after a batch reports %d hits, %v saved, %d outputs, %d results, latency %v, sequential %v",
+			res.Hits, res.OverlapSaved, len(res.Outputs), len(res.Results), res.Latency, res.SequentialLatency)
+	}
+	if err := cp.Run(Job{Stages: crc}, &res); err == nil {
+		t.Fatal("empty job accepted")
+	}
+	if res.Hits != 0 || res.OverlapSaved != 0 || res.Latency != 0 || res.SequentialLatency != 0 ||
+		len(res.Outputs) != 0 || len(res.Results) != 0 {
+		t.Errorf("rejected job leaves %+v", res)
+	}
+}
+
+// TestResetClearsEveryExportedField fills every exported field of a
+// Result, by reflection, and checks reset leaves each one empty: a field
+// added to Result and not to reset's list fails here.
+func TestResetClearsEveryExportedField(t *testing.T) {
+	for _, n := range []int{1, 3, 8} {
+		var r Result
+		v := reflect.ValueOf(&r).Elem()
+		for i := range v.NumField() {
+			f, sf := v.Field(i), v.Type().Field(i)
+			if !sf.IsExported() {
+				continue
+			}
+			switch f.Kind() {
+			case reflect.Slice:
+				f.Set(reflect.MakeSlice(f.Type(), 1, 4))
+			case reflect.Int, reflect.Int64:
+				f.SetInt(1)
+			case reflect.Uint64:
+				f.SetUint(1)
+			default:
+				t.Fatalf("Result.%s is a %v: teach this test to fill it", sf.Name, f.Kind())
+			}
+		}
+		r.reset(n)
+		for i := range v.NumField() {
+			f, sf := v.Field(i), v.Type().Field(i)
+			if sf.IsExported() && (f.Kind() == reflect.Slice && f.Len() != 0 || f.Kind() != reflect.Slice && !f.IsZero()) {
+				t.Errorf("reset(%d) leaves Result.%s = %v", n, sf.Name, f)
+			}
+		}
 	}
 }
 

@@ -30,7 +30,7 @@ func RunE1() (*E1Result, error) {
 	}
 	res := &E1Result{
 		Table: Table{
-			Title: "E1  End-to-end cold call per bank function (framediff codec, LRU)",
+			Title: fmt.Sprintf("E1  End-to-end cold call per bank function (%s codec, LRU)", cp.Codec().Name()),
 			Header: []string{"function", "frames", "raw B", "comp B", "cold latency",
 				"pci", "config+decomp", "exec", "ok"},
 		},

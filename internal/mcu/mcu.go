@@ -51,7 +51,7 @@ type Config struct {
 	// (paper §2.3: "window by window"). Default DefaultWindowBytes.
 	WindowBytes int
 	// Codec names the bitstream compression the host driver installs
-	// functions with (see compress.Names). Default "framediff". The card
+	// functions with (see compress.Names). Default DefaultCodec. The card
 	// itself decodes whatever codec each ROM record names.
 	Codec string
 	// Policy is the frame replacement policy. Nil selects the paper's
@@ -104,6 +104,13 @@ const (
 	DefaultRAMBytes    = 64 * 1024
 	DefaultWindowBytes = 256
 )
+
+// DefaultCodec is the codec a card installs functions with when
+// Config.Codec is empty. Its decoder emits one byte per configuration
+// clock, the port's own rate, so a pipelined cold load never waits on
+// decompression (DESIGN §12); framediff, at 1.25 cycles per byte, would
+// set the pace of every load instead.
+const DefaultCodec = "lz77"
 
 // Controller is the microcontroller. It implements pci.Device.
 type Controller struct {
@@ -435,7 +442,7 @@ func New(cfg Config, reg *fpga.Registry) (*Controller, error) {
 		return nil, fmt.Errorf("mcu: window of %d bytes is below one port word", cfg.WindowBytes)
 	}
 	if cfg.Codec == "" {
-		cfg.Codec = "framediff"
+		cfg.Codec = DefaultCodec
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = replace.NewLRU()

@@ -84,3 +84,48 @@ func TestPipelineNeverSlower(t *testing.T) {
 		}
 	}
 }
+
+// TestDefaultCodecKeepsPaceWithPort is the time claim behind the default
+// codec (DESIGN §12): on the benchmark's 32×40 card, a pipelined cold
+// load of every bank function under DefaultCodec never waits on its
+// decoder — its decoder emits a byte per configuration clock and the
+// port takes at least that — while framediff, at 1.25 cycles per byte,
+// stalls the port on every load. Both configure the same fabric, so
+// outputs are byte-identical to each other and to the reference.
+func TestDefaultCodecKeepsPaceWithPort(t *testing.T) {
+	g := fpga.Geometry{Rows: 32, Cols: 40}
+	def := newController(t, Config{Geometry: g})
+	fd := newController(t, Config{Geometry: g, Codec: "framediff"})
+	for _, f := range algos.Bank() {
+		install(t, def, f, DefaultCodec)
+		install(t, fd, f, "framediff")
+		in := make([]byte, f.BlockBytes)
+		for i := range in {
+			in[i] = byte(i*29 + 3)
+		}
+		want, err := f.Exec(in)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*Controller{def, fd} {
+			out, br, err := c.Execute(f.ID(), in)
+			if err != nil {
+				t.Fatalf("%s under %s: %v", f.Name(), c.cfg.Codec, err)
+			}
+			if !bytes.Equal(out, want) {
+				t.Errorf("%s under %s: output differs from the reference", f.Name(), c.cfg.Codec)
+			}
+			if br.Get(sim.PhaseConfigure) == 0 {
+				t.Fatalf("%s under %s: the call loaded nothing", f.Name(), c.cfg.Codec)
+			}
+			stall := br.Get(sim.PhasePipeStall)
+			switch {
+			case c == def && stall != 0:
+				t.Errorf("%s: cold load under %s stalls %v, want 0", f.Name(), DefaultCodec, stall)
+			case c == fd && stall <= 0:
+				t.Errorf("%s: cold load under framediff stalls %v, want > 0", f.Name(), stall)
+			}
+			c.Evict(f.ID())
+		}
+	}
+}
