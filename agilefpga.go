@@ -74,13 +74,6 @@ type Config struct {
 	// decompression (the configuration port is still paid). Zero
 	// disables the cache.
 	DecodeCacheBytes int
-	// SequentialConfig reverts cold loads to the additive timing model:
-	// ROM streaming, window decompression, and configuration-port writes
-	// charged back to back, with no card-side batch overlap. The default
-	// (false) is the pipelined configuration model — while the port
-	// clocks in window N, the decompressor produces N+1 and the ROM
-	// streams N+2. Retained for A/B comparison (experiment E18).
-	SequentialConfig bool
 	// Metrics enables the telemetry registry: per-phase latency
 	// histograms and behaviour counters, exported in Prometheus text
 	// format (see CoProcessor.Metrics / Cluster.Metrics). Observation is
@@ -183,7 +176,7 @@ type BatchResult struct {
 	SequentialLatency time.Duration
 	// OverlapSaved is the card time hidden by double-buffered input
 	// staging: the data-input module stages item N+1 while the fabric
-	// executes N. Zero under SequentialConfig.
+	// executes N. Zero for a one-item batch.
 	OverlapSaved time.Duration
 	// Hits counts items served without reconfiguration.
 	Hits int
@@ -206,7 +199,6 @@ func (cfg Config) card() (core.Config, error) {
 		DiffReload:       cfg.DiffReload,
 		Prefetch:         cfg.Prefetch,
 		DecodeCacheBytes: cfg.DecodeCacheBytes,
-		SequentialConfig: cfg.SequentialConfig,
 	}
 	if cfg.Rows != 0 || cfg.Cols != 0 {
 		out.Geometry = fpga.Geometry{Rows: cfg.Rows, Cols: cfg.Cols}

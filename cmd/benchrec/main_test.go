@@ -109,7 +109,7 @@ func TestRecordSmoke(t *testing.T) {
 
 // TestCheckedInRecords: the records kept at the repository root diff as
 // their change declared — the default codec's virtual-time move, and no
-// allocation change.
+// allocation change; then a change that moved neither.
 func TestCheckedInRecords(t *testing.T) {
 	old, cur := filepath.Join("..", "..", "BENCH_44.json"), filepath.Join("..", "..", "BENCH_46.json")
 	if err := mainErr([]string{"-diff", old, cur}, io.Discard); err == nil || !strings.Contains(err.Error(), "net-cold-zipf: virt_us_per_op") {
@@ -117,5 +117,8 @@ func TestCheckedInRecords(t *testing.T) {
 	}
 	if err := mainErr([]string{"-diff", "-virt-declared", old, cur}, io.Discard); err != nil {
 		t.Errorf("declared diff of BENCH_44 → BENCH_46: %v", err)
+	}
+	if err := mainErr([]string{"-diff", cur, filepath.Join("..", "..", "BENCH_48.json")}, io.Discard); err != nil {
+		t.Errorf("undeclared diff of BENCH_46 → BENCH_48: %v", err)
 	}
 }

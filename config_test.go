@@ -7,7 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"agilefpga/internal/client"
+	"agilefpga/internal/cluster"
 	"agilefpga/internal/mcu"
+	"agilefpga/internal/router"
+	"agilefpga/internal/server"
+	"agilefpga/internal/trace"
 )
 
 // cardTrace is what one call sequence observably does to a card.
@@ -79,11 +84,10 @@ func traceOf(t *testing.T, cfg Config) (single, clustered cardTrace) {
 func TestConfigSameThroughNewAndNewCluster(t *testing.T) {
 	plain, _ := traceOf(t, Config{})
 	for name, cfg := range map[string]Config{
-		"SequentialConfig": {SequentialConfig: true},
-		"ContiguousOnly":   {ContiguousOnly: true},
-		"Codec":            {Codec: "rle"},
-		"WindowBytes":      {WindowBytes: 64},
-		"DiffReload":       {DiffReload: true},
+		"ContiguousOnly": {ContiguousOnly: true},
+		"Codec":          {Codec: "rle"},
+		"WindowBytes":    {WindowBytes: 64},
+		"DiffReload":     {DiffReload: true},
 	} {
 		t.Run(name, func(t *testing.T) {
 			single, clustered := traceOf(t, cfg)
@@ -97,31 +101,42 @@ func TestConfigSameThroughNewAndNewCluster(t *testing.T) {
 	}
 }
 
-// TestDesignCardOptionsTable: DESIGN §7's card-options table has one row
-// per mcu.Config field, in declaration order.
+// TestDesignCardOptionsTable: DESIGN §7 has one options table per
+// struct below, each with one row per field, in declaration order, so a
+// field added without a row fails here.
 func TestDesignCardOptionsTable(t *testing.T) {
 	doc, err := os.ReadFile("DESIGN.md")
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, section, ok := strings.Cut(string(doc), "### Card options (`mcu.Config`)")
-	if !ok {
-		t.Fatal("DESIGN.md has no card-options table")
-	}
-	var rows []string
-	for _, line := range strings.Split(section, "\n") {
-		if strings.HasPrefix(line, "#") {
-			break
+	for heading, typ := range map[string]reflect.Type{
+		"### Card options (`mcu.Config`)":             reflect.TypeOf(mcu.Config{}),
+		"#### Cluster options (`cluster.Options`)":    reflect.TypeOf(cluster.Options{}),
+		"#### Server options (`server.Options`)":      reflect.TypeOf(server.Options{}),
+		"#### Client options (`client.Options`)":      reflect.TypeOf(client.Options{}),
+		"#### Router options (`router.Options`)":      reflect.TypeOf(router.Options{}),
+		"#### Tracer options (`trace.TracerOptions`)": reflect.TypeOf(trace.TracerOptions{}),
+	} {
+		_, section, ok := strings.Cut(string(doc), "\n"+heading+"\n")
+		if !ok {
+			t.Errorf("DESIGN.md has no %q table", heading)
+			continue
 		}
-		if cells := strings.Split(line, "|"); len(cells) > 2 && strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
-			rows = append(rows, strings.Trim(strings.TrimSpace(cells[1]), "`"))
+		var rows []string
+		for _, line := range strings.Split(section, "\n") {
+			if strings.HasPrefix(line, "#") {
+				break
+			}
+			if cells := strings.Split(line, "|"); len(cells) > 2 && strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+				rows = append(rows, strings.Trim(strings.TrimSpace(cells[1]), "`"))
+			}
 		}
-	}
-	var fields []string
-	for _, f := range reflect.VisibleFields(reflect.TypeOf(mcu.Config{})) {
-		fields = append(fields, f.Name)
-	}
-	if !reflect.DeepEqual(rows, fields) {
-		t.Errorf("DESIGN.md card-options rows %v, mcu.Config fields %v", rows, fields)
+		var fields []string
+		for _, f := range reflect.VisibleFields(typ) {
+			fields = append(fields, f.Name)
+		}
+		if !reflect.DeepEqual(rows, fields) {
+			t.Errorf("DESIGN.md %s rows %v, %s fields %v", heading, rows, typ, fields)
+		}
 	}
 }

@@ -64,16 +64,14 @@ type Options struct {
 	// Queue bounds each card's submission queue (default 32). A full
 	// queue applies backpressure: Submit blocks until the card drains.
 	Queue int
-	// Coalesce caps how many consecutive same-stage-list jobs a card
-	// worker folds into one pipelined run (default 16).
-	Coalesce int
 }
 
-// Defaults for Options.
-const (
-	DefaultQueue    = 32
-	DefaultCoalesce = 16
-)
+// DefaultQueue is Options.Queue's default.
+const DefaultQueue = 32
+
+// coalesceCap caps how many consecutive same-stage-list jobs a card
+// worker folds into one pipelined run.
+const coalesceCap = 16
 
 // Cluster is a set of cards behind one dispatcher.
 type Cluster struct {
@@ -132,9 +130,6 @@ func NewWithOptions(n int, mode string, cfg core.Config, opts Options) (*Cluster
 	}
 	if opts.Queue <= 0 {
 		opts.Queue = DefaultQueue
-	}
-	if opts.Coalesce <= 0 {
-		opts.Coalesce = DefaultCoalesce
 	}
 	cl := &Cluster{
 		mode:     mode,
@@ -683,7 +678,7 @@ func (cl *Cluster) startWorkers() {
 // one resident configuration and a pipelined burst. Group carriers
 // expand into their children here: a cross-client batch window arrives
 // as one entry and joins the same coalescing machinery, so a group may
-// carry the run past the Coalesce cap (the cap bounds how many further
+// carry the run past coalesceCap (the cap bounds how many further
 // entries are folded, not a group's own size).
 func (cl *Cluster) worker(card int) {
 	defer cl.wg.Done()
@@ -709,7 +704,7 @@ func (cl *Cluster) worker(card int) {
 		}
 		run = append(run[:0], p.expand()...)
 	coalesce:
-		for len(run) < cl.opts.Coalesce {
+		for len(run) < coalesceCap {
 			select {
 			case next, ok := <-q:
 				if !ok {
@@ -779,8 +774,8 @@ func (cl *Cluster) serveRun(card int, run []*Pending, res *core.Result) {
 	// buffer.
 	job := core.Job{
 		Stages: run[0].stages.slice(),
-		Items:  make([][]byte, 0, DefaultCoalesce),
-		Dsts:   make([][]byte, 0, DefaultCoalesce),
+		Items:  make([][]byte, 0, coalesceCap),
+		Dsts:   make([][]byte, 0, coalesceCap),
 	}
 	for _, p := range run {
 		job.Items = append(job.Items, p.input)

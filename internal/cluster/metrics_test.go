@@ -140,12 +140,11 @@ func TestClusterTraceCarriesCardIdentity(t *testing.T) {
 // TestClusterDispatcherGauges drives the async layer with a registry
 // attached and checks the dispatcher-level series: submissions count
 // every job, queues drain back to zero, workers end idle, and coalesced
-// batches are accounted per card.
+// batches are accounted per card. Bursts of 10 stay under coalesceCap.
 func TestClusterDispatcherGauges(t *testing.T) {
 	reg := metrics.NewRegistry()
-	cl, err := NewWithOptions(2, ModeAffinity,
-		core.Config{Geometry: fpga.Geometry{Rows: 32, Cols: 40}, Metrics: reg},
-		Options{Coalesce: 8})
+	cl, err := New(2, ModeAffinity,
+		core.Config{Geometry: fpga.Geometry{Rows: 32, Cols: 40}, Metrics: reg})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"cmp"
 	"encoding/binary"
 	"io"
 	"math/bits"
@@ -123,18 +124,23 @@ func (lz77Codec) NewReader(comp []byte) (io.Reader, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &lz77Reader{comp: comp, off: n, remaining: int(rawLen)}, nil
+	hist := make([]byte, 0, min(rawLen, lzHistCap)) // a short stream never slides
+	return &lz77Reader{comp: comp, off: n, remaining: int(rawLen), hist: hist}, nil
 }
 
-// lz77Reader incrementally decodes the token stream. It keeps the full
-// decoded history (the window never exceeds 4 KiB back-references, but a
-// flat buffer keeps the code simple; bitstreams are small).
+// lzHistCap bounds the decoder's history buffer: the window, plus as
+// much again of decoded output, so the window slides once per 4 KiB.
+const lzHistCap = 2 * lzWindow
+
+// lz77Reader incrementally decodes the token stream into a bounded
+// history buffer: the window a back-reference may still reach, then the
+// decoded bytes Read has not handed out yet.
 type lz77Reader struct {
 	comp      []byte
 	off       int
-	remaining int // raw bytes not yet produced
+	remaining int // raw bytes not yet decoded
 
-	hist   []byte // all decoded output
+	hist   []byte // the window, then undelivered output
 	served int    // bytes of hist already returned
 
 	flags   byte
@@ -146,25 +152,32 @@ type lz77Reader struct {
 // stream, header included.
 func (r *lz77Reader) InputConsumed() int { return r.off }
 
+// full reports that the next token might not fit in the buffer.
+func (r *lz77Reader) full() bool { return len(r.hist)+min(lzMaxMatch, r.remaining) > cap(r.hist) }
+
+// Read decodes exactly as far as filling p needs, as a reader with an
+// unbounded history would (so InputConsumed marks do not depend on the
+// buffer), handing out decoded bytes and sliding the window down
+// whenever the buffer is full.
 func (r *lz77Reader) Read(p []byte) (int, error) {
-	if r.failed != nil {
-		return 0, r.failed
-	}
-	for len(r.hist)-r.served < len(p) && r.remaining > 0 {
-		if err := r.decodeToken(); err != nil {
-			r.failed = err
-			break
+	n := 0
+	for n < len(p) {
+		if drop := min(r.served, len(r.hist)-lzWindow); drop > 0 && r.full() {
+			r.hist = r.hist[:copy(r.hist, r.hist[drop:])]
+			r.served -= drop
 		}
-	}
-	avail := len(r.hist) - r.served
-	if avail == 0 {
-		if r.failed != nil {
-			return 0, r.failed
+		for len(r.hist)-r.served < len(p)-n && r.remaining > 0 && r.failed == nil && !r.full() {
+			r.failed = r.decodeToken()
 		}
-		return 0, io.EOF
+		c := copy(p[n:], r.hist[r.served:])
+		if c == 0 {
+			break // decoded to the end, or failed
+		}
+		r.served, n = r.served+c, n+c
 	}
-	n := copy(p, r.hist[r.served:])
-	r.served += n
+	if n == 0 && len(p) > 0 {
+		return 0, cmp.Or(r.failed, io.EOF)
+	}
 	return n, nil
 }
 
@@ -195,7 +208,7 @@ func (r *lz77Reader) decodeToken() error {
 	length := int(r.comp[r.off]) + lzMinMatch
 	offset := int(binary.LittleEndian.Uint16(r.comp[r.off+1:]))
 	r.off += 3
-	if offset == 0 || offset > len(r.hist) || length > r.remaining {
+	if offset == 0 || offset > min(len(r.hist), lzWindow) || length > r.remaining {
 		return ErrCorrupt
 	}
 	r.remaining -= length

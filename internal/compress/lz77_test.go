@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"io"
+	"runtime"
 	"testing"
 
 	"agilefpga/internal/algos"
@@ -55,6 +57,52 @@ func TestLZ77BlobGolden(t *testing.T) {
 		got[name] = blobGolden{Sum: hex.EncodeToString(sum[:]), N: len(comp)}
 	}
 	testutil.GoldenJSON(t, "testdata/lz77_blob_golden.json", got)
+}
+
+// TestLZ77WindowedDecodeAllocs pins what decoding the whole 32×40 bank
+// window by window, as a card's Download does, allocates: per blob the
+// reader and one history buffer of at most lzHistCap bytes, however long
+// the decoded stream.
+func TestLZ77WindowedDecodeAllocs(t *testing.T) {
+	var blobs [][]byte
+	for _, img := range bankImages(t) {
+		comp, err := lz77Codec{}.Compress(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		blobs = append(blobs, comp)
+	}
+	win := make([]byte, 256)
+	decode := func() {
+		for _, comp := range blobs {
+			r, err := lz77Codec{}.NewReader(comp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for {
+				_, err := r.Read(win)
+				if err == io.EOF {
+					break
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	allocs := testing.AllocsPerRun(5, decode)
+	if want := float64(2 * len(blobs)); allocs > want {
+		t.Errorf("a windowed decode of the bank allocates %.0f times, want at most %.0f (2 per blob)", allocs, want)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	decode()
+	runtime.ReadMemStats(&after)
+	got := after.TotalAlloc - before.TotalAlloc
+	if want := uint64(len(blobs) * (lzHistCap + 256)); got > want {
+		t.Errorf("a windowed decode of the bank allocates %d bytes, want at most %d (lzHistCap and the reader per blob)", got, want)
+	}
+	t.Logf("%d blobs: %.0f allocations, %d bytes", len(blobs), allocs, got)
 }
 
 // BenchmarkCompress encodes the whole 32×40 bank once per op under each

@@ -84,7 +84,7 @@ type Result struct {
 	// N and the output-collection module drains N-1, and a chain's
 	// simultaneously resident stages work on different items at once,
 	// so the card's critical path undercuts the sum of its per-item
-	// times by this much. Zero for one item and under SequentialConfig.
+	// times by this much. Zero for one item.
 	OverlapSaved sim.Time
 	// Hits counts items served without reconfiguration.
 	Hits int
@@ -251,7 +251,7 @@ func (cp *CoProcessor) run(job Job, res *Result) error {
 	// output-collection module. One item has nothing to overlap with.
 	var cardPipe sim.Pipeline
 	var costs []sim.Time
-	pipelined := n > 1 && !cp.cfg.SequentialConfig
+	pipelined := n > 1
 	if pipelined {
 		var phases [sim.MaxPipelineStages]sim.Phase
 		phases[0], phases[k+1] = sim.PhaseDataIn, sim.PhaseDataOut

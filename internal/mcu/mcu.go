@@ -81,16 +81,6 @@ type Config struct {
 	// (PhaseDecompress = 0); the frames are read back from RAM
 	// (PhaseCache) and pushed through the port as usual. 0 disables.
 	DecodeCacheBytes int
-	// SequentialConfig disables the pipelined configuration timing model
-	// (DESIGN §12) and reverts to the additive model that charges ROM
-	// streaming, window decompression, and configuration-port writes back
-	// to back; the host driver then also drops the card-side overlap
-	// between a job's items. The zero value is the pipelined behaviour:
-	// while the port clocks in window N, the decompressor produces N+1
-	// and the ROM streams N+2, so a cold load costs the pipeline's
-	// critical path and the hidden time shows up as overlap savings. The
-	// additive model is retained only for A/B comparison (experiment E18).
-	SequentialConfig bool
 	// Metrics, when non-nil, receives per-phase latency histograms and
 	// behaviour counters. Observation is passive: it never advances a
 	// clock domain, so enabling metrics changes no virtual-time result.

@@ -318,19 +318,15 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 				metrics.L("fn", c.fnLabel(rec.FnID))).Inc()
 		}
 	}
-	// Timing of the configuration module. Stage totals first: the ROM
-	// delivers the whole blob (or RAM every cached image), the
-	// decompressor expands every output byte, the port clocks in every
-	// frame packet.
-	switch {
-	case cached && c.cfg.SequentialConfig:
-		br.Add(sim.PhaseCache, c.mcuDom.Span(memory.ReadCycles(raw)))
-		br.Add(sim.PhaseConfigure, c.cfgDom.Span(portCycles))
-	case cached:
-		// Two-stage pipeline: while the port clocks in frame N, the next
-		// image is read back from RAM. Cumulative-delta costing keeps the
-		// per-frame cycles summing exactly to the totals.
-		pipe := sim.NewPipeline(sim.PhaseCache, sim.PhaseConfigure)
+	// Timing of the configuration module (DESIGN §12): one pipeline of
+	// the stages the load runs, each fed per-unit costs split
+	// cumulatively from its stage total, so the costs sum exactly to the
+	// totals and the critical path obeys the max-of-stages recurrence.
+	var pipe sim.Pipeline
+	if cached {
+		// Two stages: while the port clocks in frame N, the next image is
+		// read back from RAM.
+		pipe = sim.NewPipeline(sim.PhaseCache, sim.PhaseConfigure)
 		fb := c.cfg.Geometry.FrameBytes()
 		var prevRAM, prevPort uint64
 		for i := 1; i <= len(frames); i++ {
@@ -343,25 +339,13 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 			pipe.Feed(c.mcuDom.Span(ramCum-prevRAM), c.cfgDom.Span(portCum-prevPort))
 			prevRAM, prevPort = ramCum, portCum
 		}
-		stall := pipe.Attribute(br)
-		c.notePipeline(rec.FnID, &pipe, stall)
-	case c.cfg.SequentialConfig:
-		// Additive model: the three stages run back to back, window
-		// overlap disabled — the E18 baseline.
-		br.Add(sim.PhaseROM, c.mcuDom.Span(p.romCycles))
-		br.Add(sim.PhaseDecompress, c.cfgDom.Span(p.decompCycles))
-		br.Add(sim.PhaseConfigure, c.cfgDom.Span(portCycles))
-	default:
-		// Pipelined model (DESIGN §12): while the port clocks in window
-		// N, the decompressor produces N+1 and the ROM streams N+2. Each
-		// window's stage costs come from cumulative-delta splits of the
-		// stage totals (ROM by bytes consumed, decompress and port by
-		// bytes produced), so the per-window costs sum exactly to the
-		// totals and the critical path obeys the max-of-stages
-		// recurrence. Attribution: pipeline fill to PhaseROM and
-		// PhaseDecompress, port busy time to PhaseConfigure, bubbles to
-		// PhasePipeStall.
-		pipe := sim.NewPipeline(sim.PhaseROM, sim.PhaseDecompress, sim.PhaseConfigure)
+	} else {
+		// Three stages: while the port clocks in window N, the
+		// decompressor produces N+1 and the ROM streams N+2. ROM costs
+		// split by bytes consumed, decompress and port by bytes produced.
+		// Attribution: pipeline fill to PhaseROM and PhaseDecompress, port
+		// busy time to PhaseConfigure, bubbles to PhasePipeStall.
+		pipe = sim.NewPipeline(sim.PhaseROM, sim.PhaseDecompress, sim.PhaseConfigure)
 		var prevRom, prevDec, prevPort uint64
 		for i, w := range p.wins {
 			romCum := memory.ReadCycles(w.consumed)
@@ -375,9 +359,8 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 			pipe.Feed(c.mcuDom.Span(romCum-prevRom), c.cfgDom.Span(decCum-prevDec), c.cfgDom.Span(portCum-prevPort))
 			prevRom, prevDec, prevPort = romCum, decCum, portCum
 		}
-		stall := pipe.Attribute(br)
-		c.notePipeline(rec.FnID, &pipe, stall)
 	}
+	c.notePipeline(rec.FnID, &pipe, pipe.Attribute(br))
 	br.Add(sim.PhaseOverhead, c.mcuDom.Span(overhead))
 
 	c.stats.FramesLoaded += uint64(len(frames))

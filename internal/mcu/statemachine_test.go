@@ -23,8 +23,6 @@ func TestMiniOSRandomOperations(t *testing.T) {
 		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, DiffReload: true},
 		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, Prefetch: true},
 		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, DiffReload: true, Prefetch: true},
-		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, SequentialConfig: true},
-		{Geometry: fpga.Geometry{Rows: 32, Cols: 24}, DiffReload: true, Prefetch: true, SequentialConfig: true},
 	}
 	// A mixed-footprint subset that fits the 24-frame device one or two
 	// at a time.
@@ -33,7 +31,8 @@ func TestMiniOSRandomOperations(t *testing.T) {
 	}
 	for ci, cfg := range configs {
 		cfg := cfg
-		t.Run(fmt.Sprintf("cfg%d_scatter%v_diff%v_pf%v_seq%v", ci, !cfg.ContiguousOnly, cfg.DiffReload, cfg.Prefetch, cfg.SequentialConfig),
+		// Every configuration runs the one pipelined timing model: "seqfalse".
+		t.Run(fmt.Sprintf("cfg%d_scatter%v_diff%v_pf%v_seqfalse", ci, !cfg.ContiguousOnly, cfg.DiffReload, cfg.Prefetch),
 			func(t *testing.T) {
 				c := newController(t, cfg)
 				for _, f := range fns {

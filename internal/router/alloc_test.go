@@ -3,6 +3,7 @@ package router_test
 import (
 	"bytes"
 	"context"
+	"net"
 	"testing"
 
 	"agilefpga/internal/algos"
@@ -23,16 +24,89 @@ import (
 // it. No metrics registry or tracer is attached.
 func TestRoutedRoundTripAllocs(t *testing.T) {
 	const want = 1
-	f := newFleet(t, 2, 1)
+	call := routedResidentCall(t, listen(t), []net.Listener{listen(t), listen(t)})
+	if testutil.RaceEnabled {
+		t.Skip("sync.Pool drops Puts under -race: the pooled objects are reallocated there by design")
+	}
+	if got := testing.AllocsPerRun(500, call); got != want {
+		t.Errorf("a resident 256 B sha256 call through the router allocates %.0f times, want %d (lower it if this fell)", got, want)
+	}
+}
+
+// TestRoutedRoundTripIO pins the system calls of the same routed call
+// on both sides of the hop: the router's front end reads the request
+// in one Read and answers in one Write, and so does the backend that
+// serves the forward. A hop that splits a frame adds a call per request
+// and fails here.
+func TestRoutedRoundTripIO(t *testing.T) {
+	const ops = 500
+	front := &testutil.CountingListener{Listener: listen(t)}
+	backends := []*testutil.CountingListener{{Listener: listen(t)}, {Listener: listen(t)}}
+	call := routedResidentCall(t, front, []net.Listener{backends[0], backends[1]})
+	// counts sums the reads and writes of the front end and of the
+	// backends.
+	counts := func() (fr, fw, br, bw uint64) {
+		fr, fw = front.Reads(), front.Writes()
+		for _, b := range backends {
+			br, bw = br+b.Reads(), bw+b.Writes()
+		}
+		return
+	}
+	fr0, fw0, br0, bw0 := counts()
+	for i := 0; i < ops; i++ {
+		call()
+	}
+	fr, fw, br, bw := counts()
+	for _, side := range []struct {
+		name          string
+		reads, writes uint64
+	}{
+		{"front end", fr - fr0, fw - fw0},
+		{"backend", br - br0, bw - bw0},
+	} {
+		if side.reads != ops || side.writes != ops {
+			t.Errorf("%d routed calls: the %s made %d reads and %d writes, want 1 and 1 per call",
+				ops, side.name, side.reads, side.writes)
+		}
+	}
+}
+
+// listen opens a loopback listener.
+func listen(t *testing.T) net.Listener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ln
+}
+
+// routedResidentCall serves a router on front over one-card backends on
+// the backend listeners, until the test ends, and returns one
+// closed-loop 256 B sha256 call through a one-connection client, checked
+// against the reference. It has made 100 calls already, so the function
+// is resident and the pools are full.
+func routedResidentCall(t *testing.T, front net.Listener, backends []net.Listener) func() {
+	t.Helper()
+	f := &fleet{}
+	for _, ln := range backends {
+		nd := serveNode(t, ln, 1)
+		f.nodes, f.addrs = append(f.nodes, nd), append(f.addrs, nd.addr)
+	}
+	t.Cleanup(func() {
+		for _, nd := range f.nodes {
+			nd.stop()
+		}
+	})
 	r, err := router.New(f.addrs, router.Options{Seed: 1, Backend: client.Options{PoolSize: 1}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := client.Dial(serveWire(t, r), client.Options{PoolSize: 1})
+	c, err := client.Dial(serveWireOn(t, r, front), client.Options{PoolSize: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer c.Close()
+	t.Cleanup(func() { c.Close() })
 	in := make([]byte, 256)
 	for i := range in {
 		in[i] = byte(i * 7)
@@ -53,12 +127,7 @@ func TestRoutedRoundTripAllocs(t *testing.T) {
 	for i := 0; i < 100; i++ { // load the function, fill the pools
 		call()
 	}
-	if testutil.RaceEnabled {
-		t.Skip("sync.Pool drops Puts under -race: the pooled objects are reallocated there by design")
-	}
-	if got := testing.AllocsPerRun(500, call); got != want {
-		t.Errorf("a resident 256 B sha256 call through the router allocates %.0f times, want %d (lower it if this fell)", got, want)
-	}
+	return call
 }
 
 // TestRoutingStepsAllocateNothing pins the router's own per-request

@@ -2,6 +2,7 @@ package router_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 	"testing"
@@ -57,6 +58,30 @@ func TestRingDistributionBounds(t *testing.T) {
 					n, node, share, c, fair)
 			}
 		}
+	}
+}
+
+// TestRingVNodesTightenBalance: the vnode count is what evens the key
+// shares out. Over eight nodes, one point each leaves the most loaded
+// node further from its fair share than the default count does.
+func TestRingVNodesTightenBalance(t *testing.T) {
+	worst := func(vnodes int) float64 {
+		r := router.NewRing(vnodes, 1)
+		for _, n := range ringNodes(8) {
+			r.Add(n)
+		}
+		counts := make(map[string]int)
+		for _, node := range owners(r) {
+			counts[node]++
+		}
+		fair, max := float64(1<<16)/8, 0.0
+		for _, c := range counts {
+			max = math.Max(max, math.Abs(float64(c)/fair-1))
+		}
+		return max
+	}
+	if one, def := worst(1), worst(router.DefaultVNodes); def >= one {
+		t.Errorf("worst share deviation %.2f at %d vnodes, %.2f at 1: more points should even the shares", def, router.DefaultVNodes, one)
 	}
 }
 

@@ -22,12 +22,18 @@ import (
 const (
 	DefaultReplication    = 2
 	DefaultSpillThreshold = 8
-	DefaultMaxRounds      = 4
 	DefaultMaxInflight    = 1024
 	DefaultEjectAfter     = 1
 	DefaultProbeBase      = 50 * time.Millisecond
 	DefaultProbeMax       = 2 * time.Second
-	DefaultProbeTimeout   = time.Second
+)
+
+// The router's fixed bounds: full passes over the candidate list, which
+// the shared jittered backoff schedule separates, and the round trip of
+// one probe of an ejected backend.
+const (
+	maxRounds    = 4
+	probeTimeout = time.Second
 )
 
 // ErrNoBackends is returned when every candidate backend refused the
@@ -50,9 +56,6 @@ type Options struct {
 	// values on every router instance give identical routing.
 	VNodes int
 	Seed   uint64
-	// MaxRounds bounds full passes over the candidate list (default 4);
-	// rounds are separated by the shared jittered backoff schedule.
-	MaxRounds int
 	// MaxInflight bounds requests admitted by the wire front end
 	// (default 1024); excess is refused with RESOURCE_EXHAUSTED.
 	MaxInflight int
@@ -62,10 +65,9 @@ type Options struct {
 	EjectAfter int
 	// ProbeBase/ProbeMax shape the ejected-backend probe schedule
 	// (jittered exponential, shared Backoff implementation); a probe
-	// round trip is bounded by ProbeTimeout.
-	ProbeBase    time.Duration
-	ProbeMax     time.Duration
-	ProbeTimeout time.Duration
+	// round trip is bounded by probeTimeout.
+	ProbeBase time.Duration
+	ProbeMax  time.Duration
 	// Backend is the template for per-backend mux clients. MaxRetries
 	// is forced off (the router retries across backends, not within
 	// one) and Metrics is forced nil (per-conn gauge labels would
@@ -116,9 +118,6 @@ func New(backends []string, opts Options) (*Router, error) {
 	if opts.SpillThreshold <= 0 {
 		opts.SpillThreshold = DefaultSpillThreshold
 	}
-	if opts.MaxRounds <= 0 {
-		opts.MaxRounds = DefaultMaxRounds
-	}
 	if opts.MaxInflight <= 0 {
 		opts.MaxInflight = DefaultMaxInflight
 	}
@@ -130,9 +129,6 @@ func New(backends []string, opts Options) (*Router, error) {
 	}
 	if opts.ProbeMax <= 0 {
 		opts.ProbeMax = DefaultProbeMax
-	}
-	if opts.ProbeTimeout <= 0 {
-		opts.ProbeTimeout = DefaultProbeTimeout
 	}
 	bopts := opts.Backend
 	bopts.MaxRetries = -1
@@ -322,7 +318,7 @@ func (r *Router) route(ctx context.Context, stages []uint16, payload, dst []byte
 				}
 			}
 		}
-		if round+1 >= r.opts.MaxRounds {
+		if round+1 >= maxRounds {
 			if lastErr == nil {
 				lastErr = ErrNoBackends
 			}
@@ -423,7 +419,7 @@ func (r *Router) startProbe(b *backend) {
 			if err := r.probeBo.Sleep(r.pctx, attempt); err != nil {
 				return // router closing
 			}
-			if probeOnce(b.addr, r.opts.ProbeTimeout) {
+			if probeOnce(b.addr, probeTimeout) {
 				b.closeClient()
 				b.reinstate()
 				return

@@ -19,6 +19,7 @@ import (
 	"agilefpga/internal/metrics"
 	"agilefpga/internal/router"
 	"agilefpga/internal/server"
+	"agilefpga/internal/trace"
 	"agilefpga/internal/wire"
 )
 
@@ -33,17 +34,23 @@ type node struct {
 
 func startNode(t *testing.T, addr string, cards int) *node {
 	t.Helper()
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serveNode(t, ln, cards)
+}
+
+// serveNode runs a backend of the given number of cards on ln.
+func serveNode(t *testing.T, ln net.Listener, cards int) *node {
+	t.Helper()
 	cl, err := cluster.New(cards, cluster.ModeAffinity,
 		core.Config{Geometry: fpga.Geometry{Rows: 32, Cols: 40}})
 	if err != nil {
+		ln.Close()
 		t.Fatal(err)
 	}
 	srv := server.New(cl, server.Options{})
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		cl.Close()
-		t.Fatal(err)
-	}
 	n := &node{addr: ln.Addr().String(), cl: cl, srv: srv, serr: make(chan error, 1)}
 	go func() { n.serr <- srv.Serve(ln) }()
 	return n
@@ -118,6 +125,12 @@ func serveWire(t *testing.T, r *router.Router) string {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return serveWireOn(t, r, ln)
+}
+
+// serveWireOn is serveWire on a listener the test made.
+func serveWireOn(t *testing.T, r *router.Router, ln net.Listener) string {
+	t.Helper()
 	serr := make(chan error, 1)
 	go func() { serr <- r.Serve(ln) }()
 	t.Cleanup(func() {
@@ -536,6 +549,43 @@ func TestRouterWireFrontEnd(t *testing.T) {
 	}
 	if n := reg.Histogram("agile_router_hop_overhead_seconds").Count(); n == 0 {
 		t.Fatal("hop-overhead histogram is empty after wire calls")
+	}
+}
+
+// TestRouterTracerRootsRouteSpan: a router given a tracer roots a route
+// span for an untraced wire request, with the forward to the backend
+// recorded under it.
+func TestRouterTracerRootsRouteSpan(t *testing.T) {
+	f := newFleet(t, 1, 1)
+	tracer := trace.NewTracer(trace.TracerOptions{Sample: 1, Seed: 1})
+	defer tracer.Close()
+	r, _ := newTestRouter(t, f, router.Options{Tracer: tracer})
+	c, err := client.Dial(serveWire(t, r), client.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if _, _, err := c.Call(context.Background(), algos.IDSHA256, []byte("route me")); err != nil {
+		t.Fatal(err)
+	}
+	// The route span ends just after the reply is written.
+	deadline := time.Now().Add(10 * time.Second) //lint:wallclock test polls for the router's span to end in real time
+	for tracer.Completed() == 0 {
+		if time.Now().After(deadline) { //lint:wallclock test polls for the router's span to end in real time
+			t.Fatal("the routed request's trace never completed")
+		}
+		time.Sleep(time.Millisecond) //lint:wallclock test polls for the router's span to end in real time
+	}
+	traces := tracer.Captured()
+	if len(traces) != 1 {
+		t.Fatalf("captured %d traces, want 1", len(traces))
+	}
+	spans := traces[0].Spans
+	if root := spans[0]; root.Name != "route" || root.Layer != "router" || root.Fn != algos.IDSHA256 {
+		t.Fatalf("root span %+v, want the router's route span for sha256", root)
+	}
+	if len(spans) < 2 {
+		t.Fatalf("the route span has no children: %+v", spans)
 	}
 }
 

@@ -27,7 +27,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"net/http"
 	"sort"
 	"strconv"
@@ -81,9 +80,6 @@ type Options struct {
 	BatchDwell time.Duration
 	// Metrics receives the server series (nil = no recording).
 	Metrics *metrics.Registry
-	// Trace receives one span per request, carrying the request id,
-	// function, status and serving card (nil = no recording).
-	Trace *trace.Log
 	// Tracer receives the server's distributed-trace spans: one rpc
 	// span per request (joining the client's trace when the wire frame
 	// carried a context, rooting a server-side trace otherwise), with
@@ -129,7 +125,7 @@ func New(cl *cluster.Cluster, opts Options) *Server {
 	s.FrontEnd = NewFrontEnd("server", opts.MaxInflight, opts.Metrics, Handler{
 		Serve: s.serve,
 		Refused: func(req *wire.Request, st wire.Status) {
-			s.observe(req.ID, req.Fn, st, -1, 0)
+			s.observe(st, 0, 0)
 		},
 	})
 	if opts.BatchWindow > 1 {
@@ -170,9 +166,9 @@ func (s *Server) serve(ctx context.Context, rq *Call) {
 		p.Release() // the payload may be p's output buffer: written out now
 	}
 	s.opts.Tracer.End(ref, statusLabel(status))
-	// The served latency costs a clock read: take it only for a sink.
-	if s.opts.Metrics != nil || s.opts.Trace != nil {
-		s.observeTraced(rq.ID, rq.Fn, status, card, time.Since(start), ref.TraceID) //lint:wallclock served latency is wall time seen by network clients
+	// The served latency costs a clock read: take it only for a registry.
+	if s.opts.Metrics != nil {
+		s.observe(status, time.Since(start), ref.TraceID) //lint:wallclock served latency is wall time seen by network clients
 	}
 }
 
@@ -280,34 +276,21 @@ func statusOf(err error) wire.Status {
 	}
 }
 
-// observe records one finished (or refused) request into the metrics
-// and trace sinks. Server latency is wall-clock — the network edge has
-// no virtual clock — stored in the same picosecond unit the virtual
-// histograms use.
-func (s *Server) observe(id uint64, fn uint16, st wire.Status, card int16, elapsed time.Duration) {
-	s.observeTraced(id, fn, st, card, elapsed, 0)
-}
-
-// observeTraced is observe with a trace-id exemplar: a sampled
-// request stamps its trace id onto the latency histogram, linking the
-// aggregate back to the concrete trace in /debug/traces.
-func (s *Server) observeTraced(id uint64, fn uint16, st wire.Status, card int16, elapsed time.Duration, traceID uint64) {
-	if s.opts.Metrics != nil {
-		lbl := metrics.L("status", st.String())
-		s.opts.Metrics.Counter("agile_server_requests_total", lbl).Inc()
-		if elapsed > 0 {
-			s.opts.Metrics.Histogram("agile_server_request_seconds", lbl).
-				ObserveExemplar(sim.Time(elapsed.Nanoseconds())*sim.Nanosecond, traceID)
-		}
+// observe records one finished (or refused) request into the metrics.
+// Server latency is wall-clock — the network edge has no virtual clock
+// — stored in the same picosecond unit the virtual histograms use. A
+// sampled request stamps its trace id onto the latency histogram as an
+// exemplar, linking the aggregate back to the concrete trace in
+// /debug/traces.
+func (s *Server) observe(st wire.Status, elapsed time.Duration, traceID uint64) {
+	if s.opts.Metrics == nil {
+		return
 	}
-	if s.opts.Trace != nil {
-		s.opts.Trace.Record(trace.Event{
-			Kind:   trace.KindSpan,
-			Fn:     fn,
-			Card:   int(card),
-			Detail: fmt.Sprintf("rpc req=%d status=%s", id, st),
-			DurPS:  uint64(elapsed.Nanoseconds()) * 1000,
-		})
+	lbl := metrics.L("status", st.String())
+	s.opts.Metrics.Counter("agile_server_requests_total", lbl).Inc()
+	if elapsed > 0 {
+		s.opts.Metrics.Histogram("agile_server_request_seconds", lbl).
+			ObserveExemplar(sim.Time(elapsed.Nanoseconds())*sim.Nanosecond, traceID)
 	}
 }
 

@@ -84,14 +84,15 @@ type TracerOptions struct {
 	ErrorN int
 	// RecentN bounds the most-recently-completed ring. Default 64.
 	RecentN int
-	// MaxActive bounds in-flight traces so a peer that never completes
-	// spans cannot grow the tracer without bound; past it, new roots
-	// are dropped (counted). Default 4096.
-	MaxActive int
 	// Seed fixes id generation and sampling decisions for tests; 0
 	// seeds from the wall clock.
 	Seed uint64
 }
+
+// maxActive bounds in-flight traces so a peer that never completes
+// spans cannot grow the tracer without bound; past it, new roots are
+// dropped (counted).
+const maxActive = 4096
 
 // Tracer creates spans, assembles them into traces, and hands completed
 // traces to a collector goroutine that maintains the capture rings. A
@@ -118,7 +119,7 @@ type Tracer struct {
 
 	completed     atomic.Uint64
 	droppedFull   atomic.Uint64 // collector channel full
-	droppedActive atomic.Uint64 // MaxActive reached
+	droppedActive atomic.Uint64 // maxActive reached
 }
 
 // activeTrace is a trace still being assembled. completer is the span
@@ -140,9 +141,6 @@ func NewTracer(opts TracerOptions) *Tracer {
 	}
 	if opts.RecentN <= 0 {
 		opts.RecentN = 64
-	}
-	if opts.MaxActive <= 0 {
-		opts.MaxActive = 4096
 	}
 	seed := opts.Seed
 	if seed == 0 {
@@ -211,7 +209,7 @@ func (t *Tracer) StartRoot(name, layer string, fn uint16) SpanRef {
 	start := nowNS()
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.closed || len(t.active) >= t.opts.MaxActive {
+	if t.closed || len(t.active) >= maxActive {
 		t.droppedActive.Add(1)
 		return SpanRef{}
 	}
@@ -241,7 +239,7 @@ func (t *Tracer) StartRemote(traceID, parentSpanID uint64, sampled bool, name, l
 	}
 	at := t.active[traceID]
 	if at == nil {
-		if len(t.active) >= t.opts.MaxActive {
+		if len(t.active) >= maxActive {
 			t.droppedActive.Add(1)
 			return SpanRef{}
 		}
@@ -447,7 +445,7 @@ func (t *Tracer) Completed() uint64 {
 }
 
 // Dropped counts traces lost to backpressure (collector channel full)
-// or to the MaxActive bound.
+// or to the maxActive bound.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0

@@ -266,15 +266,21 @@ func TestTracerCloseDrains(t *testing.T) {
 	}
 }
 
+// TestTracerMaxActiveBound: the maxActive-th open root is the last one
+// admitted; the next is dropped and counted until a trace completes.
 func TestTracerMaxActiveBound(t *testing.T) {
-	tr := newTestTracer(TracerOptions{Sample: 1, MaxActive: 4})
+	tr := newTestTracer(TracerOptions{Sample: 1})
 	defer tr.Close()
-	refs := make([]SpanRef, 0, 4)
-	for i := 0; i < 4; i++ {
-		refs = append(refs, tr.StartRoot("call", "client", 1))
+	refs := make([]SpanRef, 0, maxActive)
+	for i := 0; i < maxActive; i++ {
+		ref := tr.StartRoot("call", "client", 1)
+		if !ref.Valid() {
+			t.Fatalf("root %d of %d dropped", i+1, maxActive)
+		}
+		refs = append(refs, ref)
 	}
 	if tr.StartRoot("call", "client", 1).Valid() {
-		t.Fatal("MaxActive not enforced")
+		t.Fatal("maxActive not enforced")
 	}
 	if tr.Dropped() == 0 {
 		t.Fatal("drop not counted")
