@@ -172,11 +172,14 @@ type BatchResult struct {
 	// Latency is the batch completion time under double-buffered DMA.
 	Latency time.Duration
 	// SequentialLatency is the cost of the same items as one-at-a-time
-	// synchronous calls.
+	// synchronous calls with nothing overlapped: each item's data-in,
+	// execution and data-out back to back. For a one-item batch it is
+	// Latency.
 	SequentialLatency time.Duration
-	// OverlapSaved is the card time hidden by double-buffered input
-	// staging: the data-input module stages item N+1 while the fabric
-	// executes N. Zero for a one-item batch.
+	// OverlapSaved is the card time hidden against that cost: each item
+	// streams through the card granule by granule, and the data-input
+	// module stages item N+1 while the fabric executes N. Zero for a
+	// one-item batch.
 	OverlapSaved time.Duration
 	// Hits counts items served without reconfiguration.
 	Hits int

@@ -7,12 +7,22 @@
 //
 //	benchrec -bench ./bench -pr 46 -seed 7 -seconds 20   # writes BENCH_46.json
 //	benchrec -diff -virt-declared BENCH_44.json BENCH_46.json
+//	benchrec -pair -workload net-hot-small -n 10 ./bench-old ./bench-new
 //
 // -diff fails on a virt_us_per_op change (unless -virt-declared), an
 // allocs_per_op change beyond ±0.01 (both exact at one seed), a seed
 // mismatch, a workload or exact figure either record lacks, or a failed
 // or wrong run. Wall-clock rows are printed as median [q1, q3]
 // and never pass or fail.
+//
+// -pair runs two prebuilt benchmark binaries on one workload in n
+// alternating pairs, swapping which runs first each pair. For each
+// end-to-end metric that BENCHMARK.json in the current directory
+// declares, it prints each side's median [q1, q3] over the runs and the
+// pairs the new binary won, and "unresolved" where either side's
+// interquartile range, relative to its median, is wider than the
+// metric's bound. It reports and decides nothing; it
+// fails only on a run that failed operations or was wrong.
 package main
 
 import (
@@ -28,6 +38,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 )
 
@@ -92,8 +103,18 @@ func mainErr(args []string, stdout io.Writer) error {
 	seconds := fs.Float64("seconds", 20, "timed seconds per workload")
 	diff := fs.Bool("diff", false, "compare two records: benchrec -diff OLD NEW")
 	virtDeclared := fs.Bool("virt-declared", false, "with -diff: the change declares a virtual-time move")
+	pair := fs.Bool("pair", false, "run two benchmark binaries in alternating pairs: benchrec -pair OLD NEW")
+	workload := fs.String("workload", "", "with -pair: the workload to run")
+	n := fs.Int("n", 10, "with -pair: how many pairs")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *pair {
+		if fs.NArg() != 2 || *workload == "" || *n < 1 {
+			return errors.New("-pair takes two binaries, a -workload and -n of at least 1")
+		}
+		return pairRuns([2]string{fs.Arg(0), fs.Arg(1)}, *workload, *n,
+			provenance{Seed: *seed, Seconds: *seconds}, stdout)
 	}
 	if *diff {
 		if fs.NArg() != 2 {
@@ -244,4 +265,81 @@ func diffFiles(oldPath, newPath string, virtDeclared bool, w io.Writer) error {
 		}
 	}
 	return errors.Join(fails...)
+}
+
+// pairRuns runs bins[0] (old) and bins[1] (new) on workload n times
+// each, alternating which goes first, and prints per metric each side's
+// spread over its runs and how many pairs the new side won.
+func pairRuns(bins [2]string, workload string, n int, prov provenance, w io.Writer) error {
+	const specPath = "BENCHMARK.json"
+	data, err := os.ReadFile(specPath)
+	if err != nil {
+		return err
+	}
+	var spec struct {
+		EndToEnd []struct {
+			Name   string  `json:"name"`
+			Better string  `json:"better"`
+			Bound  float64 `json:"bound"`
+		} `json:"end_to_end"`
+	}
+	if err := json.Unmarshal(data, &spec); err != nil {
+		return fmt.Errorf("%s: %w", specPath, err)
+	}
+	var runs [2][]run
+	var fails []error
+	for i := 0; i < n; i++ {
+		for j := 0; j < 2; j++ {
+			side := (i + j) % 2 // pair i runs the old side first when i is even
+			r, err := measure(bins[side], workload, &prov)
+			if err != nil {
+				return fmt.Errorf("%s, pair %d: %w", bins[side], i+1, err)
+			}
+			if r.Failed > 0 || !r.Correct {
+				fails = append(fails, fmt.Errorf("%s, pair %d: %d failed, correct %v", bins[side], i+1, r.Failed, r.Correct))
+			}
+			runs[side] = append(runs[side], r)
+		}
+	}
+	fmt.Fprintf(w, "%s: %d pairs, seed %d, %g s per run; old = %s, new = %s\n",
+		workload, n, prov.Seed, prov.Seconds, bins[0], bins[1])
+	fmt.Fprintf(w, "  %-15s %-32s %-32s %-8s\n", "metric", "old median [q1, q3]", "new median [q1, q3]", "new won")
+	for _, m := range spec.EndToEnd {
+		var vals [2][]float64
+		won := 0
+		for i := 0; i < n; i++ {
+			o, nv := runs[0][i].Metrics[m.Name].Value, runs[1][i].Metrics[m.Name].Value
+			vals[0], vals[1] = append(vals[0], o), append(vals[1], nv)
+			if (m.Better == "higher" && nv > o) || (m.Better == "lower" && nv < o) {
+				won++
+			}
+		}
+		verdict := ""
+		var cols [2]string
+		for side := range vals {
+			q1, med, q3 := quartiles(vals[side])
+			cols[side] = fmt.Sprintf("%.5g [%.5g, %.5g]", med, q1, q3)
+			if med != 0 && (q3-q1)/math.Abs(med) > m.Bound {
+				verdict = "unresolved"
+			}
+		}
+		fmt.Fprintf(w, "  %-15s %-32s %-32s %2d/%-5d %s\n", m.Name, cols[0], cols[1], won, n, verdict)
+	}
+	return errors.Join(fails...)
+}
+
+// quartiles reports the first quartile, median and third quartile of
+// vals, interpolating between order statistics.
+func quartiles(vals []float64) (q1, med, q3 float64) {
+	s := append([]float64(nil), vals...)
+	sort.Float64s(s)
+	at := func(q float64) float64 {
+		pos := q * float64(len(s)-1)
+		lo := int(pos)
+		if lo+1 >= len(s) {
+			return s[lo]
+		}
+		return s[lo] + (pos-float64(lo))*(s[lo+1]-s[lo])
+	}
+	return at(0.25), at(0.5), at(0.75)
 }

@@ -16,18 +16,7 @@ import (
 // allocations moved by more than 0.01 it fails; and a record that lacks
 // a workload or a gated figure fails.
 func TestRecordSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds and runs the benchmark")
-	}
-	goTool, err := exec.LookPath("go")
-	if err != nil {
-		t.Skip("no go tool to build the benchmark with")
-	}
-	dir := t.TempDir()
-	bench := filepath.Join(dir, "bench")
-	if out, err := exec.Command(goTool, "build", "-o", bench, "agilefpga/benchmark").CombinedOutput(); err != nil {
-		t.Fatalf("building the benchmark: %v\n%s", err, out)
-	}
+	dir, bench := buildBench(t)
 	prov := provenance{Seed: 7, Seconds: 0.2, CPU: cpuModel()}
 	prov.Commit, prov.GoVersion = build(bench)
 	r, err := measure(bench, "sim-paper-mix", &prov)
@@ -107,9 +96,59 @@ func TestRecordSmoke(t *testing.T) {
 	}
 }
 
+// buildBench builds the benchmark into a temporary directory, skipping
+// the test in -short mode or without a go tool.
+func buildBench(t *testing.T) (dir, bench string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("builds and runs the benchmark")
+	}
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("no go tool to build the benchmark with")
+	}
+	dir = t.TempDir()
+	bench = filepath.Join(dir, "bench")
+	if out, err := exec.Command(goTool, "build", "-o", bench, "agilefpga/benchmark").CombinedOutput(); err != nil {
+		t.Fatalf("building the benchmark: %v\n%s", err, out)
+	}
+	return dir, bench
+}
+
+// TestPairSmoke runs one short pair of the benchmark against itself:
+// every end-to-end metric BENCHMARK.json declares gets a row, and the
+// virtual-time figure, exact at one seed, wins no pair.
+func TestPairSmoke(t *testing.T) {
+	_, bench := buildBench(t)
+	t.Chdir(filepath.Join("..", "..")) // where BENCHMARK.json is
+	var out strings.Builder
+	args := []string{"-pair", "-workload", "sim-paper-mix", "-n", "1", "-seconds", "0.2", bench, bench}
+	if err := mainErr(args, &out); err != nil {
+		t.Fatalf("%v\n%s", err, out.String())
+	}
+	for _, m := range []string{"ops_per_s", "p50_us", "p90_us", "allocs_per_op", "setup_s"} {
+		if !strings.Contains(out.String(), "\n  "+m+" ") {
+			t.Errorf("no %s row:\n%s", m, out.String())
+		}
+	}
+	var virt string
+	for _, l := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(l, "  virt_us_per_op ") {
+			virt = l
+		}
+	}
+	if !strings.Contains(virt, " 0/1 ") {
+		t.Errorf("the same binary won a virtual-time pair: %q", virt)
+	}
+	if err := mainErr([]string{"-pair", "-workload", "sim-paper-mix", bench}, io.Discard); err == nil {
+		t.Error("-pair with one binary accepted")
+	}
+}
+
 // TestCheckedInRecords: the records kept at the repository root diff as
 // their change declared — the default codec's virtual-time move, and no
-// allocation change; then a change that moved neither.
+// allocation change; then a change that moved neither; then streaming,
+// which moved the resident workloads and not the cold one.
 func TestCheckedInRecords(t *testing.T) {
 	old, cur := filepath.Join("..", "..", "BENCH_44.json"), filepath.Join("..", "..", "BENCH_46.json")
 	if err := mainErr([]string{"-diff", old, cur}, io.Discard); err == nil || !strings.Contains(err.Error(), "net-cold-zipf: virt_us_per_op") {
@@ -120,5 +159,30 @@ func TestCheckedInRecords(t *testing.T) {
 	}
 	if err := mainErr([]string{"-diff", cur, filepath.Join("..", "..", "BENCH_48.json")}, io.Discard); err != nil {
 		t.Errorf("undeclared diff of BENCH_46 → BENCH_48: %v", err)
+	}
+	// Streaming a call through the card moved every resident workload's
+	// virtual time and left the cold one's.
+	old, cur = filepath.Join("..", "..", "BENCH_48.json"), filepath.Join("..", "..", "BENCH_49.json")
+	err := mainErr([]string{"-diff", old, cur}, io.Discard)
+	for _, w := range []string{"net-hot-small", "net-compute-crypto", "fleet-hot-small", "sim-paper-mix"} {
+		if err == nil || !strings.Contains(err.Error(), w+": virt_us_per_op") {
+			t.Errorf("undeclared diff of BENCH_48 → BENCH_49 does not name %s: %v", w, err)
+		}
+	}
+	if err != nil && strings.Contains(err.Error(), "net-cold-zipf") {
+		t.Errorf("undeclared diff of BENCH_48 → BENCH_49 names net-cold-zipf: %v", err)
+	}
+	var out strings.Builder
+	if err := mainErr([]string{"-diff", "-virt-declared", old, cur}, &out); err != nil {
+		t.Errorf("declared diff of BENCH_48 → BENCH_49: %v", err)
+	}
+	for _, want := range []string{
+		"net-compute-crypto\n  virt_us_per_op      6.5960 →     3.2254  moved",
+		"net-hot-small\n  virt_us_per_op      3.4458 →     3.0377  moved",
+		"net-cold-zipf\n  virt_us_per_op     40.0408 →    40.0408  same",
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("declared diff of BENCH_48 → BENCH_49 lacks %q:\n%s", want, out.String())
+		}
 	}
 }

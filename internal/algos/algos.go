@@ -127,6 +127,17 @@ func (f *Function) ExecCycles(n int) uint64 {
 	return f.hwSetup + uint64(f.Blocks(n))*f.hwPerBlock
 }
 
+// Granule implements fpga.Core: the least common multiple of the block
+// and the input bus, so every granule is whole blocks and whole bus
+// words.
+func (f *Function) Granule() int {
+	a, b := f.BlockBytes, int(f.InBus)
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return f.BlockBytes / a * int(f.InBus)
+}
+
 // SWCycles models the host-software baseline cost for n input bytes.
 func (f *Function) SWCycles(n int) uint64 {
 	return f.swSetup + uint64(f.swPerByte*float64(f.Blocks(n)*f.BlockBytes))

@@ -17,6 +17,7 @@ func (c nopCore) Name() string                  { return "nop" }
 func (c nopCore) OutputLen(n int) int           { return n }
 func (c nopCore) ExecInto(out, in []byte) error { copy(out, in); return nil }
 func (c nopCore) ExecCycles(n int) uint64       { return uint64(n) }
+func (c nopCore) Granule() int                  { return 1 }
 
 func newFabric(t *testing.T) *fpga.Fabric {
 	t.Helper()

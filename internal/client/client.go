@@ -18,12 +18,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"agilefpga/internal/metrics"
 	"agilefpga/internal/trace"
 	"agilefpga/internal/wire"
 )
@@ -66,9 +64,6 @@ type Options struct {
 	// reproducible in tests. Zero (the default) draws a random seed, so
 	// production clients stay desynchronised from one another.
 	JitterSeed uint64
-	// Metrics, if set, receives the client series: the
-	// agile_net_mux_inflight_per_conn gauge labelled by pool slot.
-	Metrics *metrics.Registry
 	// Tracer, if set, traces calls: every Call roots one span (head
 	// sampling decides whether it is recorded), each attempt becomes a
 	// child span, and sampled attempts ship their trace context in the
@@ -136,7 +131,7 @@ func (w *waiter) recycle() {
 // reader goroutine routing responses back by request id.
 type muxConn struct {
 	c        net.Conn
-	slot     int           // pool index, for the per-conn gauge label
+	slot     int           // pool index
 	inflight atomic.Int64  // calls between register and settle
 	done     chan struct{} // closed when the reader exits
 
@@ -233,8 +228,6 @@ type Client struct {
 	mu     sync.Mutex
 	conns  []*muxConn // fixed PoolSize slots; nil = not yet dialled
 	closed bool
-
-	gauges []*metrics.Gauge // per-slot inflight gauges (nil-safe)
 }
 
 // Dial validates the address by establishing the first pooled
@@ -259,15 +252,10 @@ func Dial(addr string, opts Options) (*Client, error) {
 		opts.MaxBackoff = DefaultMaxBackoff
 	}
 	c := &Client{
-		addr:   addr,
-		opts:   opts,
-		conns:  make([]*muxConn, opts.PoolSize),
-		gauges: make([]*metrics.Gauge, opts.PoolSize),
-		bo:     NewBackoff(opts.BaseBackoff, opts.MaxBackoff, opts.JitterSeed),
-	}
-	for i := range c.gauges {
-		c.gauges[i] = opts.Metrics.Gauge("agile_net_mux_inflight_per_conn",
-			metrics.L("conn", strconv.Itoa(i)))
+		addr:  addr,
+		opts:  opts,
+		conns: make([]*muxConn, opts.PoolSize),
+		bo:    NewBackoff(opts.BaseBackoff, opts.MaxBackoff, opts.JitterSeed),
 	}
 	if _, err := c.grow(); err != nil {
 		return nil, err
@@ -483,11 +471,7 @@ func (c *Client) once(ctx context.Context, stages []uint16, payload, dst []byte,
 		return nil, -1, err // already a *TransportError from the reader
 	}
 	m.inflight.Add(1)
-	c.gauges[m.slot].Inc()
-	defer func() {
-		m.inflight.Add(-1)
-		c.gauges[m.slot].Dec()
-	}()
+	defer m.inflight.Add(-1)
 	var tc wire.TraceContext
 	if aref.Valid() {
 		tc = wire.TraceContext{TraceID: aref.TraceID, SpanID: aref.SpanID, Flags: wire.FlagSampled}

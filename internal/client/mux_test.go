@@ -13,7 +13,6 @@ import (
 	"testing"
 	"time"
 
-	"agilefpga/internal/metrics"
 	"agilefpga/internal/testutil"
 	"agilefpga/internal/wire"
 )
@@ -326,12 +325,11 @@ func TestMuxAbandonedCallDropsLateResponse(t *testing.T) {
 }
 
 // TestMuxPoolBoundsConnections: far more concurrent calls than pool
-// slots still dial at most PoolSize connections, and the per-conn
-// inflight gauge returns to zero once the pipeline drains.
+// slots still dial at most PoolSize connections, and each connection's
+// in-flight count returns to zero once the pipeline drains.
 func TestMuxPoolBoundsConnections(t *testing.T) {
 	fs := newFakeServer(t, echo)
-	reg := metrics.NewRegistry()
-	cl, err := Dial(fs.addr(), Options{PoolSize: 2, MaxRetries: -1, Metrics: reg})
+	cl, err := Dial(fs.addr(), Options{PoolSize: 2, MaxRetries: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,10 +350,14 @@ func TestMuxPoolBoundsConnections(t *testing.T) {
 	if got := fs.accepted.Load(); got > 2 {
 		t.Errorf("server saw %d connections, want ≤ 2", got)
 	}
-	for slot := 0; slot < 2; slot++ {
-		g := reg.Gauge("agile_net_mux_inflight_per_conn", metrics.L("conn", fmt.Sprint(slot)))
-		if v := g.Value(); v != 0 {
-			t.Errorf("conn %d inflight gauge = %d after drain, want 0", slot, v)
+	cl.mu.Lock()
+	defer cl.mu.Unlock()
+	for slot, m := range cl.conns {
+		if m == nil {
+			continue
+		}
+		if v := m.inflight.Load(); v != 0 {
+			t.Errorf("conn %d in flight = %d after drain, want 0", slot, v)
 		}
 	}
 }

@@ -77,14 +77,19 @@ type Result struct {
 	// can the last output).
 	Latency sim.Time
 	// SequentialLatency is what the same items cost as independent
-	// synchronous jobs — the baseline batching is measured against.
+	// synchronous jobs with nothing overlapped — each item's data-in,
+	// execution and data-out charged back to back — the baseline
+	// batching is measured against. A one-item job has nothing to
+	// batch, so for it this is Latency.
 	SequentialLatency sim.Time
-	// OverlapSaved is the card time the card-side pipeline hid (DESIGN
-	// §12): the data-input module stages item N+1 while the fabric runs
-	// N and the output-collection module drains N-1, and a chain's
-	// simultaneously resident stages work on different items at once,
-	// so the card's critical path undercuts the sum of its per-item
-	// times by this much. Zero for one item.
+	// OverlapSaved is the card time the card-side pipelines hid against
+	// that baseline (DESIGN §12): each item streams through the data
+	// modules and the fabric granule by granule, the data-input module
+	// stages item N+1 while the fabric runs N and the output-collection
+	// module drains N-1, and a chain's simultaneously resident stages
+	// work on different items at once, so the card's critical path
+	// undercuts the sum of its whole-item times by this much. Zero for
+	// one item.
 	OverlapSaved sim.Time
 	// Hits counts items served without reconfiguration.
 	Hits int
@@ -265,7 +270,7 @@ func (cp *CoProcessor) run(job Job, res *Result) error {
 	if cp.metrics != nil {
 		label = cp.stagesLabel(job.Stages)
 	}
-	var busTotal, cardTotal, firstIn, lastOut sim.Time
+	var busTotal, cardTotal, serialTotal, firstIn, lastOut sim.Time
 	for i, input := range job.Items {
 		var dst []byte
 		if i < len(job.Dsts) {
@@ -287,23 +292,35 @@ func (cp *CoProcessor) run(job Job, res *Result) error {
 			firstIn = inT
 		}
 		lastOut = outT
+		for _, st := range stages {
+			serialTotal += st.Cost.Total() + st.Flow.Hidden()
+		}
 		if pipelined {
-			// Slot costs, summing exactly to cardT. The entry slot carries
-			// stage 0's lookup/config/data-in; each stage slot carries its
-			// exec plus — for later stages — the RAM hand-off that precedes
-			// it (previous stage's data-out and its own lookup/config/
-			// data-in); the exit slot carries the final stage's data-out.
+			// Slot costs. The entry slot carries stage 0's lookup/config/
+			// data-in; each stage slot carries its exec plus — for later
+			// stages — the RAM hand-off that precedes it (previous stage's
+			// data-out and its own lookup/config/data-in); the exit slot
+			// carries the final stage's data-out. The first item enters
+			// streamed, its slots summing exactly to cardT. A later item
+			// enters with each module's whole-item occupancy: its data-in
+			// cannot start until the module is free, nor its data-out
+			// until the previous item's has drained (DESIGN §12).
 			costs = costs[:0]
-			for s := range stages {
-				c := stages[s].Cost
-				front := c.Total() - c.Get(sim.PhaseExec) - c.Get(sim.PhaseDataOut)
-				if s == 0 {
-					costs = append(costs, front, c.Get(sim.PhaseExec))
-				} else {
-					costs = append(costs, stages[s-1].Cost.Get(sim.PhaseDataOut)+front+c.Get(sim.PhaseExec))
+			var prevOut sim.Time
+			for s, st := range stages {
+				total, exec, out := st.Cost.Total(), st.Cost.Get(sim.PhaseExec), st.Cost.Get(sim.PhaseDataOut)
+				if i > 0 {
+					total, out = total+st.Flow.Hidden(), st.Flow.Out
 				}
+				front := total - exec - out
+				if s == 0 {
+					costs = append(costs, front, exec)
+				} else {
+					costs = append(costs, prevOut+front+exec)
+				}
+				prevOut = out
 			}
-			costs = append(costs, stages[k-1].Cost.Get(sim.PhaseDataOut))
+			costs = append(costs, prevOut)
 			cardPipe.Feed(costs...)
 		}
 
@@ -328,8 +345,11 @@ func (cp *CoProcessor) run(job Job, res *Result) error {
 	res.SequentialLatency = busTotal + cardTotal
 	cardPath := cardTotal
 	if pipelined {
+		// The reference is every item charged whole-item, which bounds
+		// what the pipeline was fed, so the saving is never negative.
 		cardPath = cardPipe.Latency()
-		res.OverlapSaved = cardTotal - cardPath
+		res.SequentialLatency = busTotal + serialTotal
+		res.OverlapSaved = serialTotal - cardPath
 	}
 	res.Latency = busTotal
 	if edge := firstIn + cardPath + lastOut; edge > res.Latency {

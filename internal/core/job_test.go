@@ -85,12 +85,27 @@ func TestHotCallAllocs(t *testing.T) {
 // BenchmarkHotCall is the host cost of one resident call at the
 // net-hot-small workload's shape: 256 B through Run into a reused Result
 // and destination, on the benchmark stack's card, one sub-benchmark per
-// function of that workload.
+// function of that workload. Two larger calls, a 1 KiB aes128 (the
+// net-compute-crypto shape) and a 16 KiB fir16 (8192 granules), price
+// streaming a call through the card's data modules (DESIGN §12).
 func BenchmarkHotCall(b *testing.B) {
-	cp, _, in := coldCard(b, 0)
-	for _, f := range []*algos.Function{algos.SHA256(), algos.CRC32(), algos.FFT(), algos.MD5()} {
-		b.Run(f.Name(), func(b *testing.B) {
-			job := Job{Stages: []uint16{f.ID()}, Items: [][]byte{in}, Dsts: [][]byte{make([]byte, 0, 1024)}}
+	cp, _, small := coldCard(b, 0)
+	for _, tc := range []struct {
+		name string
+		f    *algos.Function
+		in   []byte
+	}{
+		{"sha256", algos.SHA256(), small},
+		{"crc32", algos.CRC32(), small},
+		{"fft64", algos.FFT(), small},
+		{"md5", algos.MD5(), small},
+		{"aes128-1KiB", algos.AES128(), make([]byte, 1024)},
+		{"fir16-16KiB", algos.FIR(), make([]byte, 16*1024)},
+	} {
+		f, in := tc.f, tc.in
+		b.Run(tc.name, func(b *testing.B) {
+			dst := make([]byte, 0, max(1024, f.OutputLen(len(in))))
+			job := Job{Stages: []uint16{f.ID()}, Items: [][]byte{in}, Dsts: [][]byte{dst}}
 			var res Result
 			if err := cp.Run(job, &res); err != nil { // warm
 				b.Fatal(err)

@@ -10,8 +10,8 @@ import (
 
 // E5 — offload speedup (paper §1: "reduce the computational overload on
 // the host"). Per bank function over a large payload: host-software time,
-// hot-card kernel time (exec + on-card data movement), and the full
-// end-to-end hot latency including PCI. Two speedups fall out: the kernel
+// hot-card kernel time, the on-card data movement the streamed call
+// leaves exposed, and the full end-to-end hot latency including PCI. Two speedups fall out: the kernel
 // speedup the fabric delivers, and the end-to-end speedup after the
 // 32-bit/33 MHz PCI round trip takes its share — compute-dense kernels
 // survive the bus, streaming kernels do not.
@@ -37,7 +37,7 @@ func RunE5(payloadBytes int) (*E5Result, error) {
 	res := &E5Result{
 		Table: Table{
 			Title: fmt.Sprintf("E5  Offload speedup per function (hot card, ~%d KiB payloads)", payloadBytes/1024),
-			Header: []string{"function", "host", "fabric exec", "data modules", "card e2e",
+			Header: []string{"function", "host", "fabric exec", "data unhidden", "card e2e",
 				"kernel speedup", "e2e speedup"},
 		},
 		KernelSpeedup: make(map[string]float64),
@@ -68,7 +68,10 @@ func RunE5(payloadBytes int) (*E5Result, error) {
 			return nil, err
 		}
 		kernel := call.Breakdown.Get(sim.PhaseExec)
-		data := call.Breakdown.Get(sim.PhaseDataIn) + call.Breakdown.Get(sim.PhaseDataOut)
+		// The data modules' time not hidden behind the fabric: the first
+		// granule in, the last granule out, and any stall they cause.
+		data := call.Breakdown.Get(sim.PhaseDataIn) + call.Breakdown.Get(sim.PhaseDataOut) +
+			call.Breakdown.Get(sim.PhasePipeStall)
 		ks := float64(hostTime) / float64(kernel)
 		es := float64(hostTime) / float64(call.Latency)
 		res.KernelSpeedup[f.Name()] = ks
@@ -76,6 +79,6 @@ func RunE5(payloadBytes int) (*E5Result, error) {
 		res.Table.AddRow(f.Name(), hostTime.String(), kernel.String(), data.String(),
 			call.Latency.String(), fmt.Sprintf("%.1fx", ks), fmt.Sprintf("%.2fx", es))
 	}
-	res.Table.Caption = "kernel speedup = host / fabric exec; e2e adds on-card data modules and the 32-bit/33 MHz PCI round trip"
+	res.Table.Caption = "kernel speedup = host / fabric exec; data unhidden = data-module time the streamed call does not overlap with exec; e2e adds it and the 32-bit/33 MHz PCI round trip"
 	return res, nil
 }

@@ -116,6 +116,7 @@ func (e echoCore) ExecInto(out, in []byte) error {
 	return nil
 }
 func (e echoCore) ExecCycles(n int) uint64 { return uint64(n) + 4 }
+func (e echoCore) Granule() int            { return 1 }
 
 func TestRegistry(t *testing.T) {
 	r := NewRegistry()

@@ -24,6 +24,12 @@ type Core interface {
 	ExecInto(dst, input []byte) error
 	// ExecCycles reports fabric cycles to process inputLen bytes.
 	ExecCycles(inputLen int) uint64
+	// Granule reports the input bytes the core starts work on: its
+	// natural block rounded up to whole input-bus words. The card streams
+	// an item through its data modules and the core granule by granule,
+	// so ExecCycles, and OutputLen when it grows with input, must grow by
+	// the same amount for every whole granule past the first.
+	Granule() int
 }
 
 // Registry maps function ids to behavioural cores. It models the library

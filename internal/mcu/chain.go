@@ -31,6 +31,9 @@ type ChainStage struct {
 	Fn   uint16
 	Hit  bool
 	Cost sim.Breakdown
+	// Flow is the stage's dataflow: Cost charges it streamed, and
+	// Cost.Total() + Flow.Hidden() is the stage charged whole-item.
+	Flow Flow
 }
 
 // ExecuteChain runs fns as one on-card dataflow chain over input. Every
@@ -156,7 +159,7 @@ func (c *Controller) executeChain(fns []uint16, input []byte, br *sim.Breakdown)
 			}
 		}
 		var staged int
-		if cur, staged, err = c.runStage(res, cur, sbr); err != nil {
+		if cur, staged, stages[i].Flow, err = c.runStage(res, cur, sbr); err != nil {
 			return nil, stages, handoff, err
 		}
 		if i > 0 {

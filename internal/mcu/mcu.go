@@ -139,6 +139,8 @@ type Controller struct {
 	plans map[uint16]*loadPlan
 	// asm assembles the port stream, keeping its buffers across loads.
 	asm bitstream.Builder
+	// flow is the dataflow pipeline stream resets and feeds per stage.
+	flow sim.Pipeline
 
 	// traceLog, when set, receives structured events (nil = disabled).
 	traceLog *trace.Log
@@ -462,6 +464,7 @@ func New(cfg Config, reg *fpga.Registry) (*Controller, error) {
 		metrics: cfg.Metrics,
 		fnNames: make(map[uint16]string),
 		plans:   make(map[uint16]*loadPlan),
+		flow:    sim.NewPipeline(sim.PhaseDataIn, sim.PhaseExec, sim.PhaseDataOut),
 	}
 	// A booted ROM's records enter the card here: decode each once.
 	for _, rec := range rom.Records() {
@@ -560,9 +563,9 @@ func (c *Controller) Evict(fn uint16) bool {
 func (c *Controller) Execute(fnID uint16, input []byte) ([]byte, sim.Breakdown, error) {
 	var br sim.Breakdown
 	spanBase := c.stats.Phases.Total() + c.stats.PrefetchTime
-	out, hit, err := c.execute(fnID, input, &br)
+	out, hit, flow, err := c.execute(fnID, input, &br)
 	c.lastBreakdown = br
-	c.chain[0] = ChainStage{Fn: fnID, Hit: hit, Cost: br}
+	c.chain[0] = ChainStage{Fn: fnID, Hit: hit, Cost: br, Flow: flow}
 	c.lastChain = c.chain[:1]
 	c.stats.Phases.AddAll(br)
 	if err != nil {
@@ -622,16 +625,16 @@ func (c *Controller) prefetchNext(cur uint16) {
 	}
 }
 
-func (c *Controller) execute(fnID uint16, input []byte, br *sim.Breakdown) ([]byte, bool, error) {
+func (c *Controller) execute(fnID uint16, input []byte, br *sim.Breakdown) ([]byte, bool, Flow, error) {
 	if len(input) == 0 {
-		return nil, false, fmt.Errorf("mcu: empty input for function %d", fnID)
+		return nil, false, Flow{}, fmt.Errorf("mcu: empty input for function %d", fnID)
 	}
 	res, hit, err := c.makeResident(fnID, len(input), "", br)
 	if err != nil {
-		return nil, hit, err
+		return nil, hit, Flow{}, err
 	}
-	out, _, err := c.runStage(res, input, br)
-	return out, hit, err
+	out, _, flow, err := c.runStage(res, input, br)
+	return out, hit, flow, err
 }
 
 // makeResident is the residency half of one stage, shared by plain and
@@ -687,46 +690,118 @@ func (c *Controller) makeResident(fn uint16, inputLen int, detail string, br *si
 // function executes straight into the output window, which the
 // output-collection module zero-pads to a multiple of OutBus. Both
 // modules are DMA engines against dual-ported staging RAM, so the RAM
-// access hides behind the bus beats; the charge is beats plus setup.
+// access hides behind the bus beats; the charge is beats plus setup,
+// streamed through the three modules granule by granule (see stream).
 // input may alias either window: a chain stage's input is the previous
 // stage's output. out aliases the output window; staged reports the
-// padded input bytes.
-func (c *Controller) runStage(res *resident, input []byte, br *sim.Breakdown) (out []byte, staged int, err error) {
+// padded input bytes, and flow the stage's dataflow as charged.
+func (c *Controller) runStage(res *resident, input []byte, br *sim.Breakdown) (out []byte, staged int, flow Flow, err error) {
 	rec := &res.rec
-	inWin, outWin := c.ram.Capacity()/2, c.ram.Capacity()/2
+	inWin := c.ram.Capacity() / 2
 	staged = Padded(len(input), int(rec.InBus))
 	if staged > inWin {
-		return nil, 0, fmt.Errorf("%w: function %d input %d bytes, window %d", ErrRAMWindow, rec.FnID, staged, inWin)
+		return nil, 0, flow, fmt.Errorf("%w: function %d input %d bytes, window %d", ErrRAMWindow, rec.FnID, staged, inWin)
 	}
 	padded, err := c.ram.Region(0, staged)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, flow, err
 	}
 	clear(padded[copy(padded, input):])
-	inBeats := uint64(staged) / uint64(rec.InBus)
-	br.Add(sim.PhaseDataIn, c.mcuDom.Span(inBeats+4))
+	if out, err = c.compute(res, padded); err != nil {
+		// A refused item has been streamed in whole before the refusal.
+		br.Add(sim.PhaseDataIn, c.mcuDom.Span(uint64(staged)/uint64(rec.InBus)+4))
+		return nil, staged, flow, err
+	}
+	return out, staged, c.stream(res.inst.Core(), rec, staged, br), nil
+}
 
-	// The output's size is known before the fabric runs, so a result the
-	// window cannot hold is refused without running it.
-	outLen := res.inst.Core().OutputLen(staged)
+// compute runs the stage's function over its staged input into the
+// output window, zero-padded to a multiple of OutBus, and returns the
+// output. The output's size is known before the fabric runs, so a
+// result the window cannot hold is refused without running it.
+func (c *Controller) compute(res *resident, padded []byte) ([]byte, error) {
+	rec := &res.rec
+	outWin := c.ram.Capacity() / 2
+	outLen := res.inst.Core().OutputLen(len(padded))
 	outPadded := Padded(outLen, int(rec.OutBus))
 	if outPadded > outWin {
-		return nil, staged, fmt.Errorf("%w: function %d output %d bytes, window %d", ErrRAMWindow, rec.FnID, outPadded, outWin)
+		return nil, fmt.Errorf("%w: function %d output %d bytes, window %d", ErrRAMWindow, rec.FnID, outPadded, outWin)
 	}
-	win, err := c.ram.Region(inWin, outPadded)
+	win, err := c.ram.Region(outWin, outPadded)
 	if err != nil {
-		return nil, staged, err
+		return nil, err
 	}
-	out = win[:outLen]
-	fabCycles, err := res.inst.Exec(out, padded)
-	if err != nil {
-		return nil, staged, err
+	out := win[:outLen]
+	if _, err := res.inst.Exec(out, padded); err != nil {
+		return nil, err
 	}
-	br.Add(sim.PhaseExec, c.fabDom.Span(fabCycles))
 	clear(win[outLen:])
-	outBeats := uint64(outPadded) / uint64(rec.OutBus)
-	br.Add(sim.PhaseDataOut, c.mcuDom.Span(outBeats+4))
-	return out, staged, nil
+	return out, nil
+}
+
+// Flow is one stage's dataflow as the card charged it: its latency
+// streamed, and how long each of the three modules was busy with the
+// item. A stage's whole-item charge — data-in, execution and data-out
+// back to back — is its streamed charge plus Hidden.
+type Flow struct {
+	Latency       sim.Time
+	In, Exec, Out sim.Time
+}
+
+// Hidden reports the time streaming hid: the modules' busy times back
+// to back, less the streamed latency.
+func (f Flow) Hidden() sim.Time { return f.In + f.Exec + f.Out - f.Latency }
+
+// stream charges one stage's dataflow to br (DESIGN §12). The paper's
+// data-input module, FPGA and output-collection module are separate
+// blocks, so they work on an item granule by granule: while the fabric
+// runs granule g, the data-input module streams g+1 and the
+// output-collection module drains g-1. Each granule's costs are cut as
+// cumulative deltas of the whole item's — data-in beats + 4, the core's
+// ExecCycles, output beats + 4 — so they sum exactly to the whole-item
+// charges. Output leaves granule by granule when its length grows with
+// input, and after the last granule otherwise (a digest). The fabric is
+// charged its whole busy time, data-in only the first granule's and
+// data-out only the last's; the rest is PhasePipeStall. A one-granule
+// item is charged exactly as whole-item. The granules between the first
+// and the last are identical and are fed in closed form, so the host
+// work does not grow with the item.
+func (c *Controller) stream(core fpga.Core, rec *memory.Record, staged int, br *sim.Breakdown) Flow {
+	inBus, outBus := int(rec.InBus), int(rec.OutBus)
+	g := core.Granule()
+	streamsOut := core.OutputLen(2*g) > core.OutputLen(g)
+	// at is the three modules' cumulative busy time once the first b
+	// input bytes are through; last marks the end of the item.
+	at := func(b int, last bool) (in, exec, out sim.Time) {
+		in = c.mcuDom.Span(uint64((b+inBus-1)/inBus) + 4)
+		exec = c.fabDom.Span(core.ExecCycles(b))
+		if streamsOut || last {
+			out = c.mcuDom.Span(uint64((core.OutputLen(b)+outBus-1)/outBus) + 4)
+		}
+		return in, exec, out
+	}
+	var flow Flow
+	flow.In, flow.Exec, flow.Out = at(staged, true)
+	in, exec, out := flow.In, flow.Exec, flow.Out // left to feed
+	pipe := &c.flow
+	pipe.Reset()
+	if m := (staged + g - 1) / g; m > 1 {
+		in1, exec1, out1 := at(g, false)
+		pipe.Feed(in1, exec1, out1)
+		in, exec, out = in-in1, exec-exec1, out-out1
+		if mid := sim.Time(m - 2); mid > 0 {
+			in2, exec2, out2 := at(2*g, false)
+			in2, exec2, out2 = in2-in1, exec2-exec1, out2-out1
+			pipe.FeedN(m-2, in2, exec2, out2)
+			in, exec, out = in-mid*in2, exec-mid*exec2, out-mid*out2
+		}
+	}
+	// The last granule, or the only one, closes the books: it may be
+	// partial, and it carries a digest's whole output.
+	pipe.Feed(in, exec, out)
+	pipe.Attribute(br, 1)
+	flow.Latency = pipe.Latency()
+	return flow
 }
 
 // findRecord is the mini OS's record lookup, reporting how many records

@@ -323,10 +323,12 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 	// cumulatively from its stage total, so the costs sum exactly to the
 	// totals and the critical path obeys the max-of-stages recurrence.
 	var pipe sim.Pipeline
+	port := 2 // the port's stage: charged its busy time, the rest the fill
 	if cached {
 		// Two stages: while the port clocks in frame N, the next image is
 		// read back from RAM.
 		pipe = sim.NewPipeline(sim.PhaseCache, sim.PhaseConfigure)
+		port = 1
 		fb := c.cfg.Geometry.FrameBytes()
 		var prevRAM, prevPort uint64
 		for i := 1; i <= len(frames); i++ {
@@ -360,7 +362,7 @@ func (c *Controller) configure(rec memory.Record, frames []int, br *sim.Breakdow
 			prevRom, prevDec, prevPort = romCum, decCum, portCum
 		}
 	}
-	c.notePipeline(rec.FnID, &pipe, pipe.Attribute(br))
+	c.notePipeline(rec.FnID, &pipe, pipe.Attribute(br, port))
 	br.Add(sim.PhaseOverhead, c.mcuDom.Span(overhead))
 
 	c.stats.FramesLoaded += uint64(len(frames))

@@ -69,10 +69,8 @@ type Options struct {
 	ProbeBase time.Duration
 	ProbeMax  time.Duration
 	// Backend is the template for per-backend mux clients. MaxRetries
-	// is forced off (the router retries across backends, not within
-	// one) and Metrics is forced nil (per-conn gauge labels would
-	// collide across backends — the router exports per-backend series
-	// itself).
+	// is forced off: the router retries across backends, not within
+	// one.
 	Backend client.Options
 	// Metrics, if set, receives the router series (per-backend
 	// in-flight/ejections/reinstatements/spills/forwards, request
@@ -132,7 +130,6 @@ func New(backends []string, opts Options) (*Router, error) {
 	}
 	bopts := opts.Backend
 	bopts.MaxRetries = -1
-	bopts.Metrics = nil
 	bopts.Tracer = opts.Tracer
 	pctx, pcancel := context.WithCancel(context.Background())
 	r := &Router{
